@@ -5,7 +5,7 @@ identities (projective bundles, blow-ups, jets) that certify them.
 All arithmetic is exact integer or exact finite-field arithmetic.
 """
 
-from .catalog import CatalogEntry, catalog_entries, catalog_run, get_variety
+from .catalog import CatalogEntry, catalog_entries, catalog_run
 from .cech import (
     LaurentComplex,
     MultiProjSpace,

@@ -13,110 +13,43 @@ P(O+O(1,-1))/P1xP1 vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .ext import ext_table, tilting_verdict
+from .ext import tilting_verdict
 from .fan import Fan
-from .frobenius import FrobeniusOrder, frobenius_decompose
-from .varieties import (
-    BUNDLE_SPECS,
-    del_pezzo,
-    named_variety,
-    p1xp1,
-    product,
-    projective_bundle,
-    projective_line,
-    projective_plane,
-    projective_space,
-)
+from .frobenius import FrobeniusOrder
+from .varieties import named_variety
 
 MAX_Q_THREEFOLD = 9
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One catalog variety: a fan builder plus the reference survey's Ext claim."""
+    """One catalog variety: a registry key plus the reference survey's Ext claim."""
 
     key: str
     label: str
-    builder: Callable[[], Fan]
     claimed_vanishing: bool
     claimed_nonzero_degrees: tuple = ()
 
     def build(self) -> Fan:
-        return self.builder()
-
-
-def _bundle_builder(key: str) -> Callable[[], Fan]:
-    def build() -> Fan:
-        base, degrees = BUNDLE_SPECS[key]()
-        return projective_bundle(base, degrees, name=key)
-
-    return build
+        return named_variety(self.key)
 
 
 def catalog_entries() -> tuple:
-    entries = [
-        CatalogEntry("P3", "P3", lambda: projective_space(3), True),
-        CatalogEntry(
-            "P(O+O(2))/P2",
-            "P(O+O(2)) over P2",
-            _bundle_builder("P(O+O(2))/P2"),
-            False,
-            (3,),
-        ),
-        CatalogEntry(
-            "P(O+O(1))/P2", "P(O+O(1)) over P2", _bundle_builder("P(O+O(1))/P2"), True
-        ),
-        CatalogEntry(
-            "P(O+O+O(1))/P1",
-            "P(O+O+O(1)) over P1",
-            _bundle_builder("P(O+O+O(1))/P1"),
-            True,
-        ),
-        CatalogEntry(
-            "P(O+O(1,1))/P1xP1",
-            "P(O+O(1,1)) over P1xP1",
-            _bundle_builder("P(O+O(1,1))/P1xP1"),
-            True,
-        ),
-        CatalogEntry(
-            "P(O+O(1,-1))/P1xP1",
-            "P(O+O(1,-1)) over P1xP1",
-            _bundle_builder("P(O+O(1,-1))/P1xP1"),
-            False,
-            (1,),
-        ),
-        CatalogEntry(
-            "P(O+O(l))/X1",
-            "P(O+O(l)) over X1, l = H",
-            _bundle_builder("P(O+O(l))/X1"),
-            True,
-        ),
-        CatalogEntry(
-            "P2xP1", "P2 x P1", lambda: product(projective_plane(), projective_line(), name="P2xP1"), True
-        ),
-        CatalogEntry(
-            "P1xP1xP1",
-            "P1 x P1 x P1",
-            lambda: product(p1xp1(), projective_line(), name="P1xP1xP1"),
-            True,
-        ),
-        CatalogEntry(
-            "X1xP1", "X1 x P1", lambda: product(del_pezzo(1), projective_line(), name="X1xP1"), True
-        ),
-        CatalogEntry(
-            "X2xP1", "X2 x P1", lambda: product(del_pezzo(2), projective_line(), name="X2xP1"), True
-        ),
-        CatalogEntry(
-            "X3xP1", "X3 x P1", lambda: product(del_pezzo(3), projective_line(), name="X3xP1"), True
-        ),
-    ]
-    return tuple(entries)
-
-
-def get_variety(name: str) -> Fan:
-    return named_variety(name)
+    return (
+        CatalogEntry("P3", "P3", True),
+        CatalogEntry("P(O+O(2))/P2", "P(O+O(2)) over P2", False, (3,)),
+        CatalogEntry("P(O+O(1))/P2", "P(O+O(1)) over P2", True),
+        CatalogEntry("P(O+O+O(1))/P1", "P(O+O+O(1)) over P1", True),
+        CatalogEntry("P(O+O(1,1))/P1xP1", "P(O+O(1,1)) over P1xP1", True),
+        CatalogEntry("P(O+O(1,-1))/P1xP1", "P(O+O(1,-1)) over P1xP1", False, (1,)),
+        CatalogEntry("P(O+O(l))/X1", "P(O+O(l)) over X1, l = H", True),
+        CatalogEntry("P2xP1", "P2 x P1", True),
+        CatalogEntry("P1xP1xP1", "P1 x P1 x P1", True),
+        CatalogEntry("X1xP1", "X1 x P1", True),
+        CatalogEntry("X2xP1", "X2 x P1", True),
+        CatalogEntry("X3xP1", "X3 x P1", True),
+    )
 
 
 def catalog_run(p: int, n: int = 1) -> dict:
@@ -136,16 +69,13 @@ def catalog_run(p: int, n: int = 1) -> dict:
     for entry in catalog_entries():
         row = {"key": entry.key, "label": entry.label}
         try:
-            fan = entry.build()
-            dec = frobenius_decompose(fan, fan.zero_divisor(), order)
-            report = ext_table(fan, order)
-            verdict = tilting_verdict(fan, order)
+            verdict = tilting_verdict(entry.build(), order)
             row.update(
                 {
-                    "dims": list(report.dims),
+                    "dims": list(verdict.dims),
                     "strong_exceptional": verdict.strong_exceptional,
                     "contains_collection": verdict.contains_collection,
-                    "certified": dec.certified,
+                    "certified": verdict.certified,
                 }
             )
             if verdict.strong_exceptional:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import cech as cech_mod
-from .catalog import catalog_entries, catalog_run, get_variety
+from .catalog import catalog_entries, catalog_run
 from .cohomology import DimensionUnsupported, Overflow, cohomology
 from .ext import UnknownCollection, ext_table, tilting_verdict
 from .fan import Fan, FanError, InvariantViolation, fan_from_json, parse_divisor
@@ -25,7 +25,7 @@ from .structure import (
     delpezzo_jet_check,
     p1bundle_check,
 )
-from .varieties import VARIETY_NAMES
+from .varieties import VARIETY_NAMES, named_variety
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -57,7 +57,7 @@ def _load_fan(args) -> Fan:
         return fan_from_json(path.read_text())
     if getattr(args, "variety", None):
         try:
-            return get_variety(args.variety)
+            return named_variety(args.variety)
         except KeyError as exc:
             raise CliError(str(exc)) from exc
     raise CliError("need --fan FILE or --variety NAME")
@@ -130,9 +130,8 @@ def _cmd_ext(args) -> int:
 def _cmd_tilting(args) -> int:
     fan = _load_fan(args)
     verdict = tilting_verdict(fan, _order(args))
-    report = ext_table(fan, _order(args))
     payload = {
-        "dims": list(report.dims),
+        "dims": list(verdict.dims),
         "strong_exceptional": verdict.strong_exceptional,
         "contains_collection": verdict.contains_collection,
         "quiver": [list(row) for row in verdict.quiver],
@@ -204,7 +203,7 @@ def _cmd_jets(args) -> int:
 
 def _cmd_pbundle_check(args) -> int:
     try:
-        base = get_variety(args.base)
+        base = named_variety(args.base)
     except KeyError as exc:
         raise CliError(str(exc)) from exc
     divisor = parse_divisor(base, args.a)

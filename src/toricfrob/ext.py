@@ -31,10 +31,18 @@ class ExtReport:
 
 @dataclass(frozen=True)
 class TiltingVerdict:
+    """Verdict on F^n_* O, with the self-Ext dims it rests on.
+
+    ``certified`` is the flag of the one decomposition the verdict was read
+    from.
+    """
+
     strong_exceptional: bool
     contains_collection: bool
     collection_used: tuple
     quiver: tuple
+    dims: tuple
+    certified: bool
 
 
 def _pair_dims(fan: Fan, dec_l: Decomposition, dec_m: Decomposition):
@@ -98,19 +106,19 @@ def tilting_verdict(
         raise UnknownCollection(
             f"no built-in collection for {fan.name or 'this fan'}"
         )
-    report = ext_table(fan, order)
     dec = frobenius_decompose(fan, fan.zero_divisor(), order)
-    contains = all(c in dec.entries for c in coll)
+    dims, per_pair = _pair_dims(fan, dec, dec)
     classes = sorted(dec.entries, reverse=True)
     quiver = tuple(
-        tuple(cohomology_of_class(fan, cv - cu).dims[0] for cv in classes)
-        for cu in classes
+        tuple(per_pair[(cu, cv)].dims[0] for cv in classes) for cu in classes
     )
     return TiltingVerdict(
-        strong_exceptional=report.vanishing_above_zero,
-        contains_collection=contains,
+        strong_exceptional=not any(dims[1:]),
+        contains_collection=all(c in dec.entries for c in coll),
         collection_used=coll,
         quiver=quiver,
+        dims=dims,
+        certified=dec.certified,
     )
 
 

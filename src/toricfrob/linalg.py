@@ -93,7 +93,13 @@ def rank_rational(rows) -> int:
 
 
 def rank_mod_p(mat, p: int) -> int:
-    """Rank of an integer matrix over F_p (exact elimination, vectorised)."""
+    """Rank of an integer matrix over F_p (exact elimination, vectorised).
+
+    The elimination forms products of residues, up to (p-1)^2, in int64; a p
+    for which that overflows raises ValueError.
+    """
+    if (p - 1) ** 2 > 2**63 - 1:
+        raise ValueError(f"p = {p} is too large for int64 elimination")
     a = np.array(mat, dtype=np.int64)
     if a.size == 0:
         return 0

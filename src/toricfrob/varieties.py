@@ -211,42 +211,30 @@ def _bundle_specs():
 BUNDLE_SPECS = _bundle_specs()
 
 
+_BUILDERS = {
+    "P1": projective_line,
+    "P2": projective_plane,
+    "P3": lambda: projective_space(3),
+    "P1xP1": p1xp1,
+    "F1": hirzebruch_one,
+    "X1": lambda: del_pezzo(1),
+    "X2": lambda: del_pezzo(2),
+    "X3": lambda: del_pezzo(3),
+    "P2xP1": lambda: product(projective_plane(), projective_line(), name="P2xP1"),
+    "P1xP1xP1": lambda: product(p1xp1(), projective_line(), name="P1xP1xP1"),
+    "X1xP1": lambda: product(del_pezzo(1), projective_line(), name="X1xP1"),
+    "X2xP1": lambda: product(del_pezzo(2), projective_line(), name="X2xP1"),
+    "X3xP1": lambda: product(del_pezzo(3), projective_line(), name="X3xP1"),
+}
+
+VARIETY_NAMES = tuple(_BUILDERS) + tuple(BUNDLE_SPECS)
+
+
 def named_variety(name: str) -> Fan:
-    builders = {
-        "P1": projective_line,
-        "P2": projective_plane,
-        "P3": lambda: projective_space(3),
-        "P1xP1": p1xp1,
-        "F1": hirzebruch_one,
-        "X1": lambda: del_pezzo(1),
-        "X2": lambda: del_pezzo(2),
-        "X3": lambda: del_pezzo(3),
-        "P2xP1": lambda: product(projective_plane(), projective_line(), name="P2xP1"),
-        "P1xP1xP1": lambda: product(p1xp1(), projective_line(), name="P1xP1xP1"),
-        "X1xP1": lambda: product(del_pezzo(1), projective_line(), name="X1xP1"),
-        "X2xP1": lambda: product(del_pezzo(2), projective_line(), name="X2xP1"),
-        "X3xP1": lambda: product(del_pezzo(3), projective_line(), name="X3xP1"),
-    }
-    if name in builders:
-        return builders[name]()
+    """Build the registered variety ``name`` (one of VARIETY_NAMES)."""
+    if name in _BUILDERS:
+        return _BUILDERS[name]()
     if name in BUNDLE_SPECS:
         base, degrees = BUNDLE_SPECS[name]()
         return projective_bundle(base, degrees, name=name)
     raise KeyError(f"unknown variety {name!r}")
-
-
-VARIETY_NAMES = (
-    "P1",
-    "P2",
-    "P3",
-    "P1xP1",
-    "F1",
-    "X1",
-    "X2",
-    "X3",
-    "P2xP1",
-    "P1xP1xP1",
-    "X1xP1",
-    "X2xP1",
-    "X3xP1",
-) + tuple(BUNDLE_SPECS)

@@ -6,9 +6,9 @@ from toricfrob import (
     DimensionUnsupported,
     Overflow,
     cohomology,
-    get_variety,
     h0_points,
     is_nef,
+    named_variety,
     product,
     projective_plane,
     projective_space,
@@ -88,7 +88,7 @@ def test_nef_implies_no_higher_cohomology(F1, div):
         assert cohomology(F1, div).dims[1:] == (0, 0)
 
 
-_BUNDLE_THREEFOLD = get_variety("P(O+O(2))/P2")
+_BUNDLE_THREEFOLD = named_variety("P(O+O(2))/P2")
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,8 +11,8 @@ from toricfrob import (
     del_pezzo,
     ext_table,
     fano_sufficient_check,
-    get_variety,
     kunneth_ext,
+    named_variety,
     product,
     projective_line,
     projective_space,
@@ -46,7 +46,7 @@ def test_adjunction_crosscheck_examples(P1, P2, F1):
 def test_adjunction_crosscheck_higher_orders(F1):
     # a threefold sample at p = 5 and a surface at q = 25
     for key in ("P3", "P(O+O(2))/P2", "X3xP1"):
-        assert adjunction_crosscheck(get_variety(key), FrobeniusOrder(5)), key
+        assert adjunction_crosscheck(named_variety(key), FrobeniusOrder(5)), key
     assert adjunction_crosscheck(F1, FrobeniusOrder(5, 2))
 
 
@@ -93,7 +93,7 @@ def test_fano_sufficient_check_on_projective_spaces():
 
 def test_fano_sufficient_implies_vanishing():
     for key in ("P3", "P(O+O(1))/P2", "P1xP1xP1", "X1xP1"):
-        fan = get_variety(key)
+        fan = named_variety(key)
         for p in (2, 3):
             order = FrobeniusOrder(p)
             if fano_sufficient_check(fan, order):
@@ -101,7 +101,7 @@ def test_fano_sufficient_implies_vanishing():
 
 
 def test_fano_sufficient_fails_for_mixed_degree_bundle():
-    fan = get_variety("P(O+O(1,-1))/P1xP1")
+    fan = named_variety("P(O+O(1,-1))/P1xP1")
     assert not fano_sufficient_check(fan, FrobeniusOrder(2))
 
 
@@ -154,21 +154,21 @@ def test_catalog_p3_single_failure_in_degree_two():
 
 
 def test_p_o_o2_fails_again_at_p5():
-    fan = get_variety("P(O+O(2))/P2")
+    fan = named_variety("P(O+O(2))/P2")
     report = ext_table(fan, FrobeniusOrder(5))
     assert report.dims[2] == 91
     assert report.dims[1] == report.dims[3] == 0
 
 
 def test_p_o_o2_fails_at_q4():
-    fan = get_variety("P(O+O(2))/P2")
+    fan = named_variety("P(O+O(2))/P2")
     report = ext_table(fan, FrobeniusOrder(2, 2))
     assert report.dims[2] == 21
     assert report.dims[1] == report.dims[3] == 0
 
 
 def test_mixed_degree_bundle_vanishes_despite_failed_sufficient_check():
-    fan = get_variety("P(O+O(1,-1))/P1xP1")
+    fan = named_variety("P(O+O(1,-1))/P1xP1")
     for p in (2, 3):
         assert ext_table(fan, FrobeniusOrder(p)).vanishing_above_zero
 
