@@ -62,6 +62,7 @@ from .frobenius import (
     det_class,
     frobenius_decompose,
     iterate_check,
+    projection_formula_failure,
     verify_projection_formula,
 )
 from .structure import (

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cohomology import CohomologyVector
 from .fan import InvariantViolation
-from .linalg import is_prime, rank_mod_p
+from .linalg import check_prime_field, rank_mod_p
 
 
 class UnsupportedComplex(ValueError):
@@ -201,10 +201,10 @@ def hypercohomology_fp(cx: LaurentComplex, p: int) -> dict:
     Requires every term to have single-degree cohomology and the first page to
     degenerate after its first differential; anything else raises
     UnsupportedComplex rather than being approximated.  A p that is not
-    prime raises ValueError: Z/p is then no field and ranks mean nothing.
+    prime (Z/p is then no field and ranks mean nothing), or too large for
+    the int64 elimination, raises ValueError before any work is done.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    check_prime_field(p)
     space = cx.space
     if not cx.check_composition():
         raise UnsupportedComplex("composition of consecutive maps is nonzero")

@@ -15,18 +15,13 @@ coordinates.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import combinations
 from math import gcd
 
 from .linalg import det_int, inverse_unimodular
 
 Divisor = tuple
-
-COMPLETENESS_PROBES = 200
-_PROBE_SEED = 0x7031C
 
 
 class FanError(ValueError):
@@ -112,6 +107,24 @@ class Fan:
         return cone0, inv, free
 
     @cached_property
+    def class_matrix(self):
+        """Integer matrix C with class_of(D) = D . C, as a tuple of rows.
+
+        Row rho is the class of the prime divisor D_rho: the character fixed
+        on the first cone removes the cone's coefficients, and the class is
+        what is left on the free rays.
+        """
+        cone0, inv, free = self._pic
+        n = len(self.rays)
+        rows = []
+        for rho in range(n):
+            unit = [int(i == rho) for i in range(n)]
+            rhs = [-unit[i] for i in cone0]
+            m = [sum(inv[i][j] * rhs[j] for j in range(self.dim)) for i in range(self.dim)]
+            rows.append(tuple(unit[j] + _dot(m, self.rays[j]) for j in free))
+        return tuple(rows)
+
+    @cached_property
     def _cone_inverses(self):
         return tuple(
             inverse_unimodular([self.rays[i] for i in cone]) for cone in self.max_cones
@@ -165,15 +178,13 @@ def class_of(fan: Fan, divisor) -> DivisorClass:
     """Picard class of a torus-invariant divisor.
 
     The kernel is exactly the lattice of principal divisors div(chi^m), and
-    the map is surjective onto Z^(#rays - dim).
+    the map is surjective onto Z^(#rays - dim).  It is linear, and reads the
+    classes of the prime divisors off ``Fan.class_matrix``.
     """
-    cone0, inv, free = fan._pic
     divisor = tuple(divisor)
     if len(divisor) != len(fan.rays):
         raise ValueError("divisor length does not match number of rays")
-    rhs = [-divisor[i] for i in cone0]
-    m = [sum(inv[i][j] * rhs[j] for j in range(fan.dim)) for i in range(fan.dim)]
-    return DivisorClass(tuple(divisor[j] + _dot(m, fan.rays[j]) for j in free))
+    return DivisorClass(tuple(_dot(divisor, col) for col in zip(*fan.class_matrix)))
 
 
 def _cone_characters(fan: Fan, divisor):
@@ -205,23 +216,27 @@ def is_ample(fan: Fan, divisor) -> bool:
     return True
 
 
-def _point_in_some_cone(fan: Fan, v) -> bool:
-    for inv in fan._cone_inverses:
-        # coefficients of v in the cone's ray basis: lambda = v . M^-1
-        if all(
-            sum(v[i] * inv[i][j] for i in range(fan.dim)) >= 0 for j in range(fan.dim)
-        ):
-            return True
-    return False
+def _containing_cones(fan: Fan, v):
+    """Indices of the closed maximal cones that contain the vector v."""
+    # coefficients of v in a cone's ray basis: lambda = v . M^-1
+    return [
+        k
+        for k, inv in enumerate(fan._cone_inverses)
+        if all(_dot(v, col) >= 0 for col in zip(*inv))
+    ]
 
 
 def build_fan(rays, max_cones, name: str = "", collection=None) -> Fan:
     """Validate and build a smooth complete fan.
 
     Raises NonPrimitiveRay, NotSmooth, BadWall or NotComplete.  Completeness
-    is certified by (a) every wall being shared by exactly two maximal cones
-    and (b) locating +-e_i and a fixed batch of pseudorandom lattice points
-    inside some cone; this is sound at the scale of the built-in catalog.
+    is certified exactly: (a) every wall is shared by exactly two maximal
+    cones, (b) those two cones lie strictly on opposite sides of the wall's
+    hyperplane, and (c) the interior point sum(v_i, i in the first cone) lies
+    in no other closed maximal cone.  By (a) and (b), crossing a wall away
+    from the codimension-2 faces leaves the number of cones containing a point
+    unchanged, so that number is the same for every point off those faces;
+    (c) makes it 1, so the cones cover R^d exactly once.
     """
     rays = tuple(tuple(int(x) for x in r) for r in rays)
     if not rays:
@@ -253,31 +268,32 @@ def build_fan(rays, max_cones, name: str = "", collection=None) -> Fan:
         if d not in (1, -1):
             raise NotSmooth(f"cone {c} has determinant {d}")
 
+    # wall -> [(cone index, position in the cone of the ray off the wall)]
     walls = {}
-    for c in cones:
-        for facet in combinations(c, dim - 1):
-            walls[facet] = walls.get(facet, 0) + 1
-    for facet, count in walls.items():
-        if count != 2:
-            raise BadWall(f"wall {facet} belongs to {count} maximal cones, expected 2")
+    for k, c in enumerate(cones):
+        for pos in range(dim):
+            walls.setdefault(c[:pos] + c[pos + 1 :], []).append((k, pos))
+    for facet, sides in walls.items():
+        if len(sides) != 2:
+            raise BadWall(
+                f"wall {facet} belongs to {len(sides)} maximal cones, expected 2"
+            )
 
     fan = Fan(dim=dim, rays=rays, max_cones=tuple(cones), name=name,
               collection=collection)
 
-    probes = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        probes.append(tuple(e))
-        probes.append(tuple(-x for x in e))
-    rng = random.Random(_PROBE_SEED)
-    while len(probes) < 2 * dim + COMPLETENESS_PROBES:
-        v = tuple(rng.randint(-9, 9) for _ in range(dim))
-        if any(v):
-            probes.append(v)
-    for v in probes:
-        if not _point_in_some_cone(fan, v):
-            raise NotComplete(f"no maximal cone contains {v}")
+    for facet, ((k0, pos0), (k1, pos1)) in walls.items():
+        # column pos0 of the inverse is the wall's normal, 1 on cone k0's ray
+        normal = [row[pos0] for row in fan._cone_inverses[k0]]
+        if _dot(normal, rays[cones[k1][pos1]]) >= 0:
+            raise BadWall(f"the two cones at wall {facet} lie on the same side")
+    interior = [sum(rays[i][j] for i in cones[0]) for j in range(dim)]
+    others = [cones[k] for k in _containing_cones(fan, interior) if k]
+    if others:
+        raise NotComplete(
+            f"cones {cones[0]} and {others[0]} overlap: the cones cover space "
+            "more than once"
+        )
     return fan
 
 

@@ -11,15 +11,27 @@ cohomology of twists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
-from .cohomology import cohomology, cohomology_of_class
+import numpy as np
+
+from .cohomology import _INT64_GUARD, Overflow, cohomology, cohomology_of_class
 from .fan import Divisor, DivisorClass, Fan, InvariantViolation, class_of
 from .linalg import is_prime
 
+# Residues per block of the vectorised decomposition; bounds its memory.
+RESIDUE_CHUNK = 1 << 16
+
 
 class OracleMismatch(InvariantViolation):
-    """A decomposition failed its projection-formula certification."""
+    """A decomposition failed its projection-formula certification.
+
+    ``failure`` is the first broken identity as (twist E, degree i, lhs, rhs)
+    when a certification found it, else None.
+    """
+
+    def __init__(self, message: str, failure=None):
+        super().__init__(message)
+        self.failure = failure
 
 
 @dataclass(frozen=True)
@@ -67,15 +79,51 @@ def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def _check_residue_range(fan: Fan, divisor, q: int) -> None:
+    """Raise Overflow unless the residue arithmetic is exact in int64."""
+    numer = max(abs(a) for a in divisor) + (q - 1) * max(
+        sum(abs(x) for x in ray) for ray in fan.rays
+    )
+    weight = max(sum(abs(c) for c in col) for col in zip(*fan.class_matrix))
+    if max(numer, (numer // q + 1) * weight, q**fan.dim) >= _INT64_GUARD:
+        raise Overflow("residue decomposition exceeds the exact int64 range")
+
+
 def _raw_decompose(fan: Fan, divisor, order: FrobeniusOrder):
-    q = order.q
+    """Classes of O(floor((D + <u, v_rho>) / q)) over the residues u in [0, q)^d.
+
+    The residues are the base-q digits of a flat index, first coordinate
+    most significant (``itertools.product`` order), taken in blocks of
+    RESIDUE_CHUNK.  ``entries`` lists each class once, in order of first
+    occurrence, with its multiplicity; ``witnesses`` gives that first residue
+    u and its coefficients.
+    """
+    q, d = order.q, fan.dim
+    _check_residue_range(fan, divisor, q)
+    rays_t = np.array(fan.rays, dtype=np.int64).T
+    cmat = np.array(fan.class_matrix, dtype=np.int64)
+    shift = np.array(divisor, dtype=np.int64)
+    place = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    total = q**d
+    found: dict = {}  # class coordinates -> [first flat index, multiplicity]
+    for start in range(0, total, RESIDUE_CHUNK):
+        flat = np.arange(start, min(start + RESIDUE_CHUNK, total), dtype=np.int64)
+        u = flat[:, None] // place % q
+        cls = ((shift + u @ rays_t) // q) @ cmat
+        keys, first, counts = np.unique(
+            cls, axis=0, return_index=True, return_counts=True
+        )
+        for key, pos, count in zip(keys.tolist(), first.tolist(), counts.tolist()):
+            hit = found.setdefault(tuple(key), [start + pos, 0])
+            hit[1] += count
     entries: dict = {}
     witnesses: dict = {}
-    for u in product(range(q), repeat=fan.dim):
+    for key, (index, count) in sorted(found.items(), key=lambda kv: kv[1][0]):
+        cls = DivisorClass(key)
+        u = tuple(index // q ** (d - 1 - k) % q for k in range(d))
         coeffs = tuple((a + _dot(u, ray)) // q for a, ray in zip(divisor, fan.rays))
-        cls = class_of(fan, coeffs)
-        entries[cls] = entries.get(cls, 0) + 1
-        witnesses.setdefault(cls, (u, coeffs))
+        entries[cls] = count
+        witnesses[cls] = (u, coeffs)
     return entries, witnesses
 
 
@@ -112,18 +160,24 @@ def frobenius_decompose(
     )
     if certify:
         if not verify_projection_formula(dec):
+            failure = projection_formula_failure(dec)
+            e, i, lhs, rhs = failure
             raise OracleMismatch(
                 f"projection formula failed for F_{order.q}* O({divisor}) on "
-                f"{fan.name or 'fan'}"
+                f"{fan.name or 'fan'}: twist E = {e}, degree {i}, "
+                f"sum of h^{i}(D_u + E) = {lhs} but h^{i}(D + qE) = {rhs}",
+                failure,
             )
         dec.certified = True
     return dec
 
 
-def verify_projection_formula(dec: Decomposition, test_divisors=None) -> bool:
-    """Check sum_u mult(u) h^i(D_u + E) == h^i(D + qE) for the test twists E.
+def projection_formula_failure(dec: Decomposition, test_divisors=None):
+    """First broken identity sum_u mult(u) h^i(D_u + E) == h^i(D + qE).
 
-    This holds in every cohomological degree because pushing forward along a
+    Returns (E, i, lhs, rhs) for the first test twist E and degree i where
+    the two sides differ, or None when the identity holds for all of them.
+    It holds in every cohomological degree because pushing forward along a
     finite map preserves cohomology and twisting by O(E) passes through the
     pushforward as O(qE).
     """
@@ -139,10 +193,20 @@ def verify_projection_formula(dec: Decomposition, test_divisors=None) -> bool:
             for i, value in enumerate(h.dims):
                 lhs[i] += mult * value
         twisted = tuple(a + q * b for a, b in zip(dec.divisor, e))
-        rhs = cohomology(fan, twisted)
-        if tuple(lhs) != rhs.dims:
-            return False
-    return True
+        rhs = cohomology(fan, twisted).dims
+        for i, (left, right) in enumerate(zip(lhs, rhs)):
+            if left != right:
+                return tuple(e), i, left, right
+    return None
+
+
+def verify_projection_formula(dec: Decomposition, test_divisors=None) -> bool:
+    """True when the projection formula holds for every test twist.
+
+    The twists default to {0, +-H_j, K, -K}; :func:`projection_formula_failure`
+    names the first identity that breaks.
+    """
+    return projection_formula_failure(dec, test_divisors) is None
 
 
 def det_class(dec: Decomposition) -> DivisorClass:

@@ -92,14 +92,25 @@ def rank_rational(rows) -> int:
     return rank
 
 
-def rank_mod_p(mat, p: int) -> int:
-    """Rank of an integer matrix over F_p (exact elimination, vectorised).
+def check_prime_field(p: int) -> None:
+    """Raise ValueError unless p is a prime small enough for rank_mod_p.
 
     The elimination forms products of residues, up to (p-1)^2, in int64; a p
-    for which that overflows raises ValueError.
+    for which that overflows, or that is not prime (Z/p is then no field), is
+    refused before any work is done.
     """
     if (p - 1) ** 2 > 2**63 - 1:
         raise ValueError(f"p = {p} is too large for int64 elimination")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
+def rank_mod_p(mat, p: int) -> int:
+    """Rank of an integer matrix over F_p (exact elimination, vectorised).
+
+    A p refused by :func:`check_prime_field` raises ValueError.
+    """
+    check_prime_field(p)
     a = np.array(mat, dtype=np.int64)
     if a.size == 0:
         return 0
@@ -124,12 +135,36 @@ def rank_mod_p(mat, p: int) -> int:
     return r
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
+# The first twelve primes: the least composite that is a strong pseudoprime to
+# all of them is 318665857834031151167461 > 2^64 (Sorenson and Webster,
+# Math. Comp. 86, 2017), so the test below is exact on the 64-bit range.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for 0 <= n < 2^64.
+
+    A larger n raises ValueError rather than get an unproved answer.
+    """
+    if n >= 2**64:
+        raise ValueError(f"{n} is beyond the exact primality range (< 2^64)")
+    if n < 2:
         return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 1
     return True

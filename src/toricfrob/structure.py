@@ -30,7 +30,7 @@ from .frobenius import (
     det_class,
     frobenius_decompose,
 )
-from .linalg import is_prime, rank_mod_p
+from .linalg import check_prime_field, is_prime, rank_mod_p
 from .varieties import projective_plane
 
 
@@ -295,8 +295,9 @@ def _jet_block(d: int, jet_order: int, p: int, point) -> np.ndarray:
     Rows index monomials of degree d (dehomogenised at the last coordinate),
     columns index jet monomials of order <= jet_order at the point; entries
     are the translated-coordinate Taylor coefficients mod p (binomials reduced
-    via Lucas).
+    via Lucas).  A p that is not prime raises ValueError.
     """
+    check_prime_field(p)
     a = point[0] * pow(point[2], p - 2, p) % p
     b = point[1] * pow(point[2], p - 2, p) % p
     cols = [(s, t) for s in range(jet_order + 1) for t in range(jet_order + 1 - s)]

@@ -5,22 +5,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfrob import (
+    VARIETY_NAMES,
     BadWall,
     DivisorClass,
     FanError,
     NonPrimitiveRay,
+    NotComplete,
     NotSmooth,
     blowup_fan,
     build_fan,
+    catalog_entries,
     class_of,
     fan_from_json,
     is_ample,
     is_nef,
+    named_variety,
     parse_divisor,
     product_fan,
     projectivization_fan,
 )
-from toricfrob.fan import _point_in_some_cone
+from toricfrob.fan import _containing_cones
 
 from conftest import fans_isomorphic
 
@@ -62,8 +66,38 @@ def test_duplicate_ray_rejected():
 
 
 def test_probe_point_location(P2):
-    assert _point_in_some_cone(P2, (5, -3))
-    assert _point_in_some_cone(P2, (-7, -7))
+    assert _containing_cones(P2, (5, -3)) == [1]
+    # (-7, -7) is on a ray, which lies in the two cones on either side of it
+    assert _containing_cones(P2, (-7, -7)) == [1, 2]
+
+
+# 12 rays winding twice around the origin; consecutive rays span smooth cones,
+# every wall lies in two cones, and the cones at each wall are on opposite
+# sides of it, so only the covering degree (2) shows that this is no fan; if
+# accepted, the engine reports h^1(O) = 8 on it.
+_WOUND_RAYS = [
+    (1, 0), (-2, 1), (-1, 0), (-2, -1), (-1, -1), (-1, -2),
+    (0, -1), (1, 1), (0, 1), (-1, 1), (1, -2), (1, -1),
+]
+_WOUND_CONES = [(i, (i + 1) % 12) for i in range(12)]
+
+
+def test_doubly_wound_fan_rejected():
+    with pytest.raises(NotComplete):
+        build_fan(_WOUND_RAYS, _WOUND_CONES)
+
+
+def test_folded_wall_rejected():
+    # three rays in one quadrant: each wall lies in two cones on one side
+    with pytest.raises(BadWall, match="same side"):
+        build_fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
+
+
+def test_every_named_and_catalog_fan_builds():
+    for name in VARIETY_NAMES:
+        assert named_variety(name).dim >= 1
+    for entry in catalog_entries():
+        assert entry.build().dim == 3
 
 
 def test_class_of_ray_divisor_on_p2(P2):

@@ -1,10 +1,13 @@
 """F_p entry points reject a p for which their answer would be wrong."""
 
+import time
+
 import pytest
 
-from toricfrob import incidence_cohomology
+from toricfrob import FrobeniusOrder, incidence_cohomology
 from toricfrob.cli import main
-from toricfrob.linalg import rank_mod_p
+from toricfrob.linalg import is_prime, rank_mod_p
+from toricfrob.structure import _jet_block
 
 
 def test_incidence_rejects_composite_p():
@@ -28,3 +31,53 @@ def test_rank_mod_p_rejects_int64_overflow():
     y = 2**59 + 999
     with pytest.raises(ValueError, match="too large"):
         rank_mod_p([[1, x], [y, x * y % big]], big)
+
+
+def test_rank_mod_p_rejects_composite_p():
+    # Z/p is no field for these p, so elimination could divide by a zero divisor
+    for p in (1, 4, 9, 91):
+        with pytest.raises(ValueError, match="not prime"):
+            rank_mod_p([[2, 1], [1, 3]], p)
+    assert rank_mod_p([[2, 1], [1, 3]], 5) == 1
+
+
+def test_jet_block_rejects_composite_p():
+    with pytest.raises(ValueError, match="not prime"):
+        _jet_block(3, 2, 9, (1, 1, 1))
+    assert _jet_block(3, 2, 3, (1, 1, 1)).shape == (10, 6)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the bases 2, 3, 5, 7 and to every
+    # prime base up to 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**64 - 59)
+    with pytest.raises(ValueError):
+        is_prime(2**64 + 13)
+
+
+def test_huge_prime_frobenius_order():
+    assert FrobeniusOrder(2**61 - 1).q == 2**61 - 1
+
+
+def test_cli_incidence_huge_prime_exits_1_promptly(capsys):
+    start = time.perf_counter()
+    code = main(["cech", "incidence", "--a", "2", "--b", "-4",
+                 "--p", str(2**61 - 1)])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert captured.out == ""
+    assert "too large" in captured.err

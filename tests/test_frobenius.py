@@ -16,6 +16,7 @@ from toricfrob import (
     frobenius_decompose,
     iterate_check,
     product_fan,
+    projection_formula_failure,
     verify_projection_formula,
 )
 from toricfrob import frobenius as frobenius_mod
@@ -157,6 +158,29 @@ def test_oracle_mismatch_raised(monkeypatch, P2):
     monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupt)
     with pytest.raises(OracleMismatch):
         frobenius_decompose(P2, (0, 0, 0), FrobeniusOrder(2))
+
+
+def test_oracle_mismatch_names_broken_identity(monkeypatch, P2):
+    def corrupt(fan, divisor, order):
+        return {DivisorClass((0,)): 4}, {}
+
+    monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupt)
+    with pytest.raises(OracleMismatch) as info:
+        frobenius_decompose(P2, (0, 0, 0), FrobeniusOrder(2))
+    # first twist E = 0, degree 0: 4 h^0(O) = 4 against h^0(O) = 1
+    assert info.value.failure == ((0, 0, 0), 0, 4, 1)
+    assert "twist E = (0, 0, 0), degree 0" in str(info.value)
+    assert "= 4 but h^0(D + qE) = 1" in str(info.value)
+
+
+def test_projection_failure_none_when_certified(P2):
+    dec = frobenius_decompose(P2, (1, 0, -2), FrobeniusOrder(3))
+    assert projection_formula_failure(dec) is None
+    bad = Decomposition(
+        fan=P2, divisor=dec.divisor, order=dec.order,
+        entries={DivisorClass((0,)): 9}, witnesses={},
+    )
+    assert projection_formula_failure(bad) is not None
 
 
 def test_divisor_length_checked(P2):
