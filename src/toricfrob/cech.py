@@ -7,8 +7,12 @@ each factor contributes its monomial basis either in degree 0 (all exponents
 nonnegative) or in top degree (all exponents <= -1, the local cohomology
 model).  Maps between such bundles act on Laurent monomial bases by
 polynomial multiplication followed by truncation to the target basis; that is
-the induced map on the standard-cover Cech model.  Ranks are exact Gaussian
-elimination over F_p, never probabilistic.
+the induced map on the standard-cover Cech model.  Each map is collected
+sparsely, entry by entry; after reduction mod p its rows and columns split
+into the connected components of the nonzero pattern, and its rank is the
+sum of the ranks of those blocks.  Every block rank is an exact Gaussian
+elimination over F_p, never probabilistic, and no map is ever assembled as
+one dense matrix.
 """
 
 from __future__ import annotations
@@ -174,25 +178,71 @@ def _term_basis(space, term, degree):
     return out
 
 
-def _map_matrix(space, src_term, dst_term, poly_matrix, degree):
-    """Induced map on degree-`degree` cohomology, as an integer matrix.
+def _map_entries(space, src_term, dst_term, poly_matrix, degree) -> dict:
+    """Induced map on degree-`degree` cohomology, as {(row, col): coefficient}.
 
-    Product monomials outside the target basis support are discarded.
+    Contributions to one entry are summed over Z; product monomials outside
+    the target basis support are discarded.
     """
     src = _term_basis(space, src_term, degree)
     dst = _term_basis(space, dst_term, degree)
-    if not src or not dst:
-        return None
     dst_index = {key: i for i, key in enumerate(dst)}
-    mat = np.zeros((len(dst), len(src)), dtype=np.int64)
+    entries: dict = {}
     for col, (src_j, mono) in enumerate(src):
         for dst_j in range(len(dst_term)):
-            poly = poly_matrix[dst_j][src_j]
-            for prod, coeff in poly.apply(mono):
-                idx = dst_index.get((dst_j, prod))
-                if idx is not None:
-                    mat[idx, col] += coeff
-    return mat
+            for prod, coeff in poly_matrix[dst_j][src_j].apply(mono):
+                row = dst_index.get((dst_j, prod))
+                if row is not None:
+                    entries[row, col] = entries.get((row, col), 0) + coeff
+    return entries
+
+
+def _components(cells) -> list:
+    """Connected components of the bipartite graph whose edges are `cells`.
+
+    Each component is a pair (rows, cols) of index lists; rows and columns
+    that no cell touches belong to no component.
+    """
+    parent: dict = {}
+
+    def find(node):
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for row, col in cells:
+        ends = ("row", row), ("col", col)
+        for node in ends:
+            parent.setdefault(node, node)
+        a, b = map(find, ends)
+        if a != b:
+            parent[a] = b
+    groups: dict = {}
+    for kind, index in parent:
+        rows, cols = groups.setdefault(find((kind, index)), ([], []))
+        (rows if kind == "row" else cols).append(index)
+    return list(groups.values())
+
+
+def _block_rank_mod_p(entries: dict, p: int) -> int:
+    """Rank over F_p of the integer matrix given as {(row, col): coefficient}.
+
+    Entries that vanish mod p are dropped.  After permuting its rows and
+    columns, the matrix is block diagonal with one block per connected
+    component of the nonzero pattern, so its rank is the sum of the blocks'
+    ranks, each an exact :func:`rank_mod_p` elimination of a small dense
+    block.  The caller has passed p through :func:`check_prime_field`.
+    """
+    cells = {rc: c % p for rc, c in entries.items() if c % p}
+    comps = _components(cells)
+    blocks = [np.zeros((len(rows), len(cols)), dtype=np.int64) for rows, cols in comps]
+    row_at = {r: (k, i) for k, (rows, _) in enumerate(comps) for i, r in enumerate(rows)}
+    col_at = {c: j for _, cols in comps for j, c in enumerate(cols)}
+    for (row, col), value in cells.items():
+        k, i = row_at[row]
+        blocks[k][i, col_at[col]] = value
+    return sum(rank_mod_p(block, p) for block in blocks)
 
 
 def hypercohomology_fp(cx: LaurentComplex, p: int) -> dict:
@@ -200,7 +250,10 @@ def hypercohomology_fp(cx: LaurentComplex, p: int) -> dict:
 
     Requires every term to have single-degree cohomology and the first page to
     degenerate after its first differential; anything else raises
-    UnsupportedComplex rather than being approximated.  A p that is not
+    UnsupportedComplex rather than being approximated.  The rank of each
+    first-page differential is :func:`_block_rank_mod_p` of its sparse
+    entries: the sum of exact F_p eliminations of the connected blocks of
+    its nonzero pattern.  A p that is not
     prime (Z/p is then no field and ranks mean nothing), or too large for
     the int64 elimination, raises ValueError before any work is done.
     """
@@ -227,8 +280,8 @@ def hypercohomology_fp(cx: LaurentComplex, p: int) -> dict:
     for s in range(nterms - 1):
         degrees = {t for (s_, t) in e1 if s_ in (s, s + 1)}
         for t in degrees:
-            mat = _map_matrix(space, cx.terms[s], cx.terms[s + 1], cx.maps[s], t)
-            ranks[(s, t)] = 0 if mat is None else rank_mod_p(mat, p)
+            entries = _map_entries(space, cx.terms[s], cx.terms[s + 1], cx.maps[s], t)
+            ranks[(s, t)] = _block_rank_mod_p(entries, p)
     result: dict = {}
     for (s, t), dim in e1.items():
         e2 = dim - ranks.get((s, t), 0) - ranks.get((s - 1, t), 0)

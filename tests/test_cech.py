@@ -130,3 +130,22 @@ def test_map_count_validated():
     sp = MultiProjSpace((1,))
     with pytest.raises(ValueError):
         LaurentComplex(space=sp, terms=(((0,),), ((1,),)), maps=())
+
+
+def test_incidence_large_twist_pinned():
+    assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
+
+
+def test_incidence_large_twist_serre_duality():
+    lhs = incidence_cohomology(12, -13, 3).dims
+    assert lhs == tuple(reversed(incidence_cohomology(-14, 11, 3).dims))
+
+
+@pytest.mark.parametrize("a, b", [(10, -12), (12, -13), (20, -22)])
+def test_incidence_large_twist_euler_from_ambient(a, b):
+    sp = MultiProjSpace((2, 2))
+    ambient = (
+        line_bundle_cohomology_fp(sp, (a, b)).euler()
+        - line_bundle_cohomology_fp(sp, (a - 1, b - 1)).euler()
+    )
+    assert incidence_cohomology(a, b, 3).euler() == ambient
