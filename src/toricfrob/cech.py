@@ -12,19 +12,27 @@ sparsely, entry by entry; after reduction mod p its rows and columns split
 into the connected components of the nonzero pattern, and its rank is the
 sum of the ranks of those blocks.  Every block rank is an exact Gaussian
 elimination over F_p, never probabilistic, and no map is ever assembled as
-one dense matrix.
+one dense matrix.  Before any monomial is enumerated, the size of every
+first-page term is counted from binomials, and a complex with a term of more
+than MAX_CECH_BASIS monomials is refused with Overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import comb
 
 import numpy as np
 
-from .cohomology import CohomologyVector
+from .cohomology import CohomologyVector, Overflow
 from .fan import InvariantViolation
 from .linalg import check_prime_field, rank_mod_p
+
+# Largest cohomology basis of one term, in one degree, that the engine will
+# enumerate.  The incidence twist (40, -42) has 706,020 monomials in each of
+# its two terms; (99999, 0) would have about 5 * 10^9.
+MAX_CECH_BASIS = 1_000_000
 
 
 class UnsupportedComplex(ValueError):
@@ -84,6 +92,28 @@ def line_bundle_basis(space: MultiProjSpace, multidegree):
         degree += fb[0]
         factors.append(fb[1])
     return degree, [tuple(mono) for mono in iproduct(*factors)]
+
+
+def _basis_size(space: MultiProjSpace, multidegree):
+    """(degree, basis size) of O(multidegree) from binomials, or None if acyclic.
+
+    Counts what :func:`line_bundle_basis` enumerates, without enumerating it:
+    O(d) on P^n has C(d + n, n) monomials in degree 0 when d >= 0 and
+    C(-d - 1, n) in degree n when d <= -(n + 1).
+    """
+    multidegree = tuple(multidegree)
+    if len(multidegree) != len(space.factor_dims):
+        raise ValueError("multidegree length does not match the factors")
+    degree, size = 0, 1
+    for n, d in zip(space.factor_dims, multidegree):
+        if d >= 0:
+            size *= comb(d + n, n)
+        elif d <= -(n + 1):
+            degree += n
+            size *= comb(-d - 1, n)
+        else:
+            return None
+    return degree, size
 
 
 def line_bundle_cohomology_fp(space: MultiProjSpace, multidegree) -> CohomologyVector:
@@ -255,7 +285,9 @@ def hypercohomology_fp(cx: LaurentComplex, p: int) -> dict:
     entries: the sum of exact F_p eliminations of the connected blocks of
     its nonzero pattern.  A p that is not
     prime (Z/p is then no field and ranks mean nothing), or too large for
-    the int64 elimination, raises ValueError before any work is done.
+    the int64 elimination, raises ValueError before any work is done.  A term
+    whose basis in one degree has more than MAX_CECH_BASIS monomials raises
+    Overflow before any monomial is enumerated.
     """
     check_prime_field(p)
     space = cx.space
@@ -265,10 +297,15 @@ def hypercohomology_fp(cx: LaurentComplex, p: int) -> dict:
     e1: dict = {}
     for s, term in enumerate(cx.terms):
         for md in term:
-            info = line_bundle_basis(space, md)
-            if info is None:
-                continue
-            e1[(s, info[0])] = e1.get((s, info[0]), 0) + len(info[1])
+            info = _basis_size(space, md)
+            if info is not None:
+                e1[(s, info[0])] = e1.get((s, info[0]), 0) + info[1]
+    for (s, t), dim in e1.items():
+        if dim > MAX_CECH_BASIS:
+            raise Overflow(
+                f"term {s} has {dim} basis monomials in degree {t}, "
+                f"more than {MAX_CECH_BASIS}"
+            )
     for (s, t), dim in e1.items():
         if dim:
             for r in range(2, nterms):

@@ -2,11 +2,18 @@
 
 For a torus-invariant divisor D the group H^i(X, O(D)) splits over characters
 m, with the m-piece given by reduced simplicial cohomology of the subcomplex
-of the fan's boundary complex supported on the rays where <m, v> < -a.  The
-per-character pieces are computed over Q; for dim <= 4 the support complexes
-sit inside a triangulated sphere of dimension <= 3, whose subcomplexes have
-torsion-free cohomology, so the dimensions agree with those over any prime
-field.  Higher dimensions are rejected rather than silently risking torsion.
+of the fan's boundary complex supported on the rays where <m, v> < -a.  For
+dim <= 4 the support complexes sit inside a triangulated sphere of dimension
+<= 3, whose subcomplexes have torsion-free homology; their boundary maps then
+have only unit elementary divisors, so their ranks are the same over Q and
+over every prime field.  The per-character pieces are therefore computed over
+F_p with p = _BETTI_P, exactly, and equal the dimensions over any field.
+Higher dimensions are rejected rather than silently risking torsion.
+
+The characters that can contribute lie in a box spanned by the vertices of
+the arrangement {<m, v_rho> = -a_rho}; each vertex is adj . (-a) / det for an
+invertible d-subset of rays, with the integer adjugates cached per fan, so
+the whole engine runs on integers.
 
 Lattice point counting in the section polytope provides an independent oracle
 for global sections.
@@ -16,16 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, floor
 
 import numpy as np
 
 from .fan import DivisorClass, Fan, class_of
-from .linalg import rank_rational, solve_rational
+from .linalg import rank_mod_p
 
 MAX_DIM = 4
 MAX_BOX_POINTS = 4_000_000
 _INT64_GUARD = 2**62
+# Odd, so that a sign error in a boundary matrix still changes its rank.
+_BETTI_P = 32749
 
 
 class DimensionUnsupported(ValueError):
@@ -61,25 +69,19 @@ def _vertex_box(fan: Fan, coeffs):
     Every character whose support subcomplex has nontrivial reduced cohomology
     lies in this box: the support pattern is constant on the (bounded) cells of
     the hyperplane arrangement, and unbounded cells have contractible or empty
-    support complexes.
+    support complexes.  The solutions come from the fan's cached integer
+    adjugates as exact floor and ceiling quotients; Overflow is raised before
+    any int64 product that could reach _INT64_GUARD.
     """
-    d, n = fan.dim, len(fan.rays)
-    lo = [None] * d
-    hi = [None] * d
-    for subset in combinations(range(n), d):
-        mat = [fan.rays[i] for i in subset]
-        rhs = [-coeffs[i] for i in subset]
-        sol = solve_rational(mat, rhs)
-        if sol is None:
-            continue
-        for j, x in enumerate(sol):
-            fj = floor(x)
-            cj = ceil(x)
-            lo[j] = fj if lo[j] is None else min(lo[j], fj)
-            hi[j] = cj if hi[j] is None else max(hi[j], cj)
-    if any(v is None for v in lo):
+    subsets, adj, det, bound = fan._vertex_adjugates
+    if not len(subsets):
         raise Overflow("ray matrix has no invertible d-subset")
-    return [(lo[j] - 1, hi[j] + 1) for j in range(d)]
+    if adj is None or bound * max(abs(c) for c in coeffs) >= _INT64_GUARD:
+        raise Overflow("vertex solutions exceed the exact int64 range")
+    num = np.einsum("kij,kj->ki", adj, -np.array(coeffs, dtype=np.int64)[subsets])
+    lo = (num // det).min(axis=0)
+    hi = (-(-num // det)).max(axis=0)
+    return [(int(a) - 1, int(b) + 1) for a, b in zip(lo, hi)]
 
 
 def _char_grid(fan: Fan, coeffs):
@@ -121,7 +123,8 @@ def _support_contrib(fan: Fan, mask: int):
         ]
         faces.append(level)
 
-    # Boundary ranks of the augmented chain complex over Q.
+    # Boundary ranks of the augmented chain complex over F_p, equal to those
+    # over Q by the torsion-freeness in the module docstring.
     ranks = [0] * (d + 2)
     for card in range(1, d + 1):
         lower = {f: i for i, f in enumerate(faces[card - 1])}
@@ -132,7 +135,7 @@ def _support_contrib(fan: Fan, mask: int):
             for pos in range(card):
                 sub = f[:pos] + f[pos + 1 :]
                 mat[lower[sub]][col] = -1 if pos % 2 else 1
-        ranks[card] = rank_rational(mat)
+        ranks[card] = rank_mod_p(mat, _BETTI_P)
 
     contrib = tuple(
         len(faces[c]) - ranks[c] - ranks[c + 1] for c in range(d + 1)

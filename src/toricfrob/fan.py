@@ -17,9 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import combinations
 from math import gcd
 
-from .linalg import det_int, inverse_unimodular
+import numpy as np
+
+from .linalg import adjugate_int, det_int, inverse_unimodular
 
 Divisor = tuple
 
@@ -129,6 +132,33 @@ class Fan:
         return tuple(
             inverse_unimodular([self.rays[i] for i in cone]) for cone in self.max_cones
         )
+
+    @cached_property
+    def _vertex_adjugates(self):
+        """Adjugates of the invertible d-subsets of rays: (subsets, adj, det, bound).
+
+        ``subsets`` (k, d) holds each subset's ray indices, ``adj`` (k, d, d)
+        its integer adjugate and ``det`` (k, 1) its determinant, with signs
+        flipped so that every det > 0; the solution of <m, v_i> = b_i over the
+        subset is adj . b / det.  ``bound`` is the largest absolute row sum of
+        any adjugate, so |adj . b| <= bound * max|b|.  The arrays are int64,
+        or None when an adjugate row sum or a det reaches 2^62; the character
+        box then refuses the fan.
+        """
+        subsets, adjs, dets = [], [], []
+        for subset in combinations(range(len(self.rays)), self.dim):
+            det, adj = adjugate_int([self.rays[i] for i in subset])
+            if det:
+                sign = 1 if det > 0 else -1
+                subsets.append(subset)
+                adjs.append([[sign * x for x in row] for row in adj])
+                dets.append([sign * det])
+        bound = max((sum(map(abs, row)) for adj in adjs for row in adj), default=0)
+        subsets = np.array(subsets, dtype=np.int64).reshape(-1, self.dim)
+        if bound >= 2**62 or any(det >= 2**62 for det, in dets):
+            return subsets, None, None, bound
+        adjs = np.array(adjs, dtype=np.int64).reshape(-1, self.dim, self.dim)
+        return subsets, adjs, np.array(dets, dtype=np.int64).reshape(-1, 1), bound
 
     # Per-fan memo dictionaries, shared by the cohomology engine.  Values are
     # deterministic functions of the key, so concurrent insertion is benign.

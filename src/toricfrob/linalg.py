@@ -1,7 +1,12 @@
-"""Exact linear algebra helpers: integer determinants and inverses, ranks over
-Q, and ranks over prime fields.
+"""Exact linear algebra helpers: integer determinants, adjugates and inverses,
+and ranks over prime fields.
 
-Everything here is exact; no floating point is ever used.
+Everything here is exact; no floating point is ever used.  The library's hot
+paths are integer-only: the character box comes from cached adjugates and the
+support Betti numbers from :func:`rank_mod_p`.  The two ``Fraction`` kernels,
+:func:`solve_rational` and :func:`rank_rational`, are kept as reference
+implementations over Q: the tests compare the integer kernels against them,
+and the benchmark's tracer still looks both up by name.
 """
 
 from __future__ import annotations
@@ -36,6 +41,26 @@ def det_int(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def adjugate_int(rows):
+    """Determinant and adjugate of a square integer matrix, as (det, adj).
+
+    ``adj`` is a list of integer rows with M . adj = adj . M = det . I; entry
+    (i, j) is the cofactor (-1)^(i+j) det(M without row j and column i).  A
+    singular M has det 0 and a well-defined adjugate all the same.
+    """
+    a = [list(map(int, r)) for r in rows]
+    n = len(a)
+    adj = [
+        [
+            (-1) ** (i + j)
+            * det_int([r[:i] + r[i + 1 :] for k, r in enumerate(a) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return det_int(a), adj
+
+
 def solve_rational(rows, rhs):
     """Solve M x = rhs exactly over Q by Cramer's rule.
 
@@ -53,19 +78,14 @@ def solve_rational(rows, rhs):
 
 
 def inverse_unimodular(rows):
-    """Exact integer inverse of an integer matrix with determinant +-1."""
-    n = len(rows)
-    d = det_int(rows)
+    """Exact integer inverse of an integer matrix with determinant +-1.
+
+    The inverse is adj / det, which is det . adj when det = +-1.
+    """
+    d, adj = adjugate_int(rows)
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det {d})")
-    inv = [[0] * n for _ in range(n)]
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        col = solve_rational(rows, e)
-        for i in range(n):
-            assert col[i].denominator == 1
-            inv[i][j] = int(col[i])
-    return inv
+    return [[d * x for x in row] for row in adj]
 
 
 def rank_rational(rows) -> int:

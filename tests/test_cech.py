@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,14 @@ from toricfrob import (
     incidence_cohomology,
     line_bundle_cohomology_fp,
 )
-from toricfrob.cech import UnsupportedComplex, hypercohomology_fp, incidence_form
+from toricfrob.cech import (
+    MAX_CECH_BASIS,
+    UnsupportedComplex,
+    _basis_size,
+    hypercohomology_fp,
+    incidence_form,
+    line_bundle_basis,
+)
 
 
 def test_line_bundle_single_factor():
@@ -149,3 +158,23 @@ def test_incidence_large_twist_euler_from_ambient(a, b):
         - line_bundle_cohomology_fp(sp, (a - 1, b - 1)).euler()
     )
     assert incidence_cohomology(a, b, 3).euler() == ambient
+
+
+def test_basis_size_counts_the_enumerated_basis():
+    for dims in ((1,), (2,), (1, 1), (2, 2), (1, 3)):
+        sp = MultiProjSpace(dims)
+        for md in iproduct(range(-7, 5), repeat=len(dims)):
+            info = line_bundle_basis(sp, md)
+            expected = None if info is None else (info[0], len(info[1]))
+            assert _basis_size(sp, md) == expected, (dims, md)
+
+
+def test_work_bound_admits_the_large_incidence_twists():
+    # both terms of the restriction complex O(a-1, b-1) -> O(a, b), for every
+    # twist the tests and the benchmark ask, and (40, -42)
+    sp = MultiProjSpace((2, 2))
+    for a, b in ((4, -5), (6, -8), (10, -12), (12, -13), (-14, 11), (20, -22), (40, -42)):
+        for md in ((a - 1, b - 1), (a, b)):
+            assert _basis_size(sp, md)[1] <= MAX_CECH_BASIS
+    assert _basis_size(sp, (40, -42)) == (2, 706_020)
+    assert _basis_size(sp, (50, -52))[1] > MAX_CECH_BASIS

@@ -81,3 +81,22 @@ def test_cli_incidence_huge_prime_exits_1_promptly(capsys):
     assert code == 1
     assert captured.out == ""
     assert "too large" in captured.err
+
+
+@pytest.mark.parametrize("b", ["-99999", "0"])
+def test_cli_incidence_huge_twist_exits_1_promptly(capsys, b):
+    start = time.perf_counter()
+    code = main(["cech", "incidence", "--a", "99999", "--b", b, "--p", "3"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert captured.out == ""
+    assert "basis monomials" in captured.err
+
+
+def test_cli_incidence_huge_twist_checks_p_first(capsys):
+    code = main(["cech", "incidence", "--a", "99999", "--b", "0", "--p", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "not prime" in captured.err
