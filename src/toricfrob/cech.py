@@ -5,29 +5,28 @@ client.
 Cohomology of a multidegree line bundle is concentrated in a single degree:
 each factor contributes its monomial basis either in degree 0 (all exponents
 nonnegative) or in top degree (all exponents <= -1, the local cohomology
-model).  Maps between such bundles act on Laurent monomial bases by
-polynomial multiplication followed by truncation to the target basis; that is
-the induced map on the standard-cover Cech model.  Each map is collected
-sparsely, entry by entry; after reduction mod p its rows and columns split
-into the connected components of the nonzero pattern, and its rank is the
-sum of the ranks of those blocks.  Every block rank is an exact Gaussian
-elimination over F_p, never probabilistic, and no map is ever assembled as
-one dense matrix.  Before any monomial is enumerated, the size of every
-first-page term is counted from binomials, and a complex with a term of more
-than MAX_CECH_BASIS monomials is refused with Overflow.
+model).  A basis is an int64 array, one row of exponents per monomial.  Maps
+between such bundles act on these bases by polynomial multiplication followed
+by truncation to the target basis; that is the induced map on the
+standard-cover Cech model.  Every map is torus-equivariant, so it is block
+diagonal over torus weights, and its rank is the sum of exact F_p
+eliminations of its weight blocks; no map is ever assembled as one dense
+matrix.  Before any monomial is enumerated, the size of every first-page term
+is counted from binomials, and a complex with a term of more than
+MAX_CECH_BASIS monomials is refused with Overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from math import comb
+from itertools import chain, combinations
+from math import comb, gcd, prod
 
 import numpy as np
 
 from .cohomology import CohomologyVector, Overflow
 from .fan import InvariantViolation
-from .linalg import check_prime_field, rank_mod_p
+from .linalg import _INT64_GUARD, adjugate_int, check_prime_field, det_int, rank_mod_p
 
 # Largest cohomology basis of one term, in one degree, that the engine will
 # enumerate.  The incidence twist (40, -42) has 706,020 monomials in each of
@@ -54,75 +53,66 @@ class MultiProjSpace:
         return sum(self.factor_dims)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _factor_degree(n: int, d: int):
+    """(cohomological degree, exponent total) of O(d) on P^n, or None if acyclic.
 
-
-def _factor_basis(n: int, d: int):
-    """(cohomological degree, exponent basis) of O(d) on P^n, or None.
-
-    Degree-0 monomials have all exponents >= 0; top-degree classes are
-    Laurent monomials with all exponents <= -1.
+    The basis is the C(total + n, n) vectors e >= 0 of sum ``total``, as the
+    exponents e in degree 0 and as -1 - e in degree n.
     """
     if d >= 0:
-        return 0, list(_compositions(d, n + 1))
+        return 0, d
     if d <= -(n + 1):
-        return n, [
-            tuple(-1 - x for x in c) for c in _compositions(-d - (n + 1), n + 1)
-        ]
+        return n, -d - (n + 1)
     return None
 
 
-def line_bundle_basis(space: MultiProjSpace, multidegree):
-    """(degree, list of monomial tuples) for O(multidegree), or None if acyclic."""
+def _factor_degrees(space: MultiProjSpace, multidegree):
+    """[(degree, total)] of each factor of O(multidegree), or None if acyclic."""
     multidegree = tuple(multidegree)
     if len(multidegree) != len(space.factor_dims):
         raise ValueError("multidegree length does not match the factors")
-    degree = 0
+    out = [_factor_degree(n, d) for n, d in zip(space.factor_dims, multidegree)]
+    return None if None in out else out
+
+
+def line_bundle_basis(space: MultiProjSpace, multidegree):
+    """(degree, exponent rows) for O(multidegree), or None if acyclic.
+
+    The rows form an int64 array of shape (count, sum(n_i + 1)); each row
+    concatenates the factors' exponents of one basis monomial.
+    """
+    info = _factor_degrees(space, multidegree)
+    if info is None:
+        return None
     factors = []
-    for n, d in zip(space.factor_dims, multidegree):
-        fb = _factor_basis(n, d)
-        if fb is None:
-            return None
-        degree += fb[0]
-        factors.append(fb[1])
-    return degree, [tuple(mono) for mono in iproduct(*factors)]
+    for n, (degree, total) in zip(space.factor_dims, info):
+        # stars and bars: the parts are the gaps between n bars in total + n slots
+        bars = np.array(list(combinations(range(total + n), n)), dtype=np.int64)
+        parts = np.diff(bars, axis=1, prepend=-1, append=total + n) - 1
+        factors.append(parts if degree == 0 else -1 - parts)
+    picks = np.indices([len(f) for f in factors]).reshape(len(factors), -1)
+    rows = np.concatenate([f[pick] for f, pick in zip(factors, picks)], axis=1)
+    return sum(degree for degree, _ in info), rows
 
 
 def _basis_size(space: MultiProjSpace, multidegree):
     """(degree, basis size) of O(multidegree) from binomials, or None if acyclic.
 
-    Counts what :func:`line_bundle_basis` enumerates, without enumerating it:
-    O(d) on P^n has C(d + n, n) monomials in degree 0 when d >= 0 and
-    C(-d - 1, n) in degree n when d <= -(n + 1).
+    Counts what :func:`line_bundle_basis` enumerates, without enumerating it.
     """
-    multidegree = tuple(multidegree)
-    if len(multidegree) != len(space.factor_dims):
-        raise ValueError("multidegree length does not match the factors")
-    degree, size = 0, 1
-    for n, d in zip(space.factor_dims, multidegree):
-        if d >= 0:
-            size *= comb(d + n, n)
-        elif d <= -(n + 1):
-            degree += n
-            size *= comb(-d - 1, n)
-        else:
-            return None
-    return degree, size
+    info = _factor_degrees(space, multidegree)
+    if info is None:
+        return None
+    size = prod(comb(total + n, n) for n, (_, total) in zip(space.factor_dims, info))
+    return sum(degree for degree, _ in info), size
 
 
 def line_bundle_cohomology_fp(space: MultiProjSpace, multidegree) -> CohomologyVector:
     """h^i(O(d_1, ..., d_k)); concentrated in one degree, independent of p."""
     dims = [0] * (space.dim + 1)
-    info = line_bundle_basis(space, multidegree)
+    info = _basis_size(space, multidegree)
     if info is not None:
-        degree, basis = info
-        dims[degree] = len(basis)
+        dims[info[0]] = info[1]
     return CohomologyVector(tuple(dims))
 
 
@@ -144,14 +134,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def apply(self, monomial):
-        """Multiply a basis monomial; yields (product monomial, coefficient)."""
-        for m, c in self.terms.items():
-            yield tuple(
-                tuple(a + b for a, b in zip(f1, f2))
-                for f1, f2 in zip(monomial, m)
-            ), c
 
 
 def incidence_form(n: int = 3) -> Poly:
@@ -190,8 +172,8 @@ class LaurentComplex:
                 for col in range(len(self.terms[s])):
                     acc: dict = {}
                     for mid in range(len(self.terms[s + 1])):
-                        prod = second[row][mid] * first[mid][col]
-                        for mono, coeff in prod.terms.items():
+                        composite = second[row][mid] * first[mid][col]
+                        for mono, coeff in composite.terms.items():
                             acc[mono] = acc.get(mono, 0) + coeff
                     if any(acc.values()):
                         return False
@@ -199,80 +181,99 @@ class LaurentComplex:
 
 
 def _term_basis(space, term, degree):
-    """Indexed degree-`degree` cohomology basis of a formal sum of bundles."""
-    out = []
+    """Degree-`degree` basis of a sum of bundles: int64 rows [summand j | exponents]."""
+    width = 1 + sum(n + 1 for n in space.factor_dims)
+    blocks = [np.zeros((0, width), dtype=np.int64)]
     for j, md in enumerate(term):
         info = line_bundle_basis(space, md)
         if info is not None and info[0] == degree:
-            out.extend((j, mono) for mono in info[1])
-    return out
+            blocks.append(np.insert(info[1], 0, j, axis=1))
+    return np.concatenate(blocks)
 
 
-def _map_entries(space, src_term, dst_term, poly_matrix, degree) -> dict:
-    """Induced map on degree-`degree` cohomology, as {(row, col): coefficient}.
+def _weights(poly_matrix, width: int):
+    """Integer rows K with K . t = 0 for every term exponent t of the map.
 
-    Contributions to one entry are summed over Z; product monomials outside
-    the target basis support are discarded.
+    T is a maximal independent set of the terms, picked greedily by a nonzero
+    Gram determinant; with G = T T^t, K = det(G) I - T^t adj(G) T is det(G)
+    times the projection away from their span, each row divided by its gcd.
+    With no terms, K = I.
+    """
+    basis = np.zeros((0, width), dtype=object)
+    for row in poly_matrix:
+        for poly in row:
+            for mono in poly.terms:
+                grown = np.vstack((basis, [list(chain.from_iterable(mono))]))
+                if det_int(grown @ grown.T):
+                    basis = grown
+    det, adj = adjugate_int(basis @ basis.T)
+    adj = np.array(adj, dtype=object).reshape(len(basis), len(basis))
+    weights = det * np.identity(width, dtype=object) - basis.T @ adj @ basis
+    return [[x // (gcd(*row) or 1) for x in row] for row in weights.tolist()]
+
+
+def _row_labels(rows):
+    """One integer label per row of ``rows``, equal exactly for equal rows."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    fresh = np.any(ranked != np.vstack((ranked[:1], ranked[:-1])), axis=1)
+    labels = np.empty(len(rows), dtype=np.int64)
+    labels[order] = np.cumsum(fresh)
+    return labels
+
+
+def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
+    """Rank over F_p of the induced map on degree-`degree` cohomology.
+
+    Each term t of entry (dst_j, src_j) sends the source row [src_j | m] to
+    [dst_j | m + t]; products outside the target basis are discarded.  The
+    terms of an entry are distinct, so no two contributions share a matrix
+    entry, and dropping the terms that vanish mod p drops every zero entry.
+    As K . (m + t) = K . m for K = :func:`_weights`, the map is block diagonal
+    over the weights K . m of its columns; each block is one dense
+    :func:`rank_mod_p`, with p already through :func:`check_prime_field`.
+    Overflow is raised before any exponent, product or weight could reach
+    _INT64_GUARD.
     """
     src = _term_basis(space, src_term, degree)
     dst = _term_basis(space, dst_term, degree)
-    dst_index = {key: i for i, key in enumerate(dst)}
-    entries: dict = {}
-    for col, (src_j, mono) in enumerate(src):
-        for dst_j in range(len(dst_term)):
-            for prod, coeff in poly_matrix[dst_j][src_j].apply(mono):
-                row = dst_index.get((dst_j, prod))
-                if row is not None:
-                    entries[row, col] = entries.get((row, col), 0) + coeff
-    return entries
-
-
-def _components(cells) -> list:
-    """Connected components of the bipartite graph whose edges are `cells`.
-
-    Each component is a pair (rows, cols) of index lists; rows and columns
-    that no cell touches belong to no component.
-    """
-    parent: dict = {}
-
-    def find(node):
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for row, col in cells:
-        ends = ("row", row), ("col", col)
-        for node in ends:
-            parent.setdefault(node, node)
-        a, b = map(find, ends)
-        if a != b:
-            parent[a] = b
-    groups: dict = {}
-    for kind, index in parent:
-        rows, cols = groups.setdefault(find((kind, index)), ([], []))
-        (rows if kind == "row" else cols).append(index)
-    return list(groups.values())
-
-
-def _block_rank_mod_p(entries: dict, p: int) -> int:
-    """Rank over F_p of the integer matrix given as {(row, col): coefficient}.
-
-    Entries that vanish mod p are dropped.  After permuting its rows and
-    columns, the matrix is block diagonal with one block per connected
-    component of the nonzero pattern, so its rank is the sum of the blocks'
-    ranks, each an exact :func:`rank_mod_p` elimination of a small dense
-    block.  The caller has passed p through :func:`check_prime_field`.
-    """
-    cells = {rc: c % p for rc, c in entries.items() if c % p}
-    comps = _components(cells)
-    blocks = [np.zeros((len(rows), len(cols)), dtype=np.int64) for rows, cols in comps]
-    row_at = {r: (k, i) for k, (rows, _) in enumerate(comps) for i, r in enumerate(rows)}
-    col_at = {c: j for _, cols in comps for j, c in enumerate(cols)}
-    for (row, col), value in cells.items():
-        k, i = row_at[row]
-        blocks[k][i, col_at[col]] = value
-    return sum(rank_mod_p(block, p) for block in blocks)
+    terms = [
+        ((dst_j - src_j, *chain.from_iterable(mono)), src_j, c % p)
+        for dst_j, row in enumerate(poly_matrix)
+        for src_j, poly in enumerate(row)
+        for mono, c in poly.terms.items()
+        if c % p
+    ]
+    if not len(src) or not len(dst) or not terms:
+        return 0
+    weights = _weights(poly_matrix, src.shape[1] - 1)
+    spread = max(sum(map(abs, row)) for row in weights)
+    reach = int(np.abs(src[:, 1:]).max())
+    reach += max(abs(x) for shift, _, _ in terms for x in shift[1:])
+    if max(spread, 1) * reach >= _INT64_GUARD:
+        raise Overflow(f"Cech weights need {spread} * {reach}, past int64")
+    at = [np.flatnonzero(src[:, 0] == src_j) for _, src_j, _ in terms]
+    prods = [src[a] + np.array(t[0], dtype=np.int64) for a, t in zip(at, terms)]
+    # find each product among the target rows by exact row equality
+    label = _row_labels(np.concatenate([dst] + prods))
+    row_of = np.full(len(label), -1)
+    row_of[label[: len(dst)]] = np.arange(len(dst))
+    rows = row_of[label[len(dst) :]]
+    hit = rows >= 0
+    if not hit.any():
+        return 0
+    rows, cols = rows[hit], np.concatenate(at)[hit]
+    values = np.repeat([c for _, _, c in terms], list(map(len, at)))[hit]
+    block = _row_labels(src[cols, 1:] @ np.array(weights, dtype=np.int64).T)
+    order = np.argsort(block, kind="stable")
+    rank = 0
+    for part in np.split(order, np.flatnonzero(np.diff(block[order])) + 1):
+        row_ids, i = np.unique(rows[part], return_inverse=True)
+        col_ids, j = np.unique(cols[part], return_inverse=True)
+        mat = np.zeros((len(row_ids), len(col_ids)), dtype=np.int64)
+        mat[i, j] = values[part]
+        rank += rank_mod_p(mat, p)
+    return rank
 
 
 def hypercohomology_fp(cx: LaurentComplex, p: int) -> dict:
@@ -281,11 +282,10 @@ def hypercohomology_fp(cx: LaurentComplex, p: int) -> dict:
     Requires every term to have single-degree cohomology and the first page to
     degenerate after its first differential; anything else raises
     UnsupportedComplex rather than being approximated.  The rank of each
-    first-page differential is :func:`_block_rank_mod_p` of its sparse
-    entries: the sum of exact F_p eliminations of the connected blocks of
-    its nonzero pattern.  A p that is not
-    prime (Z/p is then no field and ranks mean nothing), or too large for
-    the int64 elimination, raises ValueError before any work is done.  A term
+    first-page differential is :func:`_map_rank_mod_p`: the sum of exact F_p
+    eliminations of its torus-weight blocks.  A p that is not prime (Z/p is
+    then no field and ranks mean nothing), or too large for the int64
+    elimination, raises ValueError before any work is done.  A term
     whose basis in one degree has more than MAX_CECH_BASIS monomials raises
     Overflow before any monomial is enumerated.
     """
@@ -317,8 +317,7 @@ def hypercohomology_fp(cx: LaurentComplex, p: int) -> dict:
     for s in range(nterms - 1):
         degrees = {t for (s_, t) in e1 if s_ in (s, s + 1)}
         for t in degrees:
-            entries = _map_entries(space, cx.terms[s], cx.terms[s + 1], cx.maps[s], t)
-            ranks[(s, t)] = _block_rank_mod_p(entries, p)
+            ranks[s, t] = _map_rank_mod_p(space, *cx.terms[s : s + 2], cx.maps[s], t, p)
     result: dict = {}
     for (s, t), dim in e1.items():
         e2 = dim - ranks.get((s, t), 0) - ranks.get((s - 1, t), 0)

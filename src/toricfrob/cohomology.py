@@ -27,11 +27,10 @@ from itertools import combinations
 import numpy as np
 
 from .fan import DivisorClass, Fan, class_of
-from .linalg import rank_mod_p
+from .linalg import _INT64_GUARD, rank_mod_p
 
 MAX_DIM = 4
 MAX_BOX_POINTS = 4_000_000
-_INT64_GUARD = 2**62
 # Odd, so that a sign error in a boundary matrix still changes its rank.
 _BETTI_P = 32749
 

@@ -22,7 +22,7 @@ from math import gcd
 
 import numpy as np
 
-from .linalg import adjugate_int, det_int, inverse_unimodular
+from .linalg import _INT64_GUARD, adjugate_int, det_int, inverse_unimodular
 
 Divisor = tuple
 
@@ -104,8 +104,7 @@ class Fan:
     @cached_property
     def _pic(self):
         cone0 = self.max_cones[0]
-        mat = [self.rays[i] for i in cone0]
-        inv = inverse_unimodular(mat)
+        inv = self._cone_inverses[0]
         free = tuple(i for i in range(len(self.rays)) if i not in set(cone0))
         return cone0, inv, free
 
@@ -142,8 +141,8 @@ class Fan:
         flipped so that every det > 0; the solution of <m, v_i> = b_i over the
         subset is adj . b / det.  ``bound`` is the largest absolute row sum of
         any adjugate, so |adj . b| <= bound * max|b|.  The arrays are int64,
-        or None when an adjugate row sum or a det reaches 2^62; the character
-        box then refuses the fan.
+        or None when an adjugate row sum or a det reaches _INT64_GUARD; the
+        character box then refuses the fan.
         """
         subsets, adjs, dets = [], [], []
         for subset in combinations(range(len(self.rays)), self.dim):
@@ -155,7 +154,7 @@ class Fan:
                 dets.append([sign * det])
         bound = max((sum(map(abs, row)) for adj in adjs for row in adj), default=0)
         subsets = np.array(subsets, dtype=np.int64).reshape(-1, self.dim)
-        if bound >= 2**62 or any(det >= 2**62 for det, in dets):
+        if bound >= _INT64_GUARD or any(det >= _INT64_GUARD for det, in dets):
             return subsets, None, None, bound
         adjs = np.array(adjs, dtype=np.int64).reshape(-1, self.dim, self.dim)
         return subsets, adjs, np.array(dets, dtype=np.int64).reshape(-1, 1), bound

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohomology import _INT64_GUARD, Overflow, cohomology, cohomology_of_class
+from .cohomology import Overflow, cohomology, cohomology_of_class
 from .fan import Divisor, DivisorClass, Fan, InvariantViolation, class_of
-from .linalg import is_prime
+from .linalg import _INT64_GUARD, is_prime
 
 # Residues per block of the vectorised decomposition; bounds its memory.
 RESIDUE_CHUNK = 1 << 16
@@ -172,20 +172,19 @@ def frobenius_decompose(
     return dec
 
 
-def projection_formula_failure(dec: Decomposition, test_divisors=None):
+def projection_formula_failure(dec: Decomposition):
     """First broken identity sum_u mult(u) h^i(D_u + E) == h^i(D + qE).
 
-    Returns (E, i, lhs, rhs) for the first test twist E and degree i where
-    the two sides differ, or None when the identity holds for all of them.
+    Returns (E, i, lhs, rhs) for the first twist E of
+    :func:`default_test_divisors` and degree i where the two sides differ,
+    or None when the identity holds for all of them.
     It holds in every cohomological degree because pushing forward along a
     finite map preserves cohomology and twisting by O(E) passes through the
     pushforward as O(qE).
     """
     fan = dec.fan
     q = dec.order.q
-    if test_divisors is None:
-        test_divisors = default_test_divisors(fan)
-    for e in test_divisors:
+    for e in default_test_divisors(fan):
         cls_e = class_of(fan, e)
         lhs = [0] * (fan.dim + 1)
         for cls, mult in dec.entries.items():
@@ -200,13 +199,13 @@ def projection_formula_failure(dec: Decomposition, test_divisors=None):
     return None
 
 
-def verify_projection_formula(dec: Decomposition, test_divisors=None) -> bool:
+def verify_projection_formula(dec: Decomposition) -> bool:
     """True when the projection formula holds for every test twist.
 
-    The twists default to {0, +-H_j, K, -K}; :func:`projection_formula_failure`
+    The twists are {0, +-H_j, K, -K}; :func:`projection_formula_failure`
     names the first identity that breaks.
     """
-    return projection_formula_failure(dec, test_divisors) is None
+    return projection_formula_failure(dec) is None
 
 
 def det_class(dec: Decomposition) -> DivisorClass:

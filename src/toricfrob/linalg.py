@@ -12,8 +12,13 @@ and the benchmark's tracer still looks both up by name.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
+
+# Bound on every int64 intermediate the integer kernels form, with a factor
+# of two to spare below 2^63.
+_INT64_GUARD = 2**62
 
 
 def det_int(rows) -> int:
@@ -112,12 +117,15 @@ def rank_rational(rows) -> int:
     return rank
 
 
+@cache
 def check_prime_field(p: int) -> None:
     """Raise ValueError unless p is a prime small enough for rank_mod_p.
 
     The elimination forms products of residues, up to (p-1)^2, in int64; a p
     for which that overflows, or that is not prime (Z/p is then no field), is
-    refused before any work is done.
+    refused before any work is done.  A p that passes is remembered, so each
+    prime is proved once; a refusal raises, is not cached, and recurs on
+    every call.
     """
     if (p - 1) ** 2 > 2**63 - 1:
         raise ValueError(f"p = {p} is too large for int64 elimination")

@@ -194,14 +194,9 @@ def p2bundle_filtration_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> 
         predicted[pb.pullback_class(cls)] += mult
 
     # E_1 = coker(F_*O (x) E* -> F_* S^q E*), as a class multiset difference
-    sq_dual: Counter = Counter()
-    for pick in combinations_with_replacement(range(3), q):
-        total_cls = base_fan.zero_class()
-        for i in pick:
-            total_cls = total_cls - classes[i]
-        sq_dual[total_cls] += 1
+    dual = SplitBundle(base=base_fan, degrees=tuple(tuple(-x for x in d) for d in norm))
     e1: Counter = Counter()
-    for tw, tw_mult in sq_dual.items():
+    for tw, tw_mult in _divided_multiset(dual, q).items():
         for cls, mult in _decompose_classes(
             base_fan, base_fan.divisor_of_class(tw), order
         ).items():

@@ -1,4 +1,5 @@
 from itertools import product as iproduct
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,12 @@ def test_line_bundle_product_factors():
     assert line_bundle_cohomology_fp(sp, (-3, 0)).dims == (0, 0, 1, 0, 0)
     assert line_bundle_cohomology_fp(sp, (-1, 5)).dims == (0,) * 5
     assert line_bundle_cohomology_fp(sp, (-3, -3)).dims == (0, 0, 0, 0, 1)
+
+
+def test_line_bundle_counts_without_enumerating():
+    # 5,000,050,000 monomials: counted from binomials, never listed
+    dims = line_bundle_cohomology_fp(MultiProjSpace((2, 2)), (99999, 0)).dims
+    assert dims == (comb(100001, 2), 0, 0, 0, 0)
 
 
 def test_space_validation():

@@ -1,48 +1,89 @@
-"""Each F_p Cech rank is the sum of exact eliminations of the connected blocks
-of the map's nonzero pattern; the dense assembly survives here as the
-reference."""
+"""Each F_p Cech rank is the sum of exact eliminations of the torus-weight
+blocks of the map; the nested-tuple monomials and the dense assembly survive
+here as the reference."""
+
+from itertools import chain
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfrob import LaurentComplex, MultiProjSpace
+from toricfrob import LaurentComplex, MultiProjSpace, incidence_cohomology
+from toricfrob import cech as cech_mod
 from toricfrob.cech import (
     Poly,
-    _block_rank_mod_p,
-    _components,
-    _map_entries,
+    _map_rank_mod_p,
     _term_basis,
+    _weights,
     hypercohomology_fp,
     incidence_form,
 )
-from toricfrob.linalg import rank_mod_p
+from toricfrob.cohomology import Overflow
+from toricfrob.linalg import _INT64_GUARD, rank_mod_p, rank_rational
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _tuple_basis(space, multidegree):
+    """(degree, list of monomials as one exponent tuple per factor), or None."""
+    degree, factors = 0, []
+    for n, d in zip(space.factor_dims, multidegree):
+        if d >= 0:
+            factors.append(list(_compositions(d, n + 1)))
+        elif d <= -(n + 1):
+            degree += n
+            comps = _compositions(-d - (n + 1), n + 1)
+            factors.append([tuple(-1 - x for x in c) for c in comps])
+        else:
+            return None
+    return degree, list(iproduct(*factors))
+
+
+def _apply(poly, monomial):
+    """Multiply a basis monomial; yields (product monomial, coefficient)."""
+    for m, c in poly.terms.items():
+        yield tuple(
+            tuple(a + b for a, b in zip(f1, f2)) for f1, f2 in zip(monomial, m)
+        ), c
+
+
+def _tuple_term_basis(space, term, degree):
+    out = []
+    for j, md in enumerate(term):
+        info = _tuple_basis(space, md)
+        if info is not None and info[0] == degree:
+            out.extend((j, mono) for mono in info[1])
+    return out
 
 
 def _dense_map_matrix(space, src_term, dst_term, poly_matrix, degree):
     """Induced map on degree-`degree` cohomology, as one dense integer matrix."""
-    src = _term_basis(space, src_term, degree)
-    dst = _term_basis(space, dst_term, degree)
+    src = _tuple_term_basis(space, src_term, degree)
+    dst = _tuple_term_basis(space, dst_term, degree)
     if not src or not dst:
         return None
     dst_index = {key: i for i, key in enumerate(dst)}
     mat = np.zeros((len(dst), len(src)), dtype=np.int64)
     for col, (src_j, mono) in enumerate(src):
         for dst_j in range(len(dst_term)):
-            poly = poly_matrix[dst_j][src_j]
-            for prod, coeff in poly.apply(mono):
+            for prod, coeff in _apply(poly_matrix[dst_j][src_j], mono):
                 idx = dst_index.get((dst_j, prod))
                 if idx is not None:
                     mat[idx, col] += coeff
     return mat
 
 
-def _densify(entries, shape):
-    mat = np.zeros(shape, dtype=np.int64)
-    for (row, col), coeff in entries.items():
-        mat[row, col] = coeff
-    return mat
+def _flat(mono):
+    return tuple(chain.from_iterable(mono))
 
 
 @pytest.mark.parametrize("a, b", [(4, -5), (6, -8), (10, -12)])
@@ -52,71 +93,116 @@ def test_incidence_block_ranks_match_dense_elimination(a, b):
     maps = ((incidence_form(3),),)
     checked = 0
     for degree in range(space.dim + 1):
+        for term in (src, dst):
+            rows = [(j, *_flat(m)) for j, m in _tuple_term_basis(space, term, degree)]
+            assert _term_basis(space, term, degree).tolist() == [list(r) for r in rows]
         dense = _dense_map_matrix(space, src, dst, maps, degree)
-        entries = _map_entries(space, src, dst, maps, degree)
-        if dense is None:
-            assert not entries
-            continue
-        assert np.array_equal(_densify(entries, dense.shape), dense)
         for p in (2, 3, 5):
-            assert _block_rank_mod_p(entries, p) == rank_mod_p(dense, p), (degree, p)
+            rank = _map_rank_mod_p(space, src, dst, maps, degree, p)
+            if dense is None:
+                assert rank == 0
+                continue
+            assert rank == rank_mod_p(dense, p), (degree, p)
             checked += 1
     assert checked == 3
 
 
+def test_incidence_weight_is_the_difference_of_exponents():
+    # K . (alpha, beta) = (alpha - beta, beta - alpha) for sum x_i y_i
+    eye = np.identity(3, dtype=int)
+    expected = np.block([[eye, -eye], [-eye, eye]])
+    assert np.array_equal(_weights(((incidence_form(3),),), 6), expected)
+
+
+def test_incidence_blocks_at_12_minus_13(monkeypatch):
+    shapes = []
+
+    def recording(mat, p):
+        shapes.append(np.shape(mat))
+        return rank_mod_p(mat, p)
+
+    monkeypatch.setattr(cech_mod, "rank_mod_p", recording)
+    assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
+    assert len(shapes) == 276
+    assert max(r for r, _ in shapes) == 51 and max(c for _, c in shapes) == 52
+
+
+SPACES = ((1,), (2,), (1, 1), (1, 2))
+
+
 @st.composite
-def sparse_matrices(draw):
-    """(p, shape, contributions): (row, col, coeff) triples, repeats summed.
+def random_maps(draw):
+    """(p, space, src_term, dst_term, poly_matrix) for a random map of sums.
 
-    The shape leaves rows and columns untouched, some triples repeat a cell,
-    and each cancelling pair puts a multiple of p into its cell.
+    Terms have one or two summands, the targets often just above the source;
+    an entry has zero to three terms, usually of the degree that joins its
+    summands and sometimes of any degree; coefficients include +-p and 2p.
     """
-    p = draw(st.sampled_from((2, 3, 5, 7)))
-    nrows, ncols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
-    cell = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
-    coeff = st.one_of(st.integers(-4, 4), st.sampled_from((p, -p, 2 * p)))
-    triples = draw(st.lists(st.tuples(cell, coeff), max_size=30))
-    for rc, v in draw(st.lists(st.tuples(cell, coeff), max_size=6)):
-        triples += [(rc, v), (rc, draw(st.integers(-2, 2)) * p - v)]
-    return p, (nrows, ncols), triples
+    p = draw(st.sampled_from((2, 3, 5)))
+    dims = draw(st.sampled_from(SPACES))
+    space = MultiProjSpace(dims)
+    multidegree = st.tuples(*(st.integers(-5, 3) for _ in dims))
+    src = tuple(draw(st.lists(multidegree, min_size=1, max_size=2)))
+    # targets a little above the first source summand, so that maps hit
+    step = st.tuples(*(st.integers(0, 2) for _ in dims))
+    near = step.map(lambda e: tuple(s + x for s, x in zip(src[0], e)))
+    dst = tuple(draw(st.lists(st.one_of(near, multidegree), min_size=1, max_size=2)))
+    units = [c for c in range(-3, 4) if c % p]
+    coeff = st.sampled_from([p, -p, 2 * p] + units * 3)  # about 1 in 5 is 0 mod p
+    maps = []
+    for dst_md in dst:
+        row = []
+        for src_md in src:
+            terms = {}
+            for _ in range(draw(st.integers(0, 3))):
+                homogeneous = draw(st.booleans()) or draw(st.booleans())
+                mono = []
+                for n, s, d in zip(dims, src_md, dst_md):
+                    head = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+                    total = d - s if homogeneous else draw(st.integers(-3, 3))
+                    mono.append((*head, total - sum(head)))
+                terms[tuple(mono)] = draw(coeff)
+            row.append(Poly(terms))
+        maps.append(tuple(row))
+    return p, space, src, dst, tuple(maps)
 
 
-@settings(max_examples=100, deadline=None)
-@given(sparse_matrices())
-def test_block_rank_matches_dense_elimination(drawn):
-    p, shape, triples = drawn
-    entries: dict = {}
-    dense = np.zeros(shape, dtype=np.int64)
-    for (row, col), coeff in triples:
-        entries[row, col] = entries.get((row, col), 0) + coeff
-        dense[row, col] += coeff
-    assert _block_rank_mod_p(entries, p) == rank_mod_p(dense, p)
+@settings(max_examples=300, deadline=None)
+@given(random_maps())
+def test_map_rank_matches_dense_elimination(drawn):
+    p, space, src, dst, maps = drawn
+    for degree in range(space.dim + 1):
+        dense = _dense_map_matrix(space, src, dst, maps, degree)
+        expected = 0 if dense is None else rank_mod_p(dense, p)
+        assert _map_rank_mod_p(space, src, dst, maps, degree, p) == expected, degree
 
 
-@settings(max_examples=100, deadline=None)
-@given(sparse_matrices())
-def test_components_partition_touched_rows_and_columns(drawn):
-    _, _, triples = drawn
-    cells = {rc for rc, _ in triples}
-    comps = _components(cells)
-    rows = [r for comp_rows, _ in comps for r in comp_rows]
-    cols = [c for _, comp_cols in comps for c in comp_cols]
-    assert sorted(rows) == sorted({r for r, _ in cells})
-    assert sorted(cols) == sorted({c for _, c in cells})
-    comp_of_row = {r: k for k, (comp_rows, _) in enumerate(comps) for r in comp_rows}
-    comp_of_col = {c: k for k, (_, comp_cols) in enumerate(comps) for c in comp_cols}
-    assert all(comp_of_row[r] == comp_of_col[c] for r, c in cells)
-    # no component splits further: its cells connect all of its rows
-    for k, (comp_rows, comp_cols) in enumerate(comps):
-        reached_rows, reached_cols = {comp_rows[0]}, set()
-        grew = True
-        while grew:
-            new_cols = {c for r, c in cells if r in reached_rows} - reached_cols
-            reached_cols |= new_cols
-            new_rows = {r for r, c in cells if c in reached_cols} - reached_rows
-            reached_rows |= new_rows
-            grew = bool(new_cols or new_rows)
-        assert reached_rows == set(comp_rows) and reached_cols == set(comp_cols), k
+@settings(max_examples=150, deadline=None)
+@given(random_maps())
+def test_weights_kill_exactly_the_span_of_the_terms(drawn):
+    _, space, _, _, maps = drawn
+    width = sum(n + 1 for n in space.factor_dims)
+    weights = _weights(maps, width)
+    terms = [_flat(mono) for row in maps for poly in row for mono in poly.terms]
+    for t in terms:
+        assert all(sum(k * x for k, x in zip(row, t)) == 0 for row in weights), t
+    # K is the whole annihilator: its rank and the rank of the terms add up
+    assert rank_rational(weights) + rank_rational(terms) == width
+
+
+@pytest.mark.parametrize("big, refused", [(2**61 - 1, False), (2**61, True)])
+def test_weight_overflow_guard(big, refused):
+    # O(0) -> O(0) on P1 by 1 + x0^big x1^-big: K = [[1, 1], [1, 1]], so the
+    # guard needs max|K row sum| * (max|m| + max|t|) = 2 * big below 2^62
+    space = MultiProjSpace((1,))
+    maps = ((Poly({((0, 0),): 1, ((big, -big),): 1}),),)
+    assert _weights(maps, 2) == [[1, 1], [1, 1]]
+    assert (2 * big >= _INT64_GUARD) == refused
+    if refused:
+        with pytest.raises(Overflow):
+            _map_rank_mod_p(space, ((0,),), ((0,),), maps, 0, 3)
+    else:
+        assert _map_rank_mod_p(space, ((0,),), ((0,),), maps, 0, 3) == 1
 
 
 def test_composite_p_refused_without_nonzero_entries():

@@ -6,7 +6,8 @@ import pytest
 
 from toricfrob import FrobeniusOrder, incidence_cohomology
 from toricfrob.cli import main
-from toricfrob.linalg import is_prime, rank_mod_p
+from toricfrob import linalg
+from toricfrob.linalg import check_prime_field, is_prime, rank_mod_p
 from toricfrob.structure import _jet_block
 
 
@@ -34,11 +35,24 @@ def test_rank_mod_p_rejects_int64_overflow():
 
 
 def test_rank_mod_p_rejects_composite_p():
-    # Z/p is no field for these p, so elimination could divide by a zero divisor
-    for p in (1, 4, 9, 91):
+    # Z/p is no field for these p, so elimination could divide by a zero divisor;
+    # the primality verdict is cached, but a refusal must recur on every call
+    for p in (1, 4, 9, 91, 91):
         with pytest.raises(ValueError, match="not prime"):
             rank_mod_p([[2, 1], [1, 3]], p)
     assert rank_mod_p([[2, 1], [1, 3]], 5) == 1
+    assert rank_mod_p([[2, 1], [1, 3]], 5) == 1
+
+
+def test_prime_is_proved_once_per_p(monkeypatch):
+    real, calls = linalg.is_prime, []
+    monkeypatch.setattr(linalg, "is_prime", lambda n: calls.append(n) or real(n))
+    check_prime_field.cache_clear()
+    for _ in range(3):
+        check_prime_field(32749)
+        with pytest.raises(ValueError, match="not prime"):
+            check_prime_field(91)
+    assert calls == [32749, 91, 91, 91]
 
 
 def test_jet_block_rejects_composite_p():
