@@ -152,7 +152,9 @@ class LaurentComplex:
     ``terms[s]`` lists the multidegrees of the s-th term and ``maps[s]`` is the
     matrix of Poly entries from terms[s] to terms[s+1], indexed
     maps[s][row][col] with rows over target summands.  ``shift`` is the
-    cohomological position of terms[0].
+    cohomological position of terms[0].  A map of the wrong shape, or a
+    monomial without one exponent tuple of length n_i + 1 per factor P^(n_i),
+    raises ValueError.
     """
 
     space: MultiProjSpace
@@ -163,6 +165,18 @@ class LaurentComplex:
     def __post_init__(self):
         if len(self.maps) != max(len(self.terms) - 1, 0):
             raise ValueError("need exactly one map per consecutive pair of terms")
+        widths = tuple(n + 1 for n in self.space.factor_dims)
+        for s, matrix in enumerate(self.maps):
+            rows, cols = len(self.terms[s + 1]), len(self.terms[s])
+            if len(matrix) != rows or any(len(row) != cols for row in matrix):
+                raise ValueError(f"map {s} is not a {rows} x {cols} matrix")
+            for poly in chain.from_iterable(matrix):
+                for mono in poly.terms:
+                    if tuple(len(f) for f in mono) != widths:
+                        raise ValueError(
+                            f"monomial {mono} of map {s} needs one exponent "
+                            f"tuple per factor, of lengths {widths}"
+                        )
 
     def check_composition(self) -> bool:
         """Symbolic d()d = 0, entrywise on the polynomial matrices."""

@@ -15,8 +15,16 @@ the arrangement {<m, v_rho> = -a_rho}; each vertex is adj . (-a) / det for an
 invertible d-subset of rays, with the integer adjugates cached per fan, so
 the whole engine runs on integers.
 
-Lattice point counting in the section polytope provides an independent oracle
-for global sections.
+The box is counted line by line, never point by point.  Along a line parallel
+to a coordinate axis each condition <m, v_rho> < -a_rho is linear in the free
+coordinate, so it flips at most once, at a breakpoint that is one exact
+integer floor or ceiling quotient.  The breakpoints cut the line into
+intervals of constant support, and an interval's length is the number of its
+characters; the counts per support are therefore the box's counts exactly,
+for box^(d-1) * #rays work in place of box^d.
+
+Lattice point counting in the section polytope, which enumerates the box
+point by point, provides an independent oracle for global sections.
 """
 
 from __future__ import annotations
@@ -83,21 +91,123 @@ def _vertex_box(fan: Fan, coeffs):
     return [(int(a) - 1, int(b) + 1) for a, b in zip(lo, hi)]
 
 
-def _char_grid(fan: Fan, coeffs):
-    """All characters in the candidate box as an int64 array of shape (B, d)."""
+def _checked_box(fan: Fan, coeffs):
+    """The candidate box of :func:`_vertex_box`, refused if too big to count.
+
+    Overflow is raised when the box has more than MAX_BOX_POINTS points, and
+    then when <m, v> + a could reach _INT64_GUARD for a character m in it.
+    """
     box = _vertex_box(fan, coeffs)
-    shape = [b - a + 1 for a, b in box]
     npts = 1
-    for s in shape:
-        npts *= s
+    for a, b in box:
+        npts *= b - a + 1
     if npts > MAX_BOX_POINTS:
         raise Overflow(f"candidate box has {npts} points")
     extent = max(max(abs(a), abs(b)) for a, b in box)
     ray_bound = max(sum(abs(x) for x in r) for r in fan.rays)
     if extent * ray_bound + max(abs(c) for c in coeffs) + 1 >= _INT64_GUARD:
         raise Overflow("coefficients exceed the exact int64 range")
+    return box
+
+
+def _char_grid(fan: Fan, coeffs):
+    """All characters in the candidate box as an int64 array of shape (B, d)."""
+    box = _checked_box(fan, coeffs)
+    shape = [b - a + 1 for a, b in box]
     grids = np.indices(shape, dtype=np.int64).reshape(fan.dim, -1).T
     return grids + np.array([a for a, _ in box], dtype=np.int64)
+
+
+def _line_rays(fan: Fan, axis: int):
+    """Ray data for counting along lines parallel to ``axis`` (cached per fan).
+
+    The rays are reordered with the rays of nonzero component c along the
+    axis first.  Returns (order, rays, rising, slopes, toggles, flat_bits,
+    left) in that order: ``rising`` is 1 where c > 0, ``slopes`` the nonzero
+    c, ``toggles`` the bits of their rays between two zero bits (for the two
+    ends of a line), ``flat_bits`` the bits of the rays with c = 0, and
+    ``left`` the mask of the rays with c > 0.
+    """
+    hit = fan._line_cache.get(axis)
+    if hit is not None:
+        return hit
+    slope = [ray[axis] for ray in fan.rays]
+    moving = [i for i, c in enumerate(slope) if c]
+    flat = [i for i, c in enumerate(slope) if not c]
+    order = moving + flat
+    hit = (
+        np.array(order),
+        np.array([fan.rays[i] for i in order], dtype=np.int64),
+        np.array([int(slope[i] > 0) for i in order], dtype=np.int64),
+        np.array([slope[i] for i in moving], dtype=np.int64),
+        np.array([0] + [1 << i for i in moving] + [0], dtype=np.int64),
+        np.array([1 << i for i in flat], dtype=np.int64),
+        sum(1 << i for i in moving if slope[i] > 0),
+    )
+    fan._line_cache[axis] = hit
+    return hit
+
+
+def _mask_counts(fan: Fan, coeffs):
+    """Support masks of the characters in the candidate box, with their counts.
+
+    Returns (masks, counts), int64 arrays with the masks ascending and every
+    count positive: bit rho of a mask is set when <m, v_rho> < -a_rho, and
+    the count is the number of characters m of the box with that support.
+
+    The box is cut into lines along its longest axis k, one line per point
+    m' of the other coordinates.  On that line, with m_k = t and
+    c = v_rho[k], the condition reads c t < x := -a_rho - <m', v_rho>.  For
+    c = 0 it holds on the whole line when x > 0 and nowhere else.  For
+    c != 0 it changes exactly once, at the breakpoint
+    b = floor((x - [c > 0]) / c) + 1: it holds for t < b when c > 0 (b is
+    then ceil(x / c)) and for t >= b when c < 0.  So the mask far to the left
+    has the bits of the rays with c > 0 and of the rays with c = 0, x > 0,
+    and each breakpoint flips one bit.  Clipped to the line and sorted, the
+    breakpoints cut it into intervals of constant mask (an XOR running over
+    the flipped bits) whose lengths are exact counts.  Intervals of length 0
+    are dropped, so every mask returned is met by some character.  The work
+    is box^(d-1) * #rays in place of box^d.
+    """
+    box = _checked_box(fan, coeffs)
+    axis = max(range(fan.dim), key=lambda k: box[k][1] - box[k][0])
+    lo, hi = box[axis]
+    width = hi + 1 - lo
+    order, rays, rising, slopes, toggles, flat_bits, left = _line_rays(fan, axis)
+    r = len(slopes)
+    # x[line, j] = -a - [c > 0] - <m', v> for the j-th reordered ray
+    x = -rising - np.array(coeffs, dtype=np.int64)[order]
+    for k, (a, b) in enumerate(box):
+        if k != axis:
+            step = np.arange(a, b + 1, dtype=np.int64)[:, None] * rays[:, k]
+            x = x[..., None, :] - step
+    x = x.reshape(-1, len(order))
+    base = (x[:, r:] > 0) @ flat_bits + left
+    # breakpoints relative to lo, between the line's two ends 0 and width
+    cuts = np.empty((len(x), r + 2), dtype=np.int64)
+    cuts[:, 0] = 0
+    cuts[:, -1] = width
+    inner = cuts[:, 1:-1]
+    np.floor_divide(x[:, :r], slopes, out=inner)
+    inner += 1 - lo
+    np.maximum(inner, 0, out=inner)
+    np.minimum(inner, width, out=inner)
+    # sort each line's breakpoints, carrying each one's column in the low digit
+    cuts *= r + 2
+    cuts += np.arange(r + 2)
+    cuts.sort(axis=1)
+    cuts, col = np.divmod(cuts, r + 2)
+    lengths = (cuts[:, 1:] - cuts[:, :-1]).ravel()
+    masks = base[:, None] ^ np.bitwise_xor.accumulate(toggles[col[:, :-1]], axis=1)
+    keep = lengths > 0
+    masks, lengths = masks.ravel()[keep], lengths[keep]
+    by_mask = masks.argsort()
+    masks, lengths = masks[by_mask], lengths[by_mask]
+    fresh = np.empty(len(masks), dtype=bool)
+    fresh[0] = True
+    np.not_equal(masks[1:], masks[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    return masks[starts], np.add.reduceat(lengths, starts)
 
 
 def _support_contrib(fan: Fan, mask: int):
@@ -115,12 +225,7 @@ def _support_contrib(fan: Fan, mask: int):
     d = fan.dim
     faces = [[()]]
     for card in range(1, d + 1):
-        level = [
-            c
-            for c in combinations(support, card)
-            if any(set(c) <= cs for cs in fan.cone_sets)
-        ]
-        faces.append(level)
+        faces.append([c for c in combinations(support, card) if c in fan.faces])
 
     # Boundary ranks of the augmented chain complex over F_p, equal to those
     # over Q by the torsion-freeness in the module docstring.
@@ -144,20 +249,18 @@ def _support_contrib(fan: Fan, mask: int):
 
 
 def cohomology_of_class(fan: Fan, cls: DivisorClass) -> CohomologyVector:
-    """Cohomology of the line bundle with the given Picard class (cached)."""
+    """Cohomology of the line bundle with the given Picard class (cached).
+
+    h^i is the sum over the supports S met in the candidate box of
+    (number of characters with support S) * (contribution of S), the numbers
+    counted exactly line by line by :func:`_mask_counts`.
+    """
     cached = fan._coh_cache.get(cls)
     if cached is not None:
         return cached
     if fan.dim > MAX_DIM:
         raise DimensionUnsupported(f"dimension {fan.dim} > {MAX_DIM}")
-    coeffs = fan.divisor_of_class(cls)
-    pts = _char_grid(fan, coeffs)
-    rays_t = np.array(fan.rays, dtype=np.int64).T
-    dots = pts @ rays_t
-    neg = dots < -np.array(coeffs, dtype=np.int64)
-    weights = np.left_shift(np.int64(1), np.arange(len(fan.rays), dtype=np.int64))
-    masks = neg @ weights
-    vals, counts = np.unique(masks, return_counts=True)
+    vals, counts = _mask_counts(fan, fan.divisor_of_class(cls))
     h = [0] * (fan.dim + 1)
     for mask, count in zip(vals.tolist(), counts.tolist()):
         contrib = _support_contrib(fan, int(mask))

@@ -102,6 +102,16 @@ class Fan:
         return tuple(frozenset(c) for c in self.max_cones)
 
     @cached_property
+    def faces(self):
+        """Every cone of the fan, as the sorted tuple of its ray indices."""
+        return frozenset(
+            face
+            for cone in self.max_cones
+            for card in range(len(cone) + 1)
+            for face in combinations(cone, card)
+        )
+
+    @cached_property
     def _pic(self):
         cone0 = self.max_cones[0]
         inv = self._cone_inverses[0]
@@ -167,6 +177,10 @@ class Fan:
 
     @cached_property
     def _betti_cache(self):
+        return {}
+
+    @cached_property
+    def _line_cache(self):
         return {}
 
     @property
@@ -372,7 +386,7 @@ class Blowup:
 def blowup_fan(fan: Fan, cone, name: str = "") -> Blowup:
     """Star subdivision at ``cone`` (a set of ray indices spanning a cone)."""
     cone = tuple(sorted(int(i) for i in cone))
-    if not any(set(cone) <= cs for cs in fan.cone_sets):
+    if cone not in fan.faces:
         raise FanError(f"{cone} does not span a cone of the fan")
     new_ray = tuple(sum(fan.rays[i][j] for i in cone) for j in range(fan.dim))
     if new_ray in fan.rays:

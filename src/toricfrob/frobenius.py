@@ -110,9 +110,16 @@ def _raw_decompose(fan: Fan, divisor, order: FrobeniusOrder):
         flat = np.arange(start, min(start + RESIDUE_CHUNK, total), dtype=np.int64)
         u = flat[:, None] // place % q
         cls = ((shift + u @ rays_t) // q) @ cmat
-        keys, first, counts = np.unique(
-            cls, axis=0, return_index=True, return_counts=True
-        )
+        # runs of equal rows in lexicographic order; a run's first occurrence
+        # is its smallest index
+        by_row = np.lexsort(cls.T)
+        ranked = cls[by_row]
+        fresh = np.ones(len(ranked), dtype=bool)
+        fresh[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        starts = np.flatnonzero(fresh)
+        first = np.minimum.reduceat(by_row, starts)
+        counts = np.diff(starts, append=len(ranked))
+        keys = ranked[starts]
         for key, pos, count in zip(keys.tolist(), first.tolist(), counts.tolist()):
             hit = found.setdefault(tuple(key), [start + pos, 0])
             hit[1] += count

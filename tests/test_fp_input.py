@@ -4,7 +4,13 @@ import time
 
 import pytest
 
-from toricfrob import FrobeniusOrder, incidence_cohomology
+from toricfrob import (
+    FrobeniusOrder,
+    LaurentComplex,
+    MultiProjSpace,
+    incidence_cohomology,
+)
+from toricfrob.cech import Poly, hypercohomology_fp
 from toricfrob.cli import main
 from toricfrob import linalg
 from toricfrob.linalg import check_prime_field, is_prime, rank_mod_p
@@ -114,3 +120,19 @@ def test_cli_incidence_huge_twist_checks_p_first(capsys):
     assert code == 1
     assert captured.out == ""
     assert "not prime" in captured.err
+
+
+def test_malformed_cech_monomial_refused():
+    # on P2 x P2 a monomial needs two exponent tuples of length 3; this one,
+    # as a map O(0,0) -> O(1,0), was read as x_0 through its flattened row
+    space = MultiProjSpace((2, 2))
+    terms = (((0, 0),), ((1, 0),))
+    with pytest.raises(ValueError, match="exponent tuple"):
+        LaurentComplex(
+            space=space, terms=terms, maps=(((Poly({((1, 0, 0, 0), (0, 0)): 1}),),),)
+        )
+    with pytest.raises(ValueError, match="1 x 1 matrix"):
+        LaurentComplex(space=space, terms=terms, maps=(((Poly({}), Poly({})),),))
+    x0 = Poly({((1, 0, 0), (0, 0, 0)): 1})
+    cx = LaurentComplex(space=space, terms=terms, maps=(((x0,),),))
+    assert hypercohomology_fp(cx, 3) == {1: 2}
