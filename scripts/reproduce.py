@@ -15,7 +15,7 @@ from toricfrob import (
     concentration_check,
     corank_oracle,
     delpezzo_jet_check,
-    hirzebruch_one,
+    named_variety,
     p1bundle_check,
     p2bundle_filtration_check,
     tilting_verdict,
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         print(f"  summary: {result['summary']}")
 
     print("\n== blown-up plane (ruled surface) ==")
-    surface = hirzebruch_one()
+    surface = named_variety("F1")
     for p in primes:
         verdict = tilting_verdict(surface, FrobeniusOrder(p))
         print(

@@ -1,10 +1,11 @@
 """The twelve projective-bundle and product entries of the smooth toric Fano
 threefold catalog, and the survey driver that runs them.
 
-Catalog fans are rebuilt and re-validated on every access; nothing is trusted
-from static data.  Each entry's ``claimed_vanishing`` and
-``claimed_nonzero_degrees`` record the vanishing behaviour that the reference
-survey asserts for it; nothing reads them, and they are kept as that record.
+Each catalog fan is built from its constructor and validated once per
+process, by the variety registry; nothing is trusted from static data.  Each
+entry's ``claimed_vanishing`` and ``claimed_nonzero_degrees`` record the
+vanishing behaviour that the reference survey asserts for it; nothing reads
+them, and they are kept as that record.
 The computation disagrees with the record on two entries: P(O+O(2))/P2 has
 nonvanishing higher self-Ext in degree 2, not 3, and only for q >= 3; and
 P(O+O(1,-1))/P1xP1 vanishes.

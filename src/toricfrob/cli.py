@@ -220,18 +220,16 @@ def _cmd_cech(args) -> int:
               [f"h^i O({args.a},{args.b}) on the incidence threefold = {list(dims.dims)}"])
         return EXIT_OK
     # validate: toric cross-check sweep plus concentration checks
-    from .varieties import p1xp1, projective_plane
-
     checked = mismatches = 0
     space2 = cech_mod.MultiProjSpace((2,))
-    plane = projective_plane()
+    plane = named_variety("P2")
     for d in range(-6, 7):
         lhs = cech_mod.line_bundle_cohomology_fp(space2, (d,)).dims
         if lhs != cohomology(plane, (d, 0, 0)).dims:
             mismatches += 1
         checked += 1
     space11 = cech_mod.MultiProjSpace((1, 1))
-    quadric = p1xp1()
+    quadric = named_variety("P1xP1")
     for d1 in range(-6, 7):
         for d2 in range(-6, 7):
             lhs = cech_mod.line_bundle_cohomology_fp(space11, (d1, d2)).dims

@@ -171,6 +171,8 @@ class Fan:
 
     # Per-fan memo dictionaries, shared by the cohomology engine.  Values are
     # deterministic functions of the key, so concurrent insertion is benign.
+    # They live as long as the fan: for a registered variety, whose one fan
+    # ``named_variety`` shares, that is the whole process.
     @cached_property
     def _coh_cache(self):
         return {}

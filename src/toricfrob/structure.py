@@ -31,7 +31,7 @@ from .frobenius import (
     frobenius_decompose,
 )
 from .linalg import check_prime_field, is_prime, rank_mod_p
-from .varieties import projective_plane
+from .varieties import named_variety
 
 
 class MultisetDifferenceNegative(InvariantViolation):
@@ -243,7 +243,7 @@ def blowup_bookkeeping_check(p: int) -> BlowupReport:
     determinant by an integer multiple of the exceptional class.
     """
     order = FrobeniusOrder(p, 1)
-    plane = projective_plane()
+    plane = named_variety("P2")
     bl = blowup_fan(plane, plane.max_cones[0], name="Bl_pt P2")
     dec_plane = frobenius_decompose(plane, plane.zero_divisor(), order)
     dec_bl = frobenius_decompose(bl.fan, bl.fan.zero_divisor(), order)
@@ -337,7 +337,7 @@ def delpezzo_jet_check(
     """
     order = FrobeniusOrder(p, n)
     q = order.q
-    plane = projective_plane()
+    plane = named_variety("P2")
     dec = frobenius_decompose(plane, plane.zero_divisor(), order)
     by_degree = {cls.coords[0]: mult for cls, mult in dec.entries.items()}
     p1 = by_degree.get(-1, 0)

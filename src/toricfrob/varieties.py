@@ -11,6 +11,7 @@ exceptional class.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .fan import (
@@ -168,11 +169,11 @@ def _multidegree_divisor(fan: Fan, *entries) -> tuple:
 # degrees are oriented so that the total space is Fano.
 def _bundle_specs():
     def over_p2(k):
-        base = projective_plane()
+        base = named_variety("P2")
         return base, [base.zero_divisor(), _multidegree_divisor(base, (0, k))]
 
     def over_p1_rank3():
-        base = projective_line()
+        base = named_variety("P1")
         # P(O + O + O(1)) in the quotient convention is, in the tautological
         # subbundle convention used here, P(O + O + O(-1)): this is the Fano
         # orientation.
@@ -183,14 +184,14 @@ def _bundle_specs():
         ]
 
     def over_p1xp1(k2):
-        base = p1xp1()
+        base = named_variety("P1xP1")
         return base, [
             base.zero_divisor(),
             _multidegree_divisor(base, (0, 1), (2, k2)),
         ]
 
     def over_x1():
-        base = del_pezzo(1)
+        base = named_variety("X1")
         # l = H, the pull-back of the line class: the unique choice (up to
         # isomorphism) making the total space Fano.
         return base, [
@@ -230,8 +231,15 @@ _BUILDERS = {
 VARIETY_NAMES = tuple(_BUILDERS) + tuple(BUNDLE_SPECS)
 
 
+@cache
 def named_variety(name: str) -> Fan:
-    """Build the registered variety ``name`` (one of VARIETY_NAMES)."""
+    """The registered variety ``name`` (one of VARIETY_NAMES), built once.
+
+    Every call with the same name returns the same validated fan, shared
+    across the process, so the fan's cohomology caches serve every question
+    asked of it.  Those caches live as long as the process and grow with the
+    questions asked.
+    """
     if name in _BUILDERS:
         return _BUILDERS[name]()
     if name in BUNDLE_SPECS:

@@ -167,6 +167,27 @@ def test_p_o_o2_fails_at_q4():
     assert report.dims[1] == report.dims[3] == 0
 
 
+def _ext2_quasi_polynomial(q):
+    """Ext^2 of F_* O on P(O+O(2))/P2, one polynomial per parity of q."""
+    if q % 2:
+        value, rem = divmod((q * q - 1) ** 2 * (4 * q * q - 9), 576)
+    else:
+        value, rem = divmod(q * q * (q * q - 4) * (4 * q * q - 1), 576)
+    assert rem == 0
+    return value
+
+
+def test_p_o_o2_ext2_is_a_quasi_polynomial_of_period_two():
+    fan = named_variety("P(O+O(2))/P2")
+    orders = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2))
+    found = {}
+    for p, n in orders:
+        order = FrobeniusOrder(p, n)
+        found[order.q] = tilting_verdict(fan, order).dims[2]
+    assert found == {q: _ext2_quasi_polynomial(q) for q in found}
+    assert list(found.values()) == [0, 3, 21, 91, 748, 1700, 3500, 114576, 1683916]
+
+
 def test_mixed_degree_bundle_vanishes_despite_failed_sufficient_check():
     fan = named_variety("P(O+O(1,-1))/P1xP1")
     for p in (2, 3):

@@ -1,0 +1,77 @@
+"""One validated fan per registered variety: every question asked of a
+variety in the process reuses the same fan and its cohomology caches."""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from toricfrob import (
+    VARIETY_NAMES,
+    catalog_entries,
+    catalog_run,
+    delpezzo_jet_check,
+    named_variety,
+)
+
+# The package's ``cohomology`` attribute is the function; the module is here.
+cohomology_mod = sys.modules["toricfrob.cohomology"]
+
+
+def test_each_name_builds_one_shared_fan():
+    for name in VARIETY_NAMES:
+        assert named_variety(name) is named_variety(name), name
+
+
+def test_catalog_entries_build_the_registered_fan():
+    for entry in catalog_entries():
+        assert entry.build() is named_variety(entry.key), entry.key
+
+
+def test_unknown_name_is_refused_every_time():
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            named_variety("P4")
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Count the support eliminations and the character counts made."""
+    calls = Counter()
+    for name in ("rank_mod_p", "_mask_counts"):
+        real = getattr(cohomology_mod, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cohomology_mod, name, counting)
+    return calls
+
+
+def test_repeat_catalog_run_is_answered_from_the_caches(engine_calls):
+    named_variety.cache_clear()
+    first = catalog_run(2)
+    assert engine_calls["rank_mod_p"] and engine_calls["_mask_counts"]
+    engine_calls.clear()
+    assert catalog_run(2) == first
+    assert engine_calls == Counter()
+
+
+def test_next_q_reuses_the_support_complexes(engine_calls):
+    named_variety.cache_clear()
+    cold = catalog_run(3)
+    cold_ranks, cold_masks = engine_calls["rank_mod_p"], engine_calls["_mask_counts"]
+    named_variety.cache_clear()
+    catalog_run(2)
+    engine_calls.clear()
+    assert catalog_run(3) == cold
+    assert engine_calls["rank_mod_p"] < cold_ranks
+    assert engine_calls["_mask_counts"] < cold_masks
+
+
+def test_jet_check_certifies_against_the_warm_plane(engine_calls):
+    first = delpezzo_jet_check(5, 1)
+    engine_calls.clear()
+    assert delpezzo_jet_check(5, 1) == first
+    assert engine_calls == Counter()
