@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .fan import DivisorClass, Fan, class_of
-from .linalg import _INT64_GUARD, rank_mod_p
+from .linalg import _INT64_GUARD, ranks_mod_p
 
 MAX_DIM = 4
 MAX_BOX_POINTS = 4_000_000
@@ -228,18 +228,25 @@ def _support_contrib(fan: Fan, mask: int):
         faces.append([c for c in combinations(support, card) if c in fan.faces])
 
     # Boundary ranks of the augmented chain complex over F_p, equal to those
-    # over Q by the torsion-freeness in the module docstring.
+    # over Q by the torsion-freeness in the module docstring: the nonzero
+    # maps, zero-padded to one shape, are eliminated as one stack.
+    cards = [c for c in range(1, d + 1) if faces[c] and faces[c - 1]]
     ranks = [0] * (d + 2)
-    for card in range(1, d + 1):
-        lower = {f: i for i, f in enumerate(faces[card - 1])}
-        if not faces[card] or not faces[card - 1]:
-            continue
-        mat = [[0] * len(faces[card]) for _ in range(len(faces[card - 1]))]
-        for col, f in enumerate(faces[card]):
-            for pos in range(card):
-                sub = f[:pos] + f[pos + 1 :]
-                mat[lower[sub]][col] = -1 if pos % 2 else 1
-        ranks[card] = rank_mod_p(mat, _BETTI_P)
+    if cards:
+        entries = []
+        for k, card in enumerate(cards):
+            lower = {f: i for i, f in enumerate(faces[card - 1])}
+            for col, f in enumerate(faces[card]):
+                for pos in range(card):
+                    sub = f[:pos] + f[pos + 1 :]
+                    entries.append((k, lower[sub], col, -1 if pos % 2 else 1))
+        k, row, col, sign = np.array(entries, dtype=np.int64).T
+        height = max(len(faces[c - 1]) for c in cards)
+        width = max(len(faces[c]) for c in cards)
+        stack = np.zeros((len(cards), height, width), dtype=np.int64)
+        stack[k, row, col] = sign
+        for card, rank in zip(cards, ranks_mod_p(stack, _BETTI_P).tolist()):
+            ranks[card] = rank
 
     contrib = tuple(
         len(faces[c]) - ranks[c] - ranks[c + 1] for c in range(d + 1)

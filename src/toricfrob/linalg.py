@@ -2,8 +2,11 @@
 and ranks over prime fields.
 
 Everything here is exact; no floating point is ever used.  The library's hot
-paths are integer-only: the character box comes from cached adjugates and the
-support Betti numbers from :func:`rank_mod_p`.  The two ``Fraction`` kernels,
+paths are integer-only: the character box comes from cached adjugates, and
+every rank over F_p from the one elimination kernel :func:`ranks_mod_p`,
+which sweeps a whole stack of matrices at once: the boundary maps of one
+support, the same-shape weight blocks of one Cech map, or, through
+:func:`rank_mod_p`, a single jet block.  The two ``Fraction`` kernels,
 :func:`solve_rational` and :func:`rank_rational`, are kept as reference
 implementations over Q: the tests compare the integer kernels against them,
 and the benchmark's tracer still looks both up by name.
@@ -133,34 +136,64 @@ def check_prime_field(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-def rank_mod_p(mat, p: int) -> int:
-    """Rank of an integer matrix over F_p (exact elimination, vectorised).
+def ranks_mod_p(stack, p: int) -> np.ndarray:
+    """Ranks over F_p of a stack of B integer n x m matrices, as B int64s.
 
-    A p refused by :func:`check_prime_field` raises ValueError.
+    This is the library's one F_p elimination kernel.  It sweeps the columns
+    once for the whole stack.  On each column one ``nonzero`` lists, in row
+    order, the rows of every matrix with a nonzero entry there; each
+    matrix's first such row is its pivot.  Those rows, and only those, are
+    updated at once and fraction-free: row <- pivot * row - entry * pivot
+    row, with the pivot a unit mod p, so no inverse is formed and no row is
+    swapped.  The update clears the column and turns the pivot row itself to
+    zero, which retires it; a matrix's rank is the number of its pivots.
+    Rows with a zero in the column are never touched, which keeps the kernel
+    fast on sparse blocks.  Every product is at most (p-1)^2, which
+    :func:`check_prime_field` keeps in int64.
+
+    A C-contiguous (B, n, m) int64 array is reduced mod p and eliminated in
+    place, and comes back all zero; it is never copied.  Any other input is
+    converted to a fresh array first.  Zero rows and columns, such as the
+    padding of a stack of matrices of different shapes, leave every rank
+    unchanged.  A p refused by :func:`check_prime_field` raises ValueError.
     """
     check_prime_field(p)
-    a = np.array(mat, dtype=np.int64)
-    if a.size == 0:
-        return 0
-    a %= p
-    nrows, ncols = a.shape
-    r = 0
+    a = np.asarray(stack, dtype=np.int64)
+    if a.ndim != 3:
+        raise ValueError(f"expected a (B, n, m) stack, got shape {a.shape}")
+    count, nrows, ncols = a.shape
+    if not a.size:
+        return np.zeros(count, dtype=np.int64)
+    np.remainder(a, p, out=a)
+    rows = a.reshape(count * nrows, ncols)  # row k * nrows + i of the stack
+    leads = [np.zeros(0, dtype=np.int64)]
     for col in range(ncols):
-        nz = np.nonzero(a[r:, col])[0]
-        if nz.size == 0:
+        hits = rows[:, col].nonzero()[0]
+        if not hits.size:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        rows = np.nonzero(a[r + 1 :, col])[0] + r + 1
-        if rows.size:
-            a[rows] = (a[rows] - np.outer(a[rows, col], a[r])) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
+        mats = hits // nrows
+        lead = np.empty(hits.size, dtype=bool)
+        lead[0] = True
+        np.not_equal(mats[1:], mats[:-1], out=lead[1:])
+        leads.append(mats[lead])
+        pivot = rows[hits[lead][np.cumsum(lead) - 1], col:]
+        hit = rows[hits, col:]
+        entry = hit[:, :1].copy()
+        hit *= pivot[:, :1]
+        hit -= entry * pivot
+        np.remainder(hit, p, out=hit)
+        rows[hits, col:] = hit
+    return np.bincount(np.concatenate(leads), minlength=count)
+
+
+def rank_mod_p(mat, p: int) -> int:
+    """Rank of one integer matrix over F_p: :func:`ranks_mod_p` on a stack of one.
+
+    The matrix is copied, never changed.  A p refused by
+    :func:`check_prime_field` raises ValueError.
+    """
+    a = np.array(mat, dtype=np.int64, ndmin=2)
+    return int(ranks_mod_p(a[None], p)[0])
 
 
 # The first twelve primes: the least composite that is a strong pseudoprime to

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -235,6 +236,18 @@ def corank_oracle(p: int) -> int:
     return sum(1 for a_ in range(p) for b_ in range(p) if a_ < b_)
 
 
+@cache
+def _blown_up_plane():
+    """The registered plane blown up at a torus-fixed point, built once.
+
+    Its fan has the rays and cones of the registered X1, but the Blowup record
+    also carries the pull-back and the exceptional class.  Sharing it keeps
+    the fan's cohomology caches warm across calls, as the registry does.
+    """
+    plane = named_variety("P2")
+    return blowup_fan(plane, plane.max_cones[0], name="Bl_pt P2")
+
+
 def blowup_bookkeeping_check(p: int) -> BlowupReport:
     """Rank and determinant bookkeeping for the blow-up of the plane.
 
@@ -243,8 +256,8 @@ def blowup_bookkeeping_check(p: int) -> BlowupReport:
     determinant by an integer multiple of the exceptional class.
     """
     order = FrobeniusOrder(p, 1)
-    plane = named_variety("P2")
-    bl = blowup_fan(plane, plane.max_cones[0], name="Bl_pt P2")
+    bl = _blown_up_plane()
+    plane = bl.base
     dec_plane = frobenius_decompose(plane, plane.zero_divisor(), order)
     dec_bl = frobenius_decompose(bl.fan, bl.fan.zero_divisor(), order)
     rank_ok = dec_plane.rank == p**2 and dec_bl.rank == p**2

@@ -94,6 +94,23 @@ def test_concentration_checks():
     assert concentration_check(0, 0, 5, 1)
 
 
+def test_concentration_at_p3_m2_over_a_twist_grid():
+    # q = 9: the pullbacks of O(a, b) are O(9a, 9b); concentration holds on
+    # the 3 x 3 grid and fails at (1, -2) and (-2, 1), where H^1 and H^2 meet
+    sp = MultiProjSpace((2, 2))
+    split = {(1, -2): (0, 1, 596, 0), (-2, 1): (0, 1, 596, 0)}
+    for a, b in [*iproduct((-1, 0, 1), repeat=2), *split]:
+        dims = incidence_cohomology(9 * a, 9 * b, 3)
+        assert concentration_check(a, b, 3, 2) == ((a, b) not in split), (a, b)
+        if (a, b) in split:
+            assert dims.dims == split[a, b]
+        ambient = (
+            line_bundle_cohomology_fp(sp, (9 * a, 9 * b)).euler()
+            - line_bundle_cohomology_fp(sp, (9 * a - 1, 9 * b - 1)).euler()
+        )
+        assert dims.euler() == ambient, (a, b)
+
+
 def test_rank_depends_on_p():
     # multiplication by the pairing form on sections: full rank over any p,
     # checked through the restriction of O(1, 1)

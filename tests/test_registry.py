@@ -8,6 +8,7 @@ import pytest
 
 from toricfrob import (
     VARIETY_NAMES,
+    blowup_bookkeeping_check,
     catalog_entries,
     catalog_run,
     delpezzo_jet_check,
@@ -36,9 +37,10 @@ def test_unknown_name_is_refused_every_time():
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Count the support eliminations and the character counts made."""
+    """Count the support eliminations (one stack per support) and the
+    character counts made."""
     calls = Counter()
-    for name in ("rank_mod_p", "_mask_counts"):
+    for name in ("ranks_mod_p", "_mask_counts"):
         real = getattr(cohomology_mod, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
@@ -52,7 +54,7 @@ def engine_calls(monkeypatch):
 def test_repeat_catalog_run_is_answered_from_the_caches(engine_calls):
     named_variety.cache_clear()
     first = catalog_run(2)
-    assert engine_calls["rank_mod_p"] and engine_calls["_mask_counts"]
+    assert engine_calls["ranks_mod_p"] and engine_calls["_mask_counts"]
     engine_calls.clear()
     assert catalog_run(2) == first
     assert engine_calls == Counter()
@@ -61,12 +63,12 @@ def test_repeat_catalog_run_is_answered_from_the_caches(engine_calls):
 def test_next_q_reuses_the_support_complexes(engine_calls):
     named_variety.cache_clear()
     cold = catalog_run(3)
-    cold_ranks, cold_masks = engine_calls["rank_mod_p"], engine_calls["_mask_counts"]
+    cold_ranks, cold_masks = engine_calls["ranks_mod_p"], engine_calls["_mask_counts"]
     named_variety.cache_clear()
     catalog_run(2)
     engine_calls.clear()
     assert catalog_run(3) == cold
-    assert engine_calls["rank_mod_p"] < cold_ranks
+    assert engine_calls["ranks_mod_p"] < cold_ranks
     assert engine_calls["_mask_counts"] < cold_masks
 
 
@@ -74,4 +76,11 @@ def test_jet_check_certifies_against_the_warm_plane(engine_calls):
     first = delpezzo_jet_check(5, 1)
     engine_calls.clear()
     assert delpezzo_jet_check(5, 1) == first
+    assert engine_calls == Counter()
+
+
+def test_repeat_blowup_check_reuses_the_blown_up_plane(engine_calls):
+    first = blowup_bookkeeping_check(5)
+    engine_calls.clear()
+    assert blowup_bookkeeping_check(5) == first
     assert engine_calls == Counter()
