@@ -21,7 +21,10 @@ coordinate, so it flips at most once, at a breakpoint that is one exact
 integer floor or ceiling quotient.  The breakpoints cut the line into
 intervals of constant support, and an interval's length is the number of its
 characters; the counts per support are therefore the box's counts exactly,
-for box^(d-1) * #rays work in place of box^d.
+for box^(d-1) * #rays work in place of box^d.  One kernel, _line_counts,
+sorts and groups such intervals for any key that moves by fixed steps at
+breakpoints; the Frobenius residue decomposition counts its classes with it
+too, for q^(d-1) * sum |v_rho[d]| work in place of q^d.
 
 Lattice point counting in the section polytope, which enumerates the box
 point by point, provides an independent oracle for global sections.
@@ -104,8 +107,7 @@ def _checked_box(fan: Fan, coeffs):
     if npts > MAX_BOX_POINTS:
         raise Overflow(f"candidate box has {npts} points")
     extent = max(max(abs(a), abs(b)) for a, b in box)
-    ray_bound = max(sum(abs(x) for x in r) for r in fan.rays)
-    if extent * ray_bound + max(abs(c) for c in coeffs) + 1 >= _INT64_GUARD:
+    if extent * fan._int_bounds[0] + max(abs(c) for c in coeffs) + 1 >= _INT64_GUARD:
         raise Overflow("coefficients exceed the exact int64 range")
     return box
 
@@ -119,33 +121,69 @@ def _char_grid(fan: Fan, coeffs):
 
 
 def _line_rays(fan: Fan, axis: int):
-    """Ray data for counting along lines parallel to ``axis`` (cached per fan).
+    """Ray data for lines parallel to ``axis`` (cached per fan).
 
-    The rays are reordered with the rays of nonzero component c along the
-    axis first.  Returns (order, rays, rising, slopes, toggles, flat_bits,
-    left) in that order: ``rising`` is 1 where c > 0, ``slopes`` the nonzero
-    c, ``toggles`` the bits of their rays between two zero bits (for the two
-    ends of a line), ``flat_bits`` the bits of the rays with c = 0, and
-    ``left`` the mask of the rays with c > 0.
+    Returns (order, rays, slopes): ``order`` lists the ray indices with the
+    rays of nonzero component c along the axis first, ``rays`` the rays in
+    that order, and ``slopes`` their nonzero c.
     """
     hit = fan._line_cache.get(axis)
-    if hit is not None:
-        return hit
-    slope = [ray[axis] for ray in fan.rays]
-    moving = [i for i, c in enumerate(slope) if c]
-    flat = [i for i, c in enumerate(slope) if not c]
-    order = moving + flat
-    hit = (
-        np.array(order),
-        np.array([fan.rays[i] for i in order], dtype=np.int64),
-        np.array([int(slope[i] > 0) for i in order], dtype=np.int64),
-        np.array([slope[i] for i in moving], dtype=np.int64),
-        np.array([0] + [1 << i for i in moving] + [0], dtype=np.int64),
-        np.array([1 << i for i in flat], dtype=np.int64),
-        sum(1 << i for i in moving if slope[i] > 0),
-    )
-    fan._line_cache[axis] = hit
+    if hit is None:
+        slope = [ray[axis] for ray in fan.rays]
+        order = sorted(range(len(slope)), key=lambda i: not slope[i])
+        hit = fan._line_cache[axis] = (
+            np.array(order, dtype=np.int64),
+            np.array([fan.rays[i] for i in order], dtype=np.int64),
+            np.array([slope[i] for i in order if slope[i]], dtype=np.int64),
+        )
     return hit
+
+
+def _line_starts(start, rays, axes):
+    """start + <m', v> for every line, with m' over a product of coordinates.
+
+    ``axes`` lists (k, values) for the coordinates m'_k off the line, the
+    first most significant, so the rows come in ``itertools.product`` order.
+    """
+    for k, values in axes:
+        start = start[..., None, :] + values[:, None] * rays[:, k]
+    return start.reshape(-1, len(rays))
+
+
+def _line_counts(base, cuts, steps, width):
+    """Distinct keys of lines cut into intervals, with counts and first places.
+
+    Line i holds the positions t in [0, width), at flat position
+    i * width + t.  Its key (a scalar, or a row) is ``base[i]`` at t = 0
+    and moves by ``steps[j]`` at the breakpoint ``cuts[i, j]``, already
+    clipped to [0, width].  Sorted, the breakpoints cut each line into
+    intervals of constant key whose lengths are exact counts; intervals of
+    length 0 are dropped.  Returns (keys, counts, first): the distinct keys
+    met, ascending (rows compare from their last entry), the number of
+    positions with each key, and the least flat position of each.
+    """
+    lines, r = cuts.shape
+    col = cuts.argsort(axis=1)
+    ends = np.empty((lines, r + 2), dtype=np.int64)
+    ends[:, 0] = 0
+    ends[:, 1:-1] = np.sort(cuts, axis=1)
+    ends[:, -1] = width
+    keys = np.concatenate((base[:, None], steps[col]), axis=1)
+    keys.cumsum(axis=1, out=keys)
+    lengths = (ends[:, 1:] - ends[:, :-1]).ravel()
+    met = lengths.nonzero()[0]
+    keys = keys.reshape((lines * (r + 1),) + base.shape[1:])[met]
+    # a stable sort keeps each key's intervals in flat order, least first
+    rows = keys.reshape(len(keys), -1)
+    by_key = np.lexsort(rows.T)
+    rows = rows[by_key]
+    starts = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))).nonzero()[0]
+    first = met[by_key[starts]]
+    return (
+        keys[by_key[starts]],
+        np.add.reduceat(lengths[met[by_key]], starts),
+        ends[:, :-1].ravel()[first] + first // (r + 1) * width,
+    )
 
 
 def _mask_counts(fan: Fan, coeffs):
@@ -163,51 +201,30 @@ def _mask_counts(fan: Fan, coeffs):
     b = floor((x - [c > 0]) / c) + 1: it holds for t < b when c > 0 (b is
     then ceil(x / c)) and for t >= b when c < 0.  So the mask far to the left
     has the bits of the rays with c > 0 and of the rays with c = 0, x > 0,
-    and each breakpoint flips one bit.  Clipped to the line and sorted, the
-    breakpoints cut it into intervals of constant mask (an XOR running over
-    the flipped bits) whose lengths are exact counts.  Intervals of length 0
-    are dropped, so every mask returned is met by some character.  The work
-    is box^(d-1) * #rays in place of box^d.
+    and at each breakpoint one bit is subtracted (c > 0) or added (c < 0);
+    :func:`_line_counts` sums the intervals.  The work is box^(d-1) * #rays
+    in place of box^d.
     """
     box = _checked_box(fan, coeffs)
     axis = max(range(fan.dim), key=lambda k: box[k][1] - box[k][0])
     lo, hi = box[axis]
     width = hi + 1 - lo
-    order, rays, rising, slopes, toggles, flat_bits, left = _line_rays(fan, axis)
+    order, rays, slopes = _line_rays(fan, axis)
     r = len(slopes)
-    # x[line, j] = -a - [c > 0] - <m', v> for the j-th reordered ray
-    x = -rising - np.array(coeffs, dtype=np.int64)[order]
-    for k, (a, b) in enumerate(box):
-        if k != axis:
-            step = np.arange(a, b + 1, dtype=np.int64)[:, None] * rays[:, k]
-            x = x[..., None, :] - step
-    x = x.reshape(-1, len(order))
-    base = (x[:, r:] > 0) @ flat_bits + left
-    # breakpoints relative to lo, between the line's two ends 0 and width
-    cuts = np.empty((len(x), r + 2), dtype=np.int64)
-    cuts[:, 0] = 0
-    cuts[:, -1] = width
-    inner = cuts[:, 1:-1]
-    np.floor_divide(x[:, :r], slopes, out=inner)
-    inner += 1 - lo
-    np.maximum(inner, 0, out=inner)
-    np.minimum(inner, width, out=inner)
-    # sort each line's breakpoints, carrying each one's column in the low digit
-    cuts *= r + 2
-    cuts += np.arange(r + 2)
-    cuts.sort(axis=1)
-    cuts, col = np.divmod(cuts, r + 2)
-    lengths = (cuts[:, 1:] - cuts[:, :-1]).ravel()
-    masks = base[:, None] ^ np.bitwise_xor.accumulate(toggles[col[:, :-1]], axis=1)
-    keep = lengths > 0
-    masks, lengths = masks.ravel()[keep], lengths[keep]
-    by_mask = masks.argsort()
-    masks, lengths = masks[by_mask], lengths[by_mask]
-    fresh = np.empty(len(masks), dtype=bool)
-    fresh[0] = True
-    np.not_equal(masks[1:], masks[:-1], out=fresh[1:])
-    starts = np.flatnonzero(fresh)
-    return masks[starts], np.add.reduceat(lengths, starts)
+    rising = slopes > 0
+    bits = np.left_shift(np.int64(1), order)
+    # x[line, j] = -a - [c > 0] - <m', v> for the j-th reordered ray, with
+    # the coordinates m' taken negated
+    x = -np.array(coeffs, dtype=np.int64)[order]
+    x[:r] -= rising
+    x = _line_starts(x, rays, [
+        (k, np.arange(-a, -b - 1, -1, dtype=np.int64))
+        for k, (a, b) in enumerate(box) if k != axis
+    ])
+    base = (x[:, r:] > 0) @ bits[r:] + bits[:r] @ rising
+    cuts = np.clip(x[:, :r] // slopes + (1 - lo), 0, width)
+    steps = np.where(rising, -bits[:r], bits[:r])
+    return _line_counts(base, cuts, steps, width)[:2]
 
 
 def _support_contrib(fan: Fan, mask: int):

@@ -169,6 +169,12 @@ class Fan:
         adjs = np.array(adjs, dtype=np.int64).reshape(-1, self.dim, self.dim)
         return subsets, adjs, np.array(dets, dtype=np.int64).reshape(-1, 1), bound
 
+    @cached_property
+    def _int_bounds(self):
+        """(largest ray row sum, largest column weight of the class matrix)."""
+        weights = [sum(map(abs, col)) for col in zip(*self.class_matrix)]
+        return max(sum(map(abs, ray)) for ray in self.rays), max(weights)
+
     # Per-fan memo dictionaries, shared by the cohomology engine.  Values are
     # deterministic functions of the key, so concurrent insertion is benign.
     # They live as long as the fan: for a registered variety, whose one fan

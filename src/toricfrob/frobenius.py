@@ -2,10 +2,12 @@
 
 On a smooth complete toric variety the pushforward of O(D) along the q-power
 Frobenius (q = p^n) splits as a direct sum of line bundles indexed by the
-residues of characters mod q.  The explicit residue formula used here is
-never trusted on its own: every public decomposition is certified against the
-projection formula, which determines the class multiset through the exact
-cohomology of twists.
+residues of characters mod q.  The residues are counted line by line: along
+the last axis a summand's class changes only at sum |v_rho[d]| exact
+breakpoints, so q^(d-1) lines of a few intervals each stand in for the q^d
+residues.  The explicit residue formula used here is never trusted on its
+own: every public decomposition is certified against the projection formula,
+which determines the class multiset through the exact cohomology of twists.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohomology import Overflow, cohomology, cohomology_of_class
+from .cohomology import (
+    Overflow,
+    _line_counts,
+    _line_rays,
+    _line_starts,
+    cohomology,
+    cohomology_of_class,
+)
 from .fan import Divisor, DivisorClass, Fan, InvariantViolation, class_of
 from .linalg import _INT64_GUARD, is_prime
-
-# Residues per block of the vectorised decomposition; bounds its memory.
-RESIDUE_CHUNK = 1 << 16
 
 
 class OracleMismatch(InvariantViolation):
@@ -75,62 +81,64 @@ class Decomposition:
         return sorted(self.entries.items(), key=lambda kv: kv[0], reverse=True)
 
 
-def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
 def _check_residue_range(fan: Fan, divisor, q: int) -> None:
-    """Raise Overflow unless the residue arithmetic is exact in int64."""
-    numer = max(abs(a) for a in divisor) + (q - 1) * max(
-        sum(abs(x) for x in ray) for ray in fan.rays
-    )
-    weight = max(sum(abs(c) for c in col) for col in zip(*fan.class_matrix))
-    if max(numer, (numer // q + 1) * weight, q**fan.dim) >= _INT64_GUARD:
+    """Raise Overflow unless the residue arithmetic is exact in int64.
+
+    With R the largest ray row sum and W the largest column weight of the
+    class matrix (both read once per fan), every a + <u, v> stays within
+    numer = max|a| + (q - 1) R, a breakpoint numerator X below R q, a
+    class key within (numer // q + 1 + R) W, and a flat position or count
+    within q^d.
+    """
+    ray_bound, weight = fan._int_bounds
+    numer = max(abs(a) for a in divisor) + (q - 1) * ray_bound
+    reach = max(numer, ray_bound * q, (numer // q + 1 + ray_bound) * weight)
+    if reach >= _INT64_GUARD or q**fan.dim >= _INT64_GUARD:
         raise Overflow("residue decomposition exceeds the exact int64 range")
 
 
 def _raw_decompose(fan: Fan, divisor, order: FrobeniusOrder):
     """Classes of O(floor((D + <u, v_rho>) / q)) over the residues u in [0, q)^d.
 
-    The residues are the base-q digits of a flat index, first coordinate
-    most significant (``itertools.product`` order), taken in blocks of
-    RESIDUE_CHUNK.  ``entries`` lists each class once, in order of first
-    occurrence, with its multiplicity; ``witnesses`` gives that first residue
-    u and its coefficients.
+    The residues are counted line by line along the last axis, so the flat
+    position of u is its index in ``itertools.product`` order.  On the line
+    through u' = (u_1, ..., u_(d-1)), with y = a_rho + <u', v'_rho> and
+    c = v_rho[d], the floor of (y + c t) / q moves by sign(c) at |c| exact
+    breakpoints t in [1, q]: for k = 0 .. |c| - 1 at floor(X / |c|) + 1, with
+    X = k q + (q - 1 - y mod q) for c > 0 and X = k q + (y mod q) for c < 0.
+    Each move adds +-(class of D_rho) to the line's class, and
+    :func:`_line_counts` sums the intervals, for q^(d-1) * sum |v_rho[d]|
+    work in place of q^d.  ``entries`` lists each class once, in order of
+    first occurrence, with its multiplicity; ``witnesses`` gives that first
+    residue u and its coefficients.
     """
     q, d = order.q, fan.dim
     _check_residue_range(fan, divisor, q)
-    rays_t = np.array(fan.rays, dtype=np.int64).T
-    cmat = np.array(fan.class_matrix, dtype=np.int64)
+    perm, rays, slopes = _line_rays(fan, d - 1)
+    cmat = np.array(fan.class_matrix, dtype=np.int64)[perm]
     shift = np.array(divisor, dtype=np.int64)
-    place = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    total = q**d
-    found: dict = {}  # class coordinates -> [first flat index, multiplicity]
-    for start in range(0, total, RESIDUE_CHUNK):
-        flat = np.arange(start, min(start + RESIDUE_CHUNK, total), dtype=np.int64)
-        u = flat[:, None] // place % q
-        cls = ((shift + u @ rays_t) // q) @ cmat
-        # runs of equal rows in lexicographic order; a run's first occurrence
-        # is its smallest index
-        by_row = np.lexsort(cls.T)
-        ranked = cls[by_row]
-        fresh = np.ones(len(ranked), dtype=bool)
-        fresh[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-        starts = np.flatnonzero(fresh)
-        first = np.minimum.reduceat(by_row, starts)
-        counts = np.diff(starts, append=len(ranked))
-        keys = ranked[starts]
-        for key, pos, count in zip(keys.tolist(), first.tolist(), counts.tolist()):
-            hit = found.setdefault(tuple(key), [start + pos, 0])
-            hit[1] += count
+    axes = [(k, np.arange(q, dtype=np.int64)) for k in range(d - 1)]
+    floor, rem = np.divmod(_line_starts(shift[perm], rays, axes), q)
+    # the k-th breakpoint (k = 0 .. |c| - 1) of each moving ray, as X above
+    ray, k = np.array(
+        [(j, k) for j, c in enumerate(slopes.tolist()) for k in range(abs(c))],
+        dtype=np.int64,
+    ).reshape(-1, 2).T
+    c, rem = slopes[ray], rem[:, ray]
+    cuts = np.minimum((np.where(c > 0, q - 1 - rem, rem) + k * q) // np.abs(c) + 1, q)
+    steps = np.sign(c)[:, None] * cmat[ray]
+    keys, counts, first = _line_counts(floor @ cmat, cuts, steps, q)
+    by_first = first.argsort()
+    u = first[by_first, None] // q ** np.arange(d - 1, -1, -1, dtype=np.int64) % q
+    coeffs = (shift + u @ np.array(fan.rays, dtype=np.int64).T) // q
     entries: dict = {}
     witnesses: dict = {}
-    for key, (index, count) in sorted(found.items(), key=lambda kv: kv[1][0]):
-        cls = DivisorClass(key)
-        u = tuple(index // q ** (d - 1 - k) % q for k in range(d))
-        coeffs = tuple((a + _dot(u, ray)) // q for a, ray in zip(divisor, fan.rays))
+    for key, count, res, co in zip(
+        keys[by_first].tolist(), counts[by_first].tolist(), u.tolist(), coeffs.tolist()
+    ):
+        cls = DivisorClass(tuple(key))
         entries[cls] = count
-        witnesses[cls] = (u, coeffs)
+        witnesses[cls] = (tuple(res), tuple(co))
     return entries, witnesses
 
 

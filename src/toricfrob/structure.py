@@ -111,6 +111,16 @@ def _decompose_classes(fan: Fan, divisor, order) -> Counter:
     return Counter(dec.entries)
 
 
+def _pushforward_sum(fan: Fan, twists: Counter, shift, order) -> Counter:
+    """Classes of the sum of F_* O(tw + shift) over the twists, with multiplicity."""
+    out: Counter = Counter()
+    for tw, tw_mult in twists.items():
+        dec = _decompose_classes(fan, fan.divisor_of_class(tw + shift), order)
+        for cls, mult in dec.items():
+            out[cls] += tw_mult * mult
+    return out
+
+
 def p1bundle_check(base_fan: Fan, a, order: FrobeniusOrder) -> bool:
     """Exact multiset test of the splitting of F^n_* O on P(O + O(a)).
 
@@ -132,13 +142,10 @@ def p1bundle_check(base_fan: Fan, a, order: FrobeniusOrder) -> bool:
     predicted: Counter = Counter()
     for cls, mult in _decompose_classes(base_fan, base_fan.zero_divisor(), order).items():
         predicted[pb.pullback_class(cls)] += mult
+    # summands of D^(q-2)E (x) det E, pushed forward on the base
     twists = _divided_multiset(bundle, q - 2)
-    for tw, tw_mult in twists.items():
-        # summand of D^(q-2)E (x) det E, pushed forward on the base
-        piece = tw + cls_a
-        dec = _decompose_classes(base_fan, base_fan.divisor_of_class(piece), order)
-        for cls, mult in dec.items():
-            predicted[pb.pullback_class(cls - cls_a) - xi] += tw_mult * mult
+    for cls, mult in _pushforward_sum(base_fan, twists, cls_a, order).items():
+        predicted[pb.pullback_class(cls - cls_a) - xi] += mult
     return predicted == direct
 
 
@@ -196,12 +203,7 @@ def p2bundle_filtration_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> 
 
     # E_1 = coker(F_*O (x) E* -> F_* S^q E*), as a class multiset difference
     dual = SplitBundle(base=base_fan, degrees=tuple(tuple(-x for x in d) for d in norm))
-    e1: Counter = Counter()
-    for tw, tw_mult in _divided_multiset(dual, q).items():
-        for cls, mult in _decompose_classes(
-            base_fan, base_fan.divisor_of_class(tw), order
-        ).items():
-            e1[cls] += tw_mult * mult
+    e1 = _pushforward_sum(base_fan, _divided_multiset(dual, q), base_fan.zero_class(), order)
     for cls, mult in base_dec.items():
         for ci in classes:
             e1[cls - ci] -= mult
@@ -213,12 +215,9 @@ def p2bundle_filtration_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> 
         if mult:
             predicted[pb.pullback_class(cls) - xi] += mult
 
-    for tw, tw_mult in _divided_multiset(bundle, q - 3).items():
-        piece = tw + det
-        for cls, mult in _decompose_classes(
-            base_fan, base_fan.divisor_of_class(piece), order
-        ).items():
-            predicted[pb.pullback_class(cls - det) - 2 * xi] += tw_mult * mult
+    twists = _divided_multiset(bundle, q - 3)
+    for cls, mult in _pushforward_sum(base_fan, twists, det, order).items():
+        predicted[pb.pullback_class(cls - det) - 2 * xi] += mult
     return predicted == direct
 
 

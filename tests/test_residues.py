@@ -1,4 +1,4 @@
-"""The vectorised residue decomposition against the residue loop it replaced."""
+"""The line-counted residue decomposition against the residue loop it replaced."""
 
 from itertools import product
 
@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfrob import FrobeniusOrder, Overflow, catalog_entries, class_of, named_variety
+from toricfrob import (
+    FrobeniusOrder,
+    Overflow,
+    build_fan,
+    catalog_entries,
+    class_of,
+    frobenius_decompose,
+    named_variety,
+    projective_line,
+)
 from toricfrob.frobenius import _raw_decompose
 
 
@@ -55,11 +64,28 @@ def test_p2xp1_matches_loop(div, pn):
     _assert_matches_loop(named_variety("P2xP1"), div, *pn)
 
 
-def test_chunks_merge_in_first_occurrence_order(monkeypatch):
-    # blocks of 7 residues split every class across several chunks
-    monkeypatch.setattr("toricfrob.frobenius.RESIDUE_CHUNK", 7)
-    fan = named_variety("P(O+O(1,-1))/P1xP1")
-    _assert_matches_loop(fan, fan.canonical_divisor(), 5, 1)
+@pytest.mark.parametrize("entry", catalog_entries(), ids=lambda entry: entry.key)
+def test_catalog_certifies_at_q27(entry):
+    # past the loop's reach: the projection formula is the independent check
+    fan = entry.build()
+    for divisor in (fan.zero_divisor(), fan.canonical_divisor()):
+        dec = frobenius_decompose(fan, divisor, FrobeniusOrder(3, 3))
+        assert dec.certified and dec.rank == 27**fan.dim
+
+
+# P1xP1 in the lattice basis (2, 1), (3, 2): last-axis components +-1 and +-2,
+# so rays cross several breakpoints on each line of residues
+SKEW = build_fan(
+    [(2, 1), (-2, -1), (3, 2), (-3, -2)],
+    [(0, 2), (0, 3), (1, 2), (1, 3)],
+    name="skew P1xP1",
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*[st.integers(-20, 20)] * 4), _ORDERS)
+def test_skew_p1xp1_matches_loop(div, pn):
+    _assert_matches_loop(SKEW, div, *pn)
 
 
 def test_large_coefficient_raises_overflow(P2):
@@ -69,3 +95,30 @@ def test_large_coefficient_raises_overflow(P2):
     entries, _ = _raw_decompose(P2, (2**61, 0, 0), FrobeniusOrder(2))
     ref, _ = _loop_decompose(P2, (2**61, 0, 0), 2)
     assert entries == ref
+
+
+MERSENNE = 2**61 - 1
+
+
+def test_p1_at_a_mersenne_prime_counts_lines_not_residues():
+    # 2^61 residues in one line: O + O(-1)^(q-1) without enumerating them
+    p1 = projective_line()
+    entries, witnesses = _raw_decompose(p1, (0, 0), FrobeniusOrder(MERSENNE))
+    zero, minus = class_of(p1, (0, 0)), class_of(p1, (0, -1))
+    assert list(entries.items()) == [(zero, 1), (minus, MERSENNE - 1)]
+    assert witnesses == {zero: ((0,), (0, 0)), minus: ((1,), (0, -1))}
+
+
+def test_p1_just_past_the_residue_guard_raises_overflow():
+    # max|a| + (q - 1) * 1 is 2^62 - 1 here, the last value inside the guard
+    p1 = projective_line()
+    order = FrobeniusOrder(MERSENNE)
+    entries, _ = _raw_decompose(p1, (2**61 + 1, 0), order)
+    # a = q + 2: the coefficients are (1, 0) at u = 0, (1, -1) for
+    # 0 < u < q - 2 and (2, -1) from there on, so class 1 occurs 3 times
+    assert list(entries.items()) == [
+        (class_of(p1, (1, 0)), 3),
+        (class_of(p1, (1, -1)), MERSENNE - 3),
+    ]
+    with pytest.raises(Overflow):
+        _raw_decompose(p1, (2**61 + 2, 0), order)
