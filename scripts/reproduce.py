@@ -16,8 +16,7 @@ from toricfrob import (
     corank_oracle,
     delpezzo_jet_check,
     named_variety,
-    p1bundle_check,
-    p2bundle_filtration_check,
+    pbundle_check,
     tilting_verdict,
 )
 from toricfrob.catalog import MAX_Q_THREEFOLD, catalog_run
@@ -62,11 +61,7 @@ def main(argv=None) -> int:
     for key, build in BUNDLE_SPECS.items():
         base, degrees = build()
         for p in (2, 3):
-            order = FrobeniusOrder(p)
-            if len(degrees) == 2:
-                ok = p1bundle_check(base, degrees[1], order)
-            else:
-                ok = p2bundle_filtration_check(base, degrees, order)
+            ok = pbundle_check(base, degrees, FrobeniusOrder(p))
             print(f"  {key:24s} p={p}: {'ok' if ok else 'MISMATCH'}")
 
     print("\n== blow-up bookkeeping ==")

@@ -75,8 +75,7 @@ from .structure import (
     corank_oracle,
     delpezzo_jet_check,
     divided_power_split,
-    p1bundle_check,
-    p2bundle_filtration_check,
+    pbundle_check,
     s2d2_identity_check,
 )
 from .varieties import (

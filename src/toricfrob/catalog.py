@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cohomology import Overflow
 from .ext import tilting_verdict
 from .fan import Fan
 from .frobenius import FrobeniusOrder
@@ -56,7 +57,8 @@ def catalog_entries() -> tuple:
 def catalog_run(p: int, n: int = 1) -> dict:
     """Ext tables and tilting verdicts across the twelve catalog threefolds.
 
-    Per-entry errors are reported in the row and do not stop the run.  The
+    Per-entry input errors (Overflow, ValueError) are reported in the row and
+    do not stop the run; an InvariantViolation is a bug and propagates.  The
     summary counts entries whose higher self-Ext vanishes / does not vanish.
     """
     order = FrobeniusOrder(p, n)
@@ -83,7 +85,7 @@ def catalog_run(p: int, n: int = 1) -> dict:
                 vanishing += 1
             else:
                 failing += 1
-        except Exception as exc:  # noqa: BLE001 - per-entry isolation
+        except (Overflow, ValueError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             errors += 1
         rows.append(row)

@@ -15,15 +15,15 @@ from pathlib import Path
 
 from . import cech as cech_mod
 from .catalog import catalog_entries, catalog_run
-from .cohomology import DimensionUnsupported, Overflow, cohomology
-from .ext import UnknownCollection, ext_table, tilting_verdict
-from .fan import Fan, FanError, InvariantViolation, fan_from_json, parse_divisor
+from .cohomology import Overflow, cohomology
+from .ext import ext_table, tilting_verdict
+from .fan import Fan, InvariantViolation, fan_from_json, parse_divisor
 from .frobenius import FrobeniusOrder, det_class, frobenius_decompose
 from .structure import (
     blowup_bookkeeping_check,
     corank_oracle,
     delpezzo_jet_check,
-    p1bundle_check,
+    pbundle_check,
 )
 from .varieties import VARIETY_NAMES, named_variety
 
@@ -49,6 +49,13 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
+def _registered(name: str) -> Fan:
+    try:
+        return named_variety(name)
+    except KeyError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _load_fan(args) -> Fan:
     if getattr(args, "fan", None):
         path = Path(args.fan)
@@ -56,10 +63,7 @@ def _load_fan(args) -> Fan:
             raise CliError(f"fan file not found: {path}")
         return fan_from_json(path.read_text())
     if getattr(args, "variety", None):
-        try:
-            return named_variety(args.variety)
-        except KeyError as exc:
-            raise CliError(str(exc)) from exc
+        return _registered(args.variety)
     raise CliError("need --fan FILE or --variety NAME")
 
 
@@ -202,12 +206,9 @@ def _cmd_jets(args) -> int:
 
 
 def _cmd_pbundle_check(args) -> int:
-    try:
-        base = named_variety(args.base)
-    except KeyError as exc:
-        raise CliError(str(exc)) from exc
+    base = _registered(args.base)
     divisor = parse_divisor(base, args.a)
-    ok = p1bundle_check(base, divisor, _order(args))
+    ok = pbundle_check(base, (base.zero_divisor(), divisor), _order(args))
     _emit(args, {"base": args.base, "a": list(divisor), "split_check": ok},
           [f"P1-bundle splitting check on P(O+O({args.a}))/{args.base}: {ok}"])
     return EXIT_OK if ok else EXIT_INVARIANT
@@ -340,11 +341,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvariantViolation,) as exc:
+    except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (FanError, CliError, UnknownCollection, DimensionUnsupported,
-            Overflow, ValueError) as exc:
+    except (Overflow, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -66,9 +66,6 @@ class CohomologyVector:
     def __getitem__(self, i):
         return self.dims[i]
 
-    def total(self) -> int:
-        return sum(self.dims)
-
     def euler(self) -> int:
         return sum(d if i % 2 == 0 else -d for i, d in enumerate(self.dims))
 

@@ -195,10 +195,6 @@ class Fan:
     def pic_rank(self) -> int:
         return len(self.rays) - self.dim
 
-    @property
-    def free_rays(self):
-        return self._pic[2]
-
     def zero_divisor(self) -> Divisor:
         return (0,) * len(self.rays)
 

@@ -12,6 +12,7 @@ which determines the class multiset through the exact cohomology of twists.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,18 +232,28 @@ def det_class(dec: Decomposition) -> DivisorClass:
     return total
 
 
+def _pushforward_classes(fan: Fan, classes, order: FrobeniusOrder) -> Counter:
+    """Uncertified classes of F_*(sum of O(c)^m) over a class multiset {c: m}.
+
+    The splitting of F_* O(D) depends only on the class of D, so each class is
+    decomposed from whichever divisor ``divisor_of_class`` picks for it.
+    """
+    out: Counter = Counter()
+    for cls, mult in classes.items():
+        dec = frobenius_decompose(fan, fan.divisor_of_class(cls), order, certify=False)
+        for sub, m in dec.entries.items():
+            out[sub] += mult * m
+    return out
+
+
 def iterate_check(fan: Fan, divisor, p: int, n: int) -> bool:
-    """n successive p-power decompositions agree with one p^n-power pass."""
+    """n successive p-power decompositions agree with one p^n-power pass.
+
+    Each step pushes the class multiset of the previous one forward along the
+    p-power Frobenius with :func:`_pushforward_classes`.
+    """
     single = frobenius_decompose(fan, divisor, FrobeniusOrder(p, n), certify=False)
-    step = FrobeniusOrder(p, 1)
-    current = {class_of(fan, tuple(divisor)): 1}
+    current = Counter({class_of(fan, tuple(divisor)): 1})
     for _ in range(n):
-        merged: dict = {}
-        for cls, mult in current.items():
-            dec = frobenius_decompose(
-                fan, fan.divisor_of_class(cls), step, certify=False
-            )
-            for sub, m in dec.entries.items():
-                merged[sub] = merged.get(sub, 0) + mult * m
-        current = merged
-    return current == single.entries
+        current = _pushforward_classes(fan, current, FrobeniusOrder(p, 1))
+    return current == Counter(single.entries)

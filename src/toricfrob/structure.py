@@ -3,7 +3,10 @@
 These checks confront two independently computed class multisets: a direct
 residue decomposition on a total space against the prediction assembled from
 base data through the projective-bundle or blow-up structure.  All of them
-are exact multiset identities with no tolerance.
+are exact multiset identities with no tolerance.  P^1- and P^2-bundles share
+one check, :func:`pbundle_check`; its pushforwards of class multisets on the
+base come from :func:`frobenius._pushforward_classes`, as the iterated
+Frobenius check's do.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .fan import (
 from .frobenius import (
     FrobeniusOrder,
     OracleMismatch,
+    _pushforward_classes,
     det_class,
     frobenius_decompose,
 )
@@ -106,46 +110,50 @@ def _divided_multiset(bundle: SplitBundle, m: int) -> Counter:
     return out
 
 
-def _decompose_classes(fan: Fan, divisor, order) -> Counter:
-    dec = frobenius_decompose(fan, divisor, order, certify=False)
-    return Counter(dec.entries)
+def pbundle_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> bool:
+    """Exact multiset test of F_* O on the P^1- or P^2-bundle P(E) over a base.
 
-
-def _pushforward_sum(fan: Fan, twists: Counter, shift, order) -> Counter:
-    """Classes of the sum of F_* O(tw + shift) over the twists, with multiplicity."""
-    out: Counter = Counter()
-    for tw, tw_mult in twists.items():
-        dec = _decompose_classes(fan, fan.divisor_of_class(tw + shift), order)
-        for cls, mult in dec.items():
-            out[cls] += tw_mult * mult
-    return out
-
-
-def p1bundle_check(base_fan: Fan, a, order: FrobeniusOrder) -> bool:
-    """Exact multiset test of the splitting of F^n_* O on P(O + O(a)).
-
-    The pushforward is predicted as pullbacks of the base decomposition plus
-    pullbacks of the pushforwards of the divided-power twists, twisted down by
-    the determinant and by the relative O(-1); this must equal the direct
-    residue decomposition on the total space.
+    E = O(E_0) + ... + O(E_(r-1)) is split of rank r = 2 or 3, normalised so
+    that E_0 = 0.  The pushforward of O on P(E) is filtered with graded pieces
+    pulled back from the base (Thomsen, J. Algebra 226, 2000): F_* O, then at
+    rank 3 the cokernel E_1 of F_*O (x) E* -> F_*(S^q E*) twisted by -xi, and
+    F_*(D^(q-r) E (x) det E) (x) det E* twisted by -(r-1) xi.  Their classes
+    must equal the direct residue decomposition on the total space.  E_1 is a
+    multiset difference, which must stay non-negative.
     """
-    a = tuple(a)
+    rank = len(degrees)
+    if rank not in (2, 3):
+        raise ValueError("the projective-bundle check needs a rank 2 or 3 bundle")
     q = order.q
-    bundle = SplitBundle(base=base_fan, degrees=(base_fan.zero_divisor(), a))
-    pb = projectivization_fan(base_fan, bundle.degrees)
-    total = pb.fan
+    norm = tuple(tuple(x - y for x, y in zip(d, degrees[0])) for d in degrees)
+    bundle = SplitBundle(base=base_fan, degrees=norm)
+    pb = projectivization_fan(base_fan, norm)
     xi = pb.o_pi_class(1)
-    cls_a = class_of(base_fan, a)
+    det = bundle.det_class()
 
-    direct = _decompose_classes(total, total.zero_divisor(), order)
-
+    direct = _pushforward_classes(pb.fan, {pb.fan.zero_class(): 1}, order)
+    base_dec = _pushforward_classes(base_fan, {base_fan.zero_class(): 1}, order)
     predicted: Counter = Counter()
-    for cls, mult in _decompose_classes(base_fan, base_fan.zero_divisor(), order).items():
+    for cls, mult in base_dec.items():
         predicted[pb.pullback_class(cls)] += mult
-    # summands of D^(q-2)E (x) det E, pushed forward on the base
-    twists = _divided_multiset(bundle, q - 2)
-    for cls, mult in _pushforward_sum(base_fan, twists, cls_a, order).items():
-        predicted[pb.pullback_class(cls - cls_a) - xi] += mult
+    # the top piece: summands of D^(q-r)E (x) det E, pushed forward on the base
+    twists = {tw + det: m for tw, m in _divided_multiset(bundle, q - rank).items()}
+    for cls, mult in _pushforward_classes(base_fan, twists, order).items():
+        predicted[pb.pullback_class(cls - det) - (rank - 1) * xi] += mult
+    if rank == 3:
+        # E_1 = coker(F_*O (x) E* -> F_* S^q E*), as a class multiset difference
+        dual = SplitBundle(base=base_fan, degrees=tuple(tuple(-x for x in d) for d in norm))
+        e1 = _pushforward_classes(base_fan, _divided_multiset(dual, q), order)
+        for cls, mult in base_dec.items():
+            for ci in bundle.classes():
+                e1[cls - ci] -= mult
+        if any(v < 0 for v in e1.values()):
+            raise MultisetDifferenceNegative(
+                "cokernel class multiset has a negative multiplicity"
+            )
+        for cls, mult in e1.items():
+            if mult:
+                predicted[pb.pullback_class(cls) - xi] += mult
     return predicted == direct
 
 
@@ -170,55 +178,6 @@ def s2d2_identity_check(base_fan: Fan, a, order: FrobeniusOrder) -> bool:
     rhs = _divided_multiset(dual, 2 * q)
     rhs[q * dual.det_class()] += 1
     return lhs == rhs
-
-
-def p2bundle_filtration_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> bool:
-    """Exact multiset test of the two-step filtration on a P^2-bundle.
-
-    For a split rank-3 bundle E the pushforward of O on P(E) has graded pieces
-    (pullback of F_*O), (pullback of E_1)(-1), and (pullback of F_* of the
-    divided-power twist, det-twisted)(-2), where E_1 is the cokernel of
-    F_*O (x) E* -> F_*(S^q E*).  The cokernel classes are obtained as a
-    multiset difference, which must stay non-negative.
-    """
-    degrees = [tuple(d) for d in degrees]
-    if len(degrees) != 3:
-        raise ValueError("the filtration check needs a rank 3 bundle")
-    q = order.q
-    d0 = degrees[0]
-    norm = [tuple(x - y for x, y in zip(d, d0)) for d in degrees]
-    bundle = SplitBundle(base=base_fan, degrees=tuple(norm))
-    pb = projectivization_fan(base_fan, norm)
-    total = pb.fan
-    xi = pb.o_pi_class(1)
-    det = bundle.det_class()
-    classes = bundle.classes()
-
-    direct = _decompose_classes(total, total.zero_divisor(), order)
-    base_dec = _decompose_classes(base_fan, base_fan.zero_divisor(), order)
-
-    predicted: Counter = Counter()
-    for cls, mult in base_dec.items():
-        predicted[pb.pullback_class(cls)] += mult
-
-    # E_1 = coker(F_*O (x) E* -> F_* S^q E*), as a class multiset difference
-    dual = SplitBundle(base=base_fan, degrees=tuple(tuple(-x for x in d) for d in norm))
-    e1 = _pushforward_sum(base_fan, _divided_multiset(dual, q), base_fan.zero_class(), order)
-    for cls, mult in base_dec.items():
-        for ci in classes:
-            e1[cls - ci] -= mult
-    if any(v < 0 for v in e1.values()):
-        raise MultisetDifferenceNegative(
-            "cokernel class multiset has a negative multiplicity"
-        )
-    for cls, mult in e1.items():
-        if mult:
-            predicted[pb.pullback_class(cls) - xi] += mult
-
-    twists = _divided_multiset(bundle, q - 3)
-    for cls, mult in _pushforward_sum(base_fan, twists, det, order).items():
-        predicted[pb.pullback_class(cls - det) - 2 * xi] += mult
-    return predicted == direct
 
 
 def blowup_corank(p: int) -> int:
@@ -281,49 +240,37 @@ def blowup_bookkeeping_check(p: int) -> BlowupReport:
     )
 
 
-def _lucas_binom(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p by Lucas' theorem."""
-    if k < 0 or k > n:
-        return 0
-    result = 1
-    while n or k:
-        ni, ki = n % p, k % p
-        if ki > ni:
-            return 0
-        result = result * (comb(ni, ki) % p) % p
-        n //= p
-        k //= p
-    return result
+def _taylor_table(c: int, d: int, jet_order: int, p: int) -> np.ndarray:
+    """T[i, s] = C(i, s) c^(i - s) mod p, the (x - c)^s coefficient of x^i."""
+    table = np.zeros((max(d + 1, 0), max(jet_order + 1, 0)), dtype=np.int64)
+    for i, s in np.ndindex(table.shape):
+        if s <= i:
+            table[i, s] = comb(i, s) * pow(c, i - s, p) % p
+    return table
 
 
 def _jet_block(d: int, jet_order: int, p: int, point) -> np.ndarray:
     """Evaluation of degree-d plane sections on jets of the given order.
 
-    Rows index monomials of degree d (dehomogenised at the last coordinate),
-    columns index jet monomials of order <= jet_order at the point; entries
-    are the translated-coordinate Taylor coefficients mod p (binomials reduced
-    via Lucas).  A p that is not prime raises ValueError.
+    Rows index monomials x^i y^j of degree <= d (dehomogenised at the last
+    coordinate), columns index jet monomials (x-a)^s (y-b)^t of order
+    <= jet_order at the point (a, b); the entry is the Taylor coefficient
+    C(i, s) a^(i-s) C(j, t) b^(j-t) mod p, read from one table per coordinate.
+    A p that is not prime raises ValueError.
     """
     check_prime_field(p)
     a = point[0] * pow(point[2], p - 2, p) % p
     b = point[1] * pow(point[2], p - 2, p) % p
-    cols = [(s, t) for s in range(jet_order + 1) for t in range(jet_order + 1 - s)]
-    col_index = {c: k for k, c in enumerate(cols)}
-    rows = []
-    for i in range(d + 1):
-        for j in range(d + 1 - i):
-            row = [0] * len(cols)
-            for s in range(min(i, jet_order) + 1):
-                for t in range(min(j, jet_order - s) + 1):
-                    coeff = (
-                        _lucas_binom(i, s, p)
-                        * _lucas_binom(j, t, p)
-                        * pow(a, i - s, p)
-                        * pow(b, j - t, p)
-                    ) % p
-                    row[col_index[(s, t)]] = coeff
-            rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    rows = np.array(
+        [(i, j) for i in range(d + 1) for j in range(d + 1 - i)], dtype=np.int64
+    ).reshape(-1, 2)
+    cols = np.array(
+        [(s, t) for s in range(jet_order + 1) for t in range(jet_order + 1 - s)],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    ta = _taylor_table(a, d, jet_order, p)[np.ix_(rows[:, 0], cols[:, 0])]
+    tb = _taylor_table(b, d, jet_order, p)[np.ix_(rows[:, 1], cols[:, 1])]
+    return ta * tb % p
 
 
 def delpezzo_jet_check(

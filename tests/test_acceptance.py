@@ -21,9 +21,8 @@ from toricfrob import (
     hirzebruch_one,
     incidence_cohomology,
     line_bundle_cohomology_fp,
-    p1bundle_check,
     p1xp1,
-    p2bundle_filtration_check,
+    pbundle_check,
     product,
     projective_line,
     projective_plane,
@@ -147,13 +146,13 @@ def test_criterion_07_bundle_structure_checks():
         for key in rank2:
             base, degrees = BUNDLE_SPECS[key]()
             for p in (2, 3):
-                assert p1bundle_check(base, degrees[1], FrobeniusOrder(p)), (key, p)
+                assert pbundle_check(base, degrees, FrobeniusOrder(p)), (key, p)
         line = projective_line()
         for p in (2, 3):
-            assert p1bundle_check(line, (1, 0), FrobeniusOrder(p))
+            assert pbundle_check(line, [(0, 0), (1, 0)], FrobeniusOrder(p))
         base, degrees = BUNDLE_SPECS["P(O+O+O(1))/P1"]()
         for p in (2, 3):
-            assert p2bundle_filtration_check(base, degrees, FrobeniusOrder(p))
+            assert pbundle_check(base, degrees, FrobeniusOrder(p))
         plane = projective_plane()
         quadric = p1xp1()
         cases = [

@@ -2,6 +2,7 @@ import json
 
 from toricfrob import OracleMismatch
 from toricfrob import cli as cli_mod
+from toricfrob import frobenius as frobenius_mod
 from toricfrob.cli import main
 
 
@@ -166,6 +167,23 @@ def test_internal_invariant_exit_code(monkeypatch, capsys):
     code, _, err = run(capsys, "push", "--variety", "P1", "--p", "2")
     assert code == 2
     assert "invariant" in err
+
+
+def test_catalog_run_propagates_broken_certificates(monkeypatch, capsys):
+    # a residue count that gains one summand fails every projection-formula
+    # certificate; the survey must stop with exit 2, not report error rows
+    real = frobenius_mod._raw_decompose
+
+    def corrupted(*args):
+        entries, witnesses = real(*args)
+        first = next(iter(entries))
+        return {**entries, first: entries[first] + 1}, witnesses
+
+    monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupted)
+    code, out, err = run(capsys, "catalog", "run", "--p", "2")
+    assert code == 2
+    assert "invariant" in err
+    assert "ERROR" not in out
 
 
 def test_deterministic_output_bytes(capsys):

@@ -12,12 +12,11 @@ from toricfrob import (
     corank_oracle,
     delpezzo_jet_check,
     divided_power_split,
-    p1bundle_check,
-    p2bundle_filtration_check,
+    pbundle_check,
     s2d2_identity_check,
 )
 from toricfrob import structure as structure_mod
-from toricfrob.structure import _jet_block, _lucas_binom
+from toricfrob.structure import _jet_block
 from toricfrob.varieties import BUNDLE_SPECS
 
 PRIMES_THROUGH_13 = (2, 3, 5, 7, 11, 13)
@@ -64,18 +63,18 @@ def test_p1bundle_check_catalog_rank_two():
     ):
         base, degrees = BUNDLE_SPECS[key]()
         for p in (2, 3):
-            assert p1bundle_check(base, degrees[1], FrobeniusOrder(p)), (key, p)
+            assert pbundle_check(base, degrees, FrobeniusOrder(p)), (key, p)
 
 
 def test_p1bundle_check_hirzebruch(P1):
     for p in (2, 3, 5):
-        assert p1bundle_check(P1, (1, 0), FrobeniusOrder(p))
-    assert p1bundle_check(P1, (1, 0), FrobeniusOrder(2, 2))
+        assert pbundle_check(P1, [(0, 0), (1, 0)], FrobeniusOrder(p))
+    assert pbundle_check(P1, [(0, 0), (1, 0)], FrobeniusOrder(2, 2))
 
 
 def test_p1bundle_check_trivial_and_identity(P1, P2):
-    assert p1bundle_check(P2, (0, 0, 0), FrobeniusOrder(3))
-    assert p1bundle_check(P1, (1, 0), FrobeniusOrder(2, 0))
+    assert pbundle_check(P2, [(0, 0, 0)] * 2, FrobeniusOrder(3))
+    assert pbundle_check(P1, [(0, 0), (1, 0)], FrobeniusOrder(2, 0))
 
 
 def test_bundle_checks_higher_orders():
@@ -84,10 +83,7 @@ def test_bundle_checks_higher_orders():
     for key, build in BUNDLE_SPECS.items():
         base, degrees = build()
         for order in orders:
-            if len(degrees) == 2:
-                assert p1bundle_check(base, degrees[1], order), (key, order.q)
-            else:
-                assert p2bundle_filtration_check(base, degrees, order), (key, order.q)
+            assert pbundle_check(base, degrees, order), (key, order.q)
 
 
 def test_s2d2_identity(P1, P2, Q11):
@@ -106,35 +102,35 @@ def test_s2d2_identity(P1, P2, Q11):
 def test_p2bundle_filtration_catalog_entry():
     base, degrees = BUNDLE_SPECS["P(O+O+O(1))/P1"]()
     for p in (2, 3):
-        assert p2bundle_filtration_check(base, degrees, FrobeniusOrder(p))
+        assert pbundle_check(base, degrees, FrobeniusOrder(p))
 
 
 def test_p2bundle_filtration_more_bundles(P1):
-    assert p2bundle_filtration_check(P1, [(0, 0)] * 3, FrobeniusOrder(2))
-    assert p2bundle_filtration_check(P1, [(0, 0), (0, 0), (1, 0)], FrobeniusOrder(3))
-    assert p2bundle_filtration_check(P1, [(0, 0), (0, 0), (1, 0)], FrobeniusOrder(3, 0))
-    assert p2bundle_filtration_check(P1, [(1, 0), (1, 0), (2, 0)], FrobeniusOrder(2))
+    assert pbundle_check(P1, [(0, 0)] * 3, FrobeniusOrder(2))
+    assert pbundle_check(P1, [(0, 0), (0, 0), (1, 0)], FrobeniusOrder(3))
+    assert pbundle_check(P1, [(0, 0), (0, 0), (1, 0)], FrobeniusOrder(3, 0))
+    assert pbundle_check(P1, [(1, 0), (1, 0), (2, 0)], FrobeniusOrder(2))
 
 
-def test_p2bundle_requires_rank_three(P1):
-    with pytest.raises(ValueError):
-        p2bundle_filtration_check(P1, [(0, 0), (1, 0)], FrobeniusOrder(2))
+def test_pbundle_rejects_ranks_other_than_two_and_three(P1):
+    for degrees in ([(0, 0)], [(0, 0)] * 4):
+        with pytest.raises(ValueError):
+            pbundle_check(P1, degrees, FrobeniusOrder(2))
 
 
 def test_cokernel_difference_guard(monkeypatch, P1):
     # corrupt the base decomposition so the cokernel multiset goes negative
-    real = structure_mod._decompose_classes
+    real = structure_mod._pushforward_classes
 
-    def corrupted(fan, divisor, order):
-        out = real(fan, divisor, order)
-        if all(v == 0 for v in divisor):
-            out = Counter(out)
+    def corrupted(fan, classes, order):
+        out = real(fan, classes, order)
+        if list(classes) == [fan.zero_class()]:
             out[DivisorClass((-9,))] += 50
         return out
 
-    monkeypatch.setattr(structure_mod, "_decompose_classes", corrupted)
+    monkeypatch.setattr(structure_mod, "_pushforward_classes", corrupted)
     with pytest.raises(MultisetDifferenceNegative):
-        p2bundle_filtration_check(P1, [(0, 0), (0, 0), (1, 0)], FrobeniusOrder(2))
+        pbundle_check(P1, [(0, 0), (0, 0), (1, 0)], FrobeniusOrder(2))
 
 
 def test_corank_formula_and_oracle():
@@ -196,8 +192,39 @@ def test_jet_block_shape():
     assert block.shape == (10, 3)
 
 
-def test_lucas_binomials():
-    assert _lucas_binom(5, 2, 3) == 10 % 3
-    assert _lucas_binom(7, 3, 2) == 35 % 2
-    assert _lucas_binom(9, 4, 3) == 0  # 126 = 0 mod 3
-    assert _lucas_binom(3, 5, 7) == 0
+def _powers_of_binomial(c: int, top: int, p: int) -> list:
+    """Coefficient lists of (X + c)^i mod p for i = 0 .. top, by multiplying out."""
+    polys = [[1]]
+    for _ in range(top):
+        prev = polys[-1] + [0]
+        polys.append([(prev[k - 1] + c * prev[k]) % p if k else c * prev[0] % p
+                      for k in range(len(prev))])
+    return polys
+
+
+def _reference_jet_block(d, jet_order, p, a, b):
+    """Rows of x^i y^j as polynomials in X = x - a, Y = y - b, multiplied out."""
+    px, py = _powers_of_binomial(a, d, p), _powers_of_binomial(b, d, p)
+    return [
+        [
+            px[i][s] * py[j][t] % p if s <= i and t <= j else 0
+            for s in range(jet_order + 1)
+            for t in range(jet_order + 1 - s)
+        ]
+        for i in range(d + 1)
+        for j in range(d + 1 - i)
+    ]
+
+
+def test_jet_block_matches_multiplied_out_taylor_rows():
+    # points (x : y : 1), so the affine point is (a, b) = (x, y) mod p
+    points = ((1, 1), (2, 3), (6, 4), (10, 7))
+    for p in PRIMES_THROUGH_13:
+        for q in (p**n for n in range(4) if p**n <= 25):
+            for d in (3 * q - 3, 2 * q - 3, q - 3):
+                for x, y in points:
+                    if x % p == 0 or y % p == 0:
+                        continue
+                    got = _jet_block(d, q - 2, p, (x, y, 1))
+                    want = _reference_jet_block(d, q - 2, p, x % p, y % p)
+                    assert got.tolist() == want, (p, q, d, x, y)
