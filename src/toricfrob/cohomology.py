@@ -42,6 +42,11 @@ from .linalg import _INT64_GUARD, ranks_mod_p
 
 MAX_DIM = 4
 MAX_BOX_POINTS = 4_000_000
+# A Frobenius residue decomposition holds all its q^(d-1) residue lines of
+# 1 + sum |v_rho[d]| intervals each in memory at once, 80-100 bytes per
+# interval on the catalog's surfaces and threefolds; past this many intervals
+# (~100 MB) it raises Overflow before allocating.
+MAX_RESIDUE_WORK = 1_000_000
 # Odd, so that a sign error in a boundary matrix still changes its rank.
 _BETTI_P = 32749
 

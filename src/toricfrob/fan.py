@@ -175,10 +175,12 @@ class Fan:
         weights = [sum(map(abs, col)) for col in zip(*self.class_matrix)]
         return max(sum(map(abs, ray)) for ray in self.rays), max(weights)
 
-    # Per-fan memo dictionaries, shared by the cohomology engine.  Values are
-    # deterministic functions of the key, so concurrent insertion is benign.
-    # They live as long as the fan: for a registered variety, whose one fan
-    # ``named_variety`` shares, that is the whole process.
+    # Per-fan memo dictionaries, shared by the cohomology engine and, in
+    # ``_dec_cache``, by the Frobenius decompositions: (divisor, order) -> the
+    # certified, read-only Decomposition.  Values are deterministic functions
+    # of the key, so concurrent insertion is benign.  They live as long as the
+    # fan: for a registered variety, whose one fan ``named_variety`` shares,
+    # that is the whole process.
     @cached_property
     def _coh_cache(self):
         return {}
@@ -189,6 +191,10 @@ class Fan:
 
     @cached_property
     def _line_cache(self):
+        return {}
+
+    @cached_property
+    def _dec_cache(self):
         return {}
 
     @property

@@ -8,16 +8,23 @@ breakpoints, so q^(d-1) lines of a few intervals each stand in for the q^d
 residues.  The explicit residue formula used here is never trusted on its
 own: every public decomposition is certified against the projection formula,
 which determines the class multiset through the exact cohomology of twists.
+
+A certified decomposition is computed once per (fan, divisor, order): the fan
+keeps it in ``Fan._dec_cache`` and every later question shares the same
+read-only :class:`Decomposition`.  Only certified results are kept, so the
+first ask of each (fan, divisor, order) always runs the full certificate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
 from .cohomology import (
+    MAX_RESIDUE_WORK,
     Overflow,
     _line_counts,
     _line_rays,
@@ -59,20 +66,26 @@ class FrobeniusOrder:
         return self.p**self.n
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
     """Multiset of line bundle classes of a split Frobenius pushforward.
 
     ``entries`` maps each class to its multiplicity; ``witnesses`` keeps one
-    residue u and the divisor it produced, per class.
+    residue u and the divisor it produced, per class.  Both are read-only
+    copies of the mappings given, since a certified decomposition is shared
+    by every caller that asks for it.
     """
 
     fan: Fan
     divisor: Divisor
     order: FrobeniusOrder
-    entries: dict
-    witnesses: dict = field(repr=False)
+    entries: MappingProxyType
+    witnesses: MappingProxyType = field(repr=False)
     certified: bool = False
+
+    def __post_init__(self):
+        for name in ("entries", "witnesses"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @property
     def rank(self) -> int:
@@ -89,13 +102,21 @@ def _check_residue_range(fan: Fan, divisor, q: int) -> None:
     class matrix (both read once per fan), every a + <u, v> stays within
     numer = max|a| + (q - 1) R, a breakpoint numerator X below R q, a
     class key within (numer // q + 1 + R) W, and a flat position or count
-    within q^d.
+    within q^d.  Every interval is held in memory at once, so the q^(d-1)
+    residue lines of 1 + sum |v_rho[d]| intervals each must also stay within
+    MAX_RESIDUE_WORK.
     """
     ray_bound, weight = fan._int_bounds
     numer = max(abs(a) for a in divisor) + (q - 1) * ray_bound
     reach = max(numer, ray_bound * q, (numer // q + 1 + ray_bound) * weight)
     if reach >= _INT64_GUARD or q**fan.dim >= _INT64_GUARD:
         raise Overflow("residue decomposition exceeds the exact int64 range")
+    slope_sum = sum(abs(ray[-1]) for ray in fan.rays)
+    if q ** (fan.dim - 1) * (1 + slope_sum) > MAX_RESIDUE_WORK:
+        raise Overflow(
+            f"residue decomposition at q = {q} needs more than "
+            f"{MAX_RESIDUE_WORK} residue intervals"
+        )
 
 
 def _raw_decompose(fan: Fan, divisor, order: FrobeniusOrder):
@@ -165,26 +186,34 @@ def frobenius_decompose(
 
     With ``certify`` the class multiset is checked against the projection
     formula over the default test twists; a failure raises OracleMismatch and
-    indicates an implementation bug, never bad user input.
+    indicates an implementation bug, never bad user input.  A certified
+    decomposition is computed and certified once per (fan, divisor, order)
+    and then shared read-only from ``fan._dec_cache``; a failed certificate
+    stores nothing, and ``certify=False`` neither reads nor fills the cache.
     """
     divisor = tuple(divisor)
     if len(divisor) != len(fan.rays):
         raise ValueError("divisor length does not match number of rays")
+    key = (divisor, order)
+    hit = fan._dec_cache.get(key) if certify else None
+    if hit is not None:
+        return hit
     entries, witnesses = _raw_decompose(fan, divisor, order)
     dec = Decomposition(
         fan=fan, divisor=divisor, order=order, entries=entries, witnesses=witnesses
     )
-    if certify:
-        if not verify_projection_formula(dec):
-            failure = projection_formula_failure(dec)
-            e, i, lhs, rhs = failure
-            raise OracleMismatch(
-                f"projection formula failed for F_{order.q}* O({divisor}) on "
-                f"{fan.name or 'fan'}: twist E = {e}, degree {i}, "
-                f"sum of h^{i}(D_u + E) = {lhs} but h^{i}(D + qE) = {rhs}",
-                failure,
-            )
-        dec.certified = True
+    if not certify:
+        return dec
+    if not verify_projection_formula(dec):
+        failure = projection_formula_failure(dec)
+        e, i, lhs, rhs = failure
+        raise OracleMismatch(
+            f"projection formula failed for F_{order.q}* O({divisor}) on "
+            f"{fan.name or 'fan'}: twist E = {e}, degree {i}, "
+            f"sum of h^{i}(D_u + E) = {lhs} but h^{i}(D + qE) = {rhs}",
+            failure,
+        )
+    dec = fan._dec_cache[key] = replace(dec, certified=True)
     return dec
 
 

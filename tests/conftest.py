@@ -38,6 +38,22 @@ def F1():
     return hirzebruch_one()
 
 
+@pytest.fixture
+def cold_decompositions(monkeypatch):
+    """Give the fans passed to it empty decomposition caches for one test.
+
+    A fault-injection test corrupts ``_raw_decompose``; a certified
+    decomposition already held by the fan would be returned without reaching
+    it, and the corruption would pass unseen.
+    """
+
+    def cold(*fans):
+        for fan in fans:
+            monkeypatch.setitem(fan.__dict__, "_dec_cache", {})
+
+    return cold
+
+
 def order(p, n=1):
     return FrobeniusOrder(p, n)
 

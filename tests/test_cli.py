@@ -1,6 +1,6 @@
 import json
 
-from toricfrob import OracleMismatch
+from toricfrob import OracleMismatch, catalog_entries
 from toricfrob import cli as cli_mod
 from toricfrob import frobenius as frobenius_mod
 from toricfrob.cli import main
@@ -169,9 +169,12 @@ def test_internal_invariant_exit_code(monkeypatch, capsys):
     assert "invariant" in err
 
 
-def test_catalog_run_propagates_broken_certificates(monkeypatch, capsys):
+def test_catalog_run_propagates_broken_certificates(
+    monkeypatch, cold_decompositions, capsys
+):
     # a residue count that gains one summand fails every projection-formula
     # certificate; the survey must stop with exit 2, not report error rows
+    cold_decompositions(*(entry.build() for entry in catalog_entries()))
     real = frobenius_mod._raw_decompose
 
     def corrupted(*args):

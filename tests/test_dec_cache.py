@@ -1,0 +1,133 @@
+"""Each (fan, divisor, order) is decomposed and certified once per process,
+and only certified decompositions are shared, read-only."""
+
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+from toricfrob import (
+    DivisorClass,
+    FrobeniusOrder,
+    OracleMismatch,
+    adjunction_crosscheck,
+    catalog_run,
+    ext_table,
+    fano_sufficient_check,
+    frobenius_decompose,
+    named_variety,
+    projective_plane,
+    tilting_verdict,
+)
+from toricfrob import frobenius as frobenius_mod
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Count the residue decompositions and certificates that run."""
+    calls = {"raw": 0, "certify": 0}
+    real_raw = frobenius_mod._raw_decompose
+    real_failure = frobenius_mod.projection_formula_failure
+
+    def raw(*args):
+        calls["raw"] += 1
+        return real_raw(*args)
+
+    def failure(*args):
+        calls["certify"] += 1
+        return real_failure(*args)
+
+    monkeypatch.setattr(frobenius_mod, "_raw_decompose", raw)
+    monkeypatch.setattr(frobenius_mod, "projection_formula_failure", failure)
+    return calls
+
+
+def test_repeat_catalog_run_neither_decomposes_nor_certifies(engine_calls):
+    named_variety.cache_clear()
+    first = catalog_run(2)
+    assert engine_calls == {"raw": 12, "certify": 12}
+    engine_calls.update(raw=0, certify=0)
+    assert catalog_run(2) == first
+    assert engine_calls == {"raw": 0, "certify": 0}
+
+
+def test_four_questions_on_one_fan_share_one_certificate(engine_calls):
+    fan = projective_plane()
+    order = FrobeniusOrder(3)
+    verdict = tilting_verdict(fan, order)
+    assert ext_table(fan, order).dims == verdict.dims
+    assert adjunction_crosscheck(fan, order)
+    assert fano_sufficient_check(fan, order)
+    assert engine_calls == {"raw": 1, "certify": 1}
+
+
+def test_repeat_returns_the_shared_decomposition():
+    fan = projective_plane()
+    order = FrobeniusOrder(2)
+    dec = frobenius_decompose(fan, fan.zero_divisor(), order)
+    assert frobenius_decompose(fan, [0, 0, 0], order) is dec
+    assert fan._dec_cache == {((0, 0, 0), order): dec}
+
+
+def test_failed_certificate_caches_nothing(monkeypatch):
+    fan = projective_plane()
+    order = FrobeniusOrder(2)
+
+    def corrupt(fan, divisor, order):
+        return {DivisorClass((0,)): 4}, {}
+
+    monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupt)
+    with pytest.raises(OracleMismatch):
+        frobenius_decompose(fan, fan.zero_divisor(), order)
+    assert fan._dec_cache == {}
+    monkeypatch.undo()
+    dec = frobenius_decompose(fan, fan.zero_divisor(), order)
+    assert dec.certified
+    assert dec.entries == {DivisorClass((0,)): 1, DivisorClass((-1,)): 3}
+
+
+def test_uncertified_path_leaves_the_cache_alone():
+    fan = projective_plane()
+    order = FrobeniusOrder(3)
+    raw = frobenius_decompose(fan, fan.zero_divisor(), order, certify=False)
+    assert not raw.certified
+    assert fan._dec_cache == {}
+    dec = frobenius_decompose(fan, fan.zero_divisor(), order)
+    again = frobenius_decompose(fan, fan.zero_divisor(), order, certify=False)
+    assert again is not dec and not again.certified
+    assert again.entries == dec.entries
+    assert list(fan._dec_cache.values()) == [dec]
+
+
+def test_orders_with_the_same_q_keep_their_own_order():
+    fan = projective_plane()
+    two, three = FrobeniusOrder(2, 0), FrobeniusOrder(3, 0)
+    assert two.q == three.q == 1
+    dec_two = frobenius_decompose(fan, (1, 0, 0), two)
+    dec_three = frobenius_decompose(fan, (1, 0, 0), three)
+    assert dec_two.order == two and dec_three.order == three
+    assert dec_two.entries == dec_three.entries == {DivisorClass((1,)): 1}
+    assert len(fan._dec_cache) == 2
+
+
+def test_shared_decomposition_is_read_only():
+    fan = projective_plane()
+    dec = frobenius_decompose(fan, fan.zero_divisor(), FrobeniusOrder(2))
+    cls = DivisorClass((0,))
+    with pytest.raises(TypeError):
+        dec.entries[cls] = 5
+    with pytest.raises(TypeError):
+        del dec.witnesses[cls]
+    with pytest.raises(FrozenInstanceError):
+        dec.certified = False
+    assert dec.entries[cls] == 1 and dec.certified
+
+
+def test_decomposition_copies_the_mappings_it_is_given():
+    fan = projective_plane()
+    entries = {DivisorClass((0,)): 1}
+    dec = frobenius_mod.Decomposition(
+        fan=fan, divisor=fan.zero_divisor(), order=FrobeniusOrder(2, 0),
+        entries=entries, witnesses={},
+    )
+    entries[DivisorClass((0,))] = 7
+    assert dec.entries == {DivisorClass((0,)): 1}

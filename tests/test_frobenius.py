@@ -151,19 +151,21 @@ def test_corrupted_decomposition_fails_oracle(P2):
     assert not verify_projection_formula(bad)
 
 
-def test_oracle_mismatch_raised(monkeypatch, P2):
+def test_oracle_mismatch_raised(monkeypatch, cold_decompositions, P2):
     def corrupt(fan, divisor, order):
         return {DivisorClass((0,)): 4}, {}
 
+    cold_decompositions(P2)
     monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupt)
     with pytest.raises(OracleMismatch):
         frobenius_decompose(P2, (0, 0, 0), FrobeniusOrder(2))
 
 
-def test_oracle_mismatch_names_broken_identity(monkeypatch, P2):
+def test_oracle_mismatch_names_broken_identity(monkeypatch, cold_decompositions, P2):
     def corrupt(fan, divisor, order):
         return {DivisorClass((0,)): 4}, {}
 
+    cold_decompositions(P2)
     monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupt)
     with pytest.raises(OracleMismatch) as info:
         frobenius_decompose(P2, (0, 0, 0), FrobeniusOrder(2))

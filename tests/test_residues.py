@@ -1,5 +1,6 @@
 """The line-counted residue decomposition against the residue loop it replaced."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -16,6 +17,7 @@ from toricfrob import (
     named_variety,
     projective_line,
 )
+from toricfrob import frobenius as frobenius_mod
 from toricfrob.frobenius import _raw_decompose
 
 
@@ -122,3 +124,29 @@ def test_p1_just_past_the_residue_guard_raises_overflow():
     ]
     with pytest.raises(Overflow):
         _raw_decompose(p1, (2**61 + 2, 0), order)
+
+
+def test_p1xp1_at_a_large_prime_is_refused_before_allocating():
+    # 2^31 - 1 lines of 3 intervals each: ~640 GB if it were allocated
+    fan = named_variety("P1xP1")
+    order = FrobeniusOrder(2**31 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Overflow, match="residue intervals"):
+            _raw_decompose(fan, fan.zero_divisor(), order)
+        with pytest.raises(Overflow, match="residue intervals"):
+            frobenius_decompose(fan, fan.zero_divisor(), order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_residue_work_bound_is_inclusive(monkeypatch):
+    # P1xP1 has sum |v_rho[2]| = 2: q lines of 3 intervals each
+    monkeypatch.setattr(frobenius_mod, "MAX_RESIDUE_WORK", 21)
+    fan = named_variety("P1xP1")
+    entries, _ = _raw_decompose(fan, fan.zero_divisor(), FrobeniusOrder(7))
+    assert sum(entries.values()) == 49
+    with pytest.raises(Overflow):
+        _raw_decompose(fan, fan.zero_divisor(), FrobeniusOrder(11))
