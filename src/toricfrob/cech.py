@@ -10,24 +10,35 @@ between such bundles act on these bases by polynomial multiplication followed
 by truncation to the target basis; that is the induced map on the
 standard-cover Cech model.  Every map is torus-equivariant, so it is block
 diagonal over torus weights, and its rank is the sum of the F_p ranks of its
-weight blocks; no map is ever assembled as one dense matrix.  The blocks are
-zero-padded to a few shapes, and the blocks of one shape are eliminated as
-one stack by :func:`linalg.ranks_mod_p`.  Before any monomial is
-enumerated, the size of every first-page term is counted from binomials, and
-a complex with a term of more than MAX_CECH_BASIS monomials is refused with
-Overflow.
+weight blocks; no map is ever assembled as one dense matrix.  A product is
+found in the target basis by its stars-and-bars position, so only the
+source basis is enumerated.
+
+When every factor is one P^n and every entry of a map is fixed by S_(n+1)
+permuting the coordinates of all factors at once (as S_3 fixes the pairing
+form on P2 x P2), that group maps the bases, the Cech cover and the weight
+blocks to themselves, so blocks of one orbit have one rank.  The symmetry is
+proved on the terms of each map before it is used; only one block per orbit
+is then eliminated, and its rank counts once per block of the orbit.
+
+The blocks are zero-padded to a few shapes, and the blocks of one shape are
+eliminated as one stack by :func:`linalg.ranks_mod_p`.  Before any monomial
+is enumerated, the size of every first-page term is counted from binomials,
+and a complex with a term of more than MAX_CECH_BASIS monomials is refused
+with Overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import comb, gcd, prod
+from math import comb, factorial, gcd, prod
 
 import numpy as np
 
 from .cohomology import CohomologyVector, Overflow
 from .fan import InvariantViolation
+from .frobenius import FrobeniusOrder
 from .linalg import _INT64_GUARD, adjugate_int, check_prime_field, det_int, ranks_mod_p
 
 # Largest cohomology basis of one term, in one degree, that the engine will
@@ -38,8 +49,9 @@ MAX_CECH_BASIS = 1_000_000
 # Weight blocks are padded with zero rows and columns up to a multiple of
 # _PAD in each dimension, and the blocks of one padded shape are eliminated
 # as one stack; padding leaves every rank unchanged.  At (12, -13) this makes
-# 7 stacks of the 276 blocks.  Grouping by exact shape (_PAD = 1) ran 2x
-# slower there, and 16 or 32 were no faster.
+# 7 stacks of the 52 blocks, one per S3-orbit of the 276.  With all 276
+# blocks, grouping by exact shape (_PAD = 1) ran 2x slower; with 52, 16 or
+# 32 were within run-to-run noise of 8.
 _PAD = 8
 
 
@@ -266,65 +278,170 @@ def _local_index(block, ids):
     return local, np.diff(first, append=pair[-1] + 1)
 
 
+def _basis_index(space, multidegree, rows):
+    """Position of each exponent row in ``line_bundle_basis(space, multidegree)``.
+
+    A row outside that basis gets -1.  Per factor P^n of exponent total t,
+    the parts e (the exponents, or -1 - exponents in top degree) are ranked
+    in the lex order of the stars-and-bars enumeration, which is the lex
+    order of e: with R_i = t - e_0 - ... - e_(i-1), the compositions below e
+    number sum_i C(R_i + n - i, n - i) - C(R_(i+1) + n - i, n - i).  Every
+    binomial read is at most C(t + n, n), the factor's basis size.  The
+    factors combine in the basis's mixed radix, the first factor slowest.
+    """
+    index = np.zeros(len(rows), dtype=np.int64)
+    valid = np.ones(len(rows), dtype=bool)
+    start = 0
+    for n, (degree, total) in zip(space.factor_dims, _factor_degrees(space, multidegree)):
+        parts = rows[:, start : start + n + 1]
+        start += n + 1
+        if degree:
+            parts = -1 - parts
+        in_range = np.all((parts >= 0) & (parts <= total), axis=1)
+        parts = np.where(in_range[:, None], parts, 0)
+        valid &= in_range & (parts.sum(axis=1) == total)
+        parts[~valid] = 0
+        # binom[y, k] = C(y + k, k), by C(y + k, k) = sum_(x <= y) C(x + k - 1, k - 1)
+        binom = np.ones((total + 1, n + 1), dtype=np.int64)
+        for k in range(1, n + 1):
+            binom[:, k] = np.cumsum(binom[:, k - 1])
+        left = total - np.cumsum(parts, axis=1) + parts  # R_0 .. R_n
+        k = n - np.arange(n)
+        below = binom[left[:, :n], k] - binom[left[:, 1:], k]
+        index = index * binom[total, n] + below.sum(axis=1)
+    return np.where(valid, index, -1)
+
+
+def _symmetry(space, poly_matrix) -> int:
+    """The g of the coordinate permutation group S_g that fixes the map.
+
+    S_g permutes the coordinates of every factor at once, so it needs every
+    factor to be one P^n, and then g = n + 1.  It is taken only when the
+    transposition (0 1) and the cycle (0 1 ... n), which generate S_(n+1),
+    both fix every entry of ``poly_matrix`` term for term; otherwise g = 1,
+    the trivial group.
+    """
+    if len(set(space.factor_dims)) != 1:
+        return 1
+    g = space.factor_dims[0] + 1
+    for perm in ((1, 0, *range(2, g)), (*range(1, g), 0)):
+        for poly in chain.from_iterable(poly_matrix):
+            image = {
+                tuple(tuple(f[i] for i in perm) for f in mono): c
+                for mono, c in poly.terms.items()
+            }
+            if image != poly.terms:
+                return 1
+    return g
+
+
+def _orbits(weights, g: int):
+    """Which weight rows are canonical under S_g, and the orbit size of each.
+
+    A row holds g coordinates per factor, and S_g permutes the coordinates of
+    every factor at once, so it permutes the g tuples (w_f,i over factors f)
+    indexed by the coordinate i.  A row is canonical when these tuples are in
+    non-decreasing lex order; each orbit holds exactly one canonical row.
+    Equal tuples of a canonical row stand in runs, and its orbit has
+    g! / prod(L!) rows, L running over the run lengths.  Returns the boolean
+    mask of the canonical rows and the orbit sizes of those rows alone.
+    """
+    w = weights.reshape(len(weights), -1, g)
+    at = np.arange(len(w))
+    canonical = np.ones(len(w), dtype=bool)
+    run = stabiliser = np.ones(len(w), dtype=np.int64)
+    for i in range(g - 1):
+        left, right = w[:, :, i], w[:, :, i + 1]
+        differ = left != right
+        first = differ.argmax(axis=1)
+        ties = ~differ.any(axis=1)
+        canonical &= ties | (left[at, first] < right[at, first])
+        run = np.where(ties, run + 1, 1)
+        stabiliser = stabiliser * run
+    return canonical, factorial(g) // stabiliser[canonical]
+
+
 def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     """Rank over F_p of the induced map on degree-`degree` cohomology.
 
     Each term t of entry (dst_j, src_j) sends the source row [src_j | m] to
-    [dst_j | m + t]; products outside the target basis are discarded.  The
-    terms of an entry are distinct, so no two contributions share a matrix
-    entry, and dropping the terms that vanish mod p drops every zero entry.
-    As K . (m + t) = K . m for K = :func:`_weights`, the map is block diagonal
-    over the weights K . m of its columns.  Each block is padded with zeros
-    to a multiple of _PAD rows and columns, and each padded shape is one
-    :func:`ranks_mod_p` stack, built, eliminated and freed in turn.
-    Overflow is raised before any exponent, product or weight could reach
-    _INT64_GUARD.
+    [dst_j | m + t]; products outside the target basis are discarded, and
+    the others are found in it by :func:`_basis_index`, so the target basis
+    is counted but never enumerated.  The terms of an entry are distinct, so
+    no two contributions share a matrix entry, and dropping the terms that
+    vanish mod p drops every zero entry.  As K . (m + t) = K . m for
+    K = :func:`_weights`, the map is block diagonal over the weights K . m of
+    its columns.
+
+    When S_g = :func:`_symmetry` is not trivial, a permutation s in it maps
+    the bases, and the term set of every entry, to themselves, and K s = s K
+    because s keeps the span of the terms.  So s maps the weight-w block
+    entry for entry onto the weight-s(w) block, in the degree-0 and the
+    local-cohomology model alike, and the blocks of one orbit have one rank.
+    Only the source rows of canonical weight (:func:`_orbits`) are kept,
+    before any product is formed, and each block's rank counts orbit-size
+    times.  With the trivial group every block is kept, once.
+
+    Each block is padded with zeros to a multiple of _PAD rows and columns,
+    and each padded shape is one :func:`ranks_mod_p` stack, built, eliminated
+    and freed in turn.  Overflow is raised before any exponent, product or
+    weight could reach _INT64_GUARD.
     """
     src = _term_basis(space, src_term, degree)
-    dst = _term_basis(space, dst_term, degree)
+    offsets, count = [], 0
+    for md in dst_term:
+        info = _basis_size(space, md)
+        offsets.append(count if info is not None and info[0] == degree else None)
+        count += info[1] if offsets[-1] is not None else 0
     terms = [
-        ((dst_j - src_j, *chain.from_iterable(mono)), src_j, c % p)
+        (dst_j, src_j, np.array(list(chain.from_iterable(mono)), dtype=np.int64), c % p)
         for dst_j, row in enumerate(poly_matrix)
         for src_j, poly in enumerate(row)
         for mono, c in poly.terms.items()
         if c % p
     ]
-    if not len(src) or not len(dst) or not terms:
+    if not len(src) or not count or not terms:
         return 0
     weights = _weights(poly_matrix, src.shape[1] - 1)
     spread = max(sum(map(abs, row)) for row in weights)
     reach = int(np.abs(src[:, 1:]).max())
-    reach += max(abs(x) for shift, _, _ in terms for x in shift[1:])
+    reach += max(int(np.abs(t).max()) for _, _, t, _ in terms)
     if max(spread, 1) * reach >= _INT64_GUARD:
         raise Overflow(f"Cech weights need {spread} * {reach}, past int64")
-    at = [np.flatnonzero(src[:, 0] == src_j) for _, src_j, _ in terms]
-    prods = [src[a] + np.array(t[0], dtype=np.int64) for a, t in zip(at, terms)]
-    # find each product among the target rows by exact row equality
-    label = _row_labels(np.concatenate([dst] + prods))
-    row_of = np.full(len(label), -1)
-    row_of[label[: len(dst)]] = np.arange(len(dst))
-    rows = row_of[label[len(dst) :]]
-    hit = rows >= 0
-    if not hit.any():
+    weight = src[:, 1:] @ np.array(weights, dtype=np.int64).T
+    orbit = np.ones(len(src), dtype=np.int64)
+    g = _symmetry(space, poly_matrix)
+    if g > 1:
+        keep, orbit = _orbits(weight, g)
+        src, weight = src[keep], weight[keep]
+    found = [(np.zeros(0, dtype=np.int64),) * 3]
+    for dst_j, src_j, t, c in terms:
+        if offsets[dst_j] is not None:
+            at = np.flatnonzero(src[:, 0] == src_j)
+            index = _basis_index(space, dst_term[dst_j], src[at, 1:] + t)
+            hit = index >= 0
+            found.append((offsets[dst_j] + index[hit], at[hit], np.full(hit.sum(), c)))
+    rows, cols, values = map(np.concatenate, zip(*found))
+    if not len(rows):
         return 0
-    rows, cols = rows[hit], np.concatenate(at)[hit]
-    values = np.repeat([c for _, _, c in terms], list(map(len, at)))[hit]
-    block = _row_labels(src[cols, 1:] @ np.array(weights, dtype=np.int64).T)
+    block = _row_labels(weight[cols])
     i, nrows = _local_index(block, rows)
     j, ncols = _local_index(block, cols)
+    size = np.empty(len(nrows), dtype=np.int64)
+    size[block] = orbit[cols]
     # blocks of one padded shape form one stack, eliminated in one call
     shape = -(-np.stack((nrows, ncols), axis=1) // _PAD) * _PAD
     shapes, group = np.unique(shape, axis=0, return_inverse=True)
     slot = np.empty(len(group), dtype=np.int64)
     entry_group = group[block]
     rank = 0
-    for g, (height, width) in enumerate(shapes.tolist()):
-        members = np.flatnonzero(group == g)
+    for k, (height, width) in enumerate(shapes.tolist()):
+        members = np.flatnonzero(group == k)
         slot[members] = np.arange(len(members))
-        at = np.flatnonzero(entry_group == g)
+        at = np.flatnonzero(entry_group == k)
         stack = np.zeros((len(members), height, width), dtype=np.int64)
         stack[slot[block[at]], i[at], j[at]] = values[at]
-        rank += int(ranks_mod_p(stack, p).sum())
+        rank += int(ranks_mod_p(stack, p) @ size[members])
         del stack
     return rank
 
@@ -406,7 +523,8 @@ def incidence_cohomology(a: int, b: int, p: int) -> CohomologyVector:
 
 def concentration_check(a: int, b: int, p: int, m: int) -> bool:
     """The q = p^m pullback of O(a, b) on the incidence threefold has at most
-    one nonzero cohomology group."""
-    q = p**m
+    one nonzero cohomology group.  A p that is not prime, or an m < 0,
+    raises ValueError before any work is done."""
+    q = FrobeniusOrder(p, m).q
     dims = incidence_cohomology(q * a, q * b, p)
     return sum(1 for d in dims.dims if d) <= 1

@@ -35,7 +35,7 @@ from .frobenius import (
     det_class,
     frobenius_decompose,
 )
-from .linalg import check_prime_field, is_prime, rank_mod_p
+from .linalg import check_prime_field, is_prime, ranks_mod_p
 from .varieties import named_variety
 
 
@@ -249,28 +249,41 @@ def _taylor_table(c: int, d: int, jet_order: int, p: int) -> np.ndarray:
     return table
 
 
-def _jet_block(d: int, jet_order: int, p: int, point) -> np.ndarray:
-    """Evaluation of degree-d plane sections on jets of the given order.
+def _jet_stack(degrees, jet_order: int, p: int, point) -> np.ndarray:
+    """Evaluation of plane sections on jets, one zero-padded block per degree.
 
-    Rows index monomials x^i y^j of degree <= d (dehomogenised at the last
-    coordinate), columns index jet monomials (x-a)^s (y-b)^t of order
-    <= jet_order at the point (a, b); the entry is the Taylor coefficient
-    C(i, s) a^(i-s) C(j, t) b^(j-t) mod p, read from one table per coordinate.
-    A p that is not prime raises ValueError.
+    Block k has a row per monomial x^i y^j of degree <= degrees[k]
+    (dehomogenised at the last coordinate) and a column per jet monomial
+    (x-a)^s (y-b)^t of order <= jet_order at the point (a, b); the entry is
+    the Taylor coefficient C(i, s) a^(i-s) C(j, t) b^(j-t) mod p.  It is read
+    from one table per coordinate, built once at the largest degree; a
+    smaller degree reads fewer of its rows.  Rows past a block's own count
+    are zero.  A p that is not prime raises ValueError.
     """
     check_prime_field(p)
     a = point[0] * pow(point[2], p - 2, p) % p
     b = point[1] * pow(point[2], p - 2, p) % p
-    rows = np.array(
-        [(i, j) for i in range(d + 1) for j in range(d + 1 - i)], dtype=np.int64
-    ).reshape(-1, 2)
     cols = np.array(
         [(s, t) for s in range(jet_order + 1) for t in range(jet_order + 1 - s)],
         dtype=np.int64,
     ).reshape(-1, 2)
-    ta = _taylor_table(a, d, jet_order, p)[np.ix_(rows[:, 0], cols[:, 0])]
-    tb = _taylor_table(b, d, jet_order, p)[np.ix_(rows[:, 1], cols[:, 1])]
-    return ta * tb % p
+    top = max(degrees)
+    ta = _taylor_table(a, top, jet_order, p)[:, cols[:, 0]]
+    tb = _taylor_table(b, top, jet_order, p)[:, cols[:, 1]]
+    rows = [
+        np.array([(i, j) for i in range(d + 1) for j in range(d + 1 - i)], dtype=np.int64)
+        .reshape(-1, 2)
+        for d in degrees
+    ]
+    stack = np.zeros((len(degrees), max(map(len, rows)), len(cols)), dtype=np.int64)
+    for k, r in enumerate(rows):
+        stack[k, : len(r)] = ta[r[:, 0]] * tb[r[:, 1]] % p
+    return stack
+
+
+def _jet_block(d: int, jet_order: int, p: int, point) -> np.ndarray:
+    """The block of :func:`_jet_stack` for the one degree d, unpadded."""
+    return _jet_stack((d,), jet_order, p, point)[0]
 
 
 def delpezzo_jet_check(
@@ -321,12 +334,10 @@ def delpezzo_jet_check(
     if compute_rank:
         if any(c % p == 0 for c in point):
             raise ValueError("jet evaluation point must have nonzero coordinates")
-        # block diagonal: each distinct block is eliminated once
-        rank = sum(
-            mult * rank_mod_p(_jet_block(d, q - 2, p, point), p)
-            for d, mult in twists
-            if mult
-        )
+        # block diagonal: the distinct blocks are eliminated once, as one stack
+        present = [(d, mult) for d, mult in twists if mult]
+        stack = _jet_stack([d for d, _ in present], q - 2, p, point)
+        rank = int(ranks_mod_p(stack, p) @ [mult for _, mult in present])
     return JetCheckReport(
         q=q,
         p1=p1,

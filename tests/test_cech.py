@@ -94,6 +94,12 @@ def test_concentration_checks():
     assert concentration_check(0, 0, 5, 1)
 
 
+@pytest.mark.parametrize("p, m", [(3, -1), (2, -3), (4, 1), (1, 1)])
+def test_concentration_check_refuses_bad_orders(p, m):
+    with pytest.raises(ValueError):
+        concentration_check(1, 1, p, m)
+
+
 def test_concentration_at_p3_m2_over_a_twist_grid():
     # q = 9: the pullbacks of O(a, b) are O(9a, 9b); concentration holds on
     # the 3 x 3 grid and fails at (1, -2) and (-2, 1), where H^1 and H^2 meet

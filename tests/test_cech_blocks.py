@@ -2,7 +2,7 @@
 blocks of the map; the nested-tuple monomials and the dense assembly survive
 here as the reference."""
 
-from itertools import chain
+from itertools import chain, permutations
 from itertools import product as iproduct
 
 import numpy as np
@@ -14,11 +14,15 @@ from toricfrob import LaurentComplex, MultiProjSpace, incidence_cohomology
 from toricfrob import cech as cech_mod
 from toricfrob.cech import (
     Poly,
+    _basis_index,
     _map_rank_mod_p,
+    _orbits,
+    _symmetry,
     _term_basis,
     _weights,
     hypercohomology_fp,
     incidence_form,
+    line_bundle_basis,
 )
 from toricfrob.cohomology import Overflow
 from toricfrob.linalg import _INT64_GUARD, rank_mod_p, rank_rational, ranks_mod_p
@@ -127,8 +131,13 @@ def test_incidence_blocks_at_12_minus_13(monkeypatch):
 
     monkeypatch.setattr(cech_mod, "ranks_mod_p", recording)
     assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
-    assert len(shapes) == 276
+    # one block per S3-orbit of weights is eliminated
+    assert len(shapes) == 52
     assert max(r for r, _ in shapes) == 51 and max(c for _, c in shapes) == 52
+    # with every block ranked 1, the map's rank is the sum of the orbit sizes
+    monkeypatch.setattr(cech_mod, "ranks_mod_p", lambda stack, p: np.ones(len(stack), int))
+    space, maps = MultiProjSpace((2, 2)), ((incidence_form(3),),)
+    assert _map_rank_mod_p(space, ((11, -14),), ((12, -13),), maps, 2, 3) == 276
 
 
 SPACES = ((1,), (2,), (1, 1), (1, 2))
@@ -218,3 +227,129 @@ def test_composite_p_refused_without_nonzero_entries():
         assert hypercohomology_fp(cx, 3) == at_3
         with pytest.raises(ValueError, match="not prime"):
             hypercohomology_fp(cx, 4)
+
+
+def _trivial_group(monkeypatch):
+    monkeypatch.setattr(cech_mod, "_symmetry", lambda space, poly_matrix: 1)
+
+
+GRID = [(a, b) for a in range(-8, 16) for b in range(-16, 8)]
+
+
+def test_orbit_sum_matches_full_sum_on_a_twist_grid(monkeypatch):
+    questions = [(a, b, 3) for a, b in GRID + [(20, -22)]]
+    questions += [(a, b, p) for a, b in ((5, -7), (12, -13)) for p in (2, 5, 7)]
+    orbit = [incidence_cohomology(a, b, p).dims for a, b, p in questions]
+    _trivial_group(monkeypatch)
+    full = [incidence_cohomology(a, b, p).dims for a, b, p in questions]
+    assert orbit == full
+
+
+def _images(row, g):
+    """The S_g images of a weight row, g coordinates per factor."""
+    blocks = np.reshape(row, (-1, g))
+    return [tuple(blocks[:, perm].ravel()) for perm in permutations(range(g))]
+
+
+@pytest.mark.parametrize("factors, g", [(2, 3), (1, 2), (3, 2), (1, 4)])
+def test_canonical_weights_and_orbit_sizes_by_brute_force(factors, g):
+    rng = np.random.default_rng(factors * 10 + g)
+    rows = rng.integers(-1, 2, size=(400, factors * g))
+    canonical, size = _orbits(rows, g)
+    for row, is_canonical in zip(rows, canonical):
+        images = _images(row, g)
+        # the sorted arrangement of the g per-coordinate tuples is the least
+        key = [tuple(np.reshape(image, (-1, g)).T.ravel()) for image in images]
+        assert is_canonical == (key[0] == min(key)), row
+    assert size.tolist() == [len(set(_images(row, g))) for row in rows[canonical]]
+    # each orbit holds exactly one canonical row
+    for row in rows[:50]:
+        assert _orbits(np.array(sorted(set(_images(row, g)))), g)[0].sum() == 1, row
+
+
+def test_incidence_weights_commute_with_s3():
+    space = MultiProjSpace((2, 2))
+    maps = ((incidence_form(3),),)
+    K = np.array(_weights(maps, 6))
+    assert _symmetry(space, maps) == 3
+    m = _term_basis(space, ((3, -5),), 2)[:, 1:]
+    for perm in permutations(range(3)):
+        sigma = np.concatenate((perm, [3 + i for i in perm]))
+        assert np.array_equal(m[:, sigma] @ K.T, (m @ K.T)[:, sigma]), perm
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {((1, 0, 0), (1, 0, 0)): 1, ((0, 1, 0), (0, 1, 0)): 2, ((0, 0, 1), (0, 0, 1)): 1},
+        {((1, 0, 0), (1, 0, 0)): 1, ((0, 1, 0), (0, 1, 0)): 1},
+    ],
+)
+def test_forms_without_the_full_symmetry_take_the_trivial_group(terms):
+    space = MultiProjSpace((2, 2))
+    maps = ((Poly(terms),),)
+    assert _symmetry(space, maps) == 1
+    for a, b in ((2, -3), (3, -5), (4, -4)):
+        src, dst = ((a - 1, b - 1),), ((a, b),)
+        for degree in range(space.dim + 1):
+            dense = _dense_map_matrix(space, src, dst, maps, degree)
+            for p in (2, 3, 5):
+                expected = 0 if dense is None else rank_mod_p(dense, p)
+                assert _map_rank_mod_p(space, src, dst, maps, degree, p) == expected
+
+
+@st.composite
+def symmetric_maps(draw):
+    """A random map of sums on P^n or (P^n)^2, every entry made S_(n+1)-invariant
+    by adding the images of its terms."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    space = draw(st.sampled_from((MultiProjSpace((1,)), MultiProjSpace((2,)),
+                                  MultiProjSpace((1, 1)), MultiProjSpace((2, 2)))))
+    k, g = len(space.factor_dims), space.factor_dims[0] + 1
+    degrees = st.tuples(*(st.integers(-4, 3) for _ in range(k)))
+    src = tuple(draw(st.lists(degrees, min_size=1, max_size=2)))
+    dst = tuple(draw(st.lists(degrees, min_size=1, max_size=2)))
+    exps = st.lists(st.integers(-1, 2), min_size=g, max_size=g).map(tuple)
+    maps = []
+    for _ in dst:
+        row = []
+        for _ in src:
+            terms = {}
+            for _ in range(draw(st.integers(0, 2))):
+                mono = tuple(draw(exps) for _ in range(k))
+                coeff = draw(st.sampled_from((1, -1, 2, p)))
+                for perm in permutations(range(g)):
+                    image = tuple(tuple(f[i] for i in perm) for f in mono)
+                    terms[image] = coeff
+            row.append(Poly(terms))
+        maps.append(tuple(row))
+    return p, space, src, dst, tuple(maps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_maps())
+def test_symmetric_map_rank_matches_dense_elimination(drawn):
+    p, space, src, dst, maps = drawn
+    assert _symmetry(space, maps) == space.factor_dims[0] + 1
+    for degree in range(space.dim + 1):
+        dense = _dense_map_matrix(space, src, dst, maps, degree)
+        expected = 0 if dense is None else rank_mod_p(dense, p)
+        assert _map_rank_mod_p(space, src, dst, maps, degree, p) == expected, degree
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 2), (2, 2), (1, 1, 1)])
+def test_basis_index_is_the_position_in_the_enumerated_basis(dims):
+    space = MultiProjSpace(dims)
+    rng = np.random.default_rng(len(dims) * 10 + dims[-1])
+    for _ in range(25):
+        multidegree = tuple(int(d) for d in rng.integers(-6, 5, size=len(dims)))
+        info = line_bundle_basis(space, multidegree)
+        if info is None:
+            continue
+        basis = info[1]
+        assert _basis_index(space, multidegree, basis).tolist() == list(range(len(basis)))
+        # rows a step away from the basis are found where they are in it, else -1
+        moved = basis + rng.integers(-1, 2, size=basis.shape)
+        position = {tuple(row): i for i, row in enumerate(basis.tolist())}
+        want = [position.get(tuple(row), -1) for row in moved.tolist()]
+        assert _basis_index(space, multidegree, moved).tolist() == want
