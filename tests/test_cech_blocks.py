@@ -229,18 +229,13 @@ def test_composite_p_refused_without_nonzero_entries():
             hypercohomology_fp(cx, 4)
 
 
-def _trivial_group(monkeypatch):
-    monkeypatch.setattr(cech_mod, "_symmetry", lambda space, poly_matrix: 1)
-
-
-GRID = [(a, b) for a in range(-8, 16) for b in range(-16, 8)]
-
-
 def test_orbit_sum_matches_full_sum_on_a_twist_grid(monkeypatch):
-    questions = [(a, b, 3) for a, b in GRID + [(20, -22)]]
+    grid = [(a, b) for a in range(-8, 16) for b in range(-16, 8)]
+    questions = [(a, b, 3) for a, b in grid + [(20, -22)]]
     questions += [(a, b, p) for a, b in ((5, -7), (12, -13)) for p in (2, 5, 7)]
     orbit = [incidence_cohomology(a, b, p).dims for a, b, p in questions]
-    _trivial_group(monkeypatch)
+    # the full sum: every block eliminated, as for a complex without symmetry
+    monkeypatch.setattr(cech_mod, "_symmetry", lambda space, poly_matrix: 1)
     full = [incidence_cohomology(a, b, p).dims for a, b, p in questions]
     assert orbit == full
 
