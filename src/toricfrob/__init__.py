@@ -1,6 +1,6 @@
 """Frobenius pushforwards of line bundles on smooth complete toric varieties:
 splitting into line bundles, Ext tables, tilting verdicts, and the structural
-identities (projective bundles, blow-ups, jets) that certify them.
+identities (projective bundles, blow-ups, jets) that cross-check them.
 
 All arithmetic is exact integer or exact finite-field arithmetic.
 """

@@ -39,7 +39,9 @@ import numpy as np
 from .cohomology import CohomologyVector, Overflow
 from .fan import InvariantViolation
 from .frobenius import FrobeniusOrder
-from .linalg import _INT64_GUARD, adjugate_int, check_prime_field, det_int, ranks_mod_p
+from .linalg import (
+    _INT64_GUARD, adjugate_int, check_prime_field, det_int, group_rows, ranks_mod_p
+)
 
 # Largest cohomology basis of one term, in one degree, that the engine will
 # enumerate.  The incidence twist (40, -42) has 706,020 monomials in each of
@@ -247,35 +249,16 @@ def _weights(poly_matrix, width: int):
     return [[x // (gcd(*row) or 1) for x in row] for row in weights.tolist()]
 
 
-def _row_labels(rows):
-    """One integer label per row of ``rows``, equal exactly for equal rows."""
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    fresh = np.any(ranked != np.vstack((ranked[:1], ranked[:-1])), axis=1)
-    labels = np.empty(len(rows), dtype=np.int64)
-    labels[order] = np.cumsum(fresh)
-    return labels
-
-
 def _local_index(block, ids):
     """Each entry's index among the distinct ids of its block, and their counts.
 
-    ``block`` holds labels 0..K-1, each met at least once.  One lexsort over
-    (block, id) ranks the distinct pairs; an entry's local index is its
-    pair's rank minus the rank of its block's first pair.
+    ``block`` holds labels 0..K-1, each met at least once.  The distinct
+    (block, id) pairs are ranked with the block first; an entry's local index
+    is its pair's rank minus the rank of its block's first pair.
     """
-    order = np.lexsort((ids, block))
-    b, x = block[order], ids[order]
-    opens = np.empty(len(b), dtype=bool)
-    opens[0] = True
-    np.not_equal(b[1:], b[:-1], out=opens[1:])
-    fresh = opens.copy()
-    fresh[1:] |= x[1:] != x[:-1]
-    pair = np.cumsum(fresh) - 1
-    first = pair[opens]
-    local = np.empty(len(b), dtype=np.int64)
-    local[order] = pair - first[b]
-    return local, np.diff(first, append=pair[-1] + 1)
+    order, starts, pair = group_rows((ids, block))
+    first = np.flatnonzero(np.diff(block[order[starts]], prepend=-1))
+    return pair - first[block], np.diff(first, append=len(starts))
 
 
 def _basis_index(space, multidegree, rows):
@@ -424,7 +407,7 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     rows, cols, values = map(np.concatenate, zip(*found))
     if not len(rows):
         return 0
-    block = _row_labels(weight[cols])
+    block = group_rows(weight[cols])[2]
     i, nrows = _local_index(block, rows)
     j, ncols = _local_index(block, cols)
     size = np.empty(len(nrows), dtype=np.int64)

@@ -38,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .fan import DivisorClass, Fan, class_of
-from .linalg import _INT64_GUARD, ranks_mod_p
+from .linalg import _INT64_GUARD, group_rows, ranks_mod_p
 
 MAX_DIM = 4
 MAX_BOX_POINTS = 4_000_000
@@ -176,10 +176,7 @@ def _line_counts(base, cuts, steps, width):
     met = lengths.nonzero()[0]
     keys = keys.reshape((lines * (r + 1),) + base.shape[1:])[met]
     # a stable sort keeps each key's intervals in flat order, least first
-    rows = keys.reshape(len(keys), -1)
-    by_key = np.lexsort(rows.T)
-    rows = rows[by_key]
-    starts = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))).nonzero()[0]
+    by_key, starts, _ = group_rows(keys.reshape(len(keys), -1), labels=False)
     first = met[by_key[starts]]
     return (
         keys[by_key[starts]],

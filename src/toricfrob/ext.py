@@ -16,7 +16,7 @@ import numpy as np
 from .cohomology import CohomologyVector, Overflow, cohomology_of_class
 from .fan import DivisorClass, Fan, is_ample
 from .frobenius import Decomposition, FrobeniusOrder, frobenius_decompose
-from .linalg import _INT64_GUARD
+from .linalg import _INT64_GUARD, group_rows
 
 
 class UnknownCollection(ValueError):
@@ -61,10 +61,11 @@ def _pair_table(fan: Fan, dec_l: Decomposition, dec_m: Decomposition):
     """Ext dims and per-pair cohomology of two split pushforwards, in one step.
 
     The summand classes of each side, in descending order, are stacked as
-    int64 rows and all differences cv - cu formed at once.  One lexsort
-    groups equal differences (np.unique over rows costs ~4x more at these
-    sizes); each distinct difference gets one :func:`cohomology_of_class`
-    lookup and the weight sum of mu * mv over the pairs that meet it.
+    int64 rows and all differences cv - cu formed at once.  One
+    :func:`group_rows` call groups equal differences (np.unique over rows
+    costs ~4x more at these sizes); each distinct difference gets one
+    :func:`cohomology_of_class` lookup and the weight sum of mu * mv over
+    the pairs that meet it.
 
     Returns (dims, table): dims[i] = sum over pairs of mu * mv * h^i(cv - cu),
     and table[a, b] the cohomology of right[b] - left[a] as an (n, m, d + 1)
@@ -76,14 +77,8 @@ def _pair_table(fan: Fan, dec_l: Decomposition, dec_m: Decomposition):
     mult_l, rows_l = _stacked(dec_l)
     mult_m, rows_m = _stacked(dec_m)
     diffs = (rows_m[None, :, :] - rows_l[:, None, :]).reshape(-1, fan.pic_rank)
-    by_row = np.lexsort(diffs.T)
-    rows = diffs[by_row]
-    new = np.empty(len(rows), dtype=bool)
-    new[0] = True
-    (rows[1:] != rows[:-1]).any(axis=1, out=new[1:])
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[by_row] = new.cumsum() - 1
-    distinct = rows[new]
+    by_row, starts, inverse = group_rows(diffs)
+    distinct = diffs[by_row[starts]]
     coh = np.array(
         [cohomology_of_class(fan, DivisorClass(tuple(row))).dims
          for row in distinct.tolist()],

@@ -6,13 +6,14 @@ residues of characters mod q.  The residues are counted line by line: along
 the last axis a summand's class changes only at sum |v_rho[d]| exact
 breakpoints, so q^(d-1) lines of a few intervals each stand in for the q^d
 residues.  The explicit residue formula used here is never trusted on its
-own: every public decomposition is certified against the projection formula,
-which determines the class multiset through the exact cohomology of twists.
+own: :func:`frobenius_decompose`, the one path to a decomposition, certifies
+every result against the projection formula, which determines the class
+multiset through the exact cohomology of twists.
 
-A certified decomposition is computed once per (fan, divisor, order): the fan
-keeps it in ``Fan._dec_cache`` and every later question shares the same
-read-only :class:`Decomposition`.  Only certified results are kept, so the
-first ask of each (fan, divisor, order) always runs the full certificate.
+A decomposition is computed and certified once per (fan, divisor, order):
+the fan keeps it in ``Fan._dec_cache`` and every later question, the
+structural checks included, shares the same read-only :class:`Decomposition`.
+Only certified results are kept.
 """
 
 from __future__ import annotations
@@ -179,31 +180,22 @@ def default_test_divisors(fan: Fan):
     return out
 
 
-def frobenius_decompose(
-    fan: Fan, divisor, order: FrobeniusOrder, certify: bool = True
-) -> Decomposition:
+def frobenius_decompose(fan: Fan, divisor, order: FrobeniusOrder) -> Decomposition:
     """Split the q-power Frobenius pushforward of O(D) into line bundles.
 
-    With ``certify`` the class multiset is checked against the projection
-    formula over the default test twists; a failure raises OracleMismatch and
-    indicates an implementation bug, never bad user input.  A certified
-    decomposition is computed and certified once per (fan, divisor, order)
-    and then shared read-only from ``fan._dec_cache``; a failed certificate
-    stores nothing, and ``certify=False`` neither reads nor fills the cache.
+    The class multiset is checked against the projection formula over the
+    default test twists; a failure raises OracleMismatch and indicates an
+    implementation bug, never bad user input.  Each decomposition is
+    computed and certified once per (fan, divisor, order) and then shared
+    read-only from ``fan._dec_cache``; a failed certificate stores nothing.
     """
     divisor = tuple(divisor)
     if len(divisor) != len(fan.rays):
         raise ValueError("divisor length does not match number of rays")
     key = (divisor, order)
-    hit = fan._dec_cache.get(key) if certify else None
-    if hit is not None:
-        return hit
-    entries, witnesses = _raw_decompose(fan, divisor, order)
-    dec = Decomposition(
-        fan=fan, divisor=divisor, order=order, entries=entries, witnesses=witnesses
-    )
-    if not certify:
-        return dec
+    if key in fan._dec_cache:
+        return fan._dec_cache[key]
+    dec = Decomposition(fan, divisor, order, *_raw_decompose(fan, divisor, order))
     if not verify_projection_formula(dec):
         failure = projection_formula_failure(dec)
         e, i, lhs, rhs = failure
@@ -262,14 +254,14 @@ def det_class(dec: Decomposition) -> DivisorClass:
 
 
 def _pushforward_classes(fan: Fan, classes, order: FrobeniusOrder) -> Counter:
-    """Uncertified classes of F_*(sum of O(c)^m) over a class multiset {c: m}.
+    """Certified classes of F_*(sum of O(c)^m) over a class multiset {c: m}.
 
     The splitting of F_* O(D) depends only on the class of D, so each class is
     decomposed from whichever divisor ``divisor_of_class`` picks for it.
     """
     out: Counter = Counter()
     for cls, mult in classes.items():
-        dec = frobenius_decompose(fan, fan.divisor_of_class(cls), order, certify=False)
+        dec = frobenius_decompose(fan, fan.divisor_of_class(cls), order)
         for sub, m in dec.entries.items():
             out[sub] += mult * m
     return out
@@ -281,7 +273,7 @@ def iterate_check(fan: Fan, divisor, p: int, n: int) -> bool:
     Each step pushes the class multiset of the previous one forward along the
     p-power Frobenius with :func:`_pushforward_classes`.
     """
-    single = frobenius_decompose(fan, divisor, FrobeniusOrder(p, n), certify=False)
+    single = frobenius_decompose(fan, divisor, FrobeniusOrder(p, n))
     current = Counter({class_of(fan, tuple(divisor)): 1})
     for _ in range(n):
         current = _pushforward_classes(fan, current, FrobeniusOrder(p, 1))

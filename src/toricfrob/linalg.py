@@ -1,15 +1,16 @@
 """Exact linear algebra helpers: integer determinants, adjugates and inverses,
-and ranks over prime fields.
+ranks over prime fields, and the grouping of equal integer rows.
 
 Everything here is exact; no floating point is ever used.  The library's hot
 paths are integer-only: the character box comes from cached adjugates, and
 every rank over F_p from the one elimination kernel :func:`ranks_mod_p`,
 which sweeps a whole stack of matrices at once: the boundary maps of one
-support, the same-shape weight blocks of one Cech map, or, through
-:func:`rank_mod_p`, a single jet block.  The two ``Fraction`` kernels,
-:func:`solve_rational` and :func:`rank_rational`, are kept as reference
-implementations over Q: the tests compare the integer kernels against them,
-and the benchmark's tracer still looks both up by name.
+support, the same-shape weight blocks of one Cech map, or the three jet
+blocks.  :func:`rank_mod_p` (a stack of one) and the ``Fraction`` kernels
+:func:`solve_rational` and :func:`rank_rational` have no library caller: the
+tests compare the integer kernels against them, and the benchmark's tracer
+looks all three up by name.  Equal integer rows are grouped by one helper,
+:func:`group_rows`.
 """
 
 from __future__ import annotations
@@ -194,6 +195,31 @@ def rank_mod_p(mat, p: int) -> int:
     """
     a = np.array(mat, dtype=np.int64, ndmin=2)
     return int(ranks_mod_p(a[None], p)[0])
+
+
+def group_rows(keys, labels: bool = True):
+    """(order, starts, label) of the rows of a 2-D array or of 1-D columns.
+
+    Rows compare from their last column, as in ``np.lexsort``.  ``order`` is
+    the stable sort, ``starts`` where each run of equal rows begins in it,
+    and ``label[i]`` the run of row i (None unless ``labels``).
+    """
+    if isinstance(keys, np.ndarray) and keys.ndim == 2:
+        order = np.lexsort(keys.T)
+        ranked = keys[order]
+        fresh = np.empty(len(order), dtype=bool)
+        (ranked[1:] != ranked[:-1]).any(axis=1, out=fresh[1:])
+    else:
+        order = np.lexsort(keys)
+        fresh = np.zeros(len(order), dtype=bool)
+        for column in keys:
+            ranked = column[order]
+            fresh[1:] |= ranked[1:] != ranked[:-1]
+    fresh[:1] = True
+    label = np.empty(len(order), dtype=np.int64) if labels else None
+    if labels:
+        label[order] = fresh.cumsum() - 1
+    return order, fresh.nonzero()[0], label
 
 
 # The first twelve primes: the least composite that is a strong pseudoprime to

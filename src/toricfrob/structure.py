@@ -6,25 +6,24 @@ base data through the projective-bundle or blow-up structure.  All of them
 are exact multiset identities with no tolerance.  P^1- and P^2-bundles share
 one check, :func:`pbundle_check`; its pushforwards of class multisets on the
 base come from :func:`frobenius._pushforward_classes`, as the iterated
-Frobenius check's do.
+Frobenius check's do: every multiset compared is certified.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 
-from .cohomology import cohomology_of_class
+from .cohomology import Overflow, cohomology_of_class
 from .fan import (
+    Blowup,
     DivisorClass,
     Fan,
     InvariantViolation,
-    blowup_fan,
     class_of,
     projectivization_fan,
 )
@@ -37,6 +36,10 @@ from .frobenius import (
 )
 from .linalg import check_prime_field, is_prime, ranks_mod_p
 from .varieties import named_variety
+
+
+# Cells of the jet stack (32 MB of int64): q <= 27 fits, q = 81 needs 2.3 GB.
+MAX_JET_CELLS = 4_000_000
 
 
 class MultisetDifferenceNegative(InvariantViolation):
@@ -194,16 +197,15 @@ def corank_oracle(p: int) -> int:
     return sum(1 for a_ in range(p) for b_ in range(p) if a_ < b_)
 
 
-@cache
-def _blown_up_plane():
-    """The registered plane blown up at a torus-fixed point, built once.
+def _blown_up_plane() -> Blowup:
+    """The registered X1: P2 subdivided at its first cone, the new ray last.
 
-    Its fan has the rays and cones of the registered X1, but the Blowup record
-    also carries the pull-back and the exceptional class.  Sharing it keeps
-    the fan's cohomology caches warm across calls, as the registry does.
+    The record adds pull-back and exceptional class to the registry's fans.
     """
     plane = named_variety("P2")
-    return blowup_fan(plane, plane.max_cones[0], name="Bl_pt P2")
+    return Blowup(
+        fan=named_variety("X1"), base=plane, cone=plane.max_cones[0], new_ray_index=3
+    )
 
 
 def blowup_bookkeeping_check(p: int) -> BlowupReport:
@@ -297,7 +299,8 @@ def delpezzo_jet_check(
     cohomology engine) must agree, and ``passed`` records whether the section
     count covers the number of jet conditions.  Optionally the exact rank of
     the jet evaluation matrix over F_p at the chosen point is computed; points
-    with a zero coordinate are rejected.
+    with a zero coordinate are rejected, and a stack of more than
+    MAX_JET_CELLS cells raises Overflow before it is allocated.
 
     The matrix is block diagonal: each summand O(d) contributes a block of
     C(d+2,2) section rows and C(q,2) columns, the jets of order <= q-2.  In
@@ -336,6 +339,9 @@ def delpezzo_jet_check(
             raise ValueError("jet evaluation point must have nonzero coordinates")
         # block diagonal: the distinct blocks are eliminated once, as one stack
         present = [(d, mult) for d, mult in twists if mult]
+        cells = len(present) * comb(max(d for d, _ in present) + 2, 2) * comb(q, 2)
+        if cells > MAX_JET_CELLS:
+            raise Overflow(f"jet rank at q = {q} needs {cells} > {MAX_JET_CELLS} cells")
         stack = _jet_stack([d for d, _ in present], q - 2, p, point)
         rank = int(ranks_mod_p(stack, p) @ [mult for _, mult in present])
     return JetCheckReport(

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 from math import comb
 
 from toricfrob import (
+    Decomposition,
     DivisorClass,
     FrobeniusOrder,
     MultiProjSpace,
@@ -32,6 +33,7 @@ from toricfrob import (
     verify_projection_formula,
 )
 from toricfrob.catalog import catalog_entries, catalog_run
+from toricfrob.frobenius import _raw_decompose
 from toricfrob.varieties import BUNDLE_SPECS
 
 
@@ -79,8 +81,9 @@ def test_criterion_03_rank_and_projection_oracle():
             for p in (2, 3):
                 for n in (1, 2):
                     order = FrobeniusOrder(p, n)
-                    dec = frobenius_decompose(
-                        fan, fan.zero_divisor(), order, certify=False
+                    divisor = fan.zero_divisor()
+                    dec = Decomposition(
+                        fan, divisor, order, *_raw_decompose(fan, divisor, order)
                     )
                     assert dec.rank == order.q**fan.dim, (entry.key, p, n)
                     assert verify_projection_formula(dec), (entry.key, p, n)

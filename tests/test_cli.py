@@ -3,6 +3,7 @@ import json
 from toricfrob import OracleMismatch, catalog_entries
 from toricfrob import cli as cli_mod
 from toricfrob import frobenius as frobenius_mod
+from toricfrob import structure as structure_mod
 from toricfrob.cli import main
 
 
@@ -138,6 +139,21 @@ def test_jets(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["dim_h0"] == 19 and payload["surjective_rank"] == 4
+
+
+def test_jet_rank_past_the_stack_bound_exits_1(monkeypatch, capsys):
+    # q = 81 passes the residue, certificate and box guards on the plane;
+    # its jet stack, 3 x C(242, 2) x C(81, 2) int64 cells, must not be built
+    def unbounded(*args):
+        raise AssertionError("jet stack allocated past MAX_JET_CELLS")
+
+    monkeypatch.setattr(structure_mod, "_jet_stack", unbounded)
+    code, out, err = run(capsys, "jets", "--p", "3", "--n", "4", "--rank")
+    assert code == 1
+    assert out == ""
+    assert "jet rank at q = 81 needs 283444920 > 4000000 cells" in err
+    code, out, _ = run(capsys, "jets", "--p", "3", "--n", "4")
+    assert code == 0 and "rank=None" in out
 
 
 def test_pbundle_check(capsys):

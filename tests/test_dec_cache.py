@@ -14,7 +14,10 @@ from toricfrob import (
     ext_table,
     fano_sufficient_check,
     frobenius_decompose,
+    iterate_check,
     named_variety,
+    pbundle_check,
+    projective_line,
     projective_plane,
     tilting_verdict,
 )
@@ -85,19 +88,6 @@ def test_failed_certificate_caches_nothing(monkeypatch):
     assert dec.entries == {DivisorClass((0,)): 1, DivisorClass((-1,)): 3}
 
 
-def test_uncertified_path_leaves_the_cache_alone():
-    fan = projective_plane()
-    order = FrobeniusOrder(3)
-    raw = frobenius_decompose(fan, fan.zero_divisor(), order, certify=False)
-    assert not raw.certified
-    assert fan._dec_cache == {}
-    dec = frobenius_decompose(fan, fan.zero_divisor(), order)
-    again = frobenius_decompose(fan, fan.zero_divisor(), order, certify=False)
-    assert again is not dec and not again.certified
-    assert again.entries == dec.entries
-    assert list(fan._dec_cache.values()) == [dec]
-
-
 def test_orders_with_the_same_q_keep_their_own_order():
     fan = projective_plane()
     two, three = FrobeniusOrder(2, 0), FrobeniusOrder(3, 0)
@@ -131,3 +121,28 @@ def test_decomposition_copies_the_mappings_it_is_given():
     )
     entries[DivisorClass((0,))] = 7
     assert dec.entries == {DivisorClass((0,)): 1}
+
+
+@pytest.fixture
+def one_summand_too_many(monkeypatch):
+    """A residue count that gains one summand, failing every certificate."""
+    real = frobenius_mod._raw_decompose
+
+    def corrupted(*args):
+        entries, witnesses = real(*args)
+        first = next(iter(entries))
+        return {**entries, first: entries[first] + 1}, witnesses
+
+    monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupted)
+
+
+def test_pbundle_check_compares_certified_multisets(one_summand_too_many):
+    # the corruption must stop at the certificate, not reach the comparison
+    with pytest.raises(OracleMismatch):
+        pbundle_check(projective_line(), ((0, 0), (1, 0)), FrobeniusOrder(2))
+
+
+def test_iterate_check_compares_certified_multisets(one_summand_too_many):
+    plane = projective_plane()
+    with pytest.raises(OracleMismatch):
+        iterate_check(plane, plane.zero_divisor(), 2, 2)

@@ -85,8 +85,8 @@ def test_det_class_examples(P1):
 def test_rank_is_q_to_dim(F1, div, pn):
     p, n = pn
     order = FrobeniusOrder(p, n)
-    dec = frobenius_decompose(F1, div, order, certify=False)
-    assert dec.rank == order.q ** F1.dim
+    entries, _ = frobenius_mod._raw_decompose(F1, div, order)
+    assert sum(entries.values()) == order.q ** F1.dim
 
 
 @settings(max_examples=20, deadline=None)
@@ -95,7 +95,7 @@ def test_representative_independence(F1, div):
     # a second residue system: the centred box [-q/2, q/2)^d
     order = FrobeniusOrder(3)
     q = order.q
-    dec = frobenius_decompose(F1, div, order, certify=False)
+    entries, _ = frobenius_mod._raw_decompose(F1, div, order)
     alt = {}
     for u in iproduct(range(-(q // 2), q - q // 2), repeat=F1.dim):
         coeffs = tuple(
@@ -104,7 +104,7 @@ def test_representative_independence(F1, div):
         )
         cls = class_of(F1, coeffs)
         alt[cls] = alt.get(cls, 0) + 1
-    assert alt == dec.entries
+    assert alt == entries
 
 
 def test_kunneth_product_decomposition(P1, P2):

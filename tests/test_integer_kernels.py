@@ -2,12 +2,14 @@
 
 The character box is checked against the Cramer solve over Q, the support
 Betti numbers against elimination over Q, and the adjugates against their
-defining identity.
+defining identity.  The row grouping that the engines share is checked
+against ``np.unique``.
 """
 
 from itertools import combinations
 from math import ceil, floor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from toricfrob.cohomology import _BETTI_P, _INT64_GUARD, _support_contrib, _vert
 from toricfrob.linalg import (
     adjugate_int,
     det_int,
+    group_rows,
     inverse_unimodular,
     rank_mod_p,
     rank_rational,
@@ -179,3 +182,25 @@ def test_inverse_unimodular():
     for bad in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[3]]):
         with pytest.raises(ValueError, match="not unimodular"):
             inverse_unimodular(bad)
+
+
+def _tied_rows(rng, count, width, scale):
+    """``count`` int64 rows drawn from a pool of 6, so that most rows tie."""
+    pool = rng.integers(-scale, scale, size=(6, width), dtype=np.int64)
+    return pool[rng.integers(0, len(pool), size=count)]
+
+
+@pytest.mark.parametrize("count, width", [(0, 3), (1, 1), (50, 1), (300, 3), (400, 6)])
+@pytest.mark.parametrize("scale", [3, 2**62])
+def test_group_rows_matches_unique(count, width, scale):
+    rng = np.random.default_rng(count * width + scale % 97)
+    rows = _tied_rows(rng, count, width, scale)
+    # group_rows compares rows from their last column, np.unique from the first
+    distinct, inverse = np.unique(rows[:, ::-1], axis=0, return_inverse=True)
+    for keys in (rows, tuple(rows.T)):
+        order, starts, label = group_rows(keys)
+        assert np.array_equal(rows[order[starts], ::-1], distinct)
+        assert np.array_equal(label, inverse.ravel())
+        # tied rows keep their input order
+        assert np.array_equal(order, np.argsort(label, kind="stable"))
+        assert group_rows(keys, labels=False)[2] is None

@@ -14,6 +14,7 @@ from toricfrob import (
     delpezzo_jet_check,
     named_variety,
 )
+from toricfrob.structure import _blown_up_plane
 
 # The package's ``cohomology`` attribute is the function; the module is here.
 cohomology_mod = sys.modules["toricfrob.cohomology"]
@@ -27,6 +28,13 @@ def test_each_name_builds_one_shared_fan():
 def test_catalog_entries_build_the_registered_fan():
     for entry in catalog_entries():
         assert entry.build() is named_variety(entry.key), entry.key
+
+
+def test_blowup_check_uses_the_registered_x1():
+    blown = _blown_up_plane()
+    assert blown.fan is named_variety("X1")
+    assert blown.base is named_variety("P2")
+    assert blown.fan.rays[blown.new_ray_index] == (1, 1)
 
 
 def test_unknown_name_is_refused_every_time():
