@@ -16,7 +16,10 @@ the number of pairs the change won (ties count for neither side).
 
 ``--cold-runs N`` adds, outside the benchmark, N alternating runs per side of
 the seven-q survey in one fresh interpreter: ``import toricfrob`` and then
-``catalog_run`` at q = 2, 3, 4, 5, 7, 8, 9 in turn, import included.
+``catalog_run`` at q = 2, 3, 4, 5, 7, 8, 9 in turn, import included.  It also
+times ``incidence_cohomology`` at each of the large twists (30, -32) and
+(40, -42) with p = 3, N alternating runs per side, each in a fresh
+interpreter, and records that interpreter's peak RSS (``ru_maxrss``).
 """
 
 from __future__ import annotations
@@ -45,6 +48,18 @@ for p, n in SURVEY_ORDERS:
 print(time.perf_counter() - start)
 """
 
+# One large incidence twist in a fresh interpreter: seconds and peak RSS (MB).
+LARGE_TWISTS = ((30, -32, 3), (40, -42, 3))
+LARGE_TWIST = """
+import resource, sys, time
+sys.path[:0] = ["src"]
+from toricfrob import incidence_cohomology
+start = time.perf_counter()
+incidence_cohomology({}, {}, {})
+print(time.perf_counter() - start,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``tree``; the JSON object of its last line."""
@@ -60,8 +75,17 @@ def cold_pass(tree: Path) -> float:
     return round(float(proc.stdout), 4)
 
 
+def large_twist(tree: Path, twist) -> tuple:
+    proc = subprocess.run([sys.executable, "-c", LARGE_TWIST.format(*twist)],
+                          cwd=tree, capture_output=True, text=True, check=True)
+    seconds, rss = map(float, proc.stdout.split())
+    return round(seconds, 4), round(rss, 1)
+
+
 def summary(runs: list) -> dict:
-    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    # the quartiles of a single run are that run
+    q1, _, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
+                 if len(runs) > 1 else runs * 3)
     return {"median": round(statistics.median(runs), 4), "q1": round(q1, 4),
             "q3": round(q3, 4), "iqr": round(q3 - q1, 4),
             "runs": [round(x, 4) for x in runs]}
@@ -170,6 +194,22 @@ def main(argv=None) -> int:
                 "unit": "s", "parent": summary(old), "change": summary(new),
             },
         }
+        for twist in LARGE_TWISTS:
+            print(f"incidence_cohomology{twist}, cold", file=sys.stderr, flush=True)
+            old, new = alternate(args.cold_runs,
+                                 lambda i: large_twist(args.parent, twist),
+                                 lambda i: large_twist(args.change, twist))
+            out["outside_benchmark"]["incidence_cohomology_%d_%d_p%d" % twist] = {
+                "command": "python -c: import toricfrob, then time "
+                           f"incidence_cohomology{twist}; peak RSS is the "
+                           "interpreter's ru_maxrss",
+                "wall_s": {"unit": "s",
+                           "parent": summary([t for t, _ in old]),
+                           "change": summary([t for t, _ in new])},
+                "peak_rss_mb": {"unit": "MB",
+                                "parent": summary([m for _, m in old]),
+                                "change": summary([m for _, m in new])},
+            }
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     return 0
 

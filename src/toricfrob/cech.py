@@ -21,11 +21,12 @@ blocks to themselves, so blocks of one orbit have one rank.  The symmetry is
 proved on the terms of each map before it is used; only one block per orbit
 is then eliminated, and its rank counts once per block of the orbit.
 
-The blocks are zero-padded to a few shapes, and the blocks of one shape are
-eliminated as one stack by :func:`linalg.ranks_mod_p`.  Before any monomial
-is enumerated, the size of every first-page term is counted from binomials,
-and a complex with a term of more than MAX_CECH_BASIS monomials is refused
-with Overflow.
+The blocks are sorted by width and cut into a few stacks of bounded size,
+each eliminated by :func:`linalg.ranks_mod_p`; a block's columns are
+right-aligned in its stack, so the elimination does no arithmetic on the
+padding.  Before any monomial is enumerated, the size of every first-page
+term is counted from binomials, and a complex with a term of more than
+MAX_CECH_BASIS monomials is refused with Overflow.
 """
 
 from __future__ import annotations
@@ -48,13 +49,15 @@ from .linalg import (
 # its two terms; (99999, 0) would have about 5 * 10^9.
 MAX_CECH_BASIS = 1_000_000
 
-# Weight blocks are padded with zero rows and columns up to a multiple of
-# _PAD in each dimension, and the blocks of one padded shape are eliminated
-# as one stack; padding leaves every rank unchanged.  At (12, -13) this makes
-# 7 stacks of the 52 blocks, one per S3-orbit of the 276.  With all 276
-# blocks, grouping by exact shape (_PAD = 1) ran 2x slower; with 52, 16 or
-# 32 were within run-to-run noise of 8.
-_PAD = 8
+# Cells (8 bytes each) of one weight-block stack.  Blocks sorted by width are
+# cut into stacks of at most this many cells; a block larger than the bound
+# is a stack of its own.  At benchmark sizes the kernel's cost is one sweep
+# per column of a stack, so few, wide stacks are fast: (12, -13), whose 52
+# blocks (one per S3-orbit of the 276) are at most 51 x 52, is one stack of
+# 52 sweeps.  The bound keeps the padding of the large twists in check: as
+# one stack per map, (30, -32) peaked at 308 MB, not 67 MB, and ran 4.6x
+# slower; under the bound it is 10 stacks, none above 1.05 * 10^6 cells.
+_STACK_CELLS = 2**20
 
 
 class UnsupportedComplex(ValueError):
@@ -365,10 +368,13 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     before any product is formed, and each block's rank counts orbit-size
     times.  With the trivial group every block is kept, once.
 
-    Each block is padded with zeros to a multiple of _PAD rows and columns,
-    and each padded shape is one :func:`ranks_mod_p` stack, built, eliminated
-    and freed in turn.  Overflow is raised before any exponent, product or
-    weight could reach _INT64_GUARD.
+    The blocks are sorted by (width, height) and cut greedily into stacks of
+    at most _STACK_CELLS cells, each built, eliminated by one
+    :func:`ranks_mod_p` call and freed in turn.  A block keeps its rows at
+    the top of its stack and its columns at the right, so the kernel's
+    update at a column spans exactly the block's own remaining columns, and
+    the zero padding costs no arithmetic.  Overflow is raised before any
+    exponent, product or weight could reach _INT64_GUARD.
     """
     src = _term_basis(space, src_term, degree)
     offsets, count = [], 0
@@ -412,19 +418,25 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     j, ncols = _local_index(block, cols)
     size = np.empty(len(nrows), dtype=np.int64)
     size[block] = orbit[cols]
-    # blocks of one padded shape form one stack, eliminated in one call
-    shape = -(-np.stack((nrows, ncols), axis=1) // _PAD) * _PAD
-    shapes, group = np.unique(shape, axis=0, return_inverse=True)
-    slot = np.empty(len(group), dtype=np.int64)
-    entry_group = group[block]
+    # blocks sorted by (width, height), cut greedily into stacks of at most
+    # _STACK_CELLS cells; a stack is as wide as its last block
+    order = np.lexsort((nrows, ncols))
+    heights, widths = nrows[order].tolist(), ncols[order].tolist()
+    cuts, tall = [0], 0
+    for k, (h, w) in enumerate(zip(heights, widths)):
+        tall = max(tall, h)
+        if k > cuts[-1] and (k + 1 - cuts[-1]) * tall * w > _STACK_CELLS:
+            cuts.append(k)
+            tall = h
+    cuts.append(len(order))
+    place = np.argsort(order)[block]  # each entry's block, by its place in order
     rank = 0
-    for k, (height, width) in enumerate(shapes.tolist()):
-        members = np.flatnonzero(group == k)
-        slot[members] = np.arange(len(members))
-        at = np.flatnonzero(entry_group == k)
-        stack = np.zeros((len(members), height, width), dtype=np.int64)
-        stack[slot[block[at]], i[at], j[at]] = values[at]
-        rank += int(ranks_mod_p(stack, p) @ size[members])
+    for start, stop in zip(cuts, cuts[1:]):
+        at = np.flatnonzero((place >= start) & (place < stop))
+        width = widths[stop - 1]
+        stack = np.zeros((stop - start, max(heights[start:stop]), width), dtype=np.int64)
+        stack[place[at] - start, i[at], j[at] + width - ncols[block[at]]] = values[at]
+        rank += int(ranks_mod_p(stack, p) @ size[order[start:stop]])
         del stack
     return rank
 

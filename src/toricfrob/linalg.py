@@ -5,7 +5,7 @@ Everything here is exact; no floating point is ever used.  The library's hot
 paths are integer-only: the character box comes from cached adjugates, and
 every rank over F_p from the one elimination kernel :func:`ranks_mod_p`,
 which sweeps a whole stack of matrices at once: the boundary maps of one
-support, the same-shape weight blocks of one Cech map, or the three jet
+support, the width-sorted weight blocks of one Cech map, or the three jet
 blocks.  :func:`rank_mod_p` (a stack of one) and the ``Fraction`` kernels
 :func:`solve_rational` and :func:`rank_rational` have no library caller: the
 tests compare the integer kernels against them, and the benchmark's tracer
@@ -152,14 +152,18 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
     fast on sparse blocks.  Every product is at most (p-1)^2, which
     :func:`check_prime_field` keeps in int64.
 
-    A C-contiguous (B, n, m) int64 array is reduced mod p and eliminated in
-    place, and comes back all zero; it is never copied.  Any other input is
-    converted to a fresh array first.  Zero rows and columns, such as the
-    padding of a stack of matrices of different shapes, leave every rank
-    unchanged.  A p refused by :func:`check_prime_field` raises ValueError.
+    A C-contiguous, writeable (B, n, m) int64 array is reduced mod p and
+    eliminated in place, and comes back all zero; it is never copied.  Any
+    other input, a read-only or non-contiguous int64 view included, is
+    copied to a fresh array first and left unchanged.  Zero rows and
+    columns, such as the padding of a stack of matrices of different shapes,
+    leave every rank unchanged.  A p refused by :func:`check_prime_field`
+    raises ValueError.
     """
     check_prime_field(p)
-    a = np.asarray(stack, dtype=np.int64)
+    a = np.asarray(stack)
+    if not (a.dtype == np.int64 and a.flags.c_contiguous and a.flags.writeable):
+        a = np.array(a, dtype=np.int64)
     if a.ndim != 3:
         raise ValueError(f"expected a (B, n, m) stack, got shape {a.shape}")
     count, nrows, ncols = a.shape

@@ -283,11 +283,6 @@ def _jet_stack(degrees, jet_order: int, p: int, point) -> np.ndarray:
     return stack
 
 
-def _jet_block(d: int, jet_order: int, p: int, point) -> np.ndarray:
-    """The block of :func:`_jet_stack` for the one degree d, unpadded."""
-    return _jet_stack((d,), jet_order, p, point)[0]
-
-
 def delpezzo_jet_check(
     p: int, n: int, compute_rank: bool = False, point=(1, 1, 1)
 ) -> JetCheckReport:

@@ -19,7 +19,7 @@ from toricfrob import frobenius as frobenius_mod
 from toricfrob import structure as structure_mod
 from toricfrob.cli import main
 from toricfrob.linalg import rank_mod_p
-from toricfrob.structure import _jet_block
+from toricfrob.structure import _jet_stack
 
 
 def _count_decompositions(monkeypatch):
@@ -70,7 +70,7 @@ def _dense_jet_rank(report, p, point=(1, 1, 1)):
     blocks = []
     for d, mult in twists:
         if mult:
-            blocks.extend([_jet_block(d, q - 2, p, point)] * mult)
+            blocks.extend([_jet_stack((d,), q - 2, p, point)[0]] * mult)
     full = np.zeros(
         (sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
         dtype=np.int64,

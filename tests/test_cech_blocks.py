@@ -121,9 +121,10 @@ def test_incidence_weight_is_the_difference_of_exponents():
 def test_incidence_blocks_at_12_minus_13(monkeypatch):
     # every true row and column of a block holds an entry nonzero mod p, so a
     # stacked block's true shape is its count of nonzero rows and columns
-    shapes = []
+    shapes, calls = [], []
 
     def recording(stack, p):
+        calls.append(stack.shape)
         nonzero = stack % p != 0
         rows, cols = nonzero.any(axis=2).sum(axis=1), nonzero.any(axis=1).sum(axis=1)
         shapes.extend(zip(rows.tolist(), cols.tolist()))
@@ -133,6 +134,8 @@ def test_incidence_blocks_at_12_minus_13(monkeypatch):
     assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
     # one block per S3-orbit of weights is eliminated
     assert len(shapes) == 52
+    # the map is eliminated in one call
+    assert len(calls) == 1
     assert max(r for r, _ in shapes) == 51 and max(c for _, c in shapes) == 52
     # with every block ranked 1, the map's rank is the sum of the orbit sizes
     monkeypatch.setattr(cech_mod, "ranks_mod_p", lambda stack, p: np.ones(len(stack), int))
@@ -238,6 +241,56 @@ def test_orbit_sum_matches_full_sum_on_a_twist_grid(monkeypatch):
     monkeypatch.setattr(cech_mod, "_symmetry", lambda space, poly_matrix: 1)
     full = [incidence_cohomology(a, b, p).dims for a, b, p in questions]
     assert orbit == full
+
+
+def _recording_stacks(monkeypatch):
+    """Patch the kernel to record, for every stack it gets, the stack's cell
+    count and, per matrix, which rows and columns hold a nonzero entry."""
+    stacks = []
+
+    def recording(stack, p):
+        nonzero = stack % p != 0
+        stacks.append((stack.size, nonzero.any(axis=2), nonzero.any(axis=1)))
+        return ranks_mod_p(stack, p)
+
+    monkeypatch.setattr(cech_mod, "ranks_mod_p", recording)
+    return stacks
+
+
+def _assert_aligned(stacks):
+    """Each block's last nonzero column is its stack's last column; its used
+    rows, and its used columns read from the right, have no gaps."""
+    for _, rows, cols in stacks:
+        assert cols[:, -1].all()
+        for used in (rows, cols[:, ::-1]):
+            count = used.sum(axis=1, keepdims=True)
+            assert (used == (np.arange(used.shape[1]) < count)).all()
+
+
+@pytest.mark.parametrize(
+    "a, b, p, count", [(12, -13, 3, 1), (10, -12, 3, 1), (20, -22, 2, 2), (5, -7, 7, 1)]
+)
+def test_each_block_is_top_and_right_aligned_in_its_stack(monkeypatch, a, b, p, count):
+    stacks = _recording_stacks(monkeypatch)
+    incidence_cohomology(a, b, p)
+    # one map, cut into stacks of at most _STACK_CELLS cells
+    assert len(stacks) == count
+    assert all(cells <= cech_mod._STACK_CELLS for cells, _, _ in stacks)
+    _assert_aligned(stacks)
+
+
+def test_a_smaller_stack_bound_gives_the_same_dims(monkeypatch):
+    grid = [(a, b) for a in range(-8, 16) for b in range(-16, 8)]
+    questions = grid + [(20, -22)]
+    default = [incidence_cohomology(a, b, 3).dims for a, b in questions]
+    # a bound of one 8 x 8 block: large blocks stand alone, small ones share
+    monkeypatch.setattr(cech_mod, "_STACK_CELLS", 64)
+    stacks = _recording_stacks(monkeypatch)
+    assert [incidence_cohomology(a, b, 3).dims for a, b in questions] == default
+    assert any(len(rows) == 1 and cells > 64 for cells, rows, _ in stacks)
+    assert any(len(rows) > 1 for _, rows, _ in stacks)
+    assert all(cells <= 64 or len(rows) == 1 for cells, rows, _ in stacks)
+    _assert_aligned(stacks)
 
 
 def _images(row, g):

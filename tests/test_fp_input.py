@@ -14,7 +14,7 @@ from toricfrob.cech import Poly, hypercohomology_fp
 from toricfrob.cli import main
 from toricfrob import linalg
 from toricfrob.linalg import check_prime_field, is_prime, rank_mod_p
-from toricfrob.structure import _jet_block
+from toricfrob.structure import _jet_stack
 
 
 def test_incidence_rejects_composite_p():
@@ -63,8 +63,8 @@ def test_prime_is_proved_once_per_p(monkeypatch):
 
 def test_jet_block_rejects_composite_p():
     with pytest.raises(ValueError, match="not prime"):
-        _jet_block(3, 2, 9, (1, 1, 1))
-    assert _jet_block(3, 2, 3, (1, 1, 1)).shape == (10, 6)
+        _jet_stack((3,), 2, 9, (1, 1, 1))[0]
+    assert _jet_stack((3,), 2, 3, (1, 1, 1))[0].shape == (10, 6)
 
 
 def _trial_division(n):

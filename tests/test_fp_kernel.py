@@ -88,6 +88,21 @@ def test_an_int64_stack_is_eliminated_in_place():
     assert mat == [[4, 2], [2, 1]]
 
 
+def test_a_non_contiguous_int64_view_is_copied_not_changed():
+    base = np.array([[[4, 7], [2, 6]], [[1, 5], [0, 3]]], dtype=np.int64)
+    view = base.transpose(0, 2, 1)
+    assert not view.flags.c_contiguous
+    assert ranks_mod_p(view, 5).tolist() == [1, 2]
+    assert base.tolist() == [[[4, 7], [2, 6]], [[1, 5], [0, 3]]]
+
+
+def test_a_read_only_int64_stack_is_copied_not_refused():
+    stack = np.array([[[4, 7], [2, 6]], [[1, 5], [0, 3]]], dtype=np.int64)
+    stack.flags.writeable = False
+    assert ranks_mod_p(stack, 5).tolist() == [1, 2]
+    assert stack.tolist() == [[[4, 7], [2, 6]], [[1, 5], [0, 3]]]
+
+
 @pytest.mark.parametrize("p", [1, 4, 9, 91, P_MAX + 1, 2**61 - 1, 2**64])
 def test_refusals_match_rank_mod_p(p):
     # composite and oversized p are refused before any work, on every call

@@ -16,7 +16,7 @@ from toricfrob import (
     s2d2_identity_check,
 )
 from toricfrob import structure as structure_mod
-from toricfrob.structure import _jet_block
+from toricfrob.structure import _jet_stack
 from toricfrob.varieties import BUNDLE_SPECS
 
 PRIMES_THROUGH_13 = (2, 3, 5, 7, 11, 13)
@@ -188,7 +188,7 @@ def test_jet_rank_rejects_degenerate_point():
 
 
 def test_jet_block_shape():
-    block = _jet_block(3, 1, 3, (1, 1, 1))
+    block = _jet_stack((3,), 1, 3, (1, 1, 1))[0]
     assert block.shape == (10, 3)
 
 
@@ -225,6 +225,6 @@ def test_jet_block_matches_multiplied_out_taylor_rows():
                 for x, y in points:
                     if x % p == 0 or y % p == 0:
                         continue
-                    got = _jet_block(d, q - 2, p, (x, y, 1))
+                    got = _jet_stack((d,), q - 2, p, (x, y, 1))[0]
                     want = _reference_jet_block(d, q - 2, p, x % p, y % p)
                     assert got.tolist() == want, (p, q, d, x, y)
