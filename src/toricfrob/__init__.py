@@ -71,7 +71,6 @@ from .structure import (
     MultisetDifferenceNegative,
     SplitBundle,
     blowup_bookkeeping_check,
-    blowup_corank,
     corank_oracle,
     delpezzo_jet_check,
     divided_power_split,

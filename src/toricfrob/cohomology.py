@@ -153,36 +153,29 @@ def _line_starts(start, rays, axes):
 
 
 def _line_counts(base, cuts, steps, width):
-    """Distinct keys of lines cut into intervals, with counts and first places.
+    """Distinct keys of lines cut into intervals, with their counts.
 
-    Line i holds the positions t in [0, width), at flat position
-    i * width + t.  Its key (a scalar, or a row) is ``base[i]`` at t = 0
-    and moves by ``steps[j]`` at the breakpoint ``cuts[i, j]``, already
-    clipped to [0, width].  Sorted, the breakpoints cut each line into
-    intervals of constant key whose lengths are exact counts; intervals of
-    length 0 are dropped.  Returns (keys, counts, first): the distinct keys
-    met, ascending (rows compare from their last entry), the number of
-    positions with each key, and the least flat position of each.
+    Line i holds the positions t in [0, width).  Its key (a scalar, or a
+    row) is ``base[i]`` at t = 0 and moves by ``steps[j]`` at the
+    breakpoint ``cuts[i, j]``, already clipped to [0, width].  Sorted, the
+    breakpoints cut each line into intervals of constant key whose lengths
+    are exact counts; intervals of length 0 are dropped.  Returns
+    (keys, counts): the distinct keys met, ascending (rows compare from
+    their last entry), and the number of positions with each key.
     """
     lines, r = cuts.shape
     col = cuts.argsort(axis=1)
     ends = np.empty((lines, r + 2), dtype=np.int64)
     ends[:, 0] = 0
-    ends[:, 1:-1] = np.sort(cuts, axis=1)
+    ends[:, 1:-1] = np.take_along_axis(cuts, col, axis=1)
     ends[:, -1] = width
     keys = np.concatenate((base[:, None], steps[col]), axis=1)
     keys.cumsum(axis=1, out=keys)
     lengths = (ends[:, 1:] - ends[:, :-1]).ravel()
     met = lengths.nonzero()[0]
     keys = keys.reshape((lines * (r + 1),) + base.shape[1:])[met]
-    # a stable sort keeps each key's intervals in flat order, least first
     by_key, starts, _ = group_rows(keys.reshape(len(keys), -1), labels=False)
-    first = met[by_key[starts]]
-    return (
-        keys[by_key[starts]],
-        np.add.reduceat(lengths[met[by_key]], starts),
-        ends[:, :-1].ravel()[first] + first // (r + 1) * width,
-    )
+    return keys[by_key[starts]], np.add.reduceat(lengths[met[by_key]], starts)
 
 
 def _mask_counts(fan: Fan, coeffs):
@@ -223,7 +216,7 @@ def _mask_counts(fan: Fan, coeffs):
     base = (x[:, r:] > 0) @ bits[r:] + bits[:r] @ rising
     cuts = np.clip(x[:, :r] // slopes + (1 - lo), 0, width)
     steps = np.where(rising, -bits[:r], bits[:r])
-    return _line_counts(base, cuts, steps, width)[:2]
+    return _line_counts(base, cuts, steps, width)
 
 
 def _support_contrib(fan: Fan, mask: int):

@@ -19,7 +19,7 @@ Only certified results are kept.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -71,22 +71,19 @@ class FrobeniusOrder:
 class Decomposition:
     """Multiset of line bundle classes of a split Frobenius pushforward.
 
-    ``entries`` maps each class to its multiplicity; ``witnesses`` keeps one
-    residue u and the divisor it produced, per class.  Both are read-only
-    copies of the mappings given, since a certified decomposition is shared
-    by every caller that asks for it.
+    ``entries`` maps each class to its multiplicity.  It is a read-only copy
+    of the mapping given, since a certified decomposition is shared by every
+    caller that asks for it.
     """
 
     fan: Fan
     divisor: Divisor
     order: FrobeniusOrder
     entries: MappingProxyType
-    witnesses: MappingProxyType = field(repr=False)
     certified: bool = False
 
     def __post_init__(self):
-        for name in ("entries", "witnesses"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     @property
     def rank(self) -> int:
@@ -131,9 +128,10 @@ def _raw_decompose(fan: Fan, divisor, order: FrobeniusOrder):
     X = k q + (q - 1 - y mod q) for c > 0 and X = k q + (y mod q) for c < 0.
     Each move adds +-(class of D_rho) to the line's class, and
     :func:`_line_counts` sums the intervals, for q^(d-1) * sum |v_rho[d]|
-    work in place of q^d.  ``entries`` lists each class once, in order of
-    first occurrence, with its multiplicity; ``witnesses`` gives that first
-    residue u and its coefficients.
+    work in place of q^d.  Returns the distinct classes met, each with its
+    multiplicity, in descending order, so that the sorts of
+    :meth:`Decomposition.sorted_entries` and the Ext tables meet their input
+    already in order.
     """
     q, d = order.q, fan.dim
     _check_residue_range(fan, divisor, q)
@@ -150,19 +148,12 @@ def _raw_decompose(fan: Fan, divisor, order: FrobeniusOrder):
     c, rem = slopes[ray], rem[:, ray]
     cuts = np.minimum((np.where(c > 0, q - 1 - rem, rem) + k * q) // np.abs(c) + 1, q)
     steps = np.sign(c)[:, None] * cmat[ray]
-    keys, counts, first = _line_counts(floor @ cmat, cuts, steps, q)
-    by_first = first.argsort()
-    u = first[by_first, None] // q ** np.arange(d - 1, -1, -1, dtype=np.int64) % q
-    coeffs = (shift + u @ np.array(fan.rays, dtype=np.int64).T) // q
-    entries: dict = {}
-    witnesses: dict = {}
-    for key, count, res, co in zip(
-        keys[by_first].tolist(), counts[by_first].tolist(), u.tolist(), coeffs.tolist()
-    ):
-        cls = DivisorClass(tuple(key))
-        entries[cls] = count
-        witnesses[cls] = (tuple(res), tuple(co))
-    return entries, witnesses
+    keys, counts = _line_counts(floor @ cmat, cuts, steps, q)
+    down = np.lexsort(keys.T[::-1])[::-1]
+    return {
+        DivisorClass(tuple(key)): count
+        for key, count in zip(keys[down].tolist(), counts[down].tolist())
+    }
 
 
 def default_test_divisors(fan: Fan):
@@ -195,7 +186,7 @@ def frobenius_decompose(fan: Fan, divisor, order: FrobeniusOrder) -> Decompositi
     key = (divisor, order)
     if key in fan._dec_cache:
         return fan._dec_cache[key]
-    dec = Decomposition(fan, divisor, order, *_raw_decompose(fan, divisor, order))
+    dec = Decomposition(fan, divisor, order, _raw_decompose(fan, divisor, order))
     if not verify_projection_formula(dec):
         failure = projection_formula_failure(dec)
         e, i, lhs, rhs = failure

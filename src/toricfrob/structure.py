@@ -35,7 +35,7 @@ from .frobenius import (
     frobenius_decompose,
 )
 from .linalg import check_prime_field, is_prime, ranks_mod_p
-from .varieties import named_variety
+from .varieties import BUNDLE_SPECS, named_variety
 
 
 # Cells of the jet stack (32 MB of int64): q <= 27 fits, q = 81 needs 2.3 GB.
@@ -113,6 +113,19 @@ def _divided_multiset(bundle: SplitBundle, m: int) -> Counter:
     return out
 
 
+def _registered_total_space(base_fan: Fan, fan: Fan) -> Fan:
+    """The registered bundle over ``base_fan`` equal to ``fan``, else ``fan``.
+
+    Only the specs whose base is ``base_fan`` itself are looked at, so that
+    a check on a catalog bundle reads the decompositions its registered fan
+    already holds.
+    """
+    for key, build in BUNDLE_SPECS.items():
+        if build()[0] is base_fan and named_variety(key) == fan:
+            return named_variety(key)
+    return fan
+
+
 def pbundle_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> bool:
     """Exact multiset test of F_* O on the P^1- or P^2-bundle P(E) over a base.
 
@@ -121,7 +134,8 @@ def pbundle_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> bool:
     pulled back from the base (Thomsen, J. Algebra 226, 2000): F_* O, then at
     rank 3 the cokernel E_1 of F_*O (x) E* -> F_*(S^q E*) twisted by -xi, and
     F_*(D^(q-r) E (x) det E) (x) det E* twisted by -(r-1) xi.  Their classes
-    must equal the direct residue decomposition on the total space.  E_1 is a
+    must equal the direct residue decomposition on the total space, taken on
+    the registered fan when the registry holds this bundle.  E_1 is a
     multiset difference, which must stay non-negative.
     """
     rank = len(degrees)
@@ -134,7 +148,8 @@ def pbundle_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> bool:
     xi = pb.o_pi_class(1)
     det = bundle.det_class()
 
-    direct = _pushforward_classes(pb.fan, {pb.fan.zero_class(): 1}, order)
+    total = _registered_total_space(base_fan, pb.fan)
+    direct = _pushforward_classes(total, {total.zero_class(): 1}, order)
     base_dec = _pushforward_classes(base_fan, {base_fan.zero_class(): 1}, order)
     predicted: Counter = Counter()
     for cls, mult in base_dec.items():
@@ -183,13 +198,6 @@ def s2d2_identity_check(base_fan: Fan, a, order: FrobeniusOrder) -> bool:
     return lhs == rhs
 
 
-def blowup_corank(p: int) -> int:
-    """Multiplicity of the exceptional twist in the blow-up comparison."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    return p * (p - 1) // 2
-
-
 def corank_oracle(p: int) -> int:
     """Independent count: monomials x^a y^b with 0 <= a < b < p."""
     if not is_prime(p):
@@ -209,11 +217,13 @@ def _blown_up_plane() -> Blowup:
 
 
 def blowup_bookkeeping_check(p: int) -> BlowupReport:
-    """Rank and determinant bookkeeping for the blow-up of the plane.
+    """Counted comparison of F_* O on the blown-up plane with the plane's.
 
-    Both decompositions must have total multiplicity p^2, and the determinant
-    of the blow-up decomposition must differ from the pulled-back plane
-    determinant by an integer multiple of the exceptional class.
+    Against the pulled-back multiset of F_* O_P2, every summand that leaves
+    F_* O_X1 must come back moved by exactly the exceptional class E.  Their
+    number is the corank, which must equal :func:`corank_oracle`, and the
+    determinants must then differ by exactly corank * E.  ``rank_ok``
+    records that both decompositions have total multiplicity p^2.
     """
     order = FrobeniusOrder(p, 1)
     bl = _blown_up_plane()
@@ -222,23 +232,22 @@ def blowup_bookkeeping_check(p: int) -> BlowupReport:
     dec_bl = frobenius_decompose(bl.fan, bl.fan.zero_divisor(), order)
     rank_ok = dec_plane.rank == p**2 and dec_bl.rank == p**2
 
-    pulled = bl.pullback_class(det_class(dec_plane))
-    disc = det_class(dec_bl) - pulled
     exc = bl.exceptional_class()
-    multiple = None
-    for dv, ev in zip(disc.coords, exc.coords):
-        if ev != 0:
-            multiple = dv // ev
-            break
-    if multiple is None or multiple * exc != disc:
+    pulled = Counter({bl.pullback_class(c): m for c, m in dec_plane.entries.items()})
+    blown = Counter(dec_bl.entries)
+    left, came = pulled - blown, blown - pulled
+    corank = sum(left.values())
+    disc = det_class(dec_bl) - bl.pullback_class(det_class(dec_plane))
+    moved = Counter({cls + exc: mult for cls, mult in left.items()})
+    if moved != came or corank != corank_oracle(p) or disc != corank * exc:
         raise InvariantViolation(
-            "determinant discrepancy is not a multiple of the exceptional class"
+            f"blow-up comparison at p = {p}: {dict(left)} left the pulled-back "
+            f"multiset and {dict(came)} came back, with E = {exc}; corank "
+            f"{corank} against corank_oracle {corank_oracle(p)}; determinant "
+            f"discrepancy {disc}"
         )
     return BlowupReport(
-        corank=blowup_corank(p),
-        det_discrepancy=disc,
-        rank_ok=rank_ok,
-        multiple=multiple,
+        corank=corank, det_discrepancy=disc, rank_ok=rank_ok, multiple=corank
     )
 
 

@@ -83,7 +83,7 @@ def test_criterion_03_rank_and_projection_oracle():
                     order = FrobeniusOrder(p, n)
                     divisor = fan.zero_divisor()
                     dec = Decomposition(
-                        fan, divisor, order, *_raw_decompose(fan, divisor, order)
+                        fan, divisor, order, _raw_decompose(fan, divisor, order)
                     )
                     assert dec.rank == order.q**fan.dim, (entry.key, p, n)
                     assert verify_projection_formula(dec), (entry.key, p, n)

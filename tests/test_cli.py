@@ -194,9 +194,9 @@ def test_catalog_run_propagates_broken_certificates(
     real = frobenius_mod._raw_decompose
 
     def corrupted(*args):
-        entries, witnesses = real(*args)
+        entries = real(*args)
         first = next(iter(entries))
-        return {**entries, first: entries[first] + 1}, witnesses
+        return {**entries, first: entries[first] + 1}
 
     monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupted)
     code, out, err = run(capsys, "catalog", "run", "--p", "2")

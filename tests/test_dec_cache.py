@@ -22,6 +22,7 @@ from toricfrob import (
     tilting_verdict,
 )
 from toricfrob import frobenius as frobenius_mod
+from toricfrob.varieties import BUNDLE_SPECS
 
 
 @pytest.fixture
@@ -76,7 +77,7 @@ def test_failed_certificate_caches_nothing(monkeypatch):
     order = FrobeniusOrder(2)
 
     def corrupt(fan, divisor, order):
-        return {DivisorClass((0,)): 4}, {}
+        return {DivisorClass((0,)): 4}
 
     monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupt)
     with pytest.raises(OracleMismatch):
@@ -105,8 +106,6 @@ def test_shared_decomposition_is_read_only():
     cls = DivisorClass((0,))
     with pytest.raises(TypeError):
         dec.entries[cls] = 5
-    with pytest.raises(TypeError):
-        del dec.witnesses[cls]
     with pytest.raises(FrozenInstanceError):
         dec.certified = False
     assert dec.entries[cls] == 1 and dec.certified
@@ -117,7 +116,7 @@ def test_decomposition_copies_the_mappings_it_is_given():
     entries = {DivisorClass((0,)): 1}
     dec = frobenius_mod.Decomposition(
         fan=fan, divisor=fan.zero_divisor(), order=FrobeniusOrder(2, 0),
-        entries=entries, witnesses={},
+        entries=entries,
     )
     entries[DivisorClass((0,))] = 7
     assert dec.entries == {DivisorClass((0,)): 1}
@@ -129,9 +128,9 @@ def one_summand_too_many(monkeypatch):
     real = frobenius_mod._raw_decompose
 
     def corrupted(*args):
-        entries, witnesses = real(*args)
+        entries = real(*args)
         first = next(iter(entries))
-        return {**entries, first: entries[first] + 1}, witnesses
+        return {**entries, first: entries[first] + 1}
 
     monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupted)
 
@@ -146,3 +145,21 @@ def test_iterate_check_compares_certified_multisets(one_summand_too_many):
     plane = projective_plane()
     with pytest.raises(OracleMismatch):
         iterate_check(plane, plane.zero_divisor(), 2, 2)
+
+
+def test_registered_bundle_checks_reuse_the_catalog_fans(monkeypatch):
+    named_variety.cache_clear()
+    catalog_run(2)
+    totals = [named_variety(key) for key in BUNDLE_SPECS]
+    seen = []
+    real = frobenius_mod._raw_decompose
+
+    def raw(fan, divisor, order):
+        seen.append(fan)
+        return real(fan, divisor, order)
+
+    monkeypatch.setattr(frobenius_mod, "_raw_decompose", raw)
+    for build in BUNDLE_SPECS.values():
+        base, degrees = build()
+        assert pbundle_check(base, degrees, FrobeniusOrder(2))
+    assert seen and not [fan for fan in seen if fan in totals]

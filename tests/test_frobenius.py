@@ -85,7 +85,7 @@ def test_det_class_examples(P1):
 def test_rank_is_q_to_dim(F1, div, pn):
     p, n = pn
     order = FrobeniusOrder(p, n)
-    entries, _ = frobenius_mod._raw_decompose(F1, div, order)
+    entries = frobenius_mod._raw_decompose(F1, div, order)
     assert sum(entries.values()) == order.q ** F1.dim
 
 
@@ -95,7 +95,7 @@ def test_representative_independence(F1, div):
     # a second residue system: the centred box [-q/2, q/2)^d
     order = FrobeniusOrder(3)
     q = order.q
-    entries, _ = frobenius_mod._raw_decompose(F1, div, order)
+    entries = frobenius_mod._raw_decompose(F1, div, order)
     alt = {}
     for u in iproduct(range(-(q // 2), q - q // 2), repeat=F1.dim):
         coeffs = tuple(
@@ -140,20 +140,18 @@ def test_certification_runs_by_default(P2):
 
 def test_corrupted_decomposition_fails_oracle(P2):
     order = FrobeniusOrder(2)
-    dec = frobenius_decompose(P2, (0, 0, 0), order)
     bad = Decomposition(
         fan=P2,
         divisor=(0, 0, 0),
         order=order,
         entries={DivisorClass((0,)): 1, DivisorClass((-1,)): 2, DivisorClass((-2,)): 1},
-        witnesses=dec.witnesses,
     )
     assert not verify_projection_formula(bad)
 
 
 def test_oracle_mismatch_raised(monkeypatch, cold_decompositions, P2):
     def corrupt(fan, divisor, order):
-        return {DivisorClass((0,)): 4}, {}
+        return {DivisorClass((0,)): 4}
 
     cold_decompositions(P2)
     monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupt)
@@ -163,7 +161,7 @@ def test_oracle_mismatch_raised(monkeypatch, cold_decompositions, P2):
 
 def test_oracle_mismatch_names_broken_identity(monkeypatch, cold_decompositions, P2):
     def corrupt(fan, divisor, order):
-        return {DivisorClass((0,)): 4}, {}
+        return {DivisorClass((0,)): 4}
 
     cold_decompositions(P2)
     monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupt)
@@ -180,7 +178,7 @@ def test_projection_failure_none_when_certified(P2):
     assert projection_formula_failure(dec) is None
     bad = Decomposition(
         fan=P2, divisor=dec.divisor, order=dec.order,
-        entries={DivisorClass((0,)): 9}, witnesses={},
+        entries={DivisorClass((0,)): 9},
     )
     assert projection_formula_failure(bad) is not None
 

@@ -71,13 +71,11 @@ def test_sums_past_the_int64_range_raise_overflow():
     dec = Decomposition(
         fan=p1, divisor=(0, 0), order=FrobeniusOrder(2),
         entries={DivisorClass((0,)): 2**31, DivisorClass((-1,)): 2**31},
-        witnesses={},
     )
     with pytest.raises(Overflow):
         _pair_table(p1, dec, dec)
     small = Decomposition(
         fan=p1, divisor=(0, 0), order=FrobeniusOrder(2),
         entries={DivisorClass((0,)): 2**20, DivisorClass((-1,)): 2**20},
-        witnesses={},
     )
     assert _pair_table(p1, small, small)[0] == _loop_pairs(p1, small, small)[0]

@@ -5,16 +5,17 @@ import pytest
 from toricfrob import (
     DivisorClass,
     FrobeniusOrder,
+    InvariantViolation,
     MultisetDifferenceNegative,
     SplitBundle,
     blowup_bookkeeping_check,
-    blowup_corank,
     corank_oracle,
     delpezzo_jet_check,
     divided_power_split,
     pbundle_check,
     s2d2_identity_check,
 )
+from toricfrob import frobenius as frobenius_mod
 from toricfrob import structure as structure_mod
 from toricfrob.structure import _jet_stack
 from toricfrob.varieties import BUNDLE_SPECS
@@ -135,9 +136,50 @@ def test_cokernel_difference_guard(monkeypatch, P1):
 
 def test_corank_formula_and_oracle():
     for p in PRIMES_THROUGH_13:
-        assert blowup_corank(p) == corank_oracle(p) == p * (p - 1) // 2
+        counted = blowup_bookkeeping_check(p).corank
+        assert counted == corank_oracle(p) == p * (p - 1) // 2
     with pytest.raises(ValueError):
-        blowup_corank(6)
+        corank_oracle(6)
+
+
+def test_blowup_check_rejects_a_summand_not_moved_by_e(
+    monkeypatch, cold_decompositions
+):
+    # X1's residue count moves one summand by 2E in place of E; with the
+    # certificate bypassed the corruption reaches the blow-up comparison
+    bl = structure_mod._blown_up_plane()
+    cold_decompositions(bl.fan, bl.base)
+    exc = bl.exceptional_class()
+    back = bl.pullback_class(DivisorClass((-1,)))
+    real = frobenius_mod._raw_decompose
+
+    def corrupted(fan, divisor, order):
+        entries = real(fan, divisor, order)
+        if fan is bl.fan:
+            entries[back + exc] -= 1
+            entries[back + 2 * exc] = entries.get(back + 2 * exc, 0) + 1
+        return entries
+
+    monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupted)
+    monkeypatch.setattr(frobenius_mod, "verify_projection_formula", lambda dec: True)
+    # O(0, -1) + 2E = O(-2, 1) came back
+    with pytest.raises(InvariantViolation, match=r"O\(-2, 1\)"):
+        blowup_bookkeeping_check(3)
+
+
+def test_blowup_check_compares_the_counted_corank(monkeypatch):
+    monkeypatch.setattr(structure_mod, "corank_oracle", lambda p: 0)
+    with pytest.raises(InvariantViolation, match="corank 3 against corank_oracle 0"):
+        blowup_bookkeeping_check(3)
+
+
+def test_blowup_check_compares_the_determinant(monkeypatch):
+    real = structure_mod.det_class
+    monkeypatch.setattr(structure_mod, "det_class", lambda dec: 2 * real(dec))
+    # corank and oracle agree; only the doubled discrepancy 6E is off
+    broken = r"corank_oracle 3; determinant discrepancy O\(-6, 6\)"
+    with pytest.raises(InvariantViolation, match=broken):
+        blowup_bookkeeping_check(3)
 
 
 def test_blowup_bookkeeping():

@@ -50,7 +50,7 @@ def tower_divisors(draw, low=-3, high=3):
 def test_tower_projection_formula(drawn, q):
     fan, divisor = drawn
     order = FrobeniusOrder(q)
-    dec = Decomposition(fan, divisor, order, *_raw_decompose(fan, divisor, order))
+    dec = Decomposition(fan, divisor, order, _raw_decompose(fan, divisor, order))
     assert projection_formula_failure(dec) is None
 
 
