@@ -69,7 +69,7 @@ def main(argv=None) -> int:
         report = blowup_bookkeeping_check(p)
         print(
             f"  p={p}: corank {report.corank} (oracle {corank_oracle(p)}), "
-            f"determinant discrepancy multiple {report.multiple}"
+            f"determinant discrepancy O{report.det_discrepancy.coords}"
         )
 
     print("\n== plane jet counts ==")

@@ -259,7 +259,7 @@ def _local_index(block, ids):
     (block, id) pairs are ranked with the block first; an entry's local index
     is its pair's rank minus the rank of its block's first pair.
     """
-    order, starts, pair = group_rows((ids, block))
+    order, starts, pair = group_rows(np.column_stack((ids, block)))
     first = np.flatnonzero(np.diff(block[order[starts]], prepend=-1))
     return pair - first[block], np.diff(first, append=len(starts))
 

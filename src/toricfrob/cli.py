@@ -97,13 +97,13 @@ def _cmd_push(args) -> int:
         "q": order.q,
         "summands": [
             {"class": list(cls.coords), "mult": mult}
-            for cls, mult in dec.sorted_entries()
+            for cls, mult in dec.entries.items()
         ],
         "det": list(det_class(dec).coords),
         "certified": dec.certified,
     }
     lines = [f"F_{order.q}* O{tuple(divisor)} on {fan.name or 'fan'}:"]
-    lines += [f"  O{cls.coords} ^ {mult}" for cls, mult in dec.sorted_entries()]
+    lines += [f"  O{cls.coords} ^ {mult}" for cls, mult in dec.entries.items()]
     lines.append(f"  det = O{det_class(dec).coords}  (certified: {dec.certified})")
     _emit(args, payload, lines)
     return EXIT_OK
@@ -175,13 +175,11 @@ def _cmd_blowup_check(args) -> int:
         "p": args.p,
         "corank": report.corank,
         "corank_oracle": corank_oracle(args.p),
-        "rank_ok": report.rank_ok,
         "det_discrepancy": list(report.det_discrepancy.coords),
-        "multiple": report.multiple,
     }
     _emit(args, payload, [
         f"p={args.p}: corank {report.corank} (oracle {corank_oracle(args.p)}), "
-        f"ranks ok: {report.rank_ok}, discrepancy multiple: {report.multiple}",
+        f"determinant discrepancy O{report.det_discrepancy.coords}",
     ])
     return EXIT_OK
 

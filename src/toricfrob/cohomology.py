@@ -195,8 +195,11 @@ def _mask_counts(fan: Fan, coeffs):
     has the bits of the rays with c > 0 and of the rays with c = 0, x > 0,
     and at each breakpoint one bit is subtracted (c > 0) or added (c < 0);
     :func:`_line_counts` sums the intervals.  The work is box^(d-1) * #rays
-    in place of box^d.
+    in place of box^d.  A mask is one int64, so a fan with more than 64 rays
+    raises Overflow rather than drop the rays past bit 63.
     """
+    if len(fan.rays) > 64:
+        raise Overflow(f"{len(fan.rays)} rays do not fit a 64-bit support mask")
     box = _checked_box(fan, coeffs)
     axis = max(range(fan.dim), key=lambda k: box[k][1] - box[k][0])
     lo, hi = box[axis]

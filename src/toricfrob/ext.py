@@ -42,34 +42,33 @@ class TiltingVerdict:
 
     strong_exceptional: bool
     contains_collection: bool
-    collection_used: tuple
     quiver: tuple
     dims: tuple
     certified: bool
 
 
 def _stacked(dec: Decomposition):
-    """Multiplicities and class rows of the summands, classes descending."""
-    entries = dec.sorted_entries()
+    """Multiplicities and class rows of the summands, in the order of ``entries``."""
     return (
-        np.array([m for _, m in entries], dtype=np.int64),
-        np.array([c.coords for c, _ in entries], dtype=np.int64),
+        np.array(list(dec.entries.values()), dtype=np.int64),
+        np.array([c.coords for c in dec.entries], dtype=np.int64),
     )
 
 
 def _pair_table(fan: Fan, dec_l: Decomposition, dec_m: Decomposition):
     """Ext dims and per-pair cohomology of two split pushforwards, in one step.
 
-    The summand classes of each side, in descending order, are stacked as
-    int64 rows and all differences cv - cu formed at once.  One
-    :func:`group_rows` call groups equal differences (np.unique over rows
-    costs ~4x more at these sizes); each distinct difference gets one
-    :func:`cohomology_of_class` lookup and the weight sum of mu * mv over
-    the pairs that meet it.
+    The summand classes of each side, in the descending order that
+    :class:`Decomposition` keeps, are stacked as int64 rows and all
+    differences cv - cu formed at once.  One :func:`group_rows` call groups
+    equal differences (np.unique over rows costs ~4x more at these sizes);
+    each distinct difference gets one :func:`cohomology_of_class` lookup
+    and the weight sum of mu * mv over the pairs that meet it.
 
     Returns (dims, table): dims[i] = sum over pairs of mu * mv * h^i(cv - cu),
     and table[a, b] the cohomology of right[b] - left[a] as an (n, m, d + 1)
-    int64 array, left and right the descending classes of dec_l and dec_m.
+    int64 array, left and right the classes of dec_l and dec_m in their
+    ``entries`` order.
     The class keys of a decomposition lie inside the residue range guard, so
     their differences are exact; Overflow is raised when a dims sum, at most
     rank_l * rank_m * max h, could leave the exact int64 range.
@@ -102,11 +101,10 @@ def ext_table(fan: Fan, order: FrobeniusOrder, L=None, M=None) -> ExtReport:
     dec_l = frobenius_decompose(fan, l_div, order)
     dec_m = dec_l if m_div == l_div else frobenius_decompose(fan, m_div, order)
     dims, table = _pair_table(fan, dec_l, dec_m)
-    right = sorted(dec_m.entries, reverse=True)
     per_pair = {
         (cu, cv): CohomologyVector(tuple(h))
-        for cu, row in zip(sorted(dec_l.entries, reverse=True), table.tolist())
-        for cv, h in zip(right, row)
+        for cu, row in zip(dec_l.entries, table.tolist())
+        for cv, h in zip(dec_m.entries, row)
     }
     return ExtReport(
         dims=dims, per_pair=per_pair, vanishing_above_zero=not any(dims[1:])
@@ -153,7 +151,6 @@ def tilting_verdict(
     return TiltingVerdict(
         strong_exceptional=not any(dims[1:]),
         contains_collection=all(c in dec.entries for c in coll),
-        collection_used=coll,
         quiver=quiver,
         dims=dims,
         certified=dec.certified,

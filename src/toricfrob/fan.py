@@ -15,6 +15,7 @@ coordinates.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
@@ -279,6 +280,16 @@ def _containing_cones(fan: Fan, v):
     ]
 
 
+def _integer(x, where: str) -> int:
+    """x as an int; a bool, a float or any other non-integer raises FanError."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise FanError(f"{where} entry {x!r} is not an integer")
+
+
 def build_fan(rays, max_cones, name: str = "", collection=None) -> Fan:
     """Validate and build a smooth complete fan.
 
@@ -289,9 +300,11 @@ def build_fan(rays, max_cones, name: str = "", collection=None) -> Fan:
     in no other closed maximal cone.  By (a) and (b), crossing a wall away
     from the codimension-2 faces leaves the number of cones containing a point
     unchanged, so that number is the same for every point off those faces;
-    (c) makes it 1, so the cones cover R^d exactly once.
+    (c) makes it 1, so the cones cover R^d exactly once.  Ray entries and
+    cone indices must be integers: a bool, a float or anything else that
+    ``operator.index`` refuses raises FanError instead of being truncated.
     """
-    rays = tuple(tuple(int(x) for x in r) for r in rays)
+    rays = tuple(tuple(_integer(x, "ray") for x in r) for r in rays)
     if not rays:
         raise FanError("no rays given")
     dim = len(rays[0])
@@ -307,7 +320,7 @@ def build_fan(rays, max_cones, name: str = "", collection=None) -> Fan:
 
     cones = []
     for c in max_cones:
-        c = tuple(sorted(int(i) for i in c))
+        c = tuple(sorted(_integer(i, "cone") for i in c))
         if len(set(c)) != dim:
             raise FanError(f"maximal cone {c} must have {dim} distinct rays")
         if any(i < 0 or i >= len(rays) for i in c):
@@ -499,7 +512,8 @@ def projectivization_fan(base: Fan, degrees, name: str = "") -> ProjBundle:
 def fan_from_json(text: str) -> Fan:
     """Parse a fan from its JSON file format.
 
-    Schema: {"name": str?, "rays": [[int, ...]], "max_cones": [[int, ...]]}.
+    Schema: {"name": str?, "rays": [[int, ...]], "max_cones": [[int, ...]]};
+    every ray entry and cone index must be a JSON integer.
     """
     try:
         data = json.loads(text)

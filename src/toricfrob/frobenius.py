@@ -71,9 +71,11 @@ class FrobeniusOrder:
 class Decomposition:
     """Multiset of line bundle classes of a split Frobenius pushforward.
 
-    ``entries`` maps each class to its multiplicity.  It is a read-only copy
-    of the mapping given, since a certified decomposition is shared by every
-    caller that asks for it.
+    ``entries`` maps each class to its multiplicity, the classes in descending
+    order.  It is a read-only copy of the mapping given, sorted once here: a
+    certified decomposition is shared by every caller that asks for it, and
+    each reader (the push report, the Ext tables) takes the summands in this
+    order.
     """
 
     fan: Fan
@@ -83,14 +85,14 @@ class Decomposition:
     certified: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        ordered = sorted(
+            self.entries.items(), key=lambda kv: kv[0].coords, reverse=True
+        )
+        object.__setattr__(self, "entries", MappingProxyType(dict(ordered)))
 
     @property
     def rank(self) -> int:
         return sum(self.entries.values())
-
-    def sorted_entries(self):
-        return sorted(self.entries.items(), key=lambda kv: kv[0], reverse=True)
 
 
 def _check_residue_range(fan: Fan, divisor, q: int) -> None:
@@ -129,9 +131,7 @@ def _raw_decompose(fan: Fan, divisor, order: FrobeniusOrder):
     Each move adds +-(class of D_rho) to the line's class, and
     :func:`_line_counts` sums the intervals, for q^(d-1) * sum |v_rho[d]|
     work in place of q^d.  Returns the distinct classes met, each with its
-    multiplicity, in descending order, so that the sorts of
-    :meth:`Decomposition.sorted_entries` and the Ext tables meet their input
-    already in order.
+    multiplicity; :class:`Decomposition` puts them in order.
     """
     q, d = order.q, fan.dim
     _check_residue_range(fan, divisor, q)
@@ -149,10 +149,9 @@ def _raw_decompose(fan: Fan, divisor, order: FrobeniusOrder):
     cuts = np.minimum((np.where(c > 0, q - 1 - rem, rem) + k * q) // np.abs(c) + 1, q)
     steps = np.sign(c)[:, None] * cmat[ray]
     keys, counts = _line_counts(floor @ cmat, cuts, steps, q)
-    down = np.lexsort(keys.T[::-1])[::-1]
     return {
         DivisorClass(tuple(key)): count
-        for key, count in zip(keys[down].tolist(), counts[down].tolist())
+        for key, count in zip(keys.tolist(), counts.tolist())
     }
 
 

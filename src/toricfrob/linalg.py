@@ -9,8 +9,9 @@ support, the width-sorted weight blocks of one Cech map, or the three jet
 blocks.  :func:`rank_mod_p` (a stack of one) and the ``Fraction`` kernels
 :func:`solve_rational` and :func:`rank_rational` have no library caller: the
 tests compare the integer kernels against them, and the benchmark's tracer
-looks all three up by name.  Equal integer rows are grouped by one helper,
-:func:`group_rows`.
+looks all three up by name.  Equal rows of a 2-D integer array are grouped
+by one helper, :func:`group_rows`: the residue and character line counts,
+the Ext pair table and the Cech block labels all call it.
 """
 
 from __future__ import annotations
@@ -201,24 +202,17 @@ def rank_mod_p(mat, p: int) -> int:
     return int(ranks_mod_p(a[None], p)[0])
 
 
-def group_rows(keys, labels: bool = True):
-    """(order, starts, label) of the rows of a 2-D array or of 1-D columns.
+def group_rows(keys: np.ndarray, labels: bool = True):
+    """(order, starts, label) of the rows of a 2-D integer array.
 
     Rows compare from their last column, as in ``np.lexsort``.  ``order`` is
     the stable sort, ``starts`` where each run of equal rows begins in it,
     and ``label[i]`` the run of row i (None unless ``labels``).
     """
-    if isinstance(keys, np.ndarray) and keys.ndim == 2:
-        order = np.lexsort(keys.T)
-        ranked = keys[order]
-        fresh = np.empty(len(order), dtype=bool)
-        (ranked[1:] != ranked[:-1]).any(axis=1, out=fresh[1:])
-    else:
-        order = np.lexsort(keys)
-        fresh = np.zeros(len(order), dtype=bool)
-        for column in keys:
-            ranked = column[order]
-            fresh[1:] |= ranked[1:] != ranked[:-1]
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    fresh = np.empty(len(order), dtype=bool)
+    (ranked[1:] != ranked[:-1]).any(axis=1, out=fresh[1:])
     fresh[:1] = True
     label = np.empty(len(order), dtype=np.int64) if labels else None
     if labels:

@@ -84,8 +84,6 @@ class JetCheckReport:
 class BlowupReport:
     corank: int
     det_discrepancy: DivisorClass
-    rank_ok: bool
-    multiple: int
 
 
 def divided_power_split(bundle: SplitBundle, m: int) -> Counter:
@@ -222,15 +220,13 @@ def blowup_bookkeeping_check(p: int) -> BlowupReport:
     Against the pulled-back multiset of F_* O_P2, every summand that leaves
     F_* O_X1 must come back moved by exactly the exceptional class E.  Their
     number is the corank, which must equal :func:`corank_oracle`, and the
-    determinants must then differ by exactly corank * E.  ``rank_ok``
-    records that both decompositions have total multiplicity p^2.
+    determinants must then differ by exactly corank * E.
     """
     order = FrobeniusOrder(p, 1)
     bl = _blown_up_plane()
     plane = bl.base
     dec_plane = frobenius_decompose(plane, plane.zero_divisor(), order)
     dec_bl = frobenius_decompose(bl.fan, bl.fan.zero_divisor(), order)
-    rank_ok = dec_plane.rank == p**2 and dec_bl.rank == p**2
 
     exc = bl.exceptional_class()
     pulled = Counter({bl.pullback_class(c): m for c, m in dec_plane.entries.items()})
@@ -246,9 +242,7 @@ def blowup_bookkeeping_check(p: int) -> BlowupReport:
             f"{corank} against corank_oracle {corank_oracle(p)}; determinant "
             f"discrepancy {disc}"
         )
-    return BlowupReport(
-        corank=corank, det_discrepancy=disc, rank_ok=rank_ok, multiple=corank
-    )
+    return BlowupReport(corank=corank, det_discrepancy=disc)
 
 
 def _taylor_table(c: int, d: int, jet_order: int, p: int) -> np.ndarray:

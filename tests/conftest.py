@@ -1,9 +1,11 @@
+from functools import cache
 from itertools import permutations
 
 import pytest
 
 from toricfrob import (
     FrobeniusOrder,
+    blowup_fan,
     hirzebruch_one,
     p1xp1,
     projective_line,
@@ -52,6 +54,15 @@ def cold_decompositions(monkeypatch):
             monkeypatch.setitem(fan.__dict__, "_dec_cache", {})
 
     return cold
+
+
+@cache
+def plane_blown_up_to(rays):
+    """P2 blown up at torus-fixed points on ray 0 until it has ``rays`` rays."""
+    fan = projective_plane()
+    while len(fan.rays) < rays:
+        fan = blowup_fan(fan, next(c for c in fan.max_cones if 0 in c)).fan
+    return fan
 
 
 def order(p, n=1):

@@ -34,6 +34,7 @@ from toricfrob import (
 )
 from toricfrob.catalog import catalog_entries, catalog_run
 from toricfrob.frobenius import _raw_decompose
+from toricfrob.structure import _blown_up_plane
 from toricfrob.varieties import BUNDLE_SPECS
 
 
@@ -173,10 +174,11 @@ def test_criterion_08_blowup_bookkeeping():
     with criterion("8", "corank oracle through p = 13 and determinant discrepancy"):
         for p in (2, 3, 5, 7, 11, 13):
             assert corank_oracle(p) == p * (p - 1) // 2
+        exc = _blown_up_plane().exceptional_class()
         for p in (2, 3, 5):
             report = blowup_bookkeeping_check(p)
-            assert report.rank_ok
-            assert abs(report.multiple) == p * (p - 1) // 2
+            assert report.corank == p * (p - 1) // 2
+            assert report.det_discrepancy == report.corank * exc
 
 
 def test_criterion_09a_jet_dimension_counts():

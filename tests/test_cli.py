@@ -1,10 +1,14 @@
 import json
 
+import pytest
+
 from toricfrob import OracleMismatch, catalog_entries
 from toricfrob import cli as cli_mod
 from toricfrob import frobenius as frobenius_mod
 from toricfrob import structure as structure_mod
 from toricfrob.cli import main
+
+from conftest import plane_blown_up_to
 
 
 def run(capsys, *argv):
@@ -57,6 +61,30 @@ def test_fan_check_rejects_malformed(tmp_path, capsys):
     code, _, err = run(capsys, "fan", "check", "--fan", str(path))
     assert code == 1
     assert "primitive" in err
+
+
+@pytest.mark.parametrize("rays, cones", [
+    ([[1.9, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]]),
+    ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2.7]]),
+    ([[True, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]]),
+    ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2.0]]),
+])
+def test_non_integer_fan_entries_are_refused(tmp_path, capsys, rays, cones):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rays": rays, "max_cones": cones}))
+    for argv in (("fan", "check"), ("push", "--p", "2")):
+        code, out, err = run(capsys, *argv, "--fan", str(path))
+        assert code == 1 and out == ""
+        assert "is not an integer" in err
+
+
+def test_cohom_past_sixty_four_rays_exits_1(tmp_path, capsys):
+    fan = plane_blown_up_to(65)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rays": fan.rays, "max_cones": fan.max_cones}))
+    code, out, err = run(capsys, "cohom", "--fan", str(path), "--divisor=-K")
+    assert code == 1 and out == ""
+    assert "65 rays" in err
 
 
 def test_missing_fan_file(capsys):
@@ -131,7 +159,8 @@ def test_blowup_check(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["corank"] == payload["corank_oracle"] == 3
-    assert abs(payload["multiple"]) == 3
+    exc = structure_mod._blown_up_plane().exceptional_class()
+    assert payload["det_discrepancy"] == list((payload["corank"] * exc).coords)
 
 
 def test_jets(capsys):

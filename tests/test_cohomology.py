@@ -14,6 +14,8 @@ from toricfrob import (
     projective_space,
 )
 
+from conftest import plane_blown_up_to
+
 
 def test_p2_twist_two(P2):
     assert cohomology(P2, (2, 0, 0)).dims == (6, 0, 0)
@@ -113,3 +115,16 @@ def test_dimension_five_rejected():
 def test_candidate_box_overflow(P3):
     with pytest.raises(Overflow):
         cohomology(P3, (300, 0, 0, 0))
+
+
+def test_sixty_four_rays_match_riemann_roch():
+    # chi(-K) = 1 + K^2 = 13 - n on a toric surface with n rays
+    fan = plane_blown_up_to(64)
+    h = cohomology(fan, (1,) * 64)
+    assert h.dims[0] - h.dims[1] + h.dims[2] == 13 - 64
+
+
+def test_more_than_sixty_four_rays_raise_overflow():
+    fan = plane_blown_up_to(65)
+    with pytest.raises(Overflow, match="65 rays"):
+        cohomology(fan, (1,) * 65)

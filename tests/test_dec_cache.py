@@ -122,6 +122,47 @@ def test_decomposition_copies_the_mappings_it_is_given():
     assert dec.entries == {DivisorClass((0,)): 1}
 
 
+def test_decomposition_lists_its_classes_in_descending_order():
+    fan = named_variety("P1xP1")
+    ascending = {
+        DivisorClass(coords): 1 for coords in ((-1, -1), (-1, 0), (0, -1), (0, 0))
+    }
+    dec = frobenius_mod.Decomposition(
+        fan=fan, divisor=fan.zero_divisor(), order=FrobeniusOrder(2),
+        entries=ascending,
+    )
+    assert list(dec.entries) == sorted(ascending, reverse=True)
+    certified = frobenius_decompose(fan, fan.zero_divisor(), FrobeniusOrder(2))
+    assert list(certified.entries) == list(dec.entries)
+
+
+@pytest.fixture
+def class_comparisons(monkeypatch):
+    """Count the order comparisons between DivisorClass values."""
+    count = [0]
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        real = getattr(DivisorClass, name)
+
+        def counted(self, other, real=real):
+            count[0] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(DivisorClass, name, counted)
+    return count
+
+
+def test_warm_questions_make_no_class_comparison(class_comparisons):
+    fan, order = named_variety("P(O+O(2))/P2"), FrobeniusOrder(2, 4)
+    catalog_run(2)
+    tilting_verdict(fan, order)
+    ext_table(fan, order)
+    class_comparisons[0] = 0
+    catalog_run(2)
+    tilting_verdict(fan, order)
+    ext_table(fan, order)
+    assert class_comparisons[0] == 0
+
+
 @pytest.fixture
 def one_summand_too_many(monkeypatch):
     """A residue count that gains one summand, failing every certificate."""

@@ -197,10 +197,9 @@ def test_group_rows_matches_unique(count, width, scale):
     rows = _tied_rows(rng, count, width, scale)
     # group_rows compares rows from their last column, np.unique from the first
     distinct, inverse = np.unique(rows[:, ::-1], axis=0, return_inverse=True)
-    for keys in (rows, tuple(rows.T)):
-        order, starts, label = group_rows(keys)
-        assert np.array_equal(rows[order[starts], ::-1], distinct)
-        assert np.array_equal(label, inverse.ravel())
-        # tied rows keep their input order
-        assert np.array_equal(order, np.argsort(label, kind="stable"))
-        assert group_rows(keys, labels=False)[2] is None
+    order, starts, label = group_rows(rows)
+    assert np.array_equal(rows[order[starts], ::-1], distinct)
+    assert np.array_equal(label, inverse.ravel())
+    # tied rows keep their input order
+    assert np.array_equal(order, np.argsort(label, kind="stable"))
+    assert group_rows(rows, labels=False)[2] is None

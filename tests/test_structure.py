@@ -183,13 +183,11 @@ def test_blowup_check_compares_the_determinant(monkeypatch):
 
 
 def test_blowup_bookkeeping():
-    signs = set()
+    exc = structure_mod._blown_up_plane().exceptional_class()
     for p in (2, 3, 5):
         report = blowup_bookkeeping_check(p)
-        assert report.rank_ok
-        assert abs(report.multiple) == p * (p - 1) // 2
-        signs.add(report.multiple > 0)
-    assert len(signs) == 1  # the orientation is stable across primes
+        assert report.corank == p * (p - 1) // 2
+        assert report.det_discrepancy == report.corank * exc
 
 
 def test_jet_report_examples():
