@@ -18,8 +18,9 @@ the number of pairs the change won (ties count for neither side).
 the seven-q survey in one fresh interpreter: ``import toricfrob`` and then
 ``catalog_run`` at q = 2, 3, 4, 5, 7, 8, 9 in turn, import included.  It also
 times ``incidence_cohomology`` at each of the large twists (30, -32) and
-(40, -42) with p = 3, N alternating runs per side, each in a fresh
-interpreter, and records that interpreter's peak RSS (``ru_maxrss``).
+(40, -42) with p = 3, and the jet rank ``delpezzo_jet_check(5, 2,
+compute_rank=True)`` at q = 25, N alternating runs per side, each in a
+fresh interpreter, and records that interpreter's peak RSS (``ru_maxrss``).
 """
 
 from __future__ import annotations
@@ -48,14 +49,19 @@ for p, n in SURVEY_ORDERS:
 print(time.perf_counter() - start)
 """
 
-# One large incidence twist in a fresh interpreter: seconds and peak RSS (MB).
-LARGE_TWISTS = ((30, -32, 3), (40, -42, 3))
-LARGE_TWIST = """
+# Questions too large for the benchmark, keyed by their record's name, each
+# asked once in a fresh interpreter: seconds and peak RSS (MB).
+COLD_CALLS = {
+    "incidence_cohomology_30_-32_p3": "incidence_cohomology(30, -32, 3)",
+    "incidence_cohomology_40_-42_p3": "incidence_cohomology(40, -42, 3)",
+    "delpezzo_jet_check_q25_p5": "delpezzo_jet_check(5, 2, compute_rank=True)",
+}
+COLD_CALL = """
 import resource, sys, time
 sys.path[:0] = ["src"]
-from toricfrob import incidence_cohomology
+import toricfrob
 start = time.perf_counter()
-incidence_cohomology({}, {}, {})
+toricfrob.{}
 print(time.perf_counter() - start,
       resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
@@ -75,8 +81,8 @@ def cold_pass(tree: Path) -> float:
     return round(float(proc.stdout), 4)
 
 
-def large_twist(tree: Path, twist) -> tuple:
-    proc = subprocess.run([sys.executable, "-c", LARGE_TWIST.format(*twist)],
+def cold_call(tree: Path, call: str) -> tuple:
+    proc = subprocess.run([sys.executable, "-c", COLD_CALL.format(call)],
                           cwd=tree, capture_output=True, text=True, check=True)
     seconds, rss = map(float, proc.stdout.split())
     return round(seconds, 4), round(rss, 1)
@@ -194,15 +200,14 @@ def main(argv=None) -> int:
                 "unit": "s", "parent": summary(old), "change": summary(new),
             },
         }
-        for twist in LARGE_TWISTS:
-            print(f"incidence_cohomology{twist}, cold", file=sys.stderr, flush=True)
+        for name, call in COLD_CALLS.items():
+            print(f"{call}, cold", file=sys.stderr, flush=True)
             old, new = alternate(args.cold_runs,
-                                 lambda i: large_twist(args.parent, twist),
-                                 lambda i: large_twist(args.change, twist))
-            out["outside_benchmark"]["incidence_cohomology_%d_%d_p%d" % twist] = {
-                "command": "python -c: import toricfrob, then time "
-                           f"incidence_cohomology{twist}; peak RSS is the "
-                           "interpreter's ru_maxrss",
+                                 lambda i: cold_call(args.parent, call),
+                                 lambda i: cold_call(args.change, call))
+            out["outside_benchmark"][name] = {
+                "command": f"python -c: import toricfrob, then time {call}; "
+                           "peak RSS is the interpreter's ru_maxrss",
                 "wall_s": {"unit": "s",
                            "parent": summary([t for t, _ in old]),
                            "change": summary([t for t, _ in new])},

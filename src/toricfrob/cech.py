@@ -21,17 +21,23 @@ blocks to themselves, so blocks of one orbit have one rank.  The symmetry is
 proved on the terms of each map before it is used; only one block per orbit
 is then eliminated, and its rank counts once per block of the orbit.
 
-The blocks are sorted by width and cut into a few stacks of bounded size,
-each eliminated by :func:`linalg.ranks_mod_p`; a block's columns are
-right-aligned in its stack, so the elimination does no arithmetic on the
-padding.  Before any monomial is enumerated, the size of every first-page
-term is counted from binomials, and a complex with a term of more than
-MAX_CECH_BASIS monomials is refused with Overflow.
+A product keeps the torus weight of the monomial it came from, so the
+weight blocks are labelled on the source rows alone, and each target row
+falls in exactly one block: no product is grouped entry by entry.  The
+weights and the symmetry are derived once per distinct map, not once per
+twist.  The blocks are sorted by width and cut into a few stacks of bounded
+size, built in the residue dtype of p and eliminated in place by
+:func:`linalg.ranks_mod_p`; a block's columns are right-aligned in its
+stack, so the elimination does no arithmetic on the padding.  Before any
+monomial is enumerated, the size of every first-page term is counted from
+binomials, and a complex with a term of more than MAX_CECH_BASIS monomials
+is refused with Overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, factorial, gcd, prod
 
@@ -41,7 +47,13 @@ from .cohomology import CohomologyVector, Overflow
 from .fan import InvariantViolation
 from .frobenius import FrobeniusOrder
 from .linalg import (
-    _INT64_GUARD, adjugate_int, check_prime_field, det_int, group_rows, ranks_mod_p
+    _INT64_GUARD,
+    _residue_dtype,
+    adjugate_int,
+    check_prime_field,
+    det_int,
+    group_rows,
+    ranks_mod_p,
 )
 
 # Largest cohomology basis of one term, in one degree, that the engine will
@@ -49,14 +61,17 @@ from .linalg import (
 # its two terms; (99999, 0) would have about 5 * 10^9.
 MAX_CECH_BASIS = 1_000_000
 
-# Cells (8 bytes each) of one weight-block stack.  Blocks sorted by width are
-# cut into stacks of at most this many cells; a block larger than the bound
-# is a stack of its own.  At benchmark sizes the kernel's cost is one sweep
-# per column of a stack, so few, wide stacks are fast: (12, -13), whose 52
-# blocks (one per S3-orbit of the 276) are at most 51 x 52, is one stack of
-# 52 sweeps.  The bound keeps the padding of the large twists in check: as
-# one stack per map, (30, -32) peaked at 308 MB, not 67 MB, and ran 4.6x
-# slower; under the bound it is 10 stacks, none above 1.05 * 10^6 cells.
+# Cells of one weight-block stack, each one entry of the residue dtype of p
+# (one byte at p <= 11, eight only above p = 46337).  Blocks sorted by width
+# are cut into stacks of at most this many cells; a block larger than the
+# bound is a stack of its own.  The bound is counted in cells, not bytes, so
+# the stacks are cut the same way at every p.  At benchmark sizes the
+# kernel's cost is one sweep per column of a stack, so few, wide stacks are
+# fast: (12, -13), whose 52 blocks (one per S3-orbit of the 276) are at most
+# 51 x 52, is one stack of 52 sweeps.  The bound keeps the padding of the
+# large twists in check: as one int64 stack per map, (30, -32) peaked at
+# 308 MB, not 67 MB, and ran 4.6x slower; under the bound it is 10 stacks,
+# none above 1.05 * 10^6 cells.
 _STACK_CELLS = 2**20
 
 
@@ -101,24 +116,37 @@ def _factor_degrees(space: MultiProjSpace, multidegree):
     return None if None in out else out
 
 
+def _fill_basis(space: MultiProjSpace, info, out) -> None:
+    """Write the basis rows of a bundle of factor degrees ``info`` into ``out``.
+
+    ``out`` is a (count, sum(n_i + 1)) view, one row per basis monomial, the
+    first factor slowest.  Each factor's parts are broadcast into its own
+    columns of ``out`` seen as a grid of one axis per factor, so neither an
+    index grid nor a per-factor copy of the rows is made.
+    """
+    sizes = [comb(total + n, n) for n, (_, total) in zip(space.factor_dims, info)]
+    grid = out.reshape(*sizes, out.shape[1], copy=False)
+    start = 0
+    for k, (n, (degree, total)) in enumerate(zip(space.factor_dims, info)):
+        # stars and bars: the parts are the gaps between n bars in total + n slots
+        bars = np.array(list(combinations(range(total + n), n)), dtype=np.int64)
+        parts = np.diff(bars, axis=1, prepend=-1, append=total + n) - 1
+        shape = [1] * len(sizes) + [n + 1]
+        shape[k] = sizes[k]
+        grid[..., start : start + n + 1] = (parts if degree == 0 else -1 - parts).reshape(shape)
+        start += n + 1
+
+
 def line_bundle_basis(space: MultiProjSpace, multidegree):
     """(degree, exponent rows) for O(multidegree), or None if acyclic.
 
     The rows form an int64 array of shape (count, sum(n_i + 1)); each row
     concatenates the factors' exponents of one basis monomial.
     """
-    info = _factor_degrees(space, multidegree)
+    info = _basis_size(space, multidegree)
     if info is None:
         return None
-    factors = []
-    for n, (degree, total) in zip(space.factor_dims, info):
-        # stars and bars: the parts are the gaps between n bars in total + n slots
-        bars = np.array(list(combinations(range(total + n), n)), dtype=np.int64)
-        parts = np.diff(bars, axis=1, prepend=-1, append=total + n) - 1
-        factors.append(parts if degree == 0 else -1 - parts)
-    picks = np.indices([len(f) for f in factors]).reshape(len(factors), -1)
-    rows = np.concatenate([f[pick] for f, pick in zip(factors, picks)], axis=1)
-    return sum(degree for degree, _ in info), rows
+    return info[0], _term_basis(space, (multidegree,), info[0])[:, 1:]
 
 
 def _basis_size(space: MultiProjSpace, multidegree):
@@ -221,14 +249,23 @@ class LaurentComplex:
 
 
 def _term_basis(space, term, degree):
-    """Degree-`degree` basis of a sum of bundles: int64 rows [summand j | exponents]."""
-    width = 1 + sum(n + 1 for n in space.factor_dims)
-    blocks = [np.zeros((0, width), dtype=np.int64)]
+    """Degree-`degree` basis of a sum of bundles: int64 rows [summand j | exponents].
+
+    The rows are written in place into one array, summand after summand.
+    """
+    kept = []
     for j, md in enumerate(term):
-        info = line_bundle_basis(space, md)
+        info = _basis_size(space, md)
         if info is not None and info[0] == degree:
-            blocks.append(np.insert(info[1], 0, j, axis=1))
-    return np.concatenate(blocks)
+            kept.append((j, _factor_degrees(space, md), info[1]))
+    width = 1 + sum(n + 1 for n in space.factor_dims)
+    rows = np.empty((sum(count for _, _, count in kept), width), dtype=np.int64)
+    start = 0
+    for j, info, count in kept:
+        rows[start : start + count, 0] = j
+        _fill_basis(space, info, rows[start : start + count, 1:])
+        start += count
+    return rows
 
 
 def _weights(poly_matrix, width: int):
@@ -252,16 +289,18 @@ def _weights(poly_matrix, width: int):
     return [[x // (gcd(*row) or 1) for x in row] for row in weights.tolist()]
 
 
-def _local_index(block, ids):
-    """Each entry's index among the distinct ids of its block, and their counts.
+@lru_cache(maxsize=64)
+def _binomials(total: int, n: int) -> np.ndarray:
+    """The read-only table binom[y, k] = C(y + k, k), for y <= total and k <= n.
 
-    ``block`` holds labels 0..K-1, each met at least once.  The distinct
-    (block, id) pairs are ranked with the block first; an entry's local index
-    is its pair's rank minus the rank of its block's first pair.
+    Built by C(y + k, k) = sum_(x <= y) C(x + k - 1, k - 1), once per
+    (total, n); a map's products read one table per target factor.
     """
-    order, starts, pair = group_rows(np.column_stack((ids, block)))
-    first = np.flatnonzero(np.diff(block[order[starts]], prepend=-1))
-    return pair - first[block], np.diff(first, append=len(starts))
+    binom = np.ones((total + 1, n + 1), dtype=np.int64)
+    for k in range(1, n + 1):
+        binom[:, k] = np.cumsum(binom[:, k - 1])
+    binom.flags.writeable = False
+    return binom
 
 
 def _basis_index(space, multidegree, rows):
@@ -274,6 +313,7 @@ def _basis_index(space, multidegree, rows):
     number sum_i C(R_i + n - i, n - i) - C(R_(i+1) + n - i, n - i).  Every
     binomial read is at most C(t + n, n), the factor's basis size.  The
     factors combine in the basis's mixed radix, the first factor slowest.
+    The binomials come from :func:`_binomials`.
     """
     index = np.zeros(len(rows), dtype=np.int64)
     valid = np.ones(len(rows), dtype=bool)
@@ -287,10 +327,7 @@ def _basis_index(space, multidegree, rows):
         parts = np.where(in_range[:, None], parts, 0)
         valid &= in_range & (parts.sum(axis=1) == total)
         parts[~valid] = 0
-        # binom[y, k] = C(y + k, k), by C(y + k, k) = sum_(x <= y) C(x + k - 1, k - 1)
-        binom = np.ones((total + 1, n + 1), dtype=np.int64)
-        for k in range(1, n + 1):
-            binom[:, k] = np.cumsum(binom[:, k - 1])
+        binom = _binomials(total, n)
         left = total - np.cumsum(parts, axis=1) + parts  # R_0 .. R_n
         k = n - np.arange(n)
         below = binom[left[:, :n], k] - binom[left[:, 1:], k]
@@ -331,20 +368,43 @@ def _orbits(weights, g: int):
     Equal tuples of a canonical row stand in runs, and its orbit has
     g! / prod(L!) rows, L running over the run lengths.  Returns the boolean
     mask of the canonical rows and the orbit sizes of those rows alone.
+
+    Tuples are compared column by column, from the last factor to the
+    first, so every temporary is one boolean per row.
     """
     w = weights.reshape(len(weights), -1, g)
-    at = np.arange(len(w))
     canonical = np.ones(len(w), dtype=bool)
-    run = stabiliser = np.ones(len(w), dtype=np.int64)
+    run = np.ones(len(w), dtype=np.int64)
+    stabiliser = np.ones(len(w), dtype=np.int64)
     for i in range(g - 1):
-        left, right = w[:, :, i], w[:, :, i + 1]
-        differ = left != right
-        first = differ.argmax(axis=1)
-        ties = ~differ.any(axis=1)
-        canonical &= ties | (left[at, first] < right[at, first])
-        run = np.where(ties, run + 1, 1)
-        stabiliser = stabiliser * run
+        below, ties = np.zeros(len(w), dtype=bool), np.ones(len(w), dtype=bool)
+        for f in reversed(range(w.shape[1])):
+            left, right = w[:, f, i], w[:, f, i + 1]
+            same = left == right
+            below &= same
+            below |= left < right
+            ties &= same
+        canonical &= ties | below
+        run += 1
+        run[~ties] = 1
+        stabiliser *= run
     return canonical, factorial(g) // stabiliser[canonical]
+
+
+@lru_cache(maxsize=64)
+def _invariants(factor_dims, entries):
+    """(K, spread, g) of the map whose entries hold the given term sets.
+
+    ``entries[row][col]`` is the frozenset of (monomial, coefficient) pairs
+    of one Poly entry, so equal maps share one key however they were built.
+    K is :func:`_weights` as a tuple of rows, spread the largest sum |K_ij|
+    of a row, and g :func:`_symmetry`; each is computed once per distinct
+    map and space, not once per twist and degree, and shared read-only.
+    """
+    poly_matrix = tuple(tuple(Poly(dict(terms)) for terms in row) for row in entries)
+    weights = tuple(map(tuple, _weights(poly_matrix, sum(n + 1 for n in factor_dims))))
+    spread = max(sum(map(abs, row)) for row in weights)
+    return weights, spread, _symmetry(MultiProjSpace(factor_dims), poly_matrix)
 
 
 def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
@@ -352,12 +412,15 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
 
     Each term t of entry (dst_j, src_j) sends the source row [src_j | m] to
     [dst_j | m + t]; products outside the target basis are discarded, and
-    the others are found in it by :func:`_basis_index`, so the target basis
-    is counted but never enumerated.  The terms of an entry are distinct, so
-    no two contributions share a matrix entry, and dropping the terms that
-    vanish mod p drops every zero entry.  As K . (m + t) = K . m for
-    K = :func:`_weights`, the map is block diagonal over the weights K . m of
-    its columns.
+    the others are found in it by :func:`_basis_index`, one call per target
+    summand, so the target basis is counted but never enumerated.  The
+    terms of an entry are distinct, so no two contributions share a matrix
+    entry, and dropping the terms that vanish mod p drops every zero entry.
+    As K . (m + t) = K . m for K = :func:`_weights`, the map is block
+    diagonal over the weights K . m of its columns, and a product keeps its
+    source row's weight.  So the blocks are labelled once, on the source
+    rows that meet an entry, and each target row lies in exactly one block:
+    a row's place in its block is the rank of its (block, target id) pair.
 
     When S_g = :func:`_symmetry` is not trivial, a permutation s in it maps
     the bases, and the term set of every entry, to themselves, and K s = s K
@@ -366,15 +429,17 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     local-cohomology model alike, and the blocks of one orbit have one rank.
     Only the source rows of canonical weight (:func:`_orbits`) are kept,
     before any product is formed, and each block's rank counts orbit-size
-    times.  With the trivial group every block is kept, once.
+    times.  With the trivial group every block is kept, once.  K, its
+    spread and g come from :func:`_invariants`, once per distinct map.
 
     The blocks are sorted by (width, height) and cut greedily into stacks of
-    at most _STACK_CELLS cells, each built, eliminated by one
-    :func:`ranks_mod_p` call and freed in turn.  A block keeps its rows at
-    the top of its stack and its columns at the right, so the kernel's
-    update at a column spans exactly the block's own remaining columns, and
-    the zero padding costs no arithmetic.  Overflow is raised before any
-    exponent, product or weight could reach _INT64_GUARD.
+    at most _STACK_CELLS cells, each built in the residue dtype of p,
+    eliminated in place by one :func:`ranks_mod_p` call and freed in turn.
+    A block keeps its rows at the top of its stack and its columns at the
+    right, so the kernel's update at a column spans exactly the block's own
+    remaining columns, and the zero padding costs no arithmetic.  Overflow
+    is raised before any exponent, product or weight could reach
+    _INT64_GUARD.
     """
     src = _term_basis(space, src_term, degree)
     offsets, count = [], 0
@@ -391,33 +456,49 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     ]
     if not len(src) or not count or not terms:
         return 0
-    weights = _weights(poly_matrix, src.shape[1] - 1)
-    spread = max(sum(map(abs, row)) for row in weights)
-    reach = int(np.abs(src[:, 1:]).max())
+    entries = tuple(tuple(frozenset(poly.terms.items()) for poly in row) for row in poly_matrix)
+    weights, spread, g = _invariants(tuple(space.factor_dims), entries)
+    reach = int(max(src[:, 1:].max(), -src[:, 1:].min()))
     reach += max(int(np.abs(t).max()) for _, _, t, _ in terms)
     if max(spread, 1) * reach >= _INT64_GUARD:
         raise Overflow(f"Cech weights need {spread} * {reach}, past int64")
     weight = src[:, 1:] @ np.array(weights, dtype=np.int64).T
     orbit = np.ones(len(src), dtype=np.int64)
-    g = _symmetry(space, poly_matrix)
     if g > 1:
         keep, orbit = _orbits(weight, g)
         src, weight = src[keep], weight[keep]
+    summand = {j: np.flatnonzero(src[:, 0] == j) for j in {src_j for _, src_j, _, _ in terms}}
     found = [(np.zeros(0, dtype=np.int64),) * 3]
-    for dst_j, src_j, t, c in terms:
-        if offsets[dst_j] is not None:
-            at = np.flatnonzero(src[:, 0] == src_j)
-            index = _basis_index(space, dst_term[dst_j], src[at, 1:] + t)
-            hit = index >= 0
-            found.append((offsets[dst_j] + index[hit], at[hit], np.full(hit.sum(), c)))
+    for dst_j, offset in enumerate(offsets):
+        mine = [(summand[src_j], t, c) for j, src_j, t, c in terms if j == dst_j]
+        if offset is None or not mine:
+            continue
+        at = np.concatenate([a for a, _, _ in mine])
+        index = _basis_index(
+            space, dst_term[dst_j], np.concatenate([src[a, 1:] + t for a, t, _ in mine])
+        )
+        hit = index >= 0
+        values = np.repeat([c for _, _, c in mine], [len(a) for a, _, _ in mine])
+        found.append((offset + index[hit], at[hit], values[hit]))
     rows, cols, values = map(np.concatenate, zip(*found))
     if not len(rows):
         return 0
-    block = group_rows(weight[cols])[2]
-    i, nrows = _local_index(block, rows)
-    j, ncols = _local_index(block, cols)
-    size = np.empty(len(nrows), dtype=np.int64)
-    size[block] = orbit[cols]
+    # blocks labelled on the source rows that meet an entry; j is a column's
+    # rank in its block, i a row's: the rank of its (block, id) pair
+    used = np.zeros(len(src), dtype=bool)
+    used[cols] = True
+    ids = np.flatnonzero(used)
+    order, starts, label = group_rows(weight[ids])
+    at = np.cumsum(used)[cols] - 1  # each entry's source row among ids
+    block = label[at]
+    j = np.empty(len(ids), dtype=np.int64)
+    j[order] = np.arange(len(ids))
+    j = j[at] - starts[block]
+    pairs, i = np.unique(block * count + rows, return_inverse=True)
+    nrows = np.bincount(pairs // count, minlength=len(starts))
+    i -= (np.cumsum(nrows) - nrows)[block]
+    ncols = np.diff(starts, append=len(ids))
+    size = orbit[ids[order[starts]]]
     # blocks sorted by (width, height), cut greedily into stacks of at most
     # _STACK_CELLS cells; a stack is as wide as its last block
     order = np.lexsort((nrows, ncols))
@@ -434,7 +515,9 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     for start, stop in zip(cuts, cuts[1:]):
         at = np.flatnonzero((place >= start) & (place < stop))
         width = widths[stop - 1]
-        stack = np.zeros((stop - start, max(heights[start:stop]), width), dtype=np.int64)
+        stack = np.zeros(
+            (stop - start, max(heights[start:stop]), width), dtype=_residue_dtype(p)
+        )
         stack[place[at] - start, i[at], j[at] + width - ncols[block[at]]] = values[at]
         rank += int(ranks_mod_p(stack, p) @ size[order[start:stop]])
         del stack

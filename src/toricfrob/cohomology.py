@@ -38,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .fan import DivisorClass, Fan, class_of
-from .linalg import _INT64_GUARD, group_rows, ranks_mod_p
+from .linalg import _INT64_GUARD, _residue_dtype, group_rows, ranks_mod_p
 
 MAX_DIM = 4
 MAX_BOX_POINTS = 4_000_000
@@ -255,7 +255,7 @@ def _support_contrib(fan: Fan, mask: int):
         k, row, col, sign = np.array(entries, dtype=np.int64).T
         height = max(len(faces[c - 1]) for c in cards)
         width = max(len(faces[c]) for c in cards)
-        stack = np.zeros((len(cards), height, width), dtype=np.int64)
+        stack = np.zeros((len(cards), height, width), dtype=_residue_dtype(_BETTI_P))
         stack[k, row, col] = sign
         for card, rank in zip(cards, ranks_mod_p(stack, _BETTI_P).tolist()):
             ranks[card] = rank

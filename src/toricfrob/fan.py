@@ -407,8 +407,12 @@ class Blowup:
 
 
 def blowup_fan(fan: Fan, cone, name: str = "") -> Blowup:
-    """Star subdivision at ``cone`` (a set of ray indices spanning a cone)."""
-    cone = tuple(sorted(int(i) for i in cone))
+    """Star subdivision at ``cone`` (a set of ray indices spanning a cone).
+
+    The indices must be integers: a bool, a float or anything else that
+    ``operator.index`` refuses raises FanError instead of being truncated.
+    """
+    cone = tuple(sorted(_integer(i, "cone") for i in cone))
     if cone not in fan.faces:
         raise FanError(f"{cone} does not span a cone of the fan")
     new_ray = tuple(sum(fan.rays[i][j] for i in cone) for j in range(fan.dim))

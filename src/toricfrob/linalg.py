@@ -6,12 +6,17 @@ paths are integer-only: the character box comes from cached adjugates, and
 every rank over F_p from the one elimination kernel :func:`ranks_mod_p`,
 which sweeps a whole stack of matrices at once: the boundary maps of one
 support, the width-sorted weight blocks of one Cech map, or the three jet
-blocks.  :func:`rank_mod_p` (a stack of one) and the ``Fraction`` kernels
-:func:`solve_rational` and :func:`rank_rational` have no library caller: the
-tests compare the integer kernels against them, and the benchmark's tracer
-looks all three up by name.  Equal rows of a 2-D integer array are grouped
-by one helper, :func:`group_rows`: the residue and character line counts,
-the Ext pair table and the Cech block labels all call it.
+blocks.  It eliminates in the residue dtype of p, the narrowest signed
+integer dtype that holds (p-1)^2 (:func:`_residue_dtype`: int8 for
+p <= 11, int16 for p <= 181, int32 for p <= 46337, int64 above); its
+callers build their stacks in that dtype, and such a stack is eliminated
+in place, any other input on a copy.  :func:`rank_mod_p` (a stack of one)
+and the ``Fraction`` kernels :func:`solve_rational` and
+:func:`rank_rational` have no library caller: the tests compare the
+integer kernels against them, and the benchmark's tracer looks all three
+up by name.  Equal rows of a 2-D integer array are grouped by one helper,
+:func:`group_rows`: the residue and character line counts, the Ext pair
+table and the Cech block labels all call it.
 """
 
 from __future__ import annotations
@@ -126,9 +131,10 @@ def rank_rational(rows) -> int:
 def check_prime_field(p: int) -> None:
     """Raise ValueError unless p is a prime small enough for rank_mod_p.
 
-    The elimination forms products of residues, up to (p-1)^2, in int64; a p
-    for which that overflows, or that is not prime (Z/p is then no field), is
-    refused before any work is done.  A p that passes is remembered, so each
+    The elimination forms products of residues, up to (p-1)^2, in the
+    residue dtype of p, at widest int64; a p for which int64 overflows, or
+    that is not prime (Z/p is then no field), is refused before any work is
+    done.  A p that passes is remembered, so each
     prime is proved once; a refusal raises, is not cached, and recurs on
     every call.
     """
@@ -138,58 +144,76 @@ def check_prime_field(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
+@cache
+def _residue_dtype(p: int):
+    """The narrowest signed numpy dtype that holds (p-1)^2.
+
+    That is int8 for p <= 11, int16 for p <= 181, int32 for p <= 46337 and
+    int64 above.  Every value :func:`ranks_mod_p` forms lies in
+    [-(p-1)^2, (p-1)^2], so an elimination in this dtype is exact.
+    """
+    for dtype in (np.int8, np.int16, np.int32):
+        if (p - 1) ** 2 <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def ranks_mod_p(stack, p: int) -> np.ndarray:
     """Ranks over F_p of a stack of B integer n x m matrices, as B int64s.
 
     This is the library's one F_p elimination kernel.  It sweeps the columns
     once for the whole stack.  On each column one ``nonzero`` lists, in row
-    order, the rows of every matrix with a nonzero entry there; each
-    matrix's first such row is its pivot.  Those rows, and only those, are
-    updated at once and fraction-free: row <- pivot * row - entry * pivot
-    row, with the pivot a unit mod p, so no inverse is formed and no row is
-    swapped.  The update clears the column and turns the pivot row itself to
-    zero, which retires it; a matrix's rank is the number of its pivots.
-    Rows with a zero in the column are never touched, which keeps the kernel
-    fast on sparse blocks.  Every product is at most (p-1)^2, which
-    :func:`check_prime_field` keeps in int64.
+    order, the rows of every matrix with a nonzero entry there, and one
+    ``searchsorted`` finds each matrix's first such row, its pivot.  Those
+    rows, and only those, are updated at once and fraction-free: row <-
+    pivot * row - entry * pivot row, with the pivot a unit mod p, so no
+    inverse is formed and no row is swapped.  The update clears the column
+    and turns the pivot row itself to zero, which retires it; a matrix's
+    rank is the number of its pivots.  Rows with a zero in the column are
+    never touched, which keeps the kernel fast on sparse blocks.
 
-    A C-contiguous, writeable (B, n, m) int64 array is reduced mod p and
-    eliminated in place, and comes back all zero; it is never copied.  Any
-    other input, a read-only or non-contiguous int64 view included, is
-    copied to a fresh array first and left unchanged.  Zero rows and
-    columns, such as the padding of a stack of matrices of different shapes,
-    leave every rank unchanged.  A p refused by :func:`check_prime_field`
-    raises ValueError.
+    The elimination runs in the residue dtype of p, the narrowest signed
+    dtype that holds (p-1)^2: int8 for p <= 11, int16 for p <= 181, int32
+    for p <= 46337, int64 above.  Every product is at most (p-1)^2, so no
+    value leaves it; :func:`check_prime_field` keeps (p-1)^2 in int64.
+
+    A C-contiguous, writeable (B, n, m) array of the residue dtype is reduced
+    mod p and eliminated in place, and comes back all zero; it is never
+    copied.  Any other input, an int64 stack or a read-only or
+    non-contiguous view included, is reduced mod p into a fresh array of
+    the residue dtype and left unchanged.  Zero rows and columns, such as
+    the padding of a stack of matrices of different shapes, leave every
+    rank unchanged.  A p refused by :func:`check_prime_field` raises
+    ValueError.
     """
     check_prime_field(p)
+    dtype = _residue_dtype(p)
     a = np.asarray(stack)
-    if not (a.dtype == np.int64 and a.flags.c_contiguous and a.flags.writeable):
-        a = np.array(a, dtype=np.int64)
     if a.ndim != 3:
         raise ValueError(f"expected a (B, n, m) stack, got shape {a.shape}")
+    if a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable:
+        np.remainder(a, p, out=a)
+    else:
+        a = np.remainder(a.astype(np.int64, copy=False), p).astype(dtype)
     count, nrows, ncols = a.shape
+    rank = np.zeros(count, dtype=np.int64)
     if not a.size:
-        return np.zeros(count, dtype=np.int64)
-    np.remainder(a, p, out=a)
+        return rank
     rows = a.reshape(count * nrows, ncols)  # row k * nrows + i of the stack
-    leads = [np.zeros(0, dtype=np.int64)]
     for col in range(ncols):
         hits = rows[:, col].nonzero()[0]
         if not hits.size:
             continue
         mats = hits // nrows
-        lead = np.empty(hits.size, dtype=bool)
-        lead[0] = True
-        np.not_equal(mats[1:], mats[:-1], out=lead[1:])
-        leads.append(mats[lead])
-        pivot = rows[hits[lead][np.cumsum(lead) - 1], col:]
+        rank[mats] += 1  # one pivot per matrix met; repeated indices add once
+        pivot = rows[hits[hits.searchsorted(mats * nrows)], col:]
         hit = rows[hits, col:]
         entry = hit[:, :1].copy()
         hit *= pivot[:, :1]
         hit -= entry * pivot
         np.remainder(hit, p, out=hit)
         rows[hits, col:] = hit
-    return np.bincount(np.concatenate(leads), minlength=count)
+    return rank
 
 
 def rank_mod_p(mat, p: int) -> int:

@@ -34,11 +34,12 @@ from .frobenius import (
     det_class,
     frobenius_decompose,
 )
-from .linalg import check_prime_field, is_prime, ranks_mod_p
+from .linalg import _residue_dtype, check_prime_field, is_prime, ranks_mod_p
 from .varieties import BUNDLE_SPECS, named_variety
 
 
-# Cells of the jet stack (32 MB of int64): q <= 27 fits, q = 81 needs 2.3 GB.
+# Cells of the jet stack, one entry of the residue dtype of p each (4 MB at
+# p <= 11, 32 MB above p = 46337): q <= 27 fits, q = 81 needs 2.8 * 10^8.
 MAX_JET_CELLS = 4_000_000
 
 
@@ -246,11 +247,19 @@ def blowup_bookkeeping_check(p: int) -> BlowupReport:
 
 
 def _taylor_table(c: int, d: int, jet_order: int, p: int) -> np.ndarray:
-    """T[i, s] = C(i, s) c^(i - s) mod p, the (x - c)^s coefficient of x^i."""
+    """T[i, s] = C(i, s) c^(i - s) mod p, the (x - c)^s coefficient of x^i.
+
+    Row by row mod p by Pascal's rule: x^i = ((x - c) + c) x^(i - 1), so
+    T[i, s] = c T[i - 1, s] + T[i - 1, s - 1].  The residue c is in [0, p),
+    so no value reaches p^2.
+    """
     table = np.zeros((max(d + 1, 0), max(jet_order + 1, 0)), dtype=np.int64)
-    for i, s in np.ndindex(table.shape):
-        if s <= i:
-            table[i, s] = comb(i, s) * pow(c, i - s, p) % p
+    if table.size:
+        table[0, 0] = 1
+    for i in range(1, len(table)):
+        np.multiply(table[i - 1], c, out=table[i])
+        table[i, 1:] += table[i - 1, :-1]
+        table[i] %= p
     return table
 
 
@@ -263,7 +272,9 @@ def _jet_stack(degrees, jet_order: int, p: int, point) -> np.ndarray:
     the Taylor coefficient C(i, s) a^(i-s) C(j, t) b^(j-t) mod p.  It is read
     from one table per coordinate, built once at the largest degree; a
     smaller degree reads fewer of its rows.  Rows past a block's own count
-    are zero.  A p that is not prime raises ValueError.
+    are zero.  The stack has the residue dtype of p, so
+    :func:`ranks_mod_p` eliminates it in place.  A p that is not prime
+    raises ValueError.
     """
     check_prime_field(p)
     a = point[0] * pow(point[2], p - 2, p) % p
@@ -280,7 +291,9 @@ def _jet_stack(degrees, jet_order: int, p: int, point) -> np.ndarray:
         .reshape(-1, 2)
         for d in degrees
     ]
-    stack = np.zeros((len(degrees), max(map(len, rows)), len(cols)), dtype=np.int64)
+    stack = np.zeros(
+        (len(degrees), max(map(len, rows)), len(cols)), dtype=_residue_dtype(p)
+    )
     for k, r in enumerate(rows):
         stack[k, : len(r)] = ta[r[:, 0]] * tb[r[:, 1]] % p
     return stack

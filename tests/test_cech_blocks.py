@@ -4,6 +4,7 @@ here as the reference."""
 
 from itertools import chain, permutations
 from itertools import product as iproduct
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from toricfrob import cech as cech_mod
 from toricfrob.cech import (
     Poly,
     _basis_index,
+    _binomials,
     _map_rank_mod_p,
     _orbits,
     _symmetry,
@@ -26,6 +28,16 @@ from toricfrob.cech import (
 )
 from toricfrob.cohomology import Overflow
 from toricfrob.linalg import _INT64_GUARD, rank_mod_p, rank_rational, ranks_mod_p
+
+
+@pytest.fixture(autouse=True)
+def _cold_invariants():
+    """Each test starts, and leaves, with no map's K and g cached, so that a
+    test which patches _weights or _symmetry sees its patch take effect and
+    leaves no value computed under it behind."""
+    cech_mod._invariants.cache_clear()
+    yield
+    cech_mod._invariants.cache_clear()
 
 
 def _compositions(total, parts):
@@ -401,3 +413,51 @@ def test_basis_index_is_the_position_in_the_enumerated_basis(dims):
         position = {tuple(row): i for i, row in enumerate(basis.tolist())}
         want = [position.get(tuple(row), -1) for row in moved.tolist()]
         assert _basis_index(space, multidegree, moved).tolist() == want
+
+
+def test_binomial_table_is_math_comb():
+    for total, n in ((0, 1), (5, 1), (7, 2), (12, 3), (40, 2)):
+        table = _binomials(total, n)
+        assert table.tolist() == [
+            [comb(y + k, k) for k in range(n + 1)] for y in range(total + 1)
+        ]
+        # one shared table per (total, n), which no reader can change
+        assert _binomials(total, n) is table and not table.flags.writeable
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_maps())
+def test_each_target_row_lies_in_one_weight_block(drawn):
+    # a product keeps its source row's weight, so the entries of a target row
+    # all sit in the columns of one weight block, the row's own
+    p, space, src, dst, maps = drawn
+    K = np.array(_weights(maps, sum(n + 1 for n in space.factor_dims)), dtype=object)
+    for degree in range(space.dim + 1):
+        dense = _dense_map_matrix(space, src, dst, maps, degree)
+        if dense is None:
+            continue
+        cols = [_flat(m) for _, m in _tuple_term_basis(space, src, degree)]
+        rows = [_flat(m) for _, m in _tuple_term_basis(space, dst, degree)]
+        for r, entries in enumerate(dense % p):
+            blocks = {tuple(K.dot(cols[c])) for c in np.flatnonzero(entries)}
+            assert blocks <= {tuple(K.dot(rows[r]))}, (degree, r)
+
+
+def test_two_twists_of_one_map_compute_its_invariants_once(monkeypatch):
+    calls = {"_weights": 0, "_symmetry": 0}
+    for name in calls:
+        def counting(*args, name=name, real=getattr(cech_mod, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cech_mod, name, counting)
+    assert incidence_cohomology(4, -5, 3).dims == (0, 11, 1, 0)
+    assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
+    # every degree of both twists, and a new Poly per twist, share one key
+    assert calls == {"_weights": 1, "_symmetry": 1}
+    # a map with other terms is a new key
+    space = MultiProjSpace((2, 2))
+    cx = LaurentComplex(space=space, terms=(((0, 0),), ((1, 1),)),
+                        maps=(((Poly({((1, 0, 0), (0, 1, 0)): 1}),),),))
+    hypercohomology_fp(cx, 3)
+    assert calls == {"_weights": 2, "_symmetry": 2}

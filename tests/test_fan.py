@@ -165,6 +165,13 @@ def test_blowup_requires_a_cone(P2):
         blowup_fan(P2, (0, 1, 2))
 
 
+@pytest.mark.parametrize("index", [1.7, 2.0, True])
+def test_blowup_refuses_a_non_integer_cone_index(P2, index):
+    # int() would read these as 1, 2 and 1 and answer the blow-up of a cone
+    with pytest.raises(FanError, match="not an integer"):
+        blowup_fan(P2, (0, index))
+
+
 def test_projectivization_pic_rank(P1):
     pb = projectivization_fan(P1, [(0, 0), (1, 0)])
     assert pb.fan.pic_rank == P1.pic_rank + 1

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfrob.linalg import is_prime, rank_mod_p, ranks_mod_p
+from toricfrob.linalg import _residue_dtype, is_prime, rank_mod_p, ranks_mod_p
 
 # The largest p whose products (p-1)^2 still fit in int64.
 P_MAX = next(
     p for p in range(isqrt(2**63 - 1) + 1, 0, -1)
     if (p - 1) ** 2 <= 2**63 - 1 and is_prime(p)
 )
-PRIMES = (2, 3, 5, 32749, P_MAX)
+# The primes on each side of every residue dtype boundary: the last p whose
+# (p-1)^2 fits int8, int16 and int32, and the next prime.
+BOUNDARIES = ((11, 13, np.int8), (181, 191, np.int16), (46337, 46349, np.int32))
+PRIMES = (2, 3, 5, 11, 13, 181, 191, 32749, 46337, 46349, P_MAX)
 
 
 def plain_rank(rows, p):
@@ -39,8 +42,9 @@ def plain_rank(rows, p):
 def stacks(draw):
     """(p, stack) with B in 0..4 and n, m in 0..6, empty sides included.
 
-    Entries are small, any int64, or multiples of p, so that sparse and
-    rank-deficient stacks are common.
+    Entries are small, any int64, multiples of p, or -1 mod p, so that
+    sparse and rank-deficient stacks are common and the elimination forms
+    products of (p-1)^2 and -(p-1)^2, the extremes of its residue dtype.
     """
     p = draw(st.sampled_from(PRIMES))
     shape = tuple(draw(st.integers(0, top)) for top in (4, 6, 6))
@@ -48,6 +52,7 @@ def stacks(draw):
         st.integers(-2, 2),
         st.integers(-(2**63), 2**63 - 1),
         st.integers(-3, 3).map(lambda k: k * p),
+        st.sampled_from((p - 1, 2 * p - 1, -1)),
     )
     size = int(np.prod(shape))
     flat = draw(st.lists(entry, min_size=size, max_size=size))
@@ -78,14 +83,47 @@ def test_zero_padding_leaves_each_rank_unchanged(drawn, data):
     assert ranks_mod_p(padded, p).tolist() == [rank_mod_p(m, p) for m in stack]
 
 
-def test_an_int64_stack_is_eliminated_in_place():
+@pytest.mark.parametrize("below, above, dtype", BOUNDARIES)
+def test_the_residue_dtype_is_the_narrowest_that_holds_the_products(below, above, dtype):
+    assert is_prime(below) and is_prime(above)
+    assert not any(is_prime(p) for p in range(below + 1, above))
+    assert _residue_dtype(below) == dtype
+    assert (below - 1) ** 2 <= np.iinfo(dtype).max < (above - 1) ** 2
+    assert np.iinfo(_residue_dtype(above)).bits == 2 * np.iinfo(dtype).bits
+    assert _residue_dtype(P_MAX) == np.int64
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_products_at_the_extremes_of_the_dtype(p):
+    # the first sweep forms (p-1)^2 and -(p-1)^2; a wrapped value would make
+    # the third row independent of the reduced second and give rank 3
+    mat = [[p - 1, p - 1, 0], [p - 1, 0, 1], [0, 1, 1]]
+    assert plain_rank(mat, p) == 2
+    assert rank_mod_p(mat, p) == 2
+    stack = np.array([mat], dtype=_residue_dtype(p))
+    assert ranks_mod_p(stack, p).tolist() == [2] and not stack.any()
+
+
+def test_a_residue_dtype_stack_is_eliminated_in_place():
     # no copy is made: the elimination zeroes every row it finishes with
-    stack = np.array([[[4, 2], [2, 1]], [[1, 0], [0, 3]]], dtype=np.int64)
+    stack = np.array([[[4, 2], [2, 1]], [[1, 0], [0, 3]]], dtype=np.int8)
+    assert _residue_dtype(5) == np.int8
     assert ranks_mod_p(stack, 5).tolist() == [1, 2]
     assert not stack.any()
     mat = [[4, 2], [2, 1]]
     assert rank_mod_p(np.array(mat), 5) == 1 and rank_mod_p(mat, 5) == 1
     assert mat == [[4, 2], [2, 1]]
+    same = np.array(mat, dtype=np.int8)
+    assert rank_mod_p(same, 5) == 1 and same.tolist() == mat
+
+
+def test_an_int64_stack_is_copied_not_changed():
+    # int64 is the residue dtype only above p = 46337
+    stack = np.array([[[4, 7], [2, 6]], [[1, 5], [0, -3]]], dtype=np.int64)
+    assert ranks_mod_p(stack, 5).tolist() == [1, 2]
+    assert stack.tolist() == [[[4, 7], [2, 6]], [[1, 5], [0, -3]]]
+    assert ranks_mod_p(stack, 46349).tolist() == [2, 2]
+    assert not stack.any()
 
 
 def test_a_non_contiguous_int64_view_is_copied_not_changed():

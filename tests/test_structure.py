@@ -1,5 +1,7 @@
 from collections import Counter
+from math import comb
 
+import numpy as np
 import pytest
 
 from toricfrob import (
@@ -17,7 +19,8 @@ from toricfrob import (
 )
 from toricfrob import frobenius as frobenius_mod
 from toricfrob import structure as structure_mod
-from toricfrob.structure import _jet_stack
+from toricfrob.linalg import _residue_dtype
+from toricfrob.structure import _jet_stack, _taylor_table
 from toricfrob.varieties import BUNDLE_SPECS
 
 PRIMES_THROUGH_13 = (2, 3, 5, 7, 11, 13)
@@ -230,6 +233,27 @@ def test_jet_rank_rejects_degenerate_point():
 def test_jet_block_shape():
     block = _jet_stack((3,), 1, 3, (1, 1, 1))[0]
     assert block.shape == (10, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_taylor_table_is_the_closed_form(p):
+    # Pascal's rule row by row against C(i, s) c^(i - s) mod p, cell by cell
+    for c in range(p):
+        want = [
+            [comb(i, s) * pow(c, i - s, p) % p if s <= i else 0 for s in range(31)]
+            for i in range(31)
+        ]
+        for d in range(31):
+            assert _taylor_table(c, d, 30, p).tolist() == want[: d + 1], (c, d)
+            assert _taylor_table(c, d, 4, p).tolist() == [r[:5] for r in want[: d + 1]]
+    assert _taylor_table(1, -1, 3, p).shape == (0, 4)
+    assert _taylor_table(1, 4, -1, p).shape == (5, 0)
+
+
+def test_jet_stack_has_the_residue_dtype():
+    for p in (2, 13, 191):
+        assert _jet_stack((3, 1), 2, p, (1, 2, 1)).dtype == _residue_dtype(p)
+    assert _residue_dtype(13) == np.int16
 
 
 def _powers_of_binomial(c: int, top: int, p: int) -> list:
