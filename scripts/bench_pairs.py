@@ -21,17 +21,31 @@ times ``incidence_cohomology`` at each of the large twists (30, -32) and
 (40, -42) with p = 3, and the jet rank ``delpezzo_jet_check(5, 2,
 compute_rank=True)`` at q = 25, N alternating runs per side, each in a
 fresh interpreter, and records that interpreter's peak RSS (``ru_maxrss``).
+
+``--interleave SECONDS`` adds, for each workload of ``--pairs``, a run in this
+one process: both checkouts' ``toricfrob`` are imported under the distinct
+package names ``toricfrob_parent`` and ``toricfrob_change``, and the
+workload's questions (from the parent's ``perfbench/workloads.py``, first
+seed) are asked of each side alternately, question by question, for SECONDS,
+the side that goes first alternating by round.  Every answer is checked
+against the parent's ``perfbench/expected.json``.  Each question gets each
+side's median time, and the set its summed medians, as ``wall_s`` sums them.
+Both sides then share the machine's load moment by moment, which separate
+runs do not.  These runs come after the cold runs, whose peak RSS would
+otherwise start from this process's own.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +150,56 @@ def workload_record(parent: Path, change: Path, workload: str, pairs: int,
     return record
 
 
+def load(name: str, path: Path, package: bool = False):
+    """The module (or, with ``package``, the package) at ``path``, imported
+    and registered as ``name``."""
+    spec = importlib.util.spec_from_file_location(
+        name, path / "__init__.py" if package else path,
+        submodule_search_locations=[str(path)] if package else None)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def interleaved_record(parent: Path, change: Path, workload: str, seed: int,
+                       seconds: float) -> dict:
+    """Ask the workload's questions of both sides alternately, in process."""
+    workloads = load("perfbench_workloads", parent / "perfbench" / "workloads.py")
+    expected = json.loads((parent / "perfbench" / "expected.json").read_text())[workload]
+    sides = {side: workloads.questions(
+                 load(f"toricfrob_{side}", tree / "src" / "toricfrob", package=True),
+                 workload, seed)
+             for side, tree in (("parent", parent), ("change", change))}
+    qids = [q.qid for q in sides["parent"]]
+    times = {side: {qid: [] for qid in qids} for side in sides}
+    correct, rounds, start = True, 0, time.perf_counter()
+    print(f"{workload}: interleaved, seed {seed}", file=sys.stderr, flush=True)
+    while rounds < 1 or time.perf_counter() - start < seconds:
+        order = ("parent", "change") if rounds % 2 == 0 else ("change", "parent")
+        for k, qid in enumerate(qids):
+            for side in order:
+                question = sides[side][k]
+                begin = time.perf_counter()
+                answer = question.ask()
+                times[side][qid].append(time.perf_counter() - begin)
+                correct &= json.loads(json.dumps(answer)) == expected[qid]
+        rounds += 1
+    record = {"seed": seed, "seconds": seconds, "rounds": rounds,
+              "all_correct": correct, "questions": {}}
+    for qid in qids:
+        before, after = (statistics.median(times[side][qid]) for side in sides)
+        record["questions"][qid] = {
+            "parent_median_s": round(before, 6), "change_median_s": round(after, 6),
+            "change_vs_parent": round(after / before - 1, 4)}
+    before, after = (sum(statistics.median(t) for t in times[side].values())
+                     for side in sides)
+    record["wall_s"] = {"unit": "s", "parent": round(before, 6),
+                        "change": round(after, 6),
+                        "change_vs_parent": round(after / before - 1, 4)}
+    return record
+
+
 def git_head(tree: Path):
     proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tree,
                           capture_output=True, text=True)
@@ -148,9 +212,12 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--pairs", action="append", default=[], metavar="W=N",
-                        help="run N pairs of workload W (repeatable)")
+                        help="run N pairs of workload W (repeatable; N may be 0)")
     parser.add_argument("--seed", type=int, default=1001)
     parser.add_argument("--cold-runs", type=int, default=0)
+    parser.add_argument("--interleave", type=float, default=0, metavar="SECONDS",
+                        help="also ask each workload of --pairs of both sides "
+                             "alternately in one process for SECONDS")
     parser.add_argument("--claim", metavar="W", help="the workload whose wall_s is claimed")
     parser.add_argument("--note", default="", help="what the change does")
     args = parser.parse_args(argv)
@@ -174,8 +241,9 @@ def main(argv=None) -> int:
     seed = args.seed
     for spec in args.pairs:
         workload, count = spec.split("=")
-        out["workloads"][workload] = workload_record(
-            args.parent, args.change, workload, int(count), seed, seconds)
+        if int(count):  # W=0 asks W only in the interleaved run
+            out["workloads"][workload] = workload_record(
+                args.parent, args.change, workload, int(count), seed, seconds)
         seed += int(count)
     if args.claim:
         wall = out["workloads"][args.claim]["wall_s"]
@@ -215,6 +283,14 @@ def main(argv=None) -> int:
                                 "parent": summary([m for _, m in old]),
                                 "change": summary([m for _, m in new])},
             }
+    # last: a child's ru_maxrss counts this process's resident size when it
+    # was spawned, and the interleaved runs grow it by two imported trees
+    if args.interleave:
+        out["interleaved"] = {
+            workload: interleaved_record(args.parent, args.change, workload,
+                                         args.seed, args.interleave)
+            for workload in (spec.split("=")[0] for spec in args.pairs)
+        }
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     return 0
 

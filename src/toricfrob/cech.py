@@ -12,14 +12,19 @@ standard-cover Cech model.  Every map is torus-equivariant, so it is block
 diagonal over torus weights, and its rank is the sum of the F_p ranks of its
 weight blocks; no map is ever assembled as one dense matrix.  A product is
 found in the target basis by its stars-and-bars position, so only the
-source basis is enumerated.
+source basis is enumerated, and that one summand at a time as the grid of
+its factors' bases: small per-factor tables (:func:`_factor_parts`), read
+by every basis and map.
 
 When every factor is one P^n and every entry of a map is fixed by S_(n+1)
 permuting the coordinates of all factors at once (as S_3 fixes the pairing
 form on P2 x P2), that group maps the bases, the Cech cover and the weight
 blocks to themselves, so blocks of one orbit have one rank.  The symmetry is
 proved on the terms of each map before it is used; only one block per orbit
-is then eliminated, and its rank counts once per block of the orbit.
+is then eliminated, and its rank counts once per block of the orbit.  The
+weights of a source grid are sums of per-factor products, so the orbits are
+read off the grid, and only the source rows of canonical weight, about one
+in (n + 1)!, are built.
 
 A product keeps the torus weight of the monomial it came from, so the
 weight blocks are labelled on the source rows alone, and each target row
@@ -69,9 +74,10 @@ MAX_CECH_BASIS = 1_000_000
 # kernel's cost is one sweep per column of a stack, so few, wide stacks are
 # fast: (12, -13), whose 52 blocks (one per S3-orbit of the 276) are at most
 # 51 x 52, is one stack of 52 sweeps.  The bound keeps the padding of the
-# large twists in check: as one int64 stack per map, (30, -32) peaked at
-# 308 MB, not 67 MB, and ran 4.6x slower; under the bound it is 10 stacks,
-# none above 1.05 * 10^6 cells.
+# large twists in check: as one stack per map, (30, -32) at p = 3 peaks at
+# 116 MB, not 53 MB, and runs 2.4x slower (0.72 s against 0.29 s on a
+# 2-core x86-64 host); under the bound it is 10 stacks, none above
+# 1.05 * 10^6 cells.
 _STACK_CELLS = 2**20
 
 
@@ -116,25 +122,21 @@ def _factor_degrees(space: MultiProjSpace, multidegree):
     return None if None in out else out
 
 
-def _fill_basis(space: MultiProjSpace, info, out) -> None:
-    """Write the basis rows of a bundle of factor degrees ``info`` into ``out``.
+@lru_cache(maxsize=256)
+def _factor_parts(n: int, degree: int, total: int) -> np.ndarray:
+    """The read-only basis of one factor: exponent rows on P^n, in basis order.
 
-    ``out`` is a (count, sum(n_i + 1)) view, one row per basis monomial, the
-    first factor slowest.  Each factor's parts are broadcast into its own
-    columns of ``out`` seen as a grid of one axis per factor, so neither an
-    index grid nor a per-factor copy of the rows is made.
+    By stars and bars, the parts e >= 0 of sum ``total`` are the gaps
+    between n bars in total + n slots, C(total + n, n) rows in lex order of
+    e; the rows are e in degree 0 and -1 - e in degree n.  Built once per
+    (n, degree, total) and shared by every basis and map that reads it.
     """
-    sizes = [comb(total + n, n) for n, (_, total) in zip(space.factor_dims, info)]
-    grid = out.reshape(*sizes, out.shape[1], copy=False)
-    start = 0
-    for k, (n, (degree, total)) in enumerate(zip(space.factor_dims, info)):
-        # stars and bars: the parts are the gaps between n bars in total + n slots
-        bars = np.array(list(combinations(range(total + n), n)), dtype=np.int64)
-        parts = np.diff(bars, axis=1, prepend=-1, append=total + n) - 1
-        shape = [1] * len(sizes) + [n + 1]
-        shape[k] = sizes[k]
-        grid[..., start : start + n + 1] = (parts if degree == 0 else -1 - parts).reshape(shape)
-        start += n + 1
+    bars = np.array(list(combinations(range(total + n), n)), dtype=np.int64)
+    parts = np.diff(bars, axis=1, prepend=-1, append=total + n) - 1
+    if degree:
+        parts = -1 - parts
+    parts.flags.writeable = False
+    return parts
 
 
 def line_bundle_basis(space: MultiProjSpace, multidegree):
@@ -251,21 +253,13 @@ class LaurentComplex:
 def _term_basis(space, term, degree):
     """Degree-`degree` basis of a sum of bundles: int64 rows [summand j | exponents].
 
-    The rows are written in place into one array, summand after summand.
+    The summands follow one another, each the grid of its factor tables, the
+    first factor slowest: :func:`_canonical_rows` under the trivial group.
     """
-    kept = []
-    for j, md in enumerate(term):
-        info = _basis_size(space, md)
-        if info is not None and info[0] == degree:
-            kept.append((j, _factor_degrees(space, md), info[1]))
-    width = 1 + sum(n + 1 for n in space.factor_dims)
-    rows = np.empty((sum(count for _, _, count in kept), width), dtype=np.int64)
-    start = 0
-    for j, info, count in kept:
-        rows[start : start + count, 0] = j
-        _fill_basis(space, info, rows[start : start + count, 1:])
-        start += count
-    return rows
+    summands, width = _summands(space, term, degree), sum(n + 1 for n in space.factor_dims)
+    if not summands:
+        return np.empty((0, 1 + width), dtype=np.int64)
+    return _canonical_rows(summands, np.empty((0, width), dtype=np.int64), 1)[0]
 
 
 def _weights(poly_matrix, width: int):
@@ -310,28 +304,32 @@ def _basis_index(space, multidegree, rows):
     the parts e (the exponents, or -1 - exponents in top degree) are ranked
     in the lex order of the stars-and-bars enumeration, which is the lex
     order of e: with R_i = t - e_0 - ... - e_(i-1), the compositions below e
-    number sum_i C(R_i + n - i, n - i) - C(R_(i+1) + n - i, n - i).  Every
-    binomial read is at most C(t + n, n), the factor's basis size.  The
-    factors combine in the basis's mixed radix, the first factor slowest.
-    The binomials come from :func:`_binomials`.
+    number sum_i C(R_i + n - i, n - i) - C(R_(i+1) + n - i, n - i).  The
+    row is in the basis when no R_i is negative and R_n = e_n.  Each
+    coordinate column is read once, and every step works on 1-D arrays;
+    R is clipped to [0, t], so every binomial read, from :func:`_binomials`,
+    is at most C(t + n, n), the factor's basis size.  The factors combine
+    in the basis's mixed radix, the first factor slowest.
     """
     index = np.zeros(len(rows), dtype=np.int64)
     valid = np.ones(len(rows), dtype=bool)
     start = 0
     for n, (degree, total) in zip(space.factor_dims, _factor_degrees(space, multidegree)):
-        parts = rows[:, start : start + n + 1]
+        binom = _binomials(total, n).T  # binom[k] is the column C(y + k, k)
+        index *= binom[n, total]
+        left = total  # R_i
+        for i in range(n + 1):
+            part = -1 - rows[:, start + i] if degree else rows[:, start + i]
+            if i == n:
+                valid &= part == left
+                break
+            rest = left - part
+            valid &= (part >= 0) & (rest >= 0)
+            np.clip(rest, 0, total, out=rest)
+            index += binom[n - i].take(left)
+            index -= binom[n - i].take(rest)
+            left = rest
         start += n + 1
-        if degree:
-            parts = -1 - parts
-        in_range = np.all((parts >= 0) & (parts <= total), axis=1)
-        parts = np.where(in_range[:, None], parts, 0)
-        valid &= in_range & (parts.sum(axis=1) == total)
-        parts[~valid] = 0
-        binom = _binomials(total, n)
-        left = total - np.cumsum(parts, axis=1) + parts  # R_0 .. R_n
-        k = n - np.arange(n)
-        below = binom[left[:, :n], k] - binom[left[:, 1:], k]
-        index = index * binom[total, n] + below.sum(axis=1)
     return np.where(valid, index, -1)
 
 
@@ -372,7 +370,7 @@ def _orbits(weights, g: int):
     Tuples are compared column by column, from the last factor to the
     first, so every temporary is one boolean per row.
     """
-    w = weights.reshape(len(weights), -1, g)
+    w = weights.reshape(len(weights), weights.shape[1] // g, g)
     canonical = np.ones(len(w), dtype=bool)
     run = np.ones(len(w), dtype=np.int64)
     stabiliser = np.ones(len(w), dtype=np.int64)
@@ -407,6 +405,43 @@ def _invariants(factor_dims, entries):
     return weights, spread, _symmetry(MultiProjSpace(factor_dims), poly_matrix)
 
 
+def _summands(space, term, degree):
+    """[(j, factor tables)] of the summands of ``term`` with cohomology in
+    degree ``degree``, each table the :func:`_factor_parts` of one factor."""
+    out = []
+    for j, md in enumerate(term):
+        info = _factor_degrees(space, md)
+        if info is not None and sum(d for d, _ in info) == degree:
+            out.append((j, [_factor_parts(n, *deg) for n, deg in zip(space.factor_dims, info)]))
+    return out
+
+
+def _canonical_rows(summands, weights, g: int):
+    """(rows, weight, orbit) of the source rows of canonical weight under S_g.
+
+    Each summand is the grid of its factor tables, the first factor
+    slowest.  As K . m is the sum over the factors f of K_f . m_f, the
+    grid's weights are the per-factor products broadcast and summed;
+    :func:`_orbits` marks the canonical ones, and only those rows,
+    [summand j | exponents], are built, from their grid positions.
+    ``orbit`` is each row's orbit size.  The summands follow one another in
+    the order given.
+    """
+    K = np.array(weights, dtype=np.int64)
+    out = []
+    for j, tables in summands:
+        weight, start = np.zeros((1, len(K)), dtype=np.int64), 0
+        for parts in tables:
+            step = parts @ K[:, start : start + parts.shape[1]].T
+            weight = (weight[:, None] + step).reshape(len(weight) * len(step), len(K))
+            start += parts.shape[1]
+        keep, orbit = _orbits(weight, g)
+        at = np.unravel_index(np.flatnonzero(keep), [len(t) for t in tables])
+        rows = [np.full((len(orbit), 1), j)] + [parts[i] for parts, i in zip(tables, at)]
+        out.append((np.concatenate(rows, axis=1), weight[keep], orbit))
+    return tuple(map(np.concatenate, zip(*out)))
+
+
 def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     """Rank over F_p of the induced map on degree-`degree` cohomology.
 
@@ -427,10 +462,12 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     because s keeps the span of the terms.  So s maps the weight-w block
     entry for entry onto the weight-s(w) block, in the degree-0 and the
     local-cohomology model alike, and the blocks of one orbit have one rank.
-    Only the source rows of canonical weight (:func:`_orbits`) are kept,
-    before any product is formed, and each block's rank counts orbit-size
-    times.  With the trivial group every block is kept, once.  K, its
-    spread and g come from :func:`_invariants`, once per distinct map.
+    Each source summand is taken as the grid of its factors' tables, and
+    its weights as sums of per-factor products; only the rows of canonical
+    weight (:func:`_orbits`) are materialized (:func:`_canonical_rows`),
+    and each block's rank counts orbit-size times.  With the trivial group
+    every row is built and every block kept, once.  K, its spread and g
+    come from :func:`_invariants`, once per distinct map.
 
     The blocks are sorted by (width, height) and cut greedily into stacks of
     at most _STACK_CELLS cells, each built in the residue dtype of p,
@@ -439,9 +476,9 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     right, so the kernel's update at a column spans exactly the block's own
     remaining columns, and the zero padding costs no arithmetic.  Overflow
     is raised before any exponent, product or weight could reach
-    _INT64_GUARD.
+    _INT64_GUARD; the exponents' reach is read from the factor tables.
     """
-    src = _term_basis(space, src_term, degree)
+    summands = _summands(space, src_term, degree)
     offsets, count = [], 0
     for md in dst_term:
         info = _basis_size(space, md)
@@ -454,19 +491,15 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
         for mono, c in poly.terms.items()
         if c % p
     ]
-    if not len(src) or not count or not terms:
+    if not summands or not count or not terms:
         return 0
     entries = tuple(tuple(frozenset(poly.terms.items()) for poly in row) for row in poly_matrix)
     weights, spread, g = _invariants(tuple(space.factor_dims), entries)
-    reach = int(max(src[:, 1:].max(), -src[:, 1:].min()))
+    reach = max(int(max(t.max(), -t.min())) for _, tables in summands for t in tables)
     reach += max(int(np.abs(t).max()) for _, _, t, _ in terms)
     if max(spread, 1) * reach >= _INT64_GUARD:
         raise Overflow(f"Cech weights need {spread} * {reach}, past int64")
-    weight = src[:, 1:] @ np.array(weights, dtype=np.int64).T
-    orbit = np.ones(len(src), dtype=np.int64)
-    if g > 1:
-        keep, orbit = _orbits(weight, g)
-        src, weight = src[keep], weight[keep]
+    src, weight, orbit = _canonical_rows(summands, weights, g)
     summand = {j: np.flatnonzero(src[:, 0] == j) for j in {src_j for _, src_j, _, _ in terms}}
     found = [(np.zeros(0, dtype=np.int64),) * 3]
     for dst_j, offset in enumerate(offsets):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -24,6 +25,8 @@ from .fan import (
     DivisorClass,
     Fan,
     InvariantViolation,
+    ProjBundle,
+    _integer,
     class_of,
     projectivization_fan,
 )
@@ -34,8 +37,14 @@ from .frobenius import (
     det_class,
     frobenius_decompose,
 )
-from .linalg import _residue_dtype, check_prime_field, is_prime, ranks_mod_p
-from .varieties import BUNDLE_SPECS, named_variety
+from .linalg import (
+    _reduce_mod_p,
+    _residue_dtype,
+    check_prime_field,
+    is_prime,
+    ranks_mod_p,
+)
+from .varieties import BUNDLE_SPECS, named_variety, registered_bundle
 
 
 # Cells of the jet stack, one entry of the residue dtype of p each (4 MB at
@@ -112,17 +121,18 @@ def _divided_multiset(bundle: SplitBundle, m: int) -> Counter:
     return out
 
 
-def _registered_total_space(base_fan: Fan, fan: Fan) -> Fan:
-    """The registered bundle over ``base_fan`` equal to ``fan``, else ``fan``.
+def _bundle(base_fan: Fan, norm) -> ProjBundle:
+    """The registered record of P(E) over ``base_fan`` with the normalised
+    degrees ``norm``, else a new :func:`projectivization_fan`.
 
-    Only the specs whose base is ``base_fan`` itself are looked at, so that
-    a check on a catalog bundle reads the decompositions its registered fan
-    already holds.
+    A registered bundle is matched by its base fan and degrees, so a check
+    on a catalog bundle builds no fan and reads the decompositions its
+    registered fan already holds.
     """
     for key, build in BUNDLE_SPECS.items():
-        if build()[0] is base_fan and named_variety(key) == fan:
-            return named_variety(key)
-    return fan
+        if build()[0] == base_fan and registered_bundle(key).degrees == norm:
+            return registered_bundle(key)
+    return projectivization_fan(base_fan, norm)
 
 
 def pbundle_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> bool:
@@ -134,7 +144,8 @@ def pbundle_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> bool:
     rank 3 the cokernel E_1 of F_*O (x) E* -> F_*(S^q E*) twisted by -xi, and
     F_*(D^(q-r) E (x) det E) (x) det E* twisted by -(r-1) xi.  Their classes
     must equal the direct residue decomposition on the total space, taken on
-    the registered fan when the registry holds this bundle.  E_1 is a
+    the registered fan, and with the registered record's pull-back and
+    O_pi(1), when the registry holds this bundle.  E_1 is a
     multiset difference, which must stay non-negative.
     """
     rank = len(degrees)
@@ -143,12 +154,11 @@ def pbundle_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> bool:
     q = order.q
     norm = tuple(tuple(x - y for x, y in zip(d, degrees[0])) for d in degrees)
     bundle = SplitBundle(base=base_fan, degrees=norm)
-    pb = projectivization_fan(base_fan, norm)
+    pb = _bundle(base_fan, norm)
     xi = pb.o_pi_class(1)
     det = bundle.det_class()
 
-    total = _registered_total_space(base_fan, pb.fan)
-    direct = _pushforward_classes(total, {total.zero_class(): 1}, order)
+    direct = _pushforward_classes(pb.fan, {pb.fan.zero_class(): 1}, order)
     base_dec = _pushforward_classes(base_fan, {base_fan.zero_class(): 1}, order)
     predicted: Counter = Counter()
     for cls, mult in base_dec.items():
@@ -249,18 +259,34 @@ def blowup_bookkeeping_check(p: int) -> BlowupReport:
 def _taylor_table(c: int, d: int, jet_order: int, p: int) -> np.ndarray:
     """T[i, s] = C(i, s) c^(i - s) mod p, the (x - c)^s coefficient of x^i.
 
-    Row by row mod p by Pascal's rule: x^i = ((x - c) + c) x^(i - 1), so
-    T[i, s] = c T[i - 1, s] + T[i - 1, s - 1].  The residue c is in [0, p),
-    so no value reaches p^2.
+    Column by column: C(i, s) = sum_(x < i) C(x, s - 1), so column s of the
+    binomials mod p is the running sum of column s - 1, one row down, and
+    T[i, s] is that times c^(i - s), read from a table of powers of c mod p.
+    The residue c is in [0, p), so every running sum stays below (d + 1) p
+    and every product below p^2.
     """
     table = np.zeros((max(d + 1, 0), max(jet_order + 1, 0)), dtype=np.int64)
-    if table.size:
-        table[0, 0] = 1
-    for i in range(1, len(table)):
-        np.multiply(table[i - 1], c, out=table[i])
-        table[i, 1:] += table[i - 1, :-1]
-        table[i] %= p
+    if not table.size:
+        return table
+    power = [1]
+    for _ in range(d):
+        power.append(power[-1] * c % p)
+    binom = np.ones(len(table), dtype=np.int64)  # C(i, s) mod p for all i
+    table[:, 0] = power
+    for s in range(1, min(table.shape[1], len(table))):
+        binom[s:] = np.cumsum(binom[s - 1 : -1]) % p
+        table[s:, s] = binom[s:] * power[: len(table) - s] % p
     return table
+
+
+@lru_cache(maxsize=64)
+def _plane_monomials(d: int) -> np.ndarray:
+    """The read-only rows (i, j), i + j <= d, of the plane monomials x^i y^j
+    of degree at most d, i slowest; none for d < 0."""
+    rows = np.array([(i, j) for i in range(d + 1) for j in range(d + 1 - i)], dtype=np.int64)
+    rows = rows.reshape(-1, 2)
+    rows.flags.writeable = False
+    return rows
 
 
 def _jet_stack(degrees, jet_order: int, p: int, point) -> np.ndarray:
@@ -270,32 +296,25 @@ def _jet_stack(degrees, jet_order: int, p: int, point) -> np.ndarray:
     (dehomogenised at the last coordinate) and a column per jet monomial
     (x-a)^s (y-b)^t of order <= jet_order at the point (a, b); the entry is
     the Taylor coefficient C(i, s) a^(i-s) C(j, t) b^(j-t) mod p.  It is read
-    from one table per coordinate, built once at the largest degree; a
-    smaller degree reads fewer of its rows.  Rows past a block's own count
-    are zero.  The stack has the residue dtype of p, so
-    :func:`ranks_mod_p` eliminates it in place.  A p that is not prime
-    raises ValueError.
+    from one table per distinct coordinate, built once at the largest
+    degree; a smaller degree reads fewer of its rows.  Both the rows and the
+    columns are :func:`_plane_monomials`.  Rows past a block's own count
+    are zero.  The tables, their products and the stack have the residue
+    dtype of p, which holds (p - 1)^2, and :func:`ranks_mod_p` eliminates
+    the stack in place.  A p that is not prime raises ValueError.
     """
     check_prime_field(p)
     a = point[0] * pow(point[2], p - 2, p) % p
     b = point[1] * pow(point[2], p - 2, p) % p
-    cols = np.array(
-        [(s, t) for s in range(jet_order + 1) for t in range(jet_order + 1 - s)],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    top = max(degrees)
-    ta = _taylor_table(a, top, jet_order, p)[:, cols[:, 0]]
-    tb = _taylor_table(b, top, jet_order, p)[:, cols[:, 1]]
-    rows = [
-        np.array([(i, j) for i in range(d + 1) for j in range(d + 1 - i)], dtype=np.int64)
-        .reshape(-1, 2)
-        for d in degrees
-    ]
-    stack = np.zeros(
-        (len(degrees), max(map(len, rows)), len(cols)), dtype=_residue_dtype(p)
-    )
+    dtype, cols = _residue_dtype(p), _plane_monomials(jet_order)
+    tables = {c: _taylor_table(c, max(degrees), jet_order, p).astype(dtype) for c in {a, b}}
+    ta, tb = tables[a][:, cols[:, 0]], tables[b][:, cols[:, 1]]
+    rows = [_plane_monomials(d) for d in degrees]
+    stack = np.zeros((len(degrees), max(map(len, rows)), len(cols)), dtype=dtype)
     for k, r in enumerate(rows):
-        stack[k, : len(r)] = ta[r[:, 0]] * tb[r[:, 1]] % p
+        block = stack[k, : len(r)]
+        np.multiply(ta[r[:, 0]], tb[r[:, 1]], out=block)  # at most (p - 1)^2
+        _reduce_mod_p(block, p, out=block)
     return stack
 
 
@@ -309,8 +328,9 @@ def delpezzo_jet_check(
     closed forms, the two section-count routes (binomial formula versus the
     cohomology engine) must agree, and ``passed`` records whether the section
     count covers the number of jet conditions.  Optionally the exact rank of
-    the jet evaluation matrix over F_p at the chosen point is computed; points
-    with a zero coordinate are rejected, and a stack of more than
+    the jet evaluation matrix over F_p at the chosen point is computed.  The
+    point must be three integers, none 0 mod p; any other point, a bool or a
+    float coordinate included, raises ValueError, and a stack of more than
     MAX_JET_CELLS cells raises Overflow before it is allocated.
 
     The matrix is block diagonal: each summand O(d) contributes a block of
@@ -346,8 +366,11 @@ def delpezzo_jet_check(
     jet_conditions = q * (q - 1) // 2 * (1 + p1 + p2)
     rank = None
     if compute_rank:
-        if any(c % p == 0 for c in point):
-            raise ValueError("jet evaluation point must have nonzero coordinates")
+        point = tuple(_integer(c, "jet evaluation point") for c in point)
+        if len(point) != 3 or any(c % p == 0 for c in point):
+            raise ValueError(
+                f"jet evaluation point {point} needs three coordinates, none 0 mod {p}"
+            )
         # block diagonal: the distinct blocks are eliminated once, as one stack
         present = [(d, mult) for d, mult in twists if mult]
         cells = len(present) * comb(max(d for d, _ in present) + 2, 2) * comb(q, 2)

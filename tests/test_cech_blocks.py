@@ -2,7 +2,7 @@
 blocks of the map; the nested-tuple monomials and the dense assembly survive
 here as the reference."""
 
-from itertools import chain, permutations
+from itertools import chain, combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb
 
@@ -17,8 +17,11 @@ from toricfrob.cech import (
     Poly,
     _basis_index,
     _binomials,
+    _canonical_rows,
+    _factor_parts,
     _map_rank_mod_p,
     _orbits,
+    _summands,
     _symmetry,
     _term_basis,
     _weights,
@@ -461,3 +464,79 @@ def test_two_twists_of_one_map_compute_its_invariants_once(monkeypatch):
                         maps=(((Poly({((1, 0, 0), (0, 1, 0)): 1}),),),))
     hypercohomology_fp(cx, 3)
     assert calls == {"_weights": 2, "_symmetry": 2}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_factor_parts_are_the_compositions_in_lex_order(n):
+    for total in range(7):
+        # a multiset of `total` coordinates of P^n is one monomial
+        parts = sorted(
+            tuple(pick.count(i) for i in range(n + 1))
+            for pick in combinations_with_replacement(range(n + 1), total)
+        )
+        table = _factor_parts(n, 0, total)
+        assert table.tolist() == [list(e) for e in parts]
+        assert _factor_parts(n, n, total).tolist() == [[-1 - x for x in e] for e in parts]
+        # one shared table per (n, degree, total), which no reader can change
+        assert _factor_parts(n, 0, total) is table and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_maps())
+def test_canonical_rows_are_the_enumerated_basis_under_the_orbit_mask(drawn):
+    # the factor grids against the nested-tuple basis and its full weight
+    # product; the source and target summands together make a term of two
+    # to four summands, so the order of concatenation is checked too
+    _, space, src, dst, maps = drawn
+    weights = _weights(maps, sum(n + 1 for n in space.factor_dims))
+    groups = [1]
+    if len(set(space.factor_dims)) == 1:
+        groups.append(space.factor_dims[0] + 1)
+    term = src + dst
+    for degree in range(space.dim + 1):
+        full = [(j, *_flat(m)) for j, m in _tuple_term_basis(space, term, degree)]
+        summands = _summands(space, term, degree)
+        assert [j for j, _ in summands] == sorted({row[0] for row in full})
+        if not summands:
+            continue
+        full = np.array(full, dtype=np.int64)
+        weight = full[:, 1:] @ np.array(weights, dtype=np.int64).T
+        for g in groups:
+            keep, orbit = _orbits(weight, g)
+            rows, grid_weight, size = _canonical_rows(summands, weights, g)
+            assert rows.tolist() == full[keep].tolist(), (degree, g)
+            assert grid_weight.tolist() == weight[keep].tolist(), (degree, g)
+            assert size.tolist() == orbit.tolist(), (degree, g)
+
+
+def _bad_parts(n, total):
+    """Part vectors of P^n outside the basis of exponent total ``total`` >= 1:
+    a negative part with the right sum, first and in the middle; a last part
+    past the total; a sum one short; and two parts of the whole total, so
+    that the running remainder goes negative."""
+    zeros = (0,) * (n - 1)
+    yield (-1, total + 1) + zeros
+    yield (1, -1, total) + zeros[1:] if n > 1 else (total + 1, -1)
+    yield zeros + (0, total + 1)
+    yield zeros + (0, total - 1)
+    yield (total, total) + zeros
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 2), (2, 2)])
+def test_basis_index_gives_minus_one_outside_the_basis(dims):
+    space = MultiProjSpace(dims)
+    for multidegree in ((3,) * len(dims), (-5,) * len(dims), (2, -6)[: len(dims)]):
+        degree, basis = line_bundle_basis(space, multidegree)
+        bad, start = [], 0
+        for n, d in zip(dims, multidegree):
+            total = d if d >= 0 else -d - (n + 1)
+            for parts in _bad_parts(n, total):
+                row = basis[len(basis) // 2].copy()
+                row[start : start + n + 1] = parts if d >= 0 else [-1 - x for x in parts]
+                bad.append(row)
+            start += n + 1
+        rows = np.concatenate((basis, bad))
+        index = _basis_index(space, multidegree, rows)
+        assert index.tolist() == list(range(len(basis))) + [-1] * len(bad), multidegree

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfrob.linalg import _residue_dtype, is_prime, rank_mod_p, ranks_mod_p
+from toricfrob.linalg import (
+    _reduce_mod_p,
+    _residue_dtype,
+    is_prime,
+    rank_mod_p,
+    ranks_mod_p,
+)
 
 # The largest p whose products (p-1)^2 still fit in int64.
 P_MAX = next(
@@ -155,3 +161,43 @@ def test_refusals_match_rank_mod_p(p):
 def test_a_stack_must_be_three_dimensional():
     with pytest.raises(ValueError, match="stack"):
         ranks_mod_p(np.ones((2, 2), dtype=np.int64), 3)
+
+
+def _dtype_values(dtype):
+    """Every value of an 8- or 16-bit dtype; for wider ones, the 64 values at
+    each end of its range and 2,000 drawn between them."""
+    info = np.iinfo(dtype)
+    if info.bits <= 16:
+        return np.arange(info.min, info.max + 1, dtype=dtype)
+    rng = np.random.default_rng(info.bits)
+    drawn = rng.integers(info.min, info.max, size=2000, dtype=dtype, endpoint=True)
+    ends = np.arange(64, dtype=dtype)
+    return np.concatenate((info.min + ends, info.max - ends, drawn))
+
+
+@pytest.mark.parametrize(
+    "dtype, p",
+    [(np.int8, p) for p in (2, 3, 5, 7, 11)]
+    + [(np.int16, 13), (np.int16, 181), (np.int32, 191), (np.int32, 46337)]
+    + [(np.int64, 46349), (np.int64, P_MAX)],
+)
+def test_floor_division_reduction_is_python_mod(dtype, p):
+    # each p's residue dtype: near its ends (x // p) * p wraps around, and
+    # the residue must come out right all the same
+    assert _residue_dtype(p) == dtype
+    values = _dtype_values(dtype)
+    want = [x % p for x in values.tolist()]
+    inplace = values.copy()
+    assert _reduce_mod_p(inplace, p, out=inplace) is inplace
+    assert inplace.tolist() == want
+    assert _reduce_mod_p(values, p, out=np.empty_like(values)).tolist() == want
+    # through the kernel, each value a 1 x 1 matrix, of rank 1 unless p | it:
+    # the entry pass in place on a stack of the residue dtype, and the copy
+    # path on a read-only one, which is left as it was
+    ranks = [int(x != 0) for x in want]
+    stack = values.reshape(-1, 1, 1).copy()
+    assert ranks_mod_p(stack, p).tolist() == ranks and not stack.any()
+    stack = values.reshape(-1, 1, 1).copy()
+    stack.flags.writeable = False
+    assert ranks_mod_p(stack, p).tolist() == ranks
+    assert np.array_equal(stack.ravel(), values)

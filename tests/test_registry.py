@@ -8,13 +8,18 @@ import pytest
 
 from toricfrob import (
     VARIETY_NAMES,
+    FrobeniusOrder,
     blowup_bookkeeping_check,
     catalog_entries,
     catalog_run,
     delpezzo_jet_check,
     named_variety,
+    pbundle_check,
 )
+from toricfrob import fan as fan_mod
+from toricfrob import structure as structure_mod
 from toricfrob.structure import _blown_up_plane
+from toricfrob.varieties import BUNDLE_SPECS, registered_bundle
 
 # The package's ``cohomology`` attribute is the function; the module is here.
 cohomology_mod = sys.modules["toricfrob.cohomology"]
@@ -92,3 +97,52 @@ def test_repeat_blowup_check_reuses_the_blown_up_plane(engine_calls):
     engine_calls.clear()
     assert blowup_bookkeeping_check(5) == first
     assert engine_calls == Counter()
+
+
+def test_each_bundle_record_is_kept_with_its_fan():
+    for key in BUNDLE_SPECS:
+        record = registered_bundle(key)
+        assert record is registered_bundle(key) and record.fan is named_variety(key)
+        base, degrees = BUNDLE_SPECS[key]()
+        assert record.base is base and record.degrees[0] == base.zero_divisor()
+    with pytest.raises(KeyError):
+        registered_bundle("P2")
+
+
+@pytest.fixture
+def fans_built(monkeypatch):
+    """Record every fan built, and every projectivization the bundle check
+    asks for."""
+    built = []
+    for module, name in ((fan_mod, "build_fan"), (structure_mod, "projectivization_fan")):
+        def recording(*args, _name=name, _real=getattr(module, name), **kwargs):
+            built.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    return built
+
+
+def test_a_warm_registered_bundle_check_builds_no_fan(fans_built):
+    order = FrobeniusOrder(2)
+    specs = [build() for build in BUNDLE_SPECS.values()]
+    for base, degrees in specs:
+        assert pbundle_check(base, degrees, order)
+    fans_built.clear()
+    for base, degrees in specs:
+        assert pbundle_check(base, degrees, order)
+        # degrees shifted by a common divisor normalise to the same record
+        shifted = [tuple(x + 1 for x in d) for d in degrees]
+        assert pbundle_check(base, shifted, order)
+    assert fans_built == []
+
+
+def test_an_unregistered_bundle_is_built_and_checked_as_before(fans_built):
+    plane, line = named_variety("P2"), named_variety("P1")
+    for base, degrees in ((line, [(0, 0), (1, 0)]), (plane, [(0, 0, 0), (3, 0, 0)]),
+                          (line, [(0, 0), (0, 0), (2, 0)])):
+        fans_built.clear()
+        for p in (2, 3):
+            assert pbundle_check(base, degrees, FrobeniusOrder(p)), (degrees, p)
+        assert fans_built.count("projectivization_fan") == 2
+        assert "build_fan" in fans_built

@@ -20,7 +20,7 @@ from toricfrob import (
 from toricfrob import frobenius as frobenius_mod
 from toricfrob import structure as structure_mod
 from toricfrob.linalg import _residue_dtype
-from toricfrob.structure import _jet_stack, _taylor_table
+from toricfrob.structure import _jet_stack, _plane_monomials, _taylor_table
 from toricfrob.varieties import BUNDLE_SPECS
 
 PRIMES_THROUGH_13 = (2, 3, 5, 7, 11, 13)
@@ -230,6 +230,22 @@ def test_jet_rank_rejects_degenerate_point():
         delpezzo_jet_check(3, 1, compute_rank=True, point=(1, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "point", [(1, 1, 1, 1), (True, 1, 1), (1, 1), (1.5, 1, 1), (2.0, 1, 1), (1, 1, 5)]
+)
+def test_jet_rank_rejects_malformed_points(point):
+    with pytest.raises(ValueError):
+        delpezzo_jet_check(5, 1, compute_rank=True, point=point)
+
+
+def test_jet_rank_reads_the_point_mod_p():
+    # at p = 5, -1 is 4 and 6 is 1
+    for point, same in (((-1, 1, 1), (4, 1, 1)), ((6, 1, 1), (1, 1, 1))):
+        rank = delpezzo_jet_check(5, 1, compute_rank=True, point=point).surjective_rank
+        assert rank == delpezzo_jet_check(5, 1, compute_rank=True, point=same).surjective_rank
+        assert rank == 226
+
+
 def test_jet_block_shape():
     block = _jet_stack((3,), 1, 3, (1, 1, 1))[0]
     assert block.shape == (10, 3)
@@ -248,6 +264,14 @@ def test_taylor_table_is_the_closed_form(p):
             assert _taylor_table(c, d, 4, p).tolist() == [r[:5] for r in want[: d + 1]]
     assert _taylor_table(1, -1, 3, p).shape == (0, 4)
     assert _taylor_table(1, 4, -1, p).shape == (5, 0)
+
+
+def test_plane_monomials_are_shared_and_read_only():
+    for d in (-1, 0, 1, 4, 25):
+        rows = _plane_monomials(d)
+        assert rows.tolist() == [[i, j] for i in range(d + 1) for j in range(d + 1 - i)]
+        assert rows.shape == (max(0, (d + 1) * (d + 2) // 2), 2)
+        assert _plane_monomials(d) is rows and not rows.flags.writeable
 
 
 def test_jet_stack_has_the_residue_dtype():
