@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--pairs", action="append", default=[], metavar="W=N",
-                        help="run N pairs of workload W (repeatable; N may be 0)")
+                        help="run N pairs of workload W (repeatable)")
     parser.add_argument("--seed", type=int, default=1001)
     parser.add_argument("--cold-runs", type=int, default=0)
     parser.add_argument("--interleave", type=float, default=0, metavar="SECONDS",
@@ -241,9 +241,8 @@ def main(argv=None) -> int:
     seed = args.seed
     for spec in args.pairs:
         workload, count = spec.split("=")
-        if int(count):  # W=0 asks W only in the interleaved run
-            out["workloads"][workload] = workload_record(
-                args.parent, args.change, workload, int(count), seed, seconds)
+        out["workloads"][workload] = workload_record(
+            args.parent, args.change, workload, int(count), seed, seconds)
         seed += int(count)
     if args.claim:
         wall = out["workloads"][args.claim]["wall_s"]

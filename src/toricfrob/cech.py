@@ -122,15 +122,29 @@ def _factor_degrees(space: MultiProjSpace, multidegree):
     return None if None in out else out
 
 
-@lru_cache(maxsize=256)
+# Cells of the largest factor table kept for the life of the process
+# (512 KB of int64): every P^2 table up to total 207.
+_KEPT_PARTS_CELLS = 2**16
+
+
 def _factor_parts(n: int, degree: int, total: int) -> np.ndarray:
     """The read-only basis of one factor: exponent rows on P^n, in basis order.
 
     By stars and bars, the parts e >= 0 of sum ``total`` are the gaps
     between n bars in total + n slots, C(total + n, n) rows in lex order of
-    e; the rows are e in degree 0 and -1 - e in degree n.  Built once per
-    (n, degree, total) and shared by every basis and map that reads it.
+    e; the rows are e in degree 0 and -1 - e in degree n.  A table of at
+    most _KEPT_PARTS_CELLS cells is built once per (n, degree, total), and
+    up to 64 are kept and shared by every basis and map that reads them; a
+    larger one, the size of a whole basis, is built afresh on each call, so
+    the process keeps none of them.
     """
+    if comb(total + n, n) * (n + 1) > _KEPT_PARTS_CELLS:
+        return _kept_parts.__wrapped__(n, degree, total)
+    return _kept_parts(n, degree, total)
+
+
+@lru_cache(maxsize=64)
+def _kept_parts(n: int, degree: int, total: int) -> np.ndarray:
     bars = np.array(list(combinations(range(total + n), n)), dtype=np.int64)
     parts = np.diff(bars, axis=1, prepend=-1, append=total + n) - 1
     if degree:
@@ -253,13 +267,35 @@ class LaurentComplex:
 def _term_basis(space, term, degree):
     """Degree-`degree` basis of a sum of bundles: int64 rows [summand j | exponents].
 
-    The summands follow one another, each the grid of its factor tables, the
-    first factor slowest: :func:`_canonical_rows` under the trivial group.
+    The summands follow one another, each the grid of its factor tables,
+    the first factor slowest (:func:`_grid_basis`).
     """
-    summands, width = _summands(space, term, degree), sum(n + 1 for n in space.factor_dims)
-    if not summands:
-        return np.empty((0, 1 + width), dtype=np.int64)
-    return _canonical_rows(summands, np.empty((0, width), dtype=np.int64), 1)[0]
+    width = sum(n + 1 for n in space.factor_dims)
+    return _grid_basis(_summands(space, term, degree), width)
+
+
+def _grid_basis(summands, width: int):
+    """Rows [summand j | exponents] of every point of the summands' grids.
+
+    The rows are written in place into one array, summand after summand:
+    each factor table is broadcast into its own columns of the summand's
+    rows seen as a grid of one axis per factor, so neither an index grid
+    nor a per-factor copy of the rows is made.
+    """
+    counts = [prod(map(len, tables)) for _, tables in summands]
+    rows = np.empty((sum(counts), 1 + width), dtype=np.int64)
+    stop = 0
+    for (j, tables), count in zip(summands, counts):
+        block, stop = rows[stop : stop + count], stop + count
+        block[:, 0] = j
+        grid = block[:, 1:].reshape(*map(len, tables), width, copy=False)
+        start = 0
+        for k, parts in enumerate(tables):
+            shape = [1] * len(tables) + [parts.shape[1]]
+            shape[k] = len(parts)
+            grid[..., start : start + parts.shape[1]] = parts.reshape(shape)
+            start += parts.shape[1]
+    return rows
 
 
 def _weights(poly_matrix, width: int):
@@ -424,22 +460,32 @@ def _canonical_rows(summands, weights, g: int):
     grid's weights are the per-factor products broadcast and summed;
     :func:`_orbits` marks the canonical ones, and only those rows,
     [summand j | exponents], are built, from their grid positions.
-    ``orbit`` is each row's orbit size.  The summands follow one another in
-    the order given.
+    ``orbit`` is each row's orbit size.  Under the trivial group every row
+    is kept, so no mask is formed and the rows are :func:`_grid_basis`.
+    The summands follow one another in the order given; the arrays of a
+    single summand are returned as they are, not copied.
     """
     K = np.array(weights, dtype=np.int64)
-    out = []
+    rows, weight, orbit = [], [], []
     for j, tables in summands:
-        weight, start = np.zeros((1, len(K)), dtype=np.int64), 0
+        grid, start = np.zeros((1, len(K)), dtype=np.int64), 0
         for parts in tables:
             step = parts @ K[:, start : start + parts.shape[1]].T
-            weight = (weight[:, None] + step).reshape(len(weight) * len(step), len(K))
+            grid = (grid[:, None] + step).reshape(len(grid) * len(step), len(K))
             start += parts.shape[1]
-        keep, orbit = _orbits(weight, g)
+        if g == 1:
+            weight.append(grid)
+            orbit.append(np.ones(len(grid), dtype=np.int64))
+            continue
+        keep, size = _orbits(grid, g)
         at = np.unravel_index(np.flatnonzero(keep), [len(t) for t in tables])
-        rows = [np.full((len(orbit), 1), j)] + [parts[i] for parts, i in zip(tables, at)]
-        out.append((np.concatenate(rows, axis=1), weight[keep], orbit))
-    return tuple(map(np.concatenate, zip(*out)))
+        parts = [np.full((len(size), 1), j)] + [t[i] for t, i in zip(tables, at)]
+        rows.append(np.concatenate(parts, axis=1))
+        weight.append(grid[keep])
+        orbit.append(size)
+    if g == 1:
+        rows = [_grid_basis(summands, K.shape[1])]
+    return tuple(x[0] if len(x) == 1 else np.concatenate(x) for x in (rows, weight, orbit))
 
 
 def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:

@@ -162,6 +162,11 @@ def _residue_dtype(p: int):
     return np.int64
 
 
+# Entries that :func:`_reduce_mod_p` reduces at once, so that its temporary
+# (x // p) * p is at most 128 KB of int64 however large the array.
+_REDUCE_SLAB = 2**14
+
+
 def _reduce_mod_p(a: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     """Write a mod p, in [0, p), into ``out`` (which may be ``a``) and return it.
 
@@ -170,11 +175,20 @@ def _reduce_mod_p(a: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     around, which changes neither modulo 2^bits; the difference is the true
     residue modulo 2^bits, and as that lies in [0, p), inside the dtype, it
     is the true residue.  On 100,000 int8 entries this takes 29 us, and
-    ``np.remainder`` 1,050 us (numpy 2.4.6, 2-core Xeon).
+    ``np.remainder`` 1,050 us (numpy 2.4.6, 2-core Xeon).  An array of more
+    than _REDUCE_SLAB entries is reduced in slabs of that many, so an
+    in-place pass over a whole stack makes no second stack; ``out`` must
+    then be C-contiguous.
     """
-    multiple = a // p
-    multiple *= p
-    return np.subtract(a, multiple, out=out)
+    if a.size <= _REDUCE_SLAB:
+        multiple = a // p
+        multiple *= p
+        return np.subtract(a, multiple, out=out)
+    src, dst = a.reshape(-1), np.reshape(out, -1, copy=False)
+    for start in range(0, a.size, _REDUCE_SLAB):
+        stop = start + _REDUCE_SLAB
+        _reduce_mod_p(src[start:stop], p, out=dst[start:stop])
+    return out
 
 
 def ranks_mod_p(stack, p: int) -> np.ndarray:
@@ -204,7 +218,8 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
 
     A C-contiguous, writeable (B, n, m) array of the residue dtype is reduced
     mod p and eliminated in place, and comes back all zero; it is never
-    copied.  Any other input, an int64 stack or a read-only or
+    copied, and as the entries are reduced in slabs, no temporary the size
+    of the stack is made.  Any other input, an int64 stack or a read-only or
     non-contiguous view included, is reduced mod p into a fresh array of
     the residue dtype and left unchanged.  Zero rows and columns, such as
     the padding of a stack of matrices of different shapes, leave every
@@ -219,8 +234,8 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
     if a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable:
         _reduce_mod_p(a, p, out=a)
     else:
-        a = a.astype(np.int64, copy=False)
-        a = _reduce_mod_p(a, p, out=np.empty_like(a)).astype(dtype)
+        a = np.array(a, dtype=np.int64, order="C")
+        a = _reduce_mod_p(a, p, out=a).astype(dtype)
     count, nrows, ncols = a.shape
     rank = np.zeros(count, dtype=np.int64)
     if not a.size:

@@ -44,7 +44,7 @@ from .linalg import (
     is_prime,
     ranks_mod_p,
 )
-from .varieties import BUNDLE_SPECS, named_variety, registered_bundle
+from .varieties import BUNDLE_SPECS, named_variety
 
 
 # Cells of the jet stack, one entry of the residue dtype of p each (4 MB at
@@ -121,17 +121,27 @@ def _divided_multiset(bundle: SplitBundle, m: int) -> Counter:
     return out
 
 
+def _normalised(degrees) -> tuple:
+    """The degrees of a split bundle less the first, so that E_0 = 0."""
+    return tuple(tuple(x - y for x, y in zip(d, degrees[0])) for d in degrees)
+
+
 def _bundle(base_fan: Fan, norm) -> ProjBundle:
-    """The registered record of P(E) over ``base_fan`` with the normalised
-    degrees ``norm``, else a new :func:`projectivization_fan`.
+    """P(E) over ``base_fan`` with the normalised degrees ``norm``: on the
+    registered fan when the registry holds this bundle, else a new
+    :func:`projectivization_fan`.
 
     A registered bundle is matched by its base fan and degrees, so a check
     on a catalog bundle builds no fan and reads the decompositions its
-    registered fan already holds.
+    registered fan already holds.  Its record is laid out as
+    :func:`projectivization_fan` lays it out: the base rays, then the
+    relative rays, the last of which carries O_pi(1).
     """
     for key, build in BUNDLE_SPECS.items():
-        if build()[0] == base_fan and registered_bundle(key).degrees == norm:
-            return registered_bundle(key)
+        base, degrees = build()
+        if base == base_fan and _normalised(degrees) == norm:
+            u_index0 = len(base.rays) + len(norm) - 1
+            return ProjBundle(named_variety(key), base, norm, u_index0)
     return projectivization_fan(base_fan, norm)
 
 
@@ -144,15 +154,14 @@ def pbundle_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> bool:
     rank 3 the cokernel E_1 of F_*O (x) E* -> F_*(S^q E*) twisted by -xi, and
     F_*(D^(q-r) E (x) det E) (x) det E* twisted by -(r-1) xi.  Their classes
     must equal the direct residue decomposition on the total space, taken on
-    the registered fan, and with the registered record's pull-back and
-    O_pi(1), when the registry holds this bundle.  E_1 is a
+    the registered fan when the registry holds this bundle.  E_1 is a
     multiset difference, which must stay non-negative.
     """
     rank = len(degrees)
     if rank not in (2, 3):
         raise ValueError("the projective-bundle check needs a rank 2 or 3 bundle")
     q = order.q
-    norm = tuple(tuple(x - y for x, y in zip(d, degrees[0])) for d in degrees)
+    norm = _normalised(degrees)
     bundle = SplitBundle(base=base_fan, degrees=norm)
     pb = _bundle(base_fan, norm)
     xi = pb.o_pi_class(1)

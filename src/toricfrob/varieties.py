@@ -11,7 +11,6 @@ exceptional class.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cache
 from itertools import combinations
 
@@ -146,17 +145,13 @@ def bundle_collection(pb: ProjBundle, base_collection) -> tuple:
     return tuple(out)
 
 
-def _bundle_record(base: Fan, degrees, name: str = "") -> ProjBundle:
-    """:func:`projectivization_fan`, its fan with the recursed collection."""
-    pb = projectivization_fan(base, degrees, name=name)
-    if base.collection is None:
-        return pb
-    return replace(pb, fan=with_collection(pb.fan, bundle_collection(pb, base.collection)))
-
-
 def projective_bundle(base: Fan, degrees, name: str = "") -> Fan:
     """Projectivized split bundle with the recursed collection attached."""
-    return _bundle_record(base, degrees, name=name).fan
+    pb = projectivization_fan(base, degrees, name=name)
+    fan = pb.fan
+    if base.collection is not None:
+        fan = with_collection(fan, bundle_collection(pb, base.collection))
+    return fan
 
 
 def _multidegree_divisor(fan: Fan, *entries) -> tuple:
@@ -237,40 +232,17 @@ VARIETY_NAMES = tuple(_BUILDERS) + tuple(BUNDLE_SPECS)
 
 
 @cache
-def _registry(name: str):
-    """The fan registered as ``name``, or for a bundle its ProjBundle record."""
-    if name in _BUILDERS:
-        return _BUILDERS[name]()
-    if name in BUNDLE_SPECS:
-        base, degrees = BUNDLE_SPECS[name]()
-        return _bundle_record(base, degrees, name=name)
-    raise KeyError(f"unknown variety {name!r}")
-
-
 def named_variety(name: str) -> Fan:
     """The registered variety ``name`` (one of VARIETY_NAMES), built once.
 
     Every call with the same name returns the same validated fan, shared
     across the process, so the fan's cohomology caches serve every question
     asked of it.  Those caches live as long as the process and grow with the
-    questions asked.  ``named_variety.cache_clear()`` drops every registered
-    fan and bundle record, so the next call builds them afresh.
+    questions asked.
     """
-    entry = _registry(name)
-    return entry.fan if isinstance(entry, ProjBundle) else entry
-
-
-named_variety.cache_clear = _registry.cache_clear
-
-
-def registered_bundle(name: str) -> ProjBundle:
-    """The ProjBundle record of the registered bundle ``name`` (a key of
-    BUNDLE_SPECS), kept with ``named_variety(name)``, which is its fan.
-
-    The record holds the base and the normalised degrees, so a check on a
-    registered bundle reads its fan, pull-back and relative O(1) here
-    instead of building the projectivization again.
-    """
-    if name not in BUNDLE_SPECS:
-        raise KeyError(f"{name!r} is not a registered bundle")
-    return _registry(name)
+    if name in _BUILDERS:
+        return _BUILDERS[name]()
+    if name in BUNDLE_SPECS:
+        base, degrees = BUNDLE_SPECS[name]()
+        return projective_bundle(base, degrees, name=name)
+    raise KeyError(f"unknown variety {name!r}")

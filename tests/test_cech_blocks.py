@@ -483,6 +483,15 @@ def test_factor_parts_are_the_compositions_in_lex_order(n):
             table[0, 0] = 1
 
 
+def test_a_factor_table_past_the_kept_size_is_not_kept():
+    # C(63, 3) rows of 4 on P^3: larger than any table the process keeps
+    table = _factor_parts(3, 0, 60)
+    assert table.size > cech_mod._KEPT_PARTS_CELLS and not table.flags.writeable
+    again = _factor_parts(3, 0, 60)
+    assert again is not table and np.array_equal(again, table)
+    assert table.tolist() == sorted(table.tolist()) and (table.sum(axis=1) == 60).all()
+
+
 @settings(max_examples=150, deadline=None)
 @given(random_maps())
 def test_canonical_rows_are_the_enumerated_basis_under_the_orbit_mask(drawn):

@@ -1,6 +1,7 @@
 """The one F_p elimination kernel: ranks of a stack of matrices in one sweep,
 checked against a plain Gaussian elimination written out here."""
 
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfrob.linalg import (
+    _REDUCE_SLAB,
     _reduce_mod_p,
     _residue_dtype,
     is_prime,
@@ -201,3 +203,27 @@ def test_floor_division_reduction_is_python_mod(dtype, p):
     stack.flags.writeable = False
     assert ranks_mod_p(stack, p).tolist() == ranks
     assert np.array_equal(stack.ravel(), values)
+
+
+def test_a_large_array_is_reduced_in_slabs():
+    # a slab boundary falls inside the array, and the last slab is short
+    values = np.random.default_rng(7).integers(
+        -(2**62), 2**62, size=3 * _REDUCE_SLAB + 5, dtype=np.int64
+    )
+    want = [x % 46349 for x in values.tolist()]
+    inplace = values.copy()
+    assert _reduce_mod_p(inplace, 46349, out=inplace).tolist() == want
+    assert _reduce_mod_p(values, 46349, out=np.empty_like(values)).tolist() == want
+
+
+def test_the_in_place_entry_pass_makes_no_second_stack():
+    # an int64 stack at p = 46349 of 64 slabs, all of it multiples of p, so
+    # the sweep finds no pivot: the peak is the entry pass's alone
+    stack = np.full((4, 512, 512), 3 * 46349, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        assert ranks_mod_p(stack, 46349).tolist() == [0] * 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not stack.any() and peak < stack.nbytes // 8

@@ -19,7 +19,7 @@ from toricfrob import (
 from toricfrob import fan as fan_mod
 from toricfrob import structure as structure_mod
 from toricfrob.structure import _blown_up_plane
-from toricfrob.varieties import BUNDLE_SPECS, registered_bundle
+from toricfrob.varieties import BUNDLE_SPECS
 
 # The package's ``cohomology`` attribute is the function; the module is here.
 cohomology_mod = sys.modules["toricfrob.cohomology"]
@@ -99,14 +99,16 @@ def test_repeat_blowup_check_reuses_the_blown_up_plane(engine_calls):
     assert engine_calls == Counter()
 
 
-def test_each_bundle_record_is_kept_with_its_fan():
-    for key in BUNDLE_SPECS:
-        record = registered_bundle(key)
-        assert record is registered_bundle(key) and record.fan is named_variety(key)
-        base, degrees = BUNDLE_SPECS[key]()
-        assert record.base is base and record.degrees[0] == base.zero_divisor()
-    with pytest.raises(KeyError):
-        registered_bundle("P2")
+def test_each_registered_bundle_record_matches_its_projectivization():
+    for key, build in BUNDLE_SPECS.items():
+        base, degrees = build()
+        record = structure_mod._bundle(base, structure_mod._normalised(degrees))
+        assert record.fan is named_variety(key) and record.base is base
+        built = fan_mod.projectivization_fan(base, degrees)
+        assert record.fan == built.fan and record.degrees == built.degrees
+        assert record.u_index0 == built.u_index0
+        for cls in (base.zero_class(), *base.collection):
+            assert record.pullback_class(cls) == built.pullback_class(cls)
 
 
 @pytest.fixture
