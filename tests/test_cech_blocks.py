@@ -2,6 +2,7 @@
 blocks of the map; the nested-tuple monomials and the dense assembly survive
 here as the reference."""
 
+import tracemalloc
 from itertools import chain, combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb
@@ -418,6 +419,21 @@ def test_basis_index_is_the_position_in_the_enumerated_basis(dims):
         assert _basis_index(space, multidegree, moved).tolist() == want
 
 
+def test_a_basis_is_written_in_place():
+    # the factor tables are broadcast into the one array returned: no index
+    # arrays and no gathered copies, so the peak is the basis and its tables
+    space = MultiProjSpace((2, 2))
+    line_bundle_basis(space, (20, -23))  # the factor tables, kept once built
+    tracemalloc.start()
+    try:
+        degree, basis = line_bundle_basis(space, (20, -23))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert degree == 2 and basis.shape == (231 * 231, 6)
+    assert peak < 1.25 * basis.base.nbytes
+
+
 def test_binomial_table_is_math_comb():
     for total, n in ((0, 1), (5, 1), (7, 2), (12, 3), (40, 2)):
         table = _binomials(total, n)
@@ -490,6 +506,7 @@ def test_a_factor_table_past_the_kept_size_is_not_kept():
     again = _factor_parts(3, 0, 60)
     assert again is not table and np.array_equal(again, table)
     assert table.tolist() == sorted(table.tolist()) and (table.sum(axis=1) == 60).all()
+    assert np.array_equal(_factor_parts(3, 3, 60), -1 - table)
 
 
 @settings(max_examples=150, deadline=None)
