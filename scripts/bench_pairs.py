@@ -17,10 +17,12 @@ the number of pairs the change won (ties count for neither side).
 ``--cold-runs N`` adds, outside the benchmark, N alternating runs per side of
 the seven-q survey in one fresh interpreter: ``import toricfrob`` and then
 ``catalog_run`` at q = 2, 3, 4, 5, 7, 8, 9 in turn, import included.  It also
-times ``incidence_cohomology`` at each of the large twists (30, -32) and
-(40, -42) with p = 3, and the jet rank ``delpezzo_jet_check(5, 2,
-compute_rank=True)`` at q = 25, N alternating runs per side, each in a
+times ``incidence_cohomology`` at each of the large twists (30, -32),
+(40, -42) and (50, -52) with p = 3, and the jet rank ``delpezzo_jet_check(5,
+2, compute_rank=True)`` at q = 25, N alternating runs per side, each in a
 fresh interpreter, and records that interpreter's peak RSS (``ru_maxrss``).
+A question a side refuses with ``Overflow`` records the number of refused
+runs in place of its times.
 
 ``--interleave SECONDS`` adds, for each workload of ``--pairs``, a run in this
 one process: both checkouts' ``toricfrob`` are imported under the distinct
@@ -68,16 +70,21 @@ print(time.perf_counter() - start)
 COLD_CALLS = {
     "incidence_cohomology_30_-32_p3": "incidence_cohomology(30, -32, 3)",
     "incidence_cohomology_40_-42_p3": "incidence_cohomology(40, -42, 3)",
+    "incidence_cohomology_50_-52_p3": "incidence_cohomology(50, -52, 3)",
     "delpezzo_jet_check_q25_p5": "delpezzo_jet_check(5, 2, compute_rank=True)",
 }
+# A question the tree refuses with Overflow prints "refused" for its time.
 COLD_CALL = """
 import resource, sys, time
 sys.path[:0] = ["src"]
 import toricfrob
 start = time.perf_counter()
-toricfrob.{}
-print(time.perf_counter() - start,
-      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+try:
+    toricfrob.{}
+    seconds = time.perf_counter() - start
+except toricfrob.Overflow:
+    seconds = "refused"
+print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
@@ -98,8 +105,8 @@ def cold_pass(tree: Path) -> float:
 def cold_call(tree: Path, call: str) -> tuple:
     proc = subprocess.run([sys.executable, "-c", COLD_CALL.format(call)],
                           cwd=tree, capture_output=True, text=True, check=True)
-    seconds, rss = map(float, proc.stdout.split())
-    return round(seconds, 4), round(rss, 1)
+    seconds, rss = proc.stdout.split()
+    return (seconds if seconds == "refused" else round(float(seconds), 4)), round(float(rss), 1)
 
 
 def summary(runs: list) -> dict:
@@ -109,6 +116,12 @@ def summary(runs: list) -> dict:
     return {"median": round(statistics.median(runs), 4), "q1": round(q1, 4),
             "q3": round(q3, 4), "iqr": round(q3 - q1, 4),
             "runs": [round(x, 4) for x in runs]}
+
+
+def timings(runs: list) -> dict:
+    """summary() of the runs' seconds, or how many runs were refused."""
+    refused = runs.count("refused")
+    return {"refused": refused} if refused else summary(runs)
 
 
 def alternate(count: int, parent, change):
@@ -276,8 +289,8 @@ def main(argv=None) -> int:
                 "command": f"python -c: import toricfrob, then time {call}; "
                            "peak RSS is the interpreter's ru_maxrss",
                 "wall_s": {"unit": "s",
-                           "parent": summary([t for t, _ in old]),
-                           "change": summary([t for t, _ in new])},
+                           "parent": timings([t for t, _ in old]),
+                           "change": timings([t for t, _ in new])},
                 "peak_rss_mb": {"unit": "MB",
                                 "parent": summary([m for _, m in old]),
                                 "change": summary([m for _, m in new])},

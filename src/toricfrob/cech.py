@@ -10,11 +10,16 @@ between such bundles act on these bases by polynomial multiplication followed
 by truncation to the target basis; that is the induced map on the
 standard-cover Cech model.  Every map is torus-equivariant, so it is block
 diagonal over torus weights, and its rank is the sum of the F_p ranks of its
-weight blocks; no map is ever assembled as one dense matrix.  A product is
-found in the target basis by its stars-and-bars position, so only the
-source basis is enumerated, and that one summand at a time as the grid of
+weight blocks; no map is ever assembled as one dense matrix.  Only the
+source basis of a map is enumerated, one summand at a time as the grid of
 its factors' bases: small per-factor tables (:func:`_factor_parts`), read
-by every basis and map.
+by every basis and map, and a source row is named by its position in that
+grid, not by its exponents.  A product is found in the target basis one
+factor at a time: for each factor table, map entry and target factor, one
+small read-only table (:func:`_factor_index`) gives, term by term, each
+shifted row's stars-and-bars position in the target factor's basis, and
+the factors combine in the target's mixed radix.  No product row is
+formed, and the target basis is only counted.
 
 When every factor is one P^n and every entry of a map is fixed by S_(n+1)
 permuting the coordinates of all factors at once (as S_3 fixes the pairing
@@ -23,8 +28,8 @@ blocks to themselves, so blocks of one orbit have one rank.  The symmetry is
 proved on the terms of each map before it is used; only one block per orbit
 is then eliminated, and its rank counts once per block of the orbit.  The
 weights of a source grid are sums of per-factor products, so the orbits are
-read off the grid, and only the source rows of canonical weight, about one
-in (n + 1)!, are built.
+read off the grid, walked in slabs, and only the source rows of canonical
+weight, about one in (n + 1)!, are kept.
 
 A product keeps the torus weight of the monomial it came from, so the
 weight blocks are labelled on the source rows alone, and each target row
@@ -33,23 +38,24 @@ weights and the symmetry are derived once per distinct map, not once per
 twist.  The blocks are sorted by width and cut into a few stacks of bounded
 size, built in the residue dtype of p and eliminated in place by
 :func:`linalg.ranks_mod_p`; a block's columns are right-aligned in its
-stack, so the elimination does no arithmetic on the padding.  Before any
-monomial is enumerated, the size of every first-page term is counted from
-binomials, and a complex with a term of more than MAX_CECH_BASIS monomials
-is refused with Overflow.
+stack, so the elimination does no arithmetic on the padding.  The bound
+MAX_CECH_BASIS applies to the source rows a map keeps.  A term too large
+for any map to keep fewer, counted from binomials, is refused with
+Overflow before any monomial is enumerated; any other map is refused as
+soon as the rows it keeps pass the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 from math import comb, factorial, gcd, prod
 
 import numpy as np
 
 from .cohomology import CohomologyVector, Overflow
-from .fan import InvariantViolation
+from .fan import InvariantViolation, _integer
 from .frobenius import FrobeniusOrder
 from .linalg import (
     _INT64_GUARD,
@@ -61,9 +67,10 @@ from .linalg import (
     ranks_mod_p,
 )
 
-# Largest cohomology basis of one term, in one degree, that the engine will
-# enumerate.  The incidence twist (40, -42) has 706,020 monomials in each of
-# its two terms; (99999, 0) would have about 5 * 10^9.
+# Most source rows one map keeps in one degree: the rows of canonical weight,
+# about one in 6 of the term on P2 x P2.  The incidence twist (50, -52) has
+# 1,690,650 monomials in its degree-2 terms and keeps 293,114 of them;
+# (99999, 0) would have about 5 * 10^9.
 MAX_CECH_BASIS = 1_000_000
 
 # Cells of one weight-block stack, each one entry of the residue dtype of p
@@ -79,6 +86,11 @@ MAX_CECH_BASIS = 1_000_000
 # 2-core x86-64 host); under the bound it is 10 stacks, none above
 # 1.05 * 10^6 cells.
 _STACK_CELLS = 2**20
+
+# Grid points of one source summand whose weights are formed at once, so
+# that a large grid is never held whole: 1.5 MB of int64 for the six
+# weights of P2 x P2.  The 6,084 points of (12, -13) are one slab.
+_GRID_SLAB = 2**15
 
 
 class UnsupportedComplex(ValueError):
@@ -115,7 +127,7 @@ def _factor_degree(n: int, d: int):
 
 def _factor_degrees(space: MultiProjSpace, multidegree):
     """[(degree, total)] of each factor of O(multidegree), or None if acyclic."""
-    multidegree = tuple(multidegree)
+    multidegree = tuple(_integer(d, "multidegree") for d in multidegree)
     if len(multidegree) != len(space.factor_dims):
         raise ValueError("multidegree length does not match the factors")
     out = [_factor_degree(n, d) for n, d in zip(space.factor_dims, multidegree)]
@@ -127,28 +139,43 @@ def _factor_degrees(space: MultiProjSpace, multidegree):
 _KEPT_PARTS_CELLS = 2**16
 
 
+def _kept_size(n: int, total: int) -> bool:
+    """Whether the factor table of exponent total ``total`` on P^n, and what
+    is derived from it, is small enough to keep for the process."""
+    return comb(total + n, n) * (n + 1) <= _KEPT_PARTS_CELLS
+
+
 def _factor_parts(n: int, degree: int, total: int) -> np.ndarray:
     """The read-only basis of one factor: exponent rows on P^n, in basis order.
 
-    By stars and bars, the parts e >= 0 of sum ``total`` are the gaps
-    between n bars in total + n slots, C(total + n, n) rows in lex order of
-    e; the rows are e in degree 0 and -1 - e in degree n.  A table of at
-    most _KEPT_PARTS_CELLS cells is built once per (n, degree, total), and
-    up to 64 are kept and shared by every basis and map that reads them; a
-    larger one, the size of a whole basis, is built afresh on each call, so
-    the process keeps none of them.
+    The rows are the parts e >= 0 of sum ``total`` (stars and bars),
+    C(total + n, n) of them in lex order of e, as e in degree 0 and as
+    -1 - e in degree n.  A table of at most _KEPT_PARTS_CELLS cells is
+    built once per (n, degree, total), and up to 64 are kept and shared by
+    every basis and map that reads them; a larger one, the size of a whole
+    basis, is built afresh on each call, so the process keeps none of them.
     """
-    if comb(total + n, n) * (n + 1) > _KEPT_PARTS_CELLS:
-        return _kept_parts.__wrapped__(n, degree, total)
-    return _kept_parts(n, degree, total)
+    if _kept_size(n, total):
+        return _kept_parts(n, degree, total)
+    return _kept_parts.__wrapped__(n, degree, total)
 
 
 @lru_cache(maxsize=64)
 def _kept_parts(n: int, degree: int, total: int) -> np.ndarray:
-    bars = np.array(list(combinations(range(total + n), n)), dtype=np.int64)
-    parts = np.diff(bars, axis=1, prepend=-1, append=total + n) - 1
+    # one coordinate at a time: each prefix e_0 .. e_(i-1), with remainder r,
+    # is followed by e_i = 0, 1, ..., r, and the prefix e_0 .. e_i heads the
+    # C(r - e_i + n - i - 1, n - i - 1) rows that share it; e_n is the rest
+    binom = _binomials(total, n)
+    parts = np.empty((binom[total, n], n + 1), dtype=np.int64)
+    left = np.array([total], dtype=np.int64)
+    for i in range(n):
+        counts = left + 1
+        part = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        left = np.repeat(left, counts) - part
+        parts[:, i] = np.repeat(part, binom[left, n - i - 1])
+    parts[:, n] = left
     if degree:
-        parts = -1 - parts
+        np.subtract(-1, parts, out=parts)
     parts.flags.writeable = False
     return parts
 
@@ -369,6 +396,12 @@ def _basis_index(space, multidegree, rows):
     return np.where(valid, index, -1)
 
 
+def _largest_group(factor_dims) -> int:
+    """The g of the largest coordinate permutation group S_g that
+    :func:`_symmetry` can find: n + 1 when every factor is one P^n, else 1."""
+    return factor_dims[0] + 1 if len(set(factor_dims)) == 1 else 1
+
+
 def _symmetry(space, poly_matrix) -> int:
     """The g of the coordinate permutation group S_g that fixes the map.
 
@@ -378,9 +411,9 @@ def _symmetry(space, poly_matrix) -> int:
     both fix every entry of ``poly_matrix`` term for term; otherwise g = 1,
     the trivial group.
     """
-    if len(set(space.factor_dims)) != 1:
+    g = _largest_group(space.factor_dims)
+    if g == 1:
         return 1
-    g = space.factor_dims[0] + 1
     for perm in ((1, 0, *range(2, g)), (*range(1, g), 0)):
         for poly in chain.from_iterable(poly_matrix):
             image = {
@@ -404,25 +437,30 @@ def _orbits(weights, g: int):
     mask of the canonical rows and the orbit sizes of those rows alone.
 
     Tuples are compared column by column, from the last factor to the
-    first, so every temporary is one boolean per row.
+    first, so every temporary is one boolean per row; a column is read
+    contiguously when ``weights`` is the transpose of a C-ordered array.
     """
     w = weights.reshape(len(weights), weights.shape[1] // g, g)
-    canonical = np.ones(len(w), dtype=bool)
-    run = np.ones(len(w), dtype=np.int64)
-    stabiliser = np.ones(len(w), dtype=np.int64)
+    canonical, ties = np.ones(len(w), dtype=bool), []
     for i in range(g - 1):
-        below, ties = np.zeros(len(w), dtype=bool), np.ones(len(w), dtype=bool)
-        for f in reversed(range(w.shape[1])):
+        left, right = w[:, -1, i], w[:, -1, i + 1]
+        below, tie = left < right, left == right
+        for f in reversed(range(w.shape[1] - 1)):
             left, right = w[:, f, i], w[:, f, i + 1]
             same = left == right
             below &= same
             below |= left < right
-            ties &= same
-        canonical &= ties | below
+            tie &= same
+        canonical &= tie | below
+        ties.append(tie)
+    # the runs of equal tuples, counted on the canonical rows alone
+    run = np.ones(np.count_nonzero(canonical), dtype=np.int64)
+    stabiliser = np.ones(len(run), dtype=np.int64)
+    for tie in ties:
         run += 1
-        run[~ties] = 1
+        run[~tie[canonical]] = 1
         stabiliser *= run
-    return canonical, factorial(g) // stabiliser[canonical]
+    return canonical, factorial(g) // stabiliser
 
 
 @lru_cache(maxsize=64)
@@ -453,39 +491,110 @@ def _summands(space, term, degree):
 
 
 def _canonical_rows(summands, weights, g: int):
-    """(rows, weight, orbit) of the source rows of canonical weight under S_g.
+    """(src, weight, orbit) of the source rows of canonical weight under S_g.
 
     Each summand is the grid of its factor tables, the first factor
-    slowest.  As K . m is the sum over the factors f of K_f . m_f, the
-    grid's weights are the per-factor products broadcast and summed;
-    :func:`_orbits` marks the canonical ones, and only those rows,
-    [summand j | exponents], are built, from their grid positions.
-    ``orbit`` is each row's orbit size.  Under the trivial group every row
-    is kept, so no mask is formed and the rows are :func:`_grid_basis`.
-    The summands follow one another in the order given; the arrays of a
-    single summand are returned as they are, not copied.
+    slowest, and a row is named by its place in that grid: ``src`` holds
+    [summand j | its row in each factor table], so no exponent row is
+    built.  As K . m is the sum over the factors f of K_f . m_f, a grid
+    point's weight is the sum of its factors' rows of the per-factor
+    products.  The grid is walked in slabs of rows of the first factor's
+    table, about _GRID_SLAB points each: a slab's weights are its rows'
+    products broadcast against the grid of the later factors' products,
+    :func:`_orbits` marks the canonical ones, and only those rows and
+    weights are kept, so the peak follows the kept rows, not the grid.
+    ``orbit`` is each row's orbit size; under the trivial group every row
+    is kept.  Once more than MAX_CECH_BASIS rows are kept, Overflow is
+    raised.  The summands follow one another in the order given.
     """
     K = np.array(weights, dtype=np.int64)
-    rows, weight, orbit = [], [], []
+    src, weight, orbit, kept = [], [], [], 0
     for j, tables in summands:
-        grid, start = np.zeros((1, len(K)), dtype=np.int64), 0
+        # the weights stand in columns, one per grid point, so that each
+        # weight coordinate is read contiguously
+        steps, start = [], 0
         for parts in tables:
-            step = parts @ K[:, start : start + parts.shape[1]].T
-            grid = (grid[:, None] + step).reshape(len(grid) * len(step), len(K))
+            steps.append(K[:, start : start + parts.shape[1]] @ parts.T)
             start += parts.shape[1]
-        if g == 1:
+        rest = np.zeros((len(K), 1), dtype=np.int64)  # the later factors' grid
+        for step in steps[1:]:
+            rest = (rest[:, :, None] + step[:, None]).reshape(len(K), -1)
+        shape = [len(parts) for parts in tables]
+        slab = max(1, _GRID_SLAB // rest.shape[1])
+        for top in range(0, shape[0], slab):
+            grid = (steps[0][:, top : top + slab, None] + rest[:, None]).reshape(len(K), -1)
+            if g == 1:
+                at, size = np.arange(grid.shape[1]), np.ones(grid.shape[1], dtype=np.int64)
+            else:
+                keep, size = _orbits(grid.T, g)
+                at = np.flatnonzero(keep)
+                grid = grid[:, at]
+            kept += len(at)
+            if kept > MAX_CECH_BASIS:
+                raise Overflow(
+                    f"more than {MAX_CECH_BASIS} basis monomials of canonical weight to build"
+                )
+            rows = np.empty((len(at), 1 + len(tables)), dtype=np.int64)
+            rows[:, 0] = j
+            rows[:, 1:] = np.column_stack(np.unravel_index(at + top * rest.shape[1], shape))
+            src.append(rows)
             weight.append(grid)
-            orbit.append(np.ones(len(grid), dtype=np.int64))
-            continue
-        keep, size = _orbits(grid, g)
-        at = np.unravel_index(np.flatnonzero(keep), [len(t) for t in tables])
-        parts = [np.full((len(size), 1), j)] + [t[i] for t, i in zip(tables, at)]
-        rows.append(np.concatenate(parts, axis=1))
-        weight.append(grid[keep])
-        orbit.append(size)
-    if g == 1:
-        rows = [_grid_basis(summands, K.shape[1])]
-    return tuple(x[0] if len(x) == 1 else np.concatenate(x) for x in (rows, weight, orbit))
+            orbit.append(size)
+    weight = weight[0] if len(weight) == 1 else np.concatenate(weight, axis=1)
+    src, orbit = (x[0] if len(x) == 1 else np.concatenate(x) for x in (src, orbit))
+    return src, weight.T, orbit
+
+
+def _factor_index(n: int, src: tuple, shifts: tuple, dst: tuple) -> np.ndarray:
+    """Where each row of the factor table ``src`` = (degree, total) on P^n,
+    moved by each of ``shifts``, lies in the factor basis ``dst`` =
+    (degree, total): one row per shift, -1 outside, read-only.
+
+    It is :func:`_basis_index` run once on the shifted :func:`_factor_parts`,
+    computed once per (table, shifts, target) and kept as the table is: up
+    to 64 of the small ones, none of the large ones.
+    """
+    if _kept_size(n, src[1]):
+        return _kept_index(n, src, shifts, dst)
+    return _kept_index.__wrapped__(n, src, shifts, dst)
+
+
+@lru_cache(maxsize=64)
+def _kept_index(n, src, shifts, dst):
+    parts = _factor_parts(n, *src)
+    rows = (parts + np.array(shifts, dtype=np.int64)[:, None]).reshape(-1, n + 1)
+    degree, total = dst
+    index = _basis_index(MultiProjSpace((n,)), (-total - n - 1 if degree else total,), rows)
+    index = index.reshape(len(shifts), len(parts))
+    index.flags.writeable = False
+    return index
+
+
+def _product_index(factor_dims, src, dst, shifts, pos):
+    """Position in the target basis of each product m + t, for each t in
+    ``shifts`` (one row each) and each source row m at grid positions
+    ``pos`` (one column per factor table); -1 where the product is outside
+    the target basis.
+
+    ``src`` and ``dst`` are the :func:`_factor_degrees` of the source and
+    target bundles.  The product is m_f + t_f on each factor f, so its
+    place in the target's factor basis is read from the
+    :func:`_factor_index` table of the source factor; the factors combine in
+    the target's mixed radix, the first factor slowest, and a product that
+    falls outside the target on any factor gets -1.
+    """
+    index = np.zeros((len(shifts), len(pos)), dtype=np.int64)
+    low = np.zeros_like(index)
+    start = 0
+    for f, n in enumerate(factor_dims):
+        moved = tuple(t[start : start + n + 1] for t in shifts)
+        part = _factor_index(n, src[f], moved, dst[f]).take(pos[:, f], axis=1)
+        index *= comb(dst[f][1] + n, n)
+        index += part
+        np.minimum(low, part, out=low)
+        start += n + 1
+    index[low < 0] = -1
+    return index
 
 
 def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
@@ -493,8 +602,8 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
 
     Each term t of entry (dst_j, src_j) sends the source row [src_j | m] to
     [dst_j | m + t]; products outside the target basis are discarded, and
-    the others are found in it by :func:`_basis_index`, one call per target
-    summand, so the target basis is counted but never enumerated.  The
+    the others are found in it by :func:`_product_index`, one factor at a
+    time, so neither the target basis nor a product row is ever built.  The
     terms of an entry are distinct, so no two contributions share a matrix
     entry, and dropping the terms that vanish mod p drops every zero entry.
     As K . (m + t) = K . m for K = :func:`_weights`, the map is block
@@ -508,12 +617,11 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     because s keeps the span of the terms.  So s maps the weight-w block
     entry for entry onto the weight-s(w) block, in the degree-0 and the
     local-cohomology model alike, and the blocks of one orbit have one rank.
-    Each source summand is taken as the grid of its factors' tables, and
-    its weights as sums of per-factor products; only the rows of canonical
-    weight (:func:`_orbits`) are materialized (:func:`_canonical_rows`),
-    and each block's rank counts orbit-size times.  With the trivial group
-    every row is built and every block kept, once.  K, its spread and g
-    come from :func:`_invariants`, once per distinct map.
+    Only the source rows of canonical weight (:func:`_orbits`) are kept, as
+    grid positions (:func:`_canonical_rows`), and each block's rank counts
+    orbit-size times.  With the trivial group every row is kept and every
+    block, once.  K, its spread and g come from :func:`_invariants`, once
+    per distinct map.  More than MAX_CECH_BASIS rows kept raise Overflow.
 
     The blocks are sorted by (width, height) and cut greedily into stacks of
     at most _STACK_CELLS cells, each built in the residue dtype of p,
@@ -522,43 +630,47 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     right, so the kernel's update at a column spans exactly the block's own
     remaining columns, and the zero padding costs no arithmetic.  Overflow
     is raised before any exponent, product or weight could reach
-    _INT64_GUARD; the exponents' reach is read from the factor tables.
+    _INT64_GUARD; the exponents' reach is read from the factor degrees.
     """
     summands = _summands(space, src_term, degree)
+    info = {j: _factor_degrees(space, src_term[j]) for j, _ in summands}
     offsets, count = [], 0
     for md in dst_term:
-        info = _basis_size(space, md)
-        offsets.append(count if info is not None and info[0] == degree else None)
-        count += info[1] if offsets[-1] is not None else 0
-    terms = [
-        (dst_j, src_j, np.array(list(chain.from_iterable(mono)), dtype=np.int64), c % p)
-        for dst_j, row in enumerate(poly_matrix)
-        for src_j, poly in enumerate(row)
-        for mono, c in poly.terms.items()
-        if c % p
-    ]
+        size = _basis_size(space, md)
+        offsets.append(count if size is not None and size[0] == degree else None)
+        count += size[1] if offsets[-1] is not None else 0
+    terms = {}  # (dst_j, src_j) -> [(exponents, coefficient mod p)]
+    for dst_j, row in enumerate(poly_matrix):
+        for src_j, poly in enumerate(row):
+            mine = [(tuple(chain.from_iterable(m)), c % p) for m, c in poly.terms.items() if c % p]
+            if mine:
+                terms[dst_j, src_j] = mine
     if not summands or not count or not terms:
         return 0
     entries = tuple(tuple(frozenset(poly.terms.items()) for poly in row) for row in poly_matrix)
     weights, spread, g = _invariants(tuple(space.factor_dims), entries)
-    reach = max(int(max(t.max(), -t.min())) for _, tables in summands for t in tables)
-    reach += max(int(np.abs(t).max()) for _, _, t, _ in terms)
+    # a factor table's exponents reach total in degree 0, -1 - total in top degree
+    reach = max(total + (degree > 0) for j, _ in summands for degree, total in info[j])
+    reach += max(abs(x) for mine in terms.values() for t, _ in mine for x in t)
     if max(spread, 1) * reach >= _INT64_GUARD:
         raise Overflow(f"Cech weights need {spread} * {reach}, past int64")
     src, weight, orbit = _canonical_rows(summands, weights, g)
-    summand = {j: np.flatnonzero(src[:, 0] == j) for j in {src_j for _, src_j, _, _ in terms}}
-    found = [(np.zeros(0, dtype=np.int64),) * 3]
-    for dst_j, offset in enumerate(offsets):
-        mine = [(summand[src_j], t, c) for j, src_j, t, c in terms if j == dst_j]
-        if offset is None or not mine:
+    # each summand's kept rows follow one another in src
+    bounds = np.searchsorted(src[:, 0], [j for j, _ in summands] + [len(src_term)])
+    rows_of = {j: (lo, hi) for (j, _), lo, hi in zip(summands, bounds, bounds[1:])}
+    found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=_residue_dtype(p)),)]
+    for (dst_j, src_j), mine in terms.items():
+        if offsets[dst_j] is None or src_j not in rows_of:
             continue
-        at = np.concatenate([a for a, _, _ in mine])
-        index = _basis_index(
-            space, dst_term[dst_j], np.concatenate([src[a, 1:] + t for a, t, _ in mine])
-        )
+        lo, hi = rows_of[src_j]
+        shifts = tuple(t for t, _ in mine)
+        dst = _factor_degrees(space, dst_term[dst_j])
+        index = _product_index(space.factor_dims, info[src_j], dst, shifts, src[lo:hi, 1:])
+        index = index.reshape(-1)  # term by term
         hit = index >= 0
-        values = np.repeat([c for _, _, c in mine], [len(a) for a, _, _ in mine])
-        found.append((offset + index[hit], at[hit], values[hit]))
+        at = np.tile(np.arange(lo, hi), len(mine))
+        values = np.repeat(np.array([c for _, c in mine], dtype=_residue_dtype(p)), hi - lo)
+        found.append((offsets[dst_j] + index[hit], at[hit], values[hit]))
     rows, cols, values = map(np.concatenate, zip(*found))
     if not len(rows):
         return 0
@@ -576,7 +688,7 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     pairs, i = np.unique(block * count + rows, return_inverse=True)
     nrows = np.bincount(pairs // count, minlength=len(starts))
     i -= (np.cumsum(nrows) - nrows)[block]
-    ncols = np.diff(starts, append=len(ids))
+    ncols = np.bincount(label, minlength=len(starts))
     size = orbit[ids[order[starts]]]
     # blocks sorted by (width, height), cut greedily into stacks of at most
     # _STACK_CELLS cells; a stack is as wide as its last block
@@ -610,11 +722,15 @@ def hypercohomology_fp(cx: LaurentComplex, p: int) -> dict:
     degenerate after its first differential; anything else raises
     UnsupportedComplex rather than being approximated.  The rank of each
     first-page differential is :func:`_map_rank_mod_p`: the sum of the F_p
-    ranks of its torus-weight blocks.  A p that is not prime (Z/p is
-    then no field and ranks mean nothing), or too large for the int64
-    elimination, raises ValueError before any work is done.  A term
-    whose basis in one degree has more than MAX_CECH_BASIS monomials raises
-    Overflow before any monomial is enumerated.
+    ranks of its torus-weight blocks.  A p that is not an integer, not
+    prime (Z/p is then no field and ranks mean nothing), or too large for
+    the int64 elimination, raises ValueError before any work is done, as
+    does a multidegree entry that is not an integer.  A map keeps at least
+    one in g! rows of its source (an orbit of S_g has at most g! rows), so
+    a term of more than g! * MAX_CECH_BASIS monomials in one degree, with g
+    from :func:`_largest_group`, is refused with Overflow before any
+    monomial is enumerated; below that, a map raises Overflow once it keeps
+    more than MAX_CECH_BASIS source rows.  No target basis is enumerated.
     """
     check_prime_field(p)
     space = cx.space
@@ -627,11 +743,13 @@ def hypercohomology_fp(cx: LaurentComplex, p: int) -> dict:
             info = _basis_size(space, md)
             if info is not None:
                 e1[(s, info[0])] = e1.get((s, info[0]), 0) + info[1]
+    # a map keeps at least one in g! rows of its source, g <= _largest_group
+    most = factorial(_largest_group(space.factor_dims)) * MAX_CECH_BASIS
     for (s, t), dim in e1.items():
-        if dim > MAX_CECH_BASIS:
+        if dim > most:
             raise Overflow(
                 f"term {s} has {dim} basis monomials in degree {t}, "
-                f"more than {MAX_CECH_BASIS}"
+                f"more than {most}"
             )
     for (s, t), dim in e1.items():
         if dim:
@@ -659,8 +777,10 @@ def incidence_cohomology(a: int, b: int, p: int) -> CohomologyVector:
 
     Uses the two-term restriction complex O(a-1, b-1) -> O(a, b) with the
     pairing form as the map; the canonical class of the threefold is
-    O(-2, -2), which the test suite exercises through Serre duality.
+    O(-2, -2), which the test suite exercises through Serre duality.  An a,
+    b or p that is not an integer raises ValueError.
     """
+    a, b = (_integer(x, "incidence multidegree") for x in (a, b))
     space = MultiProjSpace((2, 2))
     cx = LaurentComplex(
         space=space,

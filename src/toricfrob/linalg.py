@@ -26,7 +26,7 @@ table and the Cech block labels all call it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -131,17 +131,22 @@ def rank_rational(rows) -> int:
     return rank
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def check_prime_field(p: int) -> None:
     """Raise ValueError unless p is a prime small enough for rank_mod_p.
 
-    The elimination forms products of residues, up to (p-1)^2, in the
-    residue dtype of p, at widest int64; a p for which int64 overflows, or
-    that is not prime (Z/p is then no field), is refused before any work is
-    done.  A p that passes is remembered, so each
-    prime is proved once; a refusal raises, is not cached, and recurs on
-    every call.
+    p is read by ``fan._integer``, so a bool, a float or anything else that
+    is not an integer is refused; the cache is typed, so 3.0 or True never
+    finds the verdict of 3 or 1.  The elimination forms products of
+    residues, up to (p-1)^2, in the residue dtype of p, at widest int64; a p
+    for which int64 overflows, or that is not prime (Z/p is then no field),
+    is refused before any work is done.  A p that passes is remembered, so
+    each prime is proved once; a refusal raises, is not cached, and recurs
+    on every call.
     """
+    from .fan import _integer  # fan imports this module
+
+    p = _integer(p, "p")
     if (p - 1) ** 2 > 2**63 - 1:
         raise ValueError(f"p = {p} is too large for int64 elimination")
     if not is_prime(p):
@@ -197,7 +202,8 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
     This is the library's one F_p elimination kernel.  It sweeps the columns
     once for the whole stack.  On each column one ``nonzero`` lists, in row
     order, the rows of every matrix with a nonzero entry there, and one
-    ``searchsorted`` finds each matrix's first such row, its pivot.  Those
+    ``searchsorted`` of their matrix ids finds each matrix's first such
+    row, its pivot, which is read from the rows just gathered.  Those
     rows, and only those, are updated at once and fraction-free: row <-
     pivot * row - entry * pivot row, with the pivot a unit mod p, so no
     inverse is formed and no row is swapped.  The update clears the column
@@ -247,11 +253,13 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
             continue
         mats = hits // nrows
         rank[mats] += 1  # one pivot per matrix met; repeated indices add once
-        pivot = rows[hits[hits.searchsorted(mats * nrows)], col:]
         hit = rows[hits, col:]
-        entry = hit[:, :1].copy()
-        hit *= pivot[:, :1]
-        hit -= entry * pivot
+        # a matrix's pivot is its first hit: the first place of its id in mats
+        pivot = hit.take(mats.searchsorted(mats), axis=0)
+        lead = pivot[:, :1].copy()
+        pivot *= hit[:, :1]  # entry * pivot row, in the gathered copy
+        hit *= lead
+        hit -= pivot
         _reduce_mod_p(hit, p, out=hit)
         rows[hits, col:] = hit
     return rank

@@ -3,7 +3,7 @@ blocks of the map; the nested-tuple monomials and the dense assembly survive
 here as the reference."""
 
 import tracemalloc
-from itertools import chain, combinations_with_replacement, permutations
+from itertools import chain, combinations, combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb
 
@@ -19,9 +19,12 @@ from toricfrob.cech import (
     _basis_index,
     _binomials,
     _canonical_rows,
+    _factor_degrees,
+    _factor_index,
     _factor_parts,
     _map_rank_mod_p,
     _orbits,
+    _product_index,
     _summands,
     _symmetry,
     _term_basis,
@@ -235,6 +238,33 @@ def test_weight_overflow_guard(big, refused):
             _map_rank_mod_p(space, ((0,),), ((0,),), maps, 0, 3)
     else:
         assert _map_rank_mod_p(space, ((0,),), ((0,),), maps, 0, 3) == 1
+
+
+def test_the_basis_bound_counts_the_rows_kept(monkeypatch):
+    # (12, -13) has 6,084 source monomials in degree 2 and keeps 1,178 of
+    # them, one per S3-orbit of weights
+    monkeypatch.setattr(cech_mod, "MAX_CECH_BASIS", 1_200)
+    assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
+    # the term is within 3! * 1,100, but the rows kept are not
+    monkeypatch.setattr(cech_mod, "MAX_CECH_BASIS", 1_100)
+    with pytest.raises(Overflow, match="canonical weight"):
+        incidence_cohomology(12, -13, 3)
+    # more than 3! * 1,000 monomials: refused before any is enumerated
+    monkeypatch.setattr(cech_mod, "MAX_CECH_BASIS", 1_000)
+    monkeypatch.setattr(cech_mod, "_factor_parts", None)
+    with pytest.raises(Overflow, match="6084 basis monomials"):
+        incidence_cohomology(12, -13, 3)
+
+
+def test_the_basis_bound_counts_every_row_without_symmetry(monkeypatch):
+    # under the trivial group every source row is kept
+    monkeypatch.setattr(cech_mod, "_symmetry", lambda space, poly_matrix: 1)
+    monkeypatch.setattr(cech_mod, "MAX_CECH_BASIS", 6_084)
+    assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
+    monkeypatch.setattr(cech_mod, "MAX_CECH_BASIS", 6_083)
+    monkeypatch.setattr(cech_mod, "_GRID_SLAB", 78)  # one row of the first factor
+    with pytest.raises(Overflow, match="canonical weight"):
+        incidence_cohomology(12, -13, 3)
 
 
 def test_composite_p_refused_without_nonzero_entries():
@@ -499,6 +529,18 @@ def test_factor_parts_are_the_compositions_in_lex_order(n):
             table[0, 0] = 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_factor_parts_are_the_bars_of_combinations(n):
+    # the stars-and-bars enumeration the tables were once built from: the
+    # gaps between n bars placed in total + n slots, in lex order of bars
+    for total in range(12):
+        bars = np.array(list(combinations(range(total + n), n)), dtype=np.int64)
+        bars = bars.reshape(-1, n)
+        parts = np.diff(bars, axis=1, prepend=-1, append=total + n) - 1
+        assert np.array_equal(cech_mod._kept_parts.__wrapped__(n, 0, total), parts)
+        assert np.array_equal(cech_mod._kept_parts.__wrapped__(n, n, total), -1 - parts)
+
+
 def test_a_factor_table_past_the_kept_size_is_not_kept():
     # C(63, 3) rows of 4 on P^3: larger than any table the process keeps
     table = _factor_parts(3, 0, 60)
@@ -514,7 +556,9 @@ def test_a_factor_table_past_the_kept_size_is_not_kept():
 def test_canonical_rows_are_the_enumerated_basis_under_the_orbit_mask(drawn):
     # the factor grids against the nested-tuple basis and its full weight
     # product; the source and target summands together make a term of two
-    # to four summands, so the order of concatenation is checked too
+    # to four summands, so the order of concatenation is checked too.  A
+    # kept row is [summand j | its row in each factor table]: read through
+    # the tables, it is the exponent row of the enumerated basis
     _, space, src, dst, maps = drawn
     weights = _weights(maps, sum(n + 1 for n in space.factor_dims))
     groups = [1]
@@ -529,12 +573,88 @@ def test_canonical_rows_are_the_enumerated_basis_under_the_orbit_mask(drawn):
             continue
         full = np.array(full, dtype=np.int64)
         weight = full[:, 1:] @ np.array(weights, dtype=np.int64).T
+        tables = dict(summands)
         for g in groups:
             keep, orbit = _orbits(weight, g)
             rows, grid_weight, size = _canonical_rows(summands, weights, g)
-            assert rows.tolist() == full[keep].tolist(), (degree, g)
+            assert rows.shape[1] == 1 + len(space.factor_dims)
+            exponents = [
+                [j] + [x for t, i in zip(tables[j], at) for x in t[i].tolist()]
+                for j, *at in rows.tolist()
+            ]
+            assert exponents == full[keep].tolist(), (degree, g)
             assert grid_weight.tolist() == weight[keep].tolist(), (degree, g)
             assert size.tolist() == orbit.tolist(), (degree, g)
+
+
+@pytest.mark.parametrize("slab", [1, 7, 100])
+def test_canonical_rows_do_not_depend_on_the_slab(monkeypatch, slab):
+    # slabs of one first-factor row, of a few rows, and of part of the grid
+    space = MultiProjSpace((2, 2))
+    maps = ((incidence_form(3),),)
+    weights = _weights(maps, 6)
+    twists = [(12, -13), (-14, 11), (5, -7)]
+    whole = {}
+    for a, b in twists:
+        summands = _summands(space, ((a - 1, b - 1), (a, b)), 2)
+        whole[a, b] = [x.tolist() for x in _canonical_rows(summands, weights, 3)]
+    dims = [incidence_cohomology(a, b, 3).dims for a, b in twists]
+    monkeypatch.setattr(cech_mod, "_GRID_SLAB", slab)
+    for a, b in twists:
+        summands = _summands(space, ((a - 1, b - 1), (a, b)), 2)
+        assert [x.tolist() for x in _canonical_rows(summands, weights, 3)] == whole[a, b]
+    assert [incidence_cohomology(a, b, 3).dims for a, b in twists] == dims
+
+
+@st.composite
+def shifted_products(draw):
+    """(space, src multidegree, dst multidegree, shifts) on a product of P1s
+    and P2s: one to three shifts, the target the source moved by the first
+    shift's factor totals or, about one time in three, by other totals, so
+    that many products fall outside the target basis; shift entries reach
+    past the basis."""
+    dims = draw(st.sampled_from(((1,), (2,), (1, 1), (1, 2), (2, 2), (2, 1, 1))))
+    src = tuple(draw(st.integers(-7, 4)) for _ in dims)
+    width = sum(n + 1 for n in dims)
+    entry = st.lists(st.integers(-3, 3), min_size=width, max_size=width).map(tuple)
+    shifts = tuple(draw(st.lists(entry, min_size=1, max_size=3, unique=True)))
+    dst, start = [], 0
+    for n, d in zip(dims, src):
+        total = sum(shifts[0][start : start + n + 1])
+        if not draw(st.integers(0, 2)):
+            total = draw(st.integers(-3, 3))
+        dst.append(d + total)
+        start += n + 1
+    return MultiProjSpace(dims), src, tuple(dst), shifts
+
+
+@settings(max_examples=300, deadline=None)
+@given(shifted_products())
+def test_product_index_is_basis_index_on_the_product_rows(drawn):
+    space, src, dst, shifts = drawn
+    source, target = line_bundle_basis(space, src), line_bundle_basis(space, dst)
+    if source is None or target is None or source[0] != target[0]:
+        return
+    # every source row, named by its grid position, first factor slowest
+    sizes = [len(t) for t in _summands(space, (src,), source[0])[0][1]]
+    pos = np.indices(sizes).reshape(len(sizes), -1).T
+    want = [_basis_index(space, dst, source[1] + np.array(t)).tolist() for t in shifts]
+    info = (_factor_degrees(space, src), _factor_degrees(space, dst))
+    assert _product_index(space.factor_dims, *info, shifts, pos).tolist() == want
+
+
+def test_factor_index_tables_are_shared_and_read_only():
+    shifts = ((1, 0, -1), (0, 0, 0))
+    first = _factor_index(2, (0, 5), shifts, (0, 5))
+    assert _factor_index(2, (0, 5), shifts, (0, 5)) is first
+    assert not first.flags.writeable and first.shape == (2, 21)
+    assert first[1].tolist() == list(range(21))
+    # a table past the kept size is built afresh, as its factor table is
+    big = _factor_index(3, (0, 60), ((0, 0, 0, 1),), (0, 61))
+    assert _factor_index(3, (0, 60), ((0, 0, 0, 1),), (0, 61)) is not big
+    moved = _factor_parts(3, 0, 60) + np.array([0, 0, 0, 1])
+    assert big[0].tolist() == _basis_index(MultiProjSpace((3,)), (61,), moved).tolist()
+    assert (np.diff(big[0]) > 0).all()  # every row lands, in lex order
 
 
 def _bad_parts(n, total):

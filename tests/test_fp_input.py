@@ -9,6 +9,7 @@ from toricfrob import (
     LaurentComplex,
     MultiProjSpace,
     incidence_cohomology,
+    line_bundle_cohomology_fp,
 )
 from toricfrob.cech import Poly, hypercohomology_fp
 from toricfrob.cli import main
@@ -136,3 +137,35 @@ def test_malformed_cech_monomial_refused():
     x0 = Poly({((1, 0, 0), (0, 0, 0)): 1})
     cx = LaurentComplex(space=space, terms=terms, maps=(((x0,),),))
     assert hypercohomology_fp(cx, 3) == {1: 2}
+
+
+@pytest.mark.parametrize("args", [(4, -5, 3.0), (True, -5, 3), (4.0, -5, 3), (4, -5.0, 3),
+                                  (4, -5, True), (4, -5, "3")])
+def test_incidence_rejects_non_integer_input(args):
+    # 3.0 and True once met the cached verdicts of 3 and 1, and a float or a
+    # bool multidegree failed inside numpy; each is now refused by name
+    with pytest.raises(ValueError, match="is not an integer"):
+        incidence_cohomology(*args)
+    assert incidence_cohomology(4, -5, 3).dims == (0, 11, 1, 0)
+
+
+def test_prime_field_check_reads_p_as_an_integer():
+    check_prime_field(3)
+    for bad in (3.0, True, 2.5, "3", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            check_prime_field(bad)
+        with pytest.raises(ValueError, match="is not an integer"):
+            rank_mod_p([[1, 0], [0, 1]], bad)
+    assert rank_mod_p([[1, 0], [0, 1]], 3) == 2
+
+
+def test_multidegree_entries_must_be_integers():
+    space = MultiProjSpace((1, 1))
+    for bad in ((1.0, 0), (True, 0), (0, "1")):
+        with pytest.raises(ValueError, match="multidegree entry"):
+            line_bundle_cohomology_fp(space, bad)
+        cx = LaurentComplex(space=space, terms=((bad,), ((2, 1),)),
+                            maps=(((Poly({}),),),))
+        with pytest.raises(ValueError, match="multidegree entry"):
+            hypercohomology_fp(cx, 3)
+    assert line_bundle_cohomology_fp(space, (1, 0)).dims == (2, 0, 0)
