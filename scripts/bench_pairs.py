@@ -18,9 +18,10 @@ the number of pairs the change won (ties count for neither side).
 the seven-q survey in one fresh interpreter: ``import toricfrob`` and then
 ``catalog_run`` at q = 2, 3, 4, 5, 7, 8, 9 in turn, import included.  It also
 times ``incidence_cohomology`` at each of the large twists (30, -32),
-(40, -42) and (50, -52) with p = 3, and the jet rank ``delpezzo_jet_check(5,
-2, compute_rank=True)`` at q = 25, N alternating runs per side, each in a
-fresh interpreter, and records that interpreter's peak RSS (``ru_maxrss``).
+(40, -42) and (50, -52) with p = 3, and the jet ranks ``delpezzo_jet_check(p,
+n, compute_rank=True)`` at q = 25 (p = 5), q = 29 (p = 29) and q = 32
+(p = 2), N alternating runs per side, each in a fresh interpreter, and
+records that interpreter's peak RSS (``ru_maxrss``).
 A question a side refuses with ``Overflow`` records the number of refused
 runs in place of its times.
 
@@ -72,6 +73,8 @@ COLD_CALLS = {
     "incidence_cohomology_40_-42_p3": "incidence_cohomology(40, -42, 3)",
     "incidence_cohomology_50_-52_p3": "incidence_cohomology(50, -52, 3)",
     "delpezzo_jet_check_q25_p5": "delpezzo_jet_check(5, 2, compute_rank=True)",
+    "delpezzo_jet_check_q29_p29": "delpezzo_jet_check(29, 1, compute_rank=True)",
+    "delpezzo_jet_check_q32_p2": "delpezzo_jet_check(2, 5, compute_rank=True)",
 }
 # A question the tree refuses with Overflow prints "refused" for its time.
 COLD_CALL = """

@@ -37,8 +37,10 @@ falls in exactly one block: no product is grouped entry by entry.  The
 weights and the symmetry are derived once per distinct map, not once per
 twist.  The blocks are sorted by width and cut into a few stacks of bounded
 size, built in the residue dtype of p and eliminated in place by
-:func:`linalg.ranks_mod_p`; a block's columns are right-aligned in its
-stack, so the elimination does no arithmetic on the padding.  The bound
+:func:`linalg.ranks_mod_p`.  A stack holds only the target rows that meet
+an entry, block after block, with the blocks' row offsets, so no block is
+padded to another's height; its columns are right-aligned to the stack's
+width, the width of its widest block.  The bound
 MAX_CECH_BASIS applies to the source rows a map keeps.  A term too large
 for any map to keep fewer, counted from binomials, is refused with
 Overflow before any monomial is enumerated; any other map is refused as
@@ -73,18 +75,20 @@ from .linalg import (
 # (99999, 0) would have about 5 * 10^9.
 MAX_CECH_BASIS = 1_000_000
 
-# Cells of one weight-block stack, each one entry of the residue dtype of p
-# (one byte at p <= 11, eight only above p = 46337).  Blocks sorted by width
-# are cut into stacks of at most this many cells; a block larger than the
-# bound is a stack of its own.  The bound is counted in cells, not bytes, so
-# the stacks are cut the same way at every p.  At benchmark sizes the
-# kernel's cost is one sweep per column of a stack, so few, wide stacks are
-# fast: (12, -13), whose 52 blocks (one per S3-orbit of the 276) are at most
-# 51 x 52, is one stack of 52 sweeps.  The bound keeps the padding of the
-# large twists in check: as one stack per map, (30, -32) at p = 3 peaks at
-# 116 MB, not 53 MB, and runs 2.4x slower (0.72 s against 0.29 s on a
-# 2-core x86-64 host); under the bound it is 10 stacks, none above
-# 1.05 * 10^6 cells.
+# Cells of one weight-block stack, its rows times its width, each one entry
+# of the residue dtype of p (one byte at p <= 11, eight only above
+# p = 46337).  Blocks sorted by width are cut into stacks of at most this
+# many cells; a block larger than the bound is a stack of its own.  The
+# bound is counted in cells, not bytes, so the stacks are cut the same way
+# at every p.  At benchmark sizes the kernel's cost is one sweep per column
+# of a stack, so few, wide stacks are fast: (12, -13), whose 52 blocks (one
+# per S3-orbit of the 276) are at most 51 x 52, is one stack of 1,162 rows
+# and 52 sweeps.  The bound keeps the column padding of the large twists in
+# check: as one stack per map, (30, -32) at p = 3 peaks at 62 MB, not
+# 50 MB, and runs 1.7x slower (0.23 s against 0.13 s on a 2-core x86-64
+# host); under the bound it is 9 stacks, none above 1.05 * 10^6 cells.
+# Bounds of 2^18 and 2^19 ran (40, -42) 2.0x and 1.4x slower than 2^20,
+# and 2^21 and 2^22 no faster.
 _STACK_CELLS = 2**20
 
 # Grid points of one source summand whose weights are formed at once, so
@@ -623,14 +627,16 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     block, once.  K, its spread and g come from :func:`_invariants`, once
     per distinct map.  More than MAX_CECH_BASIS rows kept raise Overflow.
 
-    The blocks are sorted by (width, height) and cut greedily into stacks of
-    at most _STACK_CELLS cells, each built in the residue dtype of p,
-    eliminated in place by one :func:`ranks_mod_p` call and freed in turn.
-    A block keeps its rows at the top of its stack and its columns at the
-    right, so the kernel's update at a column spans exactly the block's own
-    remaining columns, and the zero padding costs no arithmetic.  Overflow
-    is raised before any exponent, product or weight could reach
-    _INT64_GUARD; the exponents' reach is read from the factor degrees.
+    The blocks are sorted by width and cut greedily into stacks of at most
+    _STACK_CELLS cells, a stack's rows times the width of its last, widest
+    block.  Each stack is built in the residue dtype of p, eliminated in
+    place by one :func:`ranks_mod_p` call and freed in turn.  Its rows are
+    the target rows of its blocks, numbered block by block by one
+    ``np.unique`` of the (block, target row) pairs, so every row holds an
+    entry and the blocks' row offsets are read off the counts; a block's
+    columns are right-aligned to the stack's width.  Overflow is raised
+    before any exponent, product or weight could reach _INT64_GUARD; the
+    exponents' reach is read from the factor degrees.
     """
     summands = _summands(space, src_term, degree)
     info = {j: _factor_degrees(space, src_term[j]) for j, _ in summands}
@@ -674,43 +680,43 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     rows, cols, values = map(np.concatenate, zip(*found))
     if not len(rows):
         return 0
-    # blocks labelled on the source rows that meet an entry; j is a column's
-    # rank in its block, i a row's: the rank of its (block, id) pair
+    # blocks labelled on the source rows that meet an entry, and sorted by
+    # width; place is each row id's block by its place in that order
     used = np.zeros(len(src), dtype=bool)
     used[cols] = True
     ids = np.flatnonzero(used)
     order, starts, label = group_rows(weight[ids])
-    at = np.cumsum(used)[cols] - 1  # each entry's source row among ids
-    block = label[at]
-    j = np.empty(len(ids), dtype=np.int64)
-    j[order] = np.arange(len(ids))
-    j = j[at] - starts[block]
-    pairs, i = np.unique(block * count + rows, return_inverse=True)
-    nrows = np.bincount(pairs // count, minlength=len(starts))
-    i -= (np.cumsum(nrows) - nrows)[block]
     ncols = np.bincount(label, minlength=len(starts))
     size = orbit[ids[order[starts]]]
-    # blocks sorted by (width, height), cut greedily into stacks of at most
-    # _STACK_CELLS cells; a stack is as wide as its last block
-    order = np.lexsort((nrows, ncols))
-    heights, widths = nrows[order].tolist(), ncols[order].tolist()
-    cuts, tall = [0], 0
-    for k, (h, w) in enumerate(zip(heights, widths)):
-        tall = max(tall, h)
-        if k > cuts[-1] and (k + 1 - cuts[-1]) * tall * w > _STACK_CELLS:
+    by_width = np.argsort(ncols, kind="stable")
+    place = np.argsort(by_width)[label]
+    # j: a column's place in its block, counted from the block's last column
+    j = np.empty(len(ids), dtype=np.int64)
+    j[order] = np.arange(len(ids))
+    j = (starts + ncols - 1)[label] - j
+    cols = np.cumsum(used)[cols] - 1  # each entry's source row, as its place in ids
+    j, place = j[cols], place[cols]
+    # i: an entry's row among all the blocks' rows, numbered block by block
+    # in the order of the widths, the rank of its (place, target row) pair
+    pairs, i = np.unique(place * count + rows, return_inverse=True)
+    tops = np.zeros(len(starts) + 1, dtype=np.int64)  # each block's first row
+    np.cumsum(np.bincount(pairs // count, minlength=len(starts)), out=tops[1:])
+    # cut greedily into stacks of at most _STACK_CELLS cells: a stack's rows
+    # times its width, the width of its last block
+    widths = ncols[by_width].tolist()
+    cuts, top = [0], tops.tolist()
+    for k, w in enumerate(widths):
+        if k > cuts[-1] and (top[k + 1] - top[cuts[-1]]) * w > _STACK_CELLS:
             cuts.append(k)
-            tall = h
-    cuts.append(len(order))
-    place = np.argsort(order)[block]  # each entry's block, by its place in order
+    cuts.append(len(widths))
     rank = 0
     for start, stop in zip(cuts, cuts[1:]):
-        at = np.flatnonzero((place >= start) & (place < stop))
-        width = widths[stop - 1]
-        stack = np.zeros(
-            (stop - start, max(heights[start:stop]), width), dtype=_residue_dtype(p)
-        )
-        stack[place[at] - start, i[at], j[at] + width - ncols[block[at]]] = values[at]
-        rank += int(ranks_mod_p(stack, p) @ size[order[start:stop]])
+        lo, hi, width = top[start], top[stop], widths[stop - 1]
+        at = np.flatnonzero((i >= lo) & (i < hi))
+        stack = np.zeros((hi - lo, width), dtype=_residue_dtype(p))
+        stack[i[at] - lo, width - 1 - j[at]] = values[at]
+        ranks = ranks_mod_p(stack, tops[start : stop + 1] - lo, p)
+        rank += int(ranks @ size[by_width[start:stop]])
         del stack
     return rank
 

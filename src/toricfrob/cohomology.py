@@ -241,23 +241,25 @@ def _support_contrib(fan: Fan, mask: int):
 
     # Boundary ranks of the augmented chain complex over F_p, equal to those
     # over Q by the torsion-freeness in the module docstring: the nonzero
-    # maps, zero-padded to one shape, are eliminated as one stack.
+    # maps, one matrix per chain degree, a row per face of one dimension
+    # less, zero-padded to one width, are eliminated by one call.
     cards = [c for c in range(1, d + 1) if faces[c] and faces[c - 1]]
     ranks = [0] * (d + 2)
     if cards:
         entries = []
-        for k, card in enumerate(cards):
-            lower = {f: i for i, f in enumerate(faces[card - 1])}
+        offsets = [0]
+        for card in cards:
+            lower = {f: offsets[-1] + i for i, f in enumerate(faces[card - 1])}
             for col, f in enumerate(faces[card]):
                 for pos in range(card):
                     sub = f[:pos] + f[pos + 1 :]
-                    entries.append((k, lower[sub], col, -1 if pos % 2 else 1))
-        k, row, col, sign = np.array(entries, dtype=np.int64).T
-        height = max(len(faces[c - 1]) for c in cards)
+                    entries.append((lower[sub], col, -1 if pos % 2 else 1))
+            offsets.append(offsets[-1] + len(faces[card - 1]))
+        row, col, sign = np.array(entries, dtype=np.int64).T
         width = max(len(faces[c]) for c in cards)
-        stack = np.zeros((len(cards), height, width), dtype=_residue_dtype(_BETTI_P))
-        stack[k, row, col] = sign
-        for card, rank in zip(cards, ranks_mod_p(stack, _BETTI_P).tolist()):
+        rows = np.zeros((offsets[-1], width), dtype=_residue_dtype(_BETTI_P))
+        rows[row, col] = sign
+        for card, rank in zip(cards, ranks_mod_p(rows, offsets, _BETTI_P).tolist()):
             ranks[card] = rank
 
     contrib = tuple(

@@ -33,7 +33,7 @@ from .cohomology import (
     cohomology,
     cohomology_of_class,
 )
-from .fan import Divisor, DivisorClass, Fan, InvariantViolation, class_of
+from .fan import Divisor, DivisorClass, Fan, InvariantViolation, _integer, class_of
 from .linalg import _INT64_GUARD, is_prime
 
 
@@ -51,12 +51,19 @@ class OracleMismatch(InvariantViolation):
 
 @dataclass(frozen=True)
 class FrobeniusOrder:
-    """The q = p^n power Frobenius.  n = 0 is allowed and means the identity."""
+    """The q = p^n power Frobenius.  n = 0 is allowed and means the identity.
+
+    p and n are read by ``fan._integer`` and stored as ints, so a numpy
+    integer is taken at its value, and a bool or a float (even 2.0) raises
+    ValueError rather than give classes of float degree.
+    """
 
     p: int
     n: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _integer(self.p, "p"))
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.n < 0:

@@ -4,17 +4,18 @@ ranks over prime fields, and the grouping of equal integer rows.
 Everything here is exact; no floating point is ever used.  The library's hot
 paths are integer-only: the character box comes from cached adjugates, and
 every rank over F_p from the one elimination kernel :func:`ranks_mod_p`,
-which sweeps a whole stack of matrices at once: the boundary maps of one
-support, the width-sorted weight blocks of one Cech map, or the three jet
-blocks.  It eliminates in the residue dtype of p, the narrowest signed
-integer dtype that holds (p-1)^2 (:func:`_residue_dtype`: int8 for
+which sweeps many matrices of one width at once, stacked as 2-D rows with
+row offsets, so no matrix is padded to the height of another: the boundary
+maps of one support, the width-sorted weight blocks of one Cech map, or the
+three jet blocks.  It eliminates in the residue dtype of p, the narrowest
+signed integer dtype that holds (p-1)^2 (:func:`_residue_dtype`: int8 for
 p <= 11, int16 for p <= 181, int32 for p <= 46337, int64 above); its
-callers build their stacks in that dtype, and such a stack is eliminated
-in place, any other input on a copy.  It reduces mod p by floor division,
+callers build their rows in that dtype, and such rows are eliminated in
+place, any other integer input on a copy.  It reduces mod p by floor division,
 x - (x // p) * p, not by ``np.remainder``: with numpy 2.4 the whole
 reduction is over 30x faster on int8 arrays, and it is exact even where
 (x // p) * p wraps around the dtype, because the true residue lies in
-[0, p), which the dtype holds.  :func:`rank_mod_p` (a stack of one)
+[0, p), which the dtype holds.  :func:`rank_mod_p` (one matrix)
 and the ``Fraction`` kernels :func:`solve_rational` and
 :func:`rank_rational` have no library caller: the tests compare the
 integer kernels against them, and the benchmark's tracer looks all three
@@ -182,8 +183,8 @@ def _reduce_mod_p(a: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     is the true residue.  On 100,000 int8 entries this takes 29 us, and
     ``np.remainder`` 1,050 us (numpy 2.4.6, 2-core Xeon).  An array of more
     than _REDUCE_SLAB entries is reduced in slabs of that many, so an
-    in-place pass over a whole stack makes no second stack; ``out`` must
-    then be C-contiguous.
+    in-place pass over all of the kernel's rows makes no second copy of
+    them; ``out`` must then be C-contiguous.
     """
     if a.size <= _REDUCE_SLAB:
         multiple = a // p
@@ -196,20 +197,39 @@ def _reduce_mod_p(a: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def ranks_mod_p(stack, p: int) -> np.ndarray:
-    """Ranks over F_p of a stack of B integer n x m matrices, as B int64s.
+def _integer_array(x, what: str) -> np.ndarray:
+    """x as an array, which must have a signed or unsigned integer dtype.
 
-    This is the library's one F_p elimination kernel.  It sweeps the columns
-    once for the whole stack.  On each column one ``nonzero`` lists, in row
-    order, the rows of every matrix with a nonzero entry there, and one
-    ``searchsorted`` of their matrix ids finds each matrix's first such
-    row, its pivot, which is read from the rows just gathered.  Those
-    rows, and only those, are updated at once and fraction-free: row <-
-    pivot * row - entry * pivot row, with the pivot a unit mod p, so no
-    inverse is formed and no row is swapped.  The update clears the column
-    and turns the pivot row itself to zero, which retires it; a matrix's
-    rank is the number of its pivots.  Rows with a zero in the column are
-    never touched, which keeps the kernel fast on sparse blocks.
+    A float, bool or object array raises ValueError: its entries would be
+    truncated, or read as 0 and 1, by the cast to the residue dtype.
+    """
+    a = np.asarray(x)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must have an integer dtype, not {a.dtype}")
+    return a
+
+
+def ranks_mod_p(rows, offsets, p: int) -> np.ndarray:
+    """Ranks over F_p of the matrices stacked in ``rows``, one int64 each.
+
+    ``rows`` is a 2-D (R, m) integer array and ``offsets`` a nondecreasing
+    sequence of integers from 0 to R: matrix k is rows offsets[k] to
+    offsets[k + 1], so the matrices share their width m but each has its
+    own height, and no matrix is padded to another's.  This is the
+    library's one F_p elimination kernel.  It sweeps the columns once for
+    all the matrices.  On each column one ``nonzero`` lists, in row order,
+    the rows with a nonzero entry there; their owners, read from one
+    ``np.repeat`` of the offsets made once per call, are sorted, and one
+    ``searchsorted`` of them finds each matrix's first such row, its pivot.
+    Those rows, and only those, are gathered whole with ``take``, updated
+    at once and fraction-free, row <- pivot * row - entry * pivot row, with
+    the pivot a unit mod p, and written back whole, each row as one item of
+    a void view (4x faster than ``rows[hits] = hit`` on 98 rows of 52 int8
+    entries); no inverse is formed and no row is swapped.  The update
+    clears the column and turns the pivot row itself to zero, which retires
+    it; a matrix's rank is the number of its pivots.  Rows with a zero in
+    the column are never touched, which keeps the kernel fast on sparse
+    blocks.
 
     The elimination runs in the residue dtype of p, the narrowest signed
     dtype that holds (p-1)^2: int8 for p <= 11, int16 for p <= 181, int32
@@ -222,57 +242,71 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
     wrap, but the difference is the residue modulo 2^bits, and the residue
     lies in [0, p), which the dtype holds.
 
-    A C-contiguous, writeable (B, n, m) array of the residue dtype is reduced
-    mod p and eliminated in place, and comes back all zero; it is never
-    copied, and as the entries are reduced in slabs, no temporary the size
-    of the stack is made.  Any other input, an int64 stack or a read-only or
-    non-contiguous view included, is reduced mod p into a fresh array of
-    the residue dtype and left unchanged.  Zero rows and columns, such as
-    the padding of a stack of matrices of different shapes, leave every
-    rank unchanged.  A p refused by :func:`check_prime_field` raises
-    ValueError.
+    A C-contiguous, writeable ``rows`` of the residue dtype is reduced mod p
+    and eliminated in place, and comes back all zero; it is never copied,
+    and as the entries are reduced in slabs, no temporary its size is made.
+    Any other integer input, a read-only or non-contiguous view included,
+    is reduced mod p into a fresh array of the residue dtype and left
+    unchanged; unsigned entries are reduced in uint64, so none wraps to a
+    negative value first.  Zero columns, such as the padding of matrices of
+    different widths, leave every rank unchanged.  Entries or offsets of a
+    dtype that is not an integer dtype (float, bool, object), a ``rows``
+    that is not 2-D, offsets that fall or do not run from 0 to R, and a p
+    refused by :func:`check_prime_field` raise ValueError.
     """
     check_prime_field(p)
     dtype = _residue_dtype(p)
-    a = np.asarray(stack)
-    if a.ndim != 3:
-        raise ValueError(f"expected a (B, n, m) stack, got shape {a.shape}")
+    a = _integer_array(rows, "entries")
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D (R, m) array of rows, got shape {a.shape}")
+    # in int64, where a fall shows as a negative height, even from unsigned offsets
+    bounds = _integer_array(offsets, "offsets").astype(np.int64)
+    ok = bounds.ndim == 1 and len(bounds) and bounds[0] == 0 and bounds[-1] == len(a)
+    heights = np.diff(bounds) if ok else None
+    if not ok or (heights < 0).any():
+        raise ValueError(f"offsets must rise from 0 to {len(a)}, got {bounds.tolist()}")
     if a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable:
         _reduce_mod_p(a, p, out=a)
+    elif a.dtype.kind == "u":
+        a = (a.astype(np.uint64) % np.uint64(p)).astype(dtype)
     else:
         a = np.array(a, dtype=np.int64, order="C")
         a = _reduce_mod_p(a, p, out=a).astype(dtype)
-    count, nrows, ncols = a.shape
-    rank = np.zeros(count, dtype=np.int64)
+    rank = np.zeros(len(heights), dtype=np.int64)
     if not a.size:
         return rank
-    rows = a.reshape(count * nrows, ncols)  # row k * nrows + i of the stack
-    for col in range(ncols):
-        hits = rows[:, col].nonzero()[0]
+    owner = np.repeat(np.arange(len(heights)), heights)  # the matrix of each row
+    # each row as one item, so that a write-back copies whole rows at once
+    whole = a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).reshape(-1)
+    for col in range(a.shape[1]):
+        hits = a[:, col].nonzero()[0]
         if not hits.size:
             continue
-        mats = hits // nrows
+        mats = owner[hits]
         rank[mats] += 1  # one pivot per matrix met; repeated indices add once
-        hit = rows[hits, col:]
+        hit = a.take(hits, axis=0)
         # a matrix's pivot is its first hit: the first place of its id in mats
         pivot = hit.take(mats.searchsorted(mats), axis=0)
-        lead = pivot[:, :1].copy()
-        pivot *= hit[:, :1]  # entry * pivot row, in the gathered copy
-        hit *= lead
-        hit -= pivot
-        _reduce_mod_p(hit, p, out=hit)
-        rows[hits, col:] = hit
+        update = pivot * hit[:, col, None]  # entry * pivot row
+        hit *= pivot[:, col, None]
+        hit -= update
+        # hit mod p as in _reduce_mod_p, with the update's buffer for (hit // p) p
+        np.floor_divide(hit, p, out=update)
+        update *= p
+        hit -= update
+        whole[hits] = hit.view(whole.dtype).reshape(-1)
     return rank
 
 
 def rank_mod_p(mat, p: int) -> int:
-    """Rank of one integer matrix over F_p: :func:`ranks_mod_p` on a stack of one.
+    """Rank of one integer matrix over F_p: :func:`ranks_mod_p` on one matrix.
 
     The matrix is copied, never changed.  A p refused by
-    :func:`check_prime_field` raises ValueError.
+    :func:`check_prime_field`, or entries that are not of an integer dtype,
+    raise ValueError.
     """
-    a = np.array(mat, dtype=np.int64, ndmin=2)
-    return int(ranks_mod_p(a[None], p)[0])
+    a = np.array(mat, ndmin=2, order="C")
+    return int(ranks_mod_p(a, [0, len(a)], p)[0])
 
 
 def group_rows(keys: np.ndarray, labels: bool = True):

@@ -47,8 +47,10 @@ from .linalg import (
 from .varieties import BUNDLE_SPECS, named_variety
 
 
-# Cells of the jet stack, one entry of the residue dtype of p each (4 MB at
-# p <= 11, 32 MB above p = 46337): q <= 27 fits, q = 81 needs 2.8 * 10^8.
+# Cells of the jet rows, sum(C(d + 2, 2)) * C(q, 2) over the degrees d
+# present, one entry of the residue dtype of p each (4 MB at p <= 11, 32 MB
+# above p = 46337): every q <= 32 fits (q = 32 needs 3.4 * 10^6), q = 37
+# needs 6.2 * 10^6 and q = 81 1.5 * 10^8.
 MAX_JET_CELLS = 4_000_000
 
 
@@ -298,19 +300,22 @@ def _plane_monomials(d: int) -> np.ndarray:
     return rows
 
 
-def _jet_stack(degrees, jet_order: int, p: int, point) -> np.ndarray:
-    """Evaluation of plane sections on jets, one zero-padded block per degree.
+def _jet_stack(degrees, jet_order: int, p: int, point):
+    """Evaluation of plane sections on jets, one block per degree, as the
+    (rows, offsets) that :func:`ranks_mod_p` takes.
 
-    Block k has a row per monomial x^i y^j of degree <= degrees[k]
-    (dehomogenised at the last coordinate) and a column per jet monomial
-    (x-a)^s (y-b)^t of order <= jet_order at the point (a, b); the entry is
-    the Taylor coefficient C(i, s) a^(i-s) C(j, t) b^(j-t) mod p.  It is read
-    from one table per distinct coordinate, built once at the largest
-    degree; a smaller degree reads fewer of its rows.  Both the rows and the
-    columns are :func:`_plane_monomials`.  Rows past a block's own count
-    are zero.  The tables, their products and the stack have the residue
-    dtype of p, which holds (p - 1)^2, and :func:`ranks_mod_p` eliminates
-    the stack in place.  A p that is not prime raises ValueError.
+    Block k, rows offsets[k] to offsets[k + 1], has a row per monomial
+    x^i y^j of degree <= degrees[k] (dehomogenised at the last coordinate)
+    and a column per jet monomial (x-a)^s (y-b)^t of order <= jet_order at
+    the point (a, b); the entry is the Taylor coefficient C(i, s) a^(i-s)
+    C(j, t) b^(j-t) mod p.  It is read from one table per distinct
+    coordinate, built once at the largest degree; a smaller degree reads
+    fewer of its rows.  Both the rows and the columns are
+    :func:`_plane_monomials`, and the blocks are formed by one ``multiply``
+    over their concatenated rows, with no padding.  The tables, their
+    products and the rows have the residue dtype of p, which holds
+    (p - 1)^2, and :func:`ranks_mod_p` eliminates the rows in place.  A p
+    that is not prime raises ValueError.
     """
     check_prime_field(p)
     a = point[0] * pow(point[2], p - 2, p) % p
@@ -318,13 +323,12 @@ def _jet_stack(degrees, jet_order: int, p: int, point) -> np.ndarray:
     dtype, cols = _residue_dtype(p), _plane_monomials(jet_order)
     tables = {c: _taylor_table(c, max(degrees), jet_order, p).astype(dtype) for c in {a, b}}
     ta, tb = tables[a][:, cols[:, 0]], tables[b][:, cols[:, 1]]
-    rows = [_plane_monomials(d) for d in degrees]
-    stack = np.zeros((len(degrees), max(map(len, rows)), len(cols)), dtype=dtype)
-    for k, r in enumerate(rows):
-        block = stack[k, : len(r)]
-        np.multiply(ta[r[:, 0]], tb[r[:, 1]], out=block)  # at most (p - 1)^2
-        _reduce_mod_p(block, p, out=block)
-    return stack
+    monomials = np.concatenate([_plane_monomials(d) for d in degrees])
+    rows = ta[monomials[:, 0]]
+    np.multiply(rows, tb[monomials[:, 1]], out=rows)  # at most (p - 1)^2
+    _reduce_mod_p(rows, p, out=rows)
+    offsets = np.cumsum([0] + [comb(d + 2, 2) for d in degrees])
+    return rows, offsets
 
 
 def delpezzo_jet_check(
@@ -339,8 +343,8 @@ def delpezzo_jet_check(
     count covers the number of jet conditions.  Optionally the exact rank of
     the jet evaluation matrix over F_p at the chosen point is computed.  The
     point must be three integers, none 0 mod p; any other point, a bool or a
-    float coordinate included, raises ValueError, and a stack of more than
-    MAX_JET_CELLS cells raises Overflow before it is allocated.
+    float coordinate included, raises ValueError, and jet rows of more than
+    MAX_JET_CELLS cells raise Overflow before they are allocated.
 
     The matrix is block diagonal: each summand O(d) contributes a block of
     C(d+2,2) section rows and C(q,2) columns, the jets of order <= q-2.  In
@@ -380,13 +384,13 @@ def delpezzo_jet_check(
             raise ValueError(
                 f"jet evaluation point {point} needs three coordinates, none 0 mod {p}"
             )
-        # block diagonal: the distinct blocks are eliminated once, as one stack
+        # block diagonal: the distinct blocks are eliminated once, by one call
         present = [(d, mult) for d, mult in twists if mult]
-        cells = len(present) * comb(max(d for d, _ in present) + 2, 2) * comb(q, 2)
+        cells = sum(comb(d + 2, 2) for d, _ in present) * comb(q, 2)
         if cells > MAX_JET_CELLS:
             raise Overflow(f"jet rank at q = {q} needs {cells} > {MAX_JET_CELLS} cells")
-        stack = _jet_stack([d for d, _ in present], q - 2, p, point)
-        rank = int(ranks_mod_p(stack, p) @ [mult for _, mult in present])
+        rows, offsets = _jet_stack([d for d, _ in present], q - 2, p, point)
+        rank = int(ranks_mod_p(rows, offsets, p) @ [mult for _, mult in present])
     return JetCheckReport(
         q=q,
         p1=p1,

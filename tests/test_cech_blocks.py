@@ -142,22 +142,27 @@ def test_incidence_blocks_at_12_minus_13(monkeypatch):
     # stacked block's true shape is its count of nonzero rows and columns
     shapes, calls = [], []
 
-    def recording(stack, p):
-        calls.append(stack.shape)
-        nonzero = stack % p != 0
-        rows, cols = nonzero.any(axis=2).sum(axis=1), nonzero.any(axis=1).sum(axis=1)
-        shapes.extend(zip(rows.tolist(), cols.tolist()))
-        return ranks_mod_p(stack, p)
+    def recording(rows, offsets, p):
+        calls.append(rows.shape)
+        nonzero = rows % p != 0
+        for lo, hi in zip(offsets, offsets[1:]):
+            block = nonzero[lo:hi]
+            shapes.append((hi - lo, int(block.any(axis=0).sum())))
+        # no row is padding: each holds an entry nonzero mod p
+        assert nonzero.any(axis=1).all()
+        return ranks_mod_p(rows, offsets, p)
 
     monkeypatch.setattr(cech_mod, "ranks_mod_p", recording)
     assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
     # one block per S3-orbit of weights is eliminated
     assert len(shapes) == 52
-    # the map is eliminated in one call
-    assert len(calls) == 1
+    # the map is eliminated in one call, of the 1,162 rows that hold an entry
+    assert calls == [(1162, 52)] and sum(r for r, _ in shapes) == 1162
     assert max(r for r, _ in shapes) == 51 and max(c for _, c in shapes) == 52
     # with every block ranked 1, the map's rank is the sum of the orbit sizes
-    monkeypatch.setattr(cech_mod, "ranks_mod_p", lambda stack, p: np.ones(len(stack), int))
+    monkeypatch.setattr(
+        cech_mod, "ranks_mod_p", lambda rows, offsets, p: np.ones(len(offsets) - 1, int)
+    )
     space, maps = MultiProjSpace((2, 2)), ((incidence_form(3),),)
     assert _map_rank_mod_p(space, ((11, -14),), ((12, -13),), maps, 2, 3) == 276
 
@@ -294,23 +299,25 @@ def _recording_stacks(monkeypatch):
     count and, per matrix, which rows and columns hold a nonzero entry."""
     stacks = []
 
-    def recording(stack, p):
-        nonzero = stack % p != 0
-        stacks.append((stack.size, nonzero.any(axis=2), nonzero.any(axis=1)))
-        return ranks_mod_p(stack, p)
+    def recording(rows, offsets, p):
+        nonzero = rows % p != 0
+        blocks = [nonzero[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        stacks.append((rows.size, [(b.any(axis=1), b.any(axis=0)) for b in blocks]))
+        return ranks_mod_p(rows, offsets, p)
 
     monkeypatch.setattr(cech_mod, "ranks_mod_p", recording)
     return stacks
 
 
 def _assert_aligned(stacks):
-    """Each block's last nonzero column is its stack's last column; its used
-    rows, and its used columns read from the right, have no gaps."""
-    for _, rows, cols in stacks:
-        assert cols[:, -1].all()
-        for used in (rows, cols[:, ::-1]):
-            count = used.sum(axis=1, keepdims=True)
-            assert (used == (np.arange(used.shape[1]) < count)).all()
+    """Every row of a block holds an entry, so no row is padding; its last
+    nonzero column is its stack's last column, and its used columns, read
+    from the right, have no gaps."""
+    for _, blocks in stacks:
+        for rows, cols in blocks:
+            assert rows.all() and cols[-1]
+            count = cols.sum()
+            assert (cols[::-1] == (np.arange(len(cols)) < count)).all()
 
 
 @pytest.mark.parametrize(
@@ -321,7 +328,7 @@ def test_each_block_is_top_and_right_aligned_in_its_stack(monkeypatch, a, b, p, 
     incidence_cohomology(a, b, p)
     # one map, cut into stacks of at most _STACK_CELLS cells
     assert len(stacks) == count
-    assert all(cells <= cech_mod._STACK_CELLS for cells, _, _ in stacks)
+    assert all(cells <= cech_mod._STACK_CELLS for cells, _ in stacks)
     _assert_aligned(stacks)
 
 
@@ -333,9 +340,9 @@ def test_a_smaller_stack_bound_gives_the_same_dims(monkeypatch):
     monkeypatch.setattr(cech_mod, "_STACK_CELLS", 64)
     stacks = _recording_stacks(monkeypatch)
     assert [incidence_cohomology(a, b, 3).dims for a, b in questions] == default
-    assert any(len(rows) == 1 and cells > 64 for cells, rows, _ in stacks)
-    assert any(len(rows) > 1 for _, rows, _ in stacks)
-    assert all(cells <= 64 or len(rows) == 1 for cells, rows, _ in stacks)
+    assert any(len(blocks) == 1 and cells > 64 for cells, blocks in stacks)
+    assert any(len(blocks) > 1 for _, blocks in stacks)
+    assert all(cells <= 64 or len(blocks) == 1 for cells, blocks in stacks)
     _assert_aligned(stacks)
 
 

@@ -172,7 +172,8 @@ def test_jets(capsys):
 
 def test_jet_rank_past_the_stack_bound_exits_1(monkeypatch, capsys):
     # q = 81 passes the residue, certificate and box guards on the plane;
-    # its jet stack, 3 x C(242, 2) x C(81, 2) int64 cells, must not be built
+    # its jet rows, (C(242, 2) + C(161, 2) + C(80, 2)) x C(81, 2) cells,
+    # must not be built
     def unbounded(*args):
         raise AssertionError("jet stack allocated past MAX_JET_CELLS")
 
@@ -180,7 +181,7 @@ def test_jet_rank_past_the_stack_bound_exits_1(monkeypatch, capsys):
     code, out, err = run(capsys, "jets", "--p", "3", "--n", "4", "--rank")
     assert code == 1
     assert out == ""
-    assert "jet rank at q = 81 needs 283444920 > 4000000 cells" in err
+    assert "jet rank at q = 81 needs 146451240 > 4000000 cells" in err
     code, out, _ = run(capsys, "jets", "--p", "3", "--n", "4")
     assert code == 0 and "rank=None" in out
 

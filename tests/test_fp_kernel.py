@@ -1,5 +1,6 @@
-"""The one F_p elimination kernel: ranks of a stack of matrices in one sweep,
-checked against a plain Gaussian elimination written out here."""
+"""The one F_p elimination kernel: ranks of matrices stacked as rows with
+row offsets, in one sweep, checked against a plain Gaussian elimination
+written out here."""
 
 import tracemalloc
 from math import isqrt
@@ -47,48 +48,111 @@ def plain_rank(rows, p):
 
 
 @st.composite
-def stacks(draw):
-    """(p, stack) with B in 0..4 and n, m in 0..6, empty sides included.
+def ragged(draw, primes=PRIMES):
+    """(p, matrices, rows, offsets): B in 0..4 matrices of one width m in
+    0..6, each n in 0..6 rows high, empty ones included, stacked as the
+    int64 rows and offsets that ranks_mod_p takes.
 
     Entries are small, any int64, multiples of p, or -1 mod p, so that
-    sparse and rank-deficient stacks are common and the elimination forms
+    sparse and rank-deficient matrices are common and the elimination forms
     products of (p-1)^2 and -(p-1)^2, the extremes of its residue dtype.
     """
-    p = draw(st.sampled_from(PRIMES))
-    shape = tuple(draw(st.integers(0, top)) for top in (4, 6, 6))
+    p = draw(st.sampled_from(primes))
+    width = draw(st.integers(0, 6))
+    heights = draw(st.lists(st.integers(0, 6), max_size=4))
     entry = st.one_of(
         st.integers(-2, 2),
         st.integers(-(2**63), 2**63 - 1),
         st.integers(-3, 3).map(lambda k: k * p),
         st.sampled_from((p - 1, 2 * p - 1, -1)),
     )
-    size = int(np.prod(shape))
-    flat = draw(st.lists(entry, min_size=size, max_size=size))
-    return p, np.array(flat, dtype=np.int64).reshape(shape)
+    flat = draw(st.lists(entry, min_size=sum(heights) * width, max_size=sum(heights) * width))
+    rows = np.array(flat, dtype=np.int64).reshape(sum(heights), width)
+    offsets = np.cumsum([0] + heights)
+    matrices = [rows[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+    return p, matrices, rows, offsets
 
 
 @settings(max_examples=200, deadline=None)
-@given(stacks())
+@given(ragged())
 def test_ranks_equal_plain_elimination(drawn):
-    p, stack = drawn
-    expected = [plain_rank(mat.tolist(), p) for mat in stack]
-    assert [rank_mod_p(mat, p) for mat in stack] == expected
-    ranks = ranks_mod_p(stack, p)
-    assert ranks.shape == (len(stack),) and ranks.tolist() == expected
+    p, matrices, rows, offsets = drawn
+    expected = [plain_rank(mat.tolist(), p) for mat in matrices]
+    assert [rank_mod_p(mat, p) for mat in matrices] == expected
+    ranks = ranks_mod_p(rows, offsets, p)
+    assert ranks.shape == (len(matrices),) and ranks.tolist() == expected
 
 
 @settings(max_examples=100, deadline=None)
-@given(stacks(), st.data())
+@given(ragged(), st.data())
 def test_zero_padding_leaves_each_rank_unchanged(drawn, data):
-    p, stack = drawn
-    count, nrows, ncols = stack.shape
-    height = nrows + data.draw(st.integers(0, 3))
+    # zero rows anywhere in a matrix, and zero columns anywhere in all of them
+    p, matrices, _, _ = drawn
+    ncols = matrices[0].shape[1] if matrices else 0
     width = ncols + data.draw(st.integers(0, 3))
-    rows = sorted(data.draw(st.permutations(range(height)))[:nrows])
     cols = sorted(data.draw(st.permutations(range(width)))[:ncols])
-    padded = np.zeros((count, height, width), dtype=np.int64)
-    padded[:, np.array(rows, dtype=int)[:, None], np.array(cols, dtype=int)] = stack
-    assert ranks_mod_p(padded, p).tolist() == [rank_mod_p(m, p) for m in stack]
+    padded = []
+    for mat in matrices:
+        height = len(mat) + data.draw(st.integers(0, 3))
+        at = sorted(data.draw(st.permutations(range(height)))[: len(mat)])
+        block = np.zeros((height, width), dtype=np.int64)
+        block[np.array(at, dtype=int)[:, None], np.array(cols, dtype=int)] = mat
+        padded.append(block)
+    rows = np.concatenate(padded) if padded else np.zeros((0, width), dtype=np.int64)
+    offsets = np.cumsum([0] + [len(block) for block in padded])
+    assert ranks_mod_p(rows, offsets, p).tolist() == [rank_mod_p(m, p) for m in matrices]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged(primes=(11, 13, 181, 191, 46337, 46349)))
+def test_the_ragged_kernel_is_rank_mod_p_on_each_matrix(drawn):
+    # p on each side of every residue dtype boundary; the rows are given in
+    # p's residue dtype, as the callers build them, and come back all zero
+    p, matrices, rows, offsets = drawn
+    expected = [rank_mod_p(mat, p) for mat in matrices]
+    reduced = np.array([[x % p for x in row] for row in rows.tolist()], dtype=np.int64)
+    assert ranks_mod_p(rows.copy(), offsets, p).tolist() == expected
+    inplace = reduced.reshape(rows.shape).astype(_residue_dtype(p))
+    assert ranks_mod_p(inplace, offsets, p).tolist() == expected
+    assert not inplace.any()
+    # a read-only copy is reduced into a fresh array and left as it was
+    frozen = reduced.reshape(rows.shape).astype(_residue_dtype(p))
+    frozen.flags.writeable = False
+    assert ranks_mod_p(frozen, offsets, p).tolist() == expected
+    assert np.array_equal(frozen, reduced.reshape(rows.shape))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ragged(), st.data())
+def test_bad_offsets_are_refused(drawn, data):
+    p, _, rows, offsets = drawn
+    offsets = offsets.tolist()
+    bad = data.draw(st.sampled_from(("fall", "end", "start", "empty")))
+    if bad == "fall":
+        # a dip of one after some offset
+        k = data.draw(st.integers(0, len(offsets) - 1))
+        offsets = offsets[: k + 1] + [offsets[k] - 1] + offsets[k + 1 :]
+    elif bad == "end":
+        offsets[-1] += data.draw(st.sampled_from((-1, 1, 7)))
+    elif bad == "start":
+        offsets = [data.draw(st.sampled_from((-1, 1)))] + offsets
+    else:
+        offsets = []
+    with pytest.raises(ValueError, match="offsets"):
+        ranks_mod_p(rows, offsets, p)
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    [[0, 2, 1, 3], [0, 2], [0, 3, 4], [1, 3], [], 3, [[0, 3]], [0.0, 3.0], [False, True],
+     np.array([0, 2, 1, 3], dtype=np.uint64), np.array([0, 2**64 - 1, 3], dtype=np.uint64)],
+)
+def test_offsets_must_rise_from_zero_to_the_row_count(offsets):
+    rows = np.ones((3, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match="offsets"):
+        ranks_mod_p(rows, offsets, 3)
+    assert rows.tolist() == [[1, 1]] * 3
+    assert ranks_mod_p(rows, [0, 1, 1, 3], 3).tolist() == [1, 0, 1]
 
 
 @pytest.mark.parametrize("below, above, dtype", BOUNDARIES)
@@ -108,16 +172,16 @@ def test_products_at_the_extremes_of_the_dtype(p):
     mat = [[p - 1, p - 1, 0], [p - 1, 0, 1], [0, 1, 1]]
     assert plain_rank(mat, p) == 2
     assert rank_mod_p(mat, p) == 2
-    stack = np.array([mat], dtype=_residue_dtype(p))
-    assert ranks_mod_p(stack, p).tolist() == [2] and not stack.any()
+    rows = np.array(mat, dtype=_residue_dtype(p))
+    assert ranks_mod_p(rows, [0, 3], p).tolist() == [2] and not rows.any()
 
 
 def test_a_residue_dtype_stack_is_eliminated_in_place():
     # no copy is made: the elimination zeroes every row it finishes with
-    stack = np.array([[[4, 2], [2, 1]], [[1, 0], [0, 3]]], dtype=np.int8)
+    rows = np.array([[4, 2], [2, 1], [1, 0], [0, 3]], dtype=np.int8)
     assert _residue_dtype(5) == np.int8
-    assert ranks_mod_p(stack, 5).tolist() == [1, 2]
-    assert not stack.any()
+    assert ranks_mod_p(rows, [0, 2, 4], 5).tolist() == [1, 2]
+    assert not rows.any()
     mat = [[4, 2], [2, 1]]
     assert rank_mod_p(np.array(mat), 5) == 1 and rank_mod_p(mat, 5) == 1
     assert mat == [[4, 2], [2, 1]]
@@ -127,26 +191,26 @@ def test_a_residue_dtype_stack_is_eliminated_in_place():
 
 def test_an_int64_stack_is_copied_not_changed():
     # int64 is the residue dtype only above p = 46337
-    stack = np.array([[[4, 7], [2, 6]], [[1, 5], [0, -3]]], dtype=np.int64)
-    assert ranks_mod_p(stack, 5).tolist() == [1, 2]
-    assert stack.tolist() == [[[4, 7], [2, 6]], [[1, 5], [0, -3]]]
-    assert ranks_mod_p(stack, 46349).tolist() == [2, 2]
-    assert not stack.any()
+    rows = np.array([[4, 7], [2, 6], [1, 5], [0, -3]], dtype=np.int64)
+    assert ranks_mod_p(rows, [0, 2, 4], 5).tolist() == [1, 2]
+    assert rows.tolist() == [[4, 7], [2, 6], [1, 5], [0, -3]]
+    assert ranks_mod_p(rows, [0, 2, 4], 46349).tolist() == [2, 2]
+    assert not rows.any()
 
 
 def test_a_non_contiguous_int64_view_is_copied_not_changed():
-    base = np.array([[[4, 7], [2, 6]], [[1, 5], [0, 3]]], dtype=np.int64)
-    view = base.transpose(0, 2, 1)
+    base = np.array([[4, 2, 1, 0], [7, 6, 5, 3]], dtype=np.int64)
+    view = base.T
     assert not view.flags.c_contiguous
-    assert ranks_mod_p(view, 5).tolist() == [1, 2]
-    assert base.tolist() == [[[4, 7], [2, 6]], [[1, 5], [0, 3]]]
+    assert ranks_mod_p(view, [0, 2, 4], 5).tolist() == [1, 2]
+    assert base.tolist() == [[4, 2, 1, 0], [7, 6, 5, 3]]
 
 
 def test_a_read_only_int64_stack_is_copied_not_refused():
-    stack = np.array([[[4, 7], [2, 6]], [[1, 5], [0, 3]]], dtype=np.int64)
-    stack.flags.writeable = False
-    assert ranks_mod_p(stack, 5).tolist() == [1, 2]
-    assert stack.tolist() == [[[4, 7], [2, 6]], [[1, 5], [0, 3]]]
+    rows = np.array([[4, 7], [2, 6], [1, 5], [0, 3]], dtype=np.int64)
+    rows.flags.writeable = False
+    assert ranks_mod_p(rows, [0, 2, 4], 5).tolist() == [1, 2]
+    assert rows.tolist() == [[4, 7], [2, 6], [1, 5], [0, 3]]
 
 
 @pytest.mark.parametrize("p", [1, 4, 9, 91, P_MAX + 1, 2**61 - 1, 2**64])
@@ -154,15 +218,17 @@ def test_refusals_match_rank_mod_p(p):
     # composite and oversized p are refused before any work, on every call
     with pytest.raises(ValueError) as single:
         rank_mod_p([[2, 1], [1, 3]], p)
-    for stack in (np.ones((2, 2, 2), dtype=np.int64), np.zeros((0, 3, 3))):
+    for rows, offsets in ((np.ones((4, 2), dtype=np.int64), [0, 2, 4]), (np.zeros((0, 3)), [0])):
         with pytest.raises(ValueError) as batch:
-            ranks_mod_p(stack, p)
+            ranks_mod_p(rows, offsets, p)
         assert str(batch.value) == str(single.value)
 
 
-def test_a_stack_must_be_three_dimensional():
-    with pytest.raises(ValueError, match="stack"):
-        ranks_mod_p(np.ones((2, 2), dtype=np.int64), 3)
+def test_rows_must_be_two_dimensional():
+    # a 3-D stack, one row, and a scalar are each refused
+    for shape in ((2, 2, 2), (4,), ()):
+        with pytest.raises(ValueError, match="2-D"):
+            ranks_mod_p(np.ones(shape, dtype=np.int64), [0, 2], 3)
 
 
 def _dtype_values(dtype):
@@ -197,12 +263,13 @@ def test_floor_division_reduction_is_python_mod(dtype, p):
     # the entry pass in place on a stack of the residue dtype, and the copy
     # path on a read-only one, which is left as it was
     ranks = [int(x != 0) for x in want]
-    stack = values.reshape(-1, 1, 1).copy()
-    assert ranks_mod_p(stack, p).tolist() == ranks and not stack.any()
-    stack = values.reshape(-1, 1, 1).copy()
-    stack.flags.writeable = False
-    assert ranks_mod_p(stack, p).tolist() == ranks
-    assert np.array_equal(stack.ravel(), values)
+    offsets = np.arange(len(values) + 1)
+    rows = values.reshape(-1, 1).copy()
+    assert ranks_mod_p(rows, offsets, p).tolist() == ranks and not rows.any()
+    rows = values.reshape(-1, 1).copy()
+    rows.flags.writeable = False
+    assert ranks_mod_p(rows, offsets, p).tolist() == ranks
+    assert np.array_equal(rows.ravel(), values)
 
 
 def test_a_large_array_is_reduced_in_slabs():
@@ -217,13 +284,38 @@ def test_a_large_array_is_reduced_in_slabs():
 
 
 def test_the_in_place_entry_pass_makes_no_second_stack():
-    # an int64 stack at p = 46349 of 64 slabs, all of it multiples of p, so
+    # int64 rows at p = 46349 of 64 slabs, all of them multiples of p, so
     # the sweep finds no pivot: the peak is the entry pass's alone
-    stack = np.full((4, 512, 512), 3 * 46349, dtype=np.int64)
+    rows = np.full((2048, 512), 3 * 46349, dtype=np.int64)
     tracemalloc.start()
     try:
-        assert ranks_mod_p(stack, 46349).tolist() == [0] * 4
+        assert ranks_mod_p(rows, [0, 512, 1024, 1536, 2048], 46349).tolist() == [0] * 4
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not stack.any() and peak < stack.nbytes // 8
+    assert not rows.any() and peak < rows.nbytes // 8
+
+
+@pytest.mark.parametrize(
+    "entries", [[[3.7]], [[3.0, 1.0]], [[True, False]], np.array([[1]], dtype=object)]
+)
+def test_entries_of_a_non_integer_dtype_are_refused(entries):
+    # a float would be truncated (3.7 read as 3, rank 0 mod 3), a bool read as 0 or 1
+    with pytest.raises(ValueError, match="integer dtype"):
+        rank_mod_p(entries, 3)
+    with pytest.raises(ValueError, match="integer dtype"):
+        ranks_mod_p(np.asarray(entries), [0, 1], 3)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+@pytest.mark.parametrize("p", [3, 13, 191, 46349])
+def test_unsigned_entries_are_reduced_exactly(dtype, p):
+    # the top of each unsigned dtype, never wrapped to a negative value:
+    # 2^64 - 1 is 0 mod 3, where the int64 -1 it would wrap to is 2
+    top = int(np.iinfo(dtype).max)
+    values = np.array([x for x in (top, top - 1, top - p, p, 0, 1) if 0 <= x <= top], dtype=dtype)
+    want = [int(x % p != 0) for x in values.tolist()]
+    assert [rank_mod_p(np.array([[x]], dtype=dtype), p) for x in values] == want
+    rows = values.reshape(-1, 1)
+    assert ranks_mod_p(rows, np.arange(len(values) + 1), p).tolist() == want
+    assert rows.ravel().tolist() == values.tolist()

@@ -1,5 +1,6 @@
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,24 @@ def test_order_validation():
         FrobeniusOrder(3, -1)
     assert FrobeniusOrder(3, 0).q == 1
     assert FrobeniusOrder(2, 3).q == 8
+
+
+@pytest.mark.parametrize("p, n", [(3, 2.0), (2.0, 1), (3.0, 2), (True, 1), (3, True), (3, False)])
+def test_order_refuses_floats_and_bools(p, n):
+    # FrobeniusOrder(3, 2.0) once decomposed P2 into classes O(-1.0,)
+    with pytest.raises(ValueError, match="not an integer"):
+        FrobeniusOrder(p, n)
+
+
+def test_order_reads_numpy_integers_as_ints(P2):
+    order = FrobeniusOrder(np.int64(3), np.int64(2))
+    assert type(order.p) is int and type(order.n) is int
+    assert order == FrobeniusOrder(3, 2) and hash(order) == hash(FrobeniusOrder(3, 2))
+    assert order.q == 9 and type(order.q) is int
+    dec = frobenius_decompose(P2, (0, 0, 0), order)
+    assert dec.certified
+    assert all(type(x) is int for cls in dec.entries for x in cls.coords)
+    assert dec.entries == frobenius_decompose(P2, (0, 0, 0), FrobeniusOrder(3, 2)).entries
 
 
 def test_p1_structure_sheaf_all_small_primes(P1):

@@ -276,8 +276,31 @@ def test_plane_monomials_are_shared_and_read_only():
 
 def test_jet_stack_has_the_residue_dtype():
     for p in (2, 13, 191):
-        assert _jet_stack((3, 1), 2, p, (1, 2, 1)).dtype == _residue_dtype(p)
+        assert _jet_stack((3, 1), 2, p, (1, 2, 1))[0].dtype == _residue_dtype(p)
     assert _residue_dtype(13) == np.int16
+
+
+def test_jet_stack_is_its_blocks_one_after_another():
+    # no block is padded: each has its own C(d + 2, 2) rows, at its offset
+    rows, offsets = _jet_stack((5, 3, 0), 4, 7, (2, 3, 1))
+    assert offsets.tolist() == [0, 21, 31, 32] and rows.shape == (32, 15)
+    for d, lo, hi in zip((5, 3, 0), offsets, offsets[1:]):
+        assert rows[lo:hi].tolist() == _jet_stack((d,), 4, 7, (2, 3, 1))[0].tolist()
+
+
+@pytest.mark.parametrize("p, n, rank", [(29, 1, 330_862), (31, 1, 433_815), (2, 5, 493_489)])
+def test_jet_ranks_up_to_q_32_are_the_closed_form(p, n, rank):
+    # the jet rows fit MAX_JET_CELLS, a stack of blocks padded to the
+    # tallest would not, and the rank is sum(mult * min(C(d + 2, 2), C(q, 2)))
+    q = p**n
+    p1, p2 = (q - 1) * (q + 4) // 2, (q - 1) * (q - 2) // 2
+    degrees = (3 * q - 3, 2 * q - 3, q - 3)
+    cells = sum(comb(d + 2, 2) for d in degrees) * comb(q, 2)
+    assert cells <= structure_mod.MAX_JET_CELLS < 3 * comb(3 * q - 1, 2) * comb(q, 2)
+    want = sum(
+        mult * min(comb(d + 2, 2), comb(q, 2)) for d, mult in zip(degrees, (1, p1, p2))
+    )
+    assert delpezzo_jet_check(p, n, compute_rank=True).surjective_rank == want == rank
 
 
 def _powers_of_binomial(c: int, top: int, p: int) -> list:
