@@ -25,6 +25,11 @@ records that interpreter's peak RSS (``ru_maxrss``).
 A question a side refuses with ``Overflow`` records the number of refused
 runs in place of its times.
 
+For each tree it also records the size of the library, the lines of the
+``.py`` files under ``src/toricfrob``, and the ``tracemalloc`` peak of
+``compile()`` on ``src/toricfrob/cech.py`` in a fresh interpreter, the
+cost that module's bytecode compilation adds to a cold process's peak RSS.
+
 ``--interleave SECONDS`` adds, for each workload of ``--pairs``, a run in this
 one process: both checkouts' ``toricfrob`` are imported under the distinct
 package names ``toricfrob_parent`` and ``toricfrob_change``, and the
@@ -89,6 +94,25 @@ except toricfrob.Overflow:
     seconds = "refused"
 print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
+
+# The tracemalloc peak (MB) of compiling cech.py, in a fresh interpreter.
+COMPILE_PEAK = """
+import tracemalloc
+source = open("src/toricfrob/cech.py").read()
+tracemalloc.start()
+compile(source, "cech.py", "exec")
+print(tracemalloc.get_traced_memory()[1] / 2**20)
+"""
+
+
+def tree_size(tree: Path) -> dict:
+    """Lines of the library's source, and the peak of compiling cech.py."""
+    lines = sum(len(path.read_text().splitlines())
+                for path in (tree / "src" / "toricfrob").rglob("*.py"))
+    proc = subprocess.run([sys.executable, "-c", COMPILE_PEAK], cwd=tree,
+                          capture_output=True, text=True, check=True)
+    return {"src_toricfrob_lines": lines,
+            "cech_compile_peak_mb": round(float(proc.stdout), 3)}
 
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -252,6 +276,7 @@ def main(argv=None) -> int:
         "machine": {"cores": os.cpu_count(), "cpu": platform.processor() or "unknown",
                     "python": platform.python_version(), "numpy": np.__version__,
                     "arch": platform.machine()},
+        "trees": {"parent": tree_size(args.parent), "change": tree_size(args.change)},
         "workloads": {},
     }
     seed = args.seed

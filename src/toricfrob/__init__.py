@@ -27,7 +27,6 @@ from .ext import (
     UnknownCollection,
     adjunction_crosscheck,
     ext_table,
-    fano_sufficient_check,
     kunneth_ext,
     tilting_verdict,
 )
@@ -45,7 +44,6 @@ from .fan import (
     blowup_fan,
     build_fan,
     class_of,
-    external_sum,
     fan_from_json,
     is_ample,
     is_nef,
@@ -73,7 +71,6 @@ from .structure import (
     blowup_bookkeeping_check,
     corank_oracle,
     delpezzo_jet_check,
-    divided_power_split,
     pbundle_check,
     s2d2_identity_check,
 )

@@ -5,21 +5,21 @@ client.
 Cohomology of a multidegree line bundle is concentrated in a single degree:
 each factor contributes its monomial basis either in degree 0 (all exponents
 nonnegative) or in top degree (all exponents <= -1, the local cohomology
-model).  A basis is an int64 array, one row of exponents per monomial.  Maps
-between such bundles act on these bases by polynomial multiplication followed
-by truncation to the target basis; that is the induced map on the
-standard-cover Cech model.  Every map is torus-equivariant, so it is block
-diagonal over torus weights, and its rank is the sum of the F_p ranks of its
-weight blocks; no map is ever assembled as one dense matrix.  Only the
-source basis of a map is enumerated, one summand at a time as the grid of
-its factors' bases: small per-factor tables (:func:`_factor_parts`), read
-by every basis and map, and a source row is named by its position in that
-grid, not by its exponents.  A product is found in the target basis one
-factor at a time: for each factor table, map entry and target factor, one
-small read-only table (:func:`_factor_index`) gives, term by term, each
-shifted row's stars-and-bars position in the target factor's basis, and
-the factors combine in the target's mixed radix.  No product row is
-formed, and the target basis is only counted.
+model).  A bundle's basis is the grid of its factors' bases, and a basis
+row is named by its grid position, one row index per factor, never by its
+exponents.  Maps between such bundles act on these bases by polynomial
+multiplication followed by truncation to the target basis; that is the
+induced map on the standard-cover Cech model.  Every map is
+torus-equivariant, so it is block diagonal over torus weights, and its rank
+is the sum of the F_p ranks of its weight blocks; no map is ever assembled
+as one dense matrix.  Only a map's source basis is walked, one summand at a
+time, through small per-factor exponent tables (:func:`_factor_parts`).  A
+product is found in the target basis one factor at a time: for each factor
+table, map entry and target factor, one small read-only table
+(:func:`_factor_index`) gives, term by term, each shifted row's position
+in the target factor's basis (:func:`_factor_rank`), and the factors
+combine in the target's mixed radix.  No product row is formed, and the
+target basis is only counted.
 
 When every factor is one P^n and every entry of a map is fixed by S_(n+1)
 permuting the coordinates of all factors at once (as S_3 fixes the pairing
@@ -50,7 +50,7 @@ soon as the rows it keeps pass the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain
 from math import comb, factorial, gcd, prod
 
@@ -143,29 +143,29 @@ def _factor_degrees(space: MultiProjSpace, multidegree):
 _KEPT_PARTS_CELLS = 2**16
 
 
-def _kept_size(n: int, total: int) -> bool:
-    """Whether the factor table of exponent total ``total`` on P^n, and what
-    is derived from it, is small enough to keep for the process."""
-    return comb(total + n, n) * (n + 1) <= _KEPT_PARTS_CELLS
+def _kept_if_small(build):
+    """``build(n, degree, total, ...)``, kept for the process, up to 64
+    results, when the factor table of exponent total ``total`` on P^n has at
+    most _KEPT_PARTS_CELLS cells; what is derived from a larger table, the
+    size of a whole basis, is built afresh on each call."""
+    kept = lru_cache(maxsize=64)(build)
+
+    @wraps(build)
+    def gated(n, degree, total, *rest):
+        small = comb(total + n, n) * (n + 1) <= _KEPT_PARTS_CELLS
+        return (kept if small else build)(n, degree, total, *rest)
+
+    return gated
 
 
+@_kept_if_small
 def _factor_parts(n: int, degree: int, total: int) -> np.ndarray:
     """The read-only basis of one factor: exponent rows on P^n, in basis order.
 
     The rows are the parts e >= 0 of sum ``total`` (stars and bars),
     C(total + n, n) of them in lex order of e, as e in degree 0 and as
-    -1 - e in degree n.  A table of at most _KEPT_PARTS_CELLS cells is
-    built once per (n, degree, total), and up to 64 are kept and shared by
-    every basis and map that reads them; a larger one, the size of a whole
-    basis, is built afresh on each call, so the process keeps none of them.
+    -1 - e in degree n.
     """
-    if _kept_size(n, total):
-        return _kept_parts(n, degree, total)
-    return _kept_parts.__wrapped__(n, degree, total)
-
-
-@lru_cache(maxsize=64)
-def _kept_parts(n: int, degree: int, total: int) -> np.ndarray:
     # one coordinate at a time: each prefix e_0 .. e_(i-1), with remainder r,
     # is followed by e_i = 0, 1, ..., r, and the prefix e_0 .. e_i heads the
     # C(r - e_i + n - i - 1, n - i - 1) rows that share it; e_n is the rest
@@ -184,22 +184,11 @@ def _kept_parts(n: int, degree: int, total: int) -> np.ndarray:
     return parts
 
 
-def line_bundle_basis(space: MultiProjSpace, multidegree):
-    """(degree, exponent rows) for O(multidegree), or None if acyclic.
-
-    The rows form an int64 array of shape (count, sum(n_i + 1)); each row
-    concatenates the factors' exponents of one basis monomial.
-    """
-    info = _basis_size(space, multidegree)
-    if info is None:
-        return None
-    return info[0], _term_basis(space, (multidegree,), info[0])[:, 1:]
-
-
 def _basis_size(space: MultiProjSpace, multidegree):
     """(degree, basis size) of O(multidegree) from binomials, or None if acyclic.
 
-    Counts what :func:`line_bundle_basis` enumerates, without enumerating it.
+    Counts the grid of the factors' bases, the product of their
+    C(total + n, n), without enumerating it.
     """
     info = _factor_degrees(space, multidegree)
     if info is None:
@@ -232,9 +221,6 @@ class Poly:
                 )
                 out[key] = out.get(key, 0) + c1 * c2
         return Poly(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 def incidence_form(n: int = 3) -> Poly:
@@ -295,40 +281,6 @@ class LaurentComplex:
         return True
 
 
-def _term_basis(space, term, degree):
-    """Degree-`degree` basis of a sum of bundles: int64 rows [summand j | exponents].
-
-    The summands follow one another, each the grid of its factor tables,
-    the first factor slowest (:func:`_grid_basis`).
-    """
-    width = sum(n + 1 for n in space.factor_dims)
-    return _grid_basis(_summands(space, term, degree), width)
-
-
-def _grid_basis(summands, width: int):
-    """Rows [summand j | exponents] of every point of the summands' grids.
-
-    The rows are written in place into one array, summand after summand:
-    each factor table is broadcast into its own columns of the summand's
-    rows seen as a grid of one axis per factor, so neither an index grid
-    nor a per-factor copy of the rows is made.
-    """
-    counts = [prod(map(len, tables)) for _, tables in summands]
-    rows = np.empty((sum(counts), 1 + width), dtype=np.int64)
-    stop = 0
-    for (j, tables), count in zip(summands, counts):
-        block, stop = rows[stop : stop + count], stop + count
-        block[:, 0] = j
-        grid = block[:, 1:].reshape(*map(len, tables), width, copy=False)
-        start = 0
-        for k, parts in enumerate(tables):
-            shape = [1] * len(tables) + [parts.shape[1]]
-            shape[k] = len(parts)
-            grid[..., start : start + parts.shape[1]] = parts.reshape(shape)
-            start += parts.shape[1]
-    return rows
-
-
 def _weights(poly_matrix, width: int):
     """Integer rows K with K . t = 0 for every term exponent t of the map.
 
@@ -364,39 +316,34 @@ def _binomials(total: int, n: int) -> np.ndarray:
     return binom
 
 
-def _basis_index(space, multidegree, rows):
-    """Position of each exponent row in ``line_bundle_basis(space, multidegree)``.
+def _factor_rank(n: int, degree: int, total: int, rows) -> np.ndarray:
+    """Position of each exponent row on P^n in the factor basis of
+    (``degree``, ``total``), the rows of :func:`_factor_parts`; -1 outside it.
 
-    A row outside that basis gets -1.  Per factor P^n of exponent total t,
-    the parts e (the exponents, or -1 - exponents in top degree) are ranked
+    The parts e (the exponents, or -1 - exponents in top degree) are ranked
     in the lex order of the stars-and-bars enumeration, which is the lex
     order of e: with R_i = t - e_0 - ... - e_(i-1), the compositions below e
     number sum_i C(R_i + n - i, n - i) - C(R_(i+1) + n - i, n - i).  The
     row is in the basis when no R_i is negative and R_n = e_n.  Each
     coordinate column is read once, and every step works on 1-D arrays;
     R is clipped to [0, t], so every binomial read, from :func:`_binomials`,
-    is at most C(t + n, n), the factor's basis size.  The factors combine
-    in the basis's mixed radix, the first factor slowest.
+    is at most C(t + n, n), the factor's basis size.
     """
+    binom = _binomials(total, n).T  # binom[k] is the column C(y + k, k)
     index = np.zeros(len(rows), dtype=np.int64)
     valid = np.ones(len(rows), dtype=bool)
-    start = 0
-    for n, (degree, total) in zip(space.factor_dims, _factor_degrees(space, multidegree)):
-        binom = _binomials(total, n).T  # binom[k] is the column C(y + k, k)
-        index *= binom[n, total]
-        left = total  # R_i
-        for i in range(n + 1):
-            part = -1 - rows[:, start + i] if degree else rows[:, start + i]
-            if i == n:
-                valid &= part == left
-                break
-            rest = left - part
-            valid &= (part >= 0) & (rest >= 0)
-            np.clip(rest, 0, total, out=rest)
-            index += binom[n - i].take(left)
-            index -= binom[n - i].take(rest)
-            left = rest
-        start += n + 1
+    left = total  # R_i
+    for i in range(n + 1):
+        part = -1 - rows[:, i] if degree else rows[:, i]
+        if i == n:
+            valid &= part == left
+            break
+        rest = left - part
+        valid &= (part >= 0) & (rest >= 0)
+        np.clip(rest, 0, total, out=rest)
+        index += binom[n - i].take(left)
+        index -= binom[n - i].take(rest)
+        left = rest
     return np.where(valid, index, -1)
 
 
@@ -484,36 +431,39 @@ def _invariants(factor_dims, entries):
 
 
 def _summands(space, term, degree):
-    """[(j, factor tables)] of the summands of ``term`` with cohomology in
-    degree ``degree``, each table the :func:`_factor_parts` of one factor."""
+    """[(j, factor degrees, factor tables)] of the summands of ``term`` with
+    cohomology in degree ``degree``: the :func:`_factor_degrees` of summand
+    j and the :func:`_factor_parts` of each of its factors."""
     out = []
     for j, md in enumerate(term):
         info = _factor_degrees(space, md)
         if info is not None and sum(d for d, _ in info) == degree:
-            out.append((j, [_factor_parts(n, *deg) for n, deg in zip(space.factor_dims, info)]))
+            tables = [_factor_parts(n, *deg) for n, deg in zip(space.factor_dims, info)]
+            out.append((j, info, tables))
     return out
 
 
 def _canonical_rows(summands, weights, g: int):
-    """(src, weight, orbit) of the source rows of canonical weight under S_g.
+    """(pos, weight, orbit, bounds) of the source rows of canonical weight under S_g.
 
     Each summand is the grid of its factor tables, the first factor
-    slowest, and a row is named by its place in that grid: ``src`` holds
-    [summand j | its row in each factor table], so no exponent row is
-    built.  As K . m is the sum over the factors f of K_f . m_f, a grid
-    point's weight is the sum of its factors' rows of the per-factor
-    products.  The grid is walked in slabs of rows of the first factor's
-    table, about _GRID_SLAB points each: a slab's weights are its rows'
-    products broadcast against the grid of the later factors' products,
-    :func:`_orbits` marks the canonical ones, and only those rows and
-    weights are kept, so the peak follows the kept rows, not the grid.
-    ``orbit`` is each row's orbit size; under the trivial group every row
-    is kept.  Once more than MAX_CECH_BASIS rows are kept, Overflow is
-    raised.  The summands follow one another in the order given.
+    slowest, and a row is named by its place in that grid: ``pos`` holds
+    its row in each factor table, so no exponent row is built.  As K . m is
+    the sum over the factors f of K_f . m_f, a grid point's weight is the
+    sum of its factors' rows of the per-factor products.  The grid is
+    walked in slabs of rows of the first factor's table, about _GRID_SLAB
+    points each: a slab's weights are its rows' products broadcast against
+    the grid of the later factors' products, :func:`_orbits` marks the
+    canonical ones, and only those rows and weights are kept, so the peak
+    follows the kept rows, not the grid.  ``orbit`` is each row's orbit
+    size; under the trivial group every row is kept.  Once more than
+    MAX_CECH_BASIS rows are kept, Overflow is raised.  The summands follow
+    one another in the order given, the k-th holding the rows
+    ``bounds[k]:bounds[k + 1]``.
     """
     K = np.array(weights, dtype=np.int64)
-    src, weight, orbit, kept = [], [], [], 0
-    for j, tables in summands:
+    pos, weight, orbit, bounds, kept = [], [], [], [0], 0
+    for _, _, tables in summands:
         # the weights stand in columns, one per grid point, so that each
         # weight coordinate is read contiguously
         steps, start = [], 0
@@ -538,38 +488,27 @@ def _canonical_rows(summands, weights, g: int):
                 raise Overflow(
                     f"more than {MAX_CECH_BASIS} basis monomials of canonical weight to build"
                 )
-            rows = np.empty((len(at), 1 + len(tables)), dtype=np.int64)
-            rows[:, 0] = j
-            rows[:, 1:] = np.column_stack(np.unravel_index(at + top * rest.shape[1], shape))
-            src.append(rows)
+            pos.append(np.column_stack(np.unravel_index(at + top * rest.shape[1], shape)))
             weight.append(grid)
             orbit.append(size)
+        bounds.append(kept)
     weight = weight[0] if len(weight) == 1 else np.concatenate(weight, axis=1)
-    src, orbit = (x[0] if len(x) == 1 else np.concatenate(x) for x in (src, orbit))
-    return src, weight.T, orbit
+    pos, orbit = (x[0] if len(x) == 1 else np.concatenate(x) for x in (pos, orbit))
+    return pos, weight.T, orbit, bounds
 
 
-def _factor_index(n: int, src: tuple, shifts: tuple, dst: tuple) -> np.ndarray:
-    """Where each row of the factor table ``src`` = (degree, total) on P^n,
+@_kept_if_small
+def _factor_index(n: int, degree: int, total: int, shifts: tuple, dst: tuple) -> np.ndarray:
+    """Where each row of the factor table (``degree``, ``total``) on P^n,
     moved by each of ``shifts``, lies in the factor basis ``dst`` =
     (degree, total): one row per shift, -1 outside, read-only.
 
-    It is :func:`_basis_index` run once on the shifted :func:`_factor_parts`,
-    computed once per (table, shifts, target) and kept as the table is: up
-    to 64 of the small ones, none of the large ones.
+    It is :func:`_factor_rank` run once on the shifted :func:`_factor_parts`,
+    computed once per (table, shifts, target) and kept as the table is.
     """
-    if _kept_size(n, src[1]):
-        return _kept_index(n, src, shifts, dst)
-    return _kept_index.__wrapped__(n, src, shifts, dst)
-
-
-@lru_cache(maxsize=64)
-def _kept_index(n, src, shifts, dst):
-    parts = _factor_parts(n, *src)
+    parts = _factor_parts(n, degree, total)
     rows = (parts + np.array(shifts, dtype=np.int64)[:, None]).reshape(-1, n + 1)
-    degree, total = dst
-    index = _basis_index(MultiProjSpace((n,)), (-total - n - 1 if degree else total,), rows)
-    index = index.reshape(len(shifts), len(parts))
+    index = _factor_rank(n, *dst, rows).reshape(len(shifts), len(parts))
     index.flags.writeable = False
     return index
 
@@ -592,7 +531,7 @@ def _product_index(factor_dims, src, dst, shifts, pos):
     start = 0
     for f, n in enumerate(factor_dims):
         moved = tuple(t[start : start + n + 1] for t in shifts)
-        part = _factor_index(n, src[f], moved, dst[f]).take(pos[:, f], axis=1)
+        part = _factor_index(n, *src[f], moved, dst[f]).take(pos[:, f], axis=1)
         index *= comb(dst[f][1] + n, n)
         index += part
         np.minimum(low, part, out=low)
@@ -604,8 +543,8 @@ def _product_index(factor_dims, src, dst, shifts, pos):
 def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     """Rank over F_p of the induced map on degree-`degree` cohomology.
 
-    Each term t of entry (dst_j, src_j) sends the source row [src_j | m] to
-    [dst_j | m + t]; products outside the target basis are discarded, and
+    Each term t of entry (dst_j, src_j) sends the source monomial (src_j, m)
+    to (dst_j, m + t); products outside the target basis are discarded, and
     the others are found in it by :func:`_product_index`, one factor at a
     time, so neither the target basis nor a product row is ever built.  The
     terms of an entry are distinct, so no two contributions share a matrix
@@ -639,7 +578,6 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     exponents' reach is read from the factor degrees.
     """
     summands = _summands(space, src_term, degree)
-    info = {j: _factor_degrees(space, src_term[j]) for j, _ in summands}
     offsets, count = [], 0
     for md in dst_term:
         size = _basis_size(space, md)
@@ -656,22 +594,21 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     entries = tuple(tuple(frozenset(poly.terms.items()) for poly in row) for row in poly_matrix)
     weights, spread, g = _invariants(tuple(space.factor_dims), entries)
     # a factor table's exponents reach total in degree 0, -1 - total in top degree
-    reach = max(total + (degree > 0) for j, _ in summands for degree, total in info[j])
+    reach = max(total + (degree > 0) for _, info, _ in summands for degree, total in info)
     reach += max(abs(x) for mine in terms.values() for t, _ in mine for x in t)
     if max(spread, 1) * reach >= _INT64_GUARD:
         raise Overflow(f"Cech weights need {spread} * {reach}, past int64")
-    src, weight, orbit = _canonical_rows(summands, weights, g)
-    # each summand's kept rows follow one another in src
-    bounds = np.searchsorted(src[:, 0], [j for j, _ in summands] + [len(src_term)])
-    rows_of = {j: (lo, hi) for (j, _), lo, hi in zip(summands, bounds, bounds[1:])}
+    pos, weight, orbit, bounds = _canonical_rows(summands, weights, g)
+    # each summand's factor degrees and the bounds of its kept rows in pos
+    rows_of = {j: (info, lo, hi) for (j, info, _), lo, hi in zip(summands, bounds, bounds[1:])}
     found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=_residue_dtype(p)),)]
     for (dst_j, src_j), mine in terms.items():
         if offsets[dst_j] is None or src_j not in rows_of:
             continue
-        lo, hi = rows_of[src_j]
+        info, lo, hi = rows_of[src_j]
         shifts = tuple(t for t, _ in mine)
         dst = _factor_degrees(space, dst_term[dst_j])
-        index = _product_index(space.factor_dims, info[src_j], dst, shifts, src[lo:hi, 1:])
+        index = _product_index(space.factor_dims, info, dst, shifts, pos[lo:hi])
         index = index.reshape(-1)  # term by term
         hit = index >= 0
         at = np.tile(np.arange(lo, hi), len(mine))
@@ -682,7 +619,7 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
         return 0
     # blocks labelled on the source rows that meet an entry, and sorted by
     # width; place is each row id's block by its place in that order
-    used = np.zeros(len(src), dtype=bool)
+    used = np.zeros(len(pos), dtype=bool)
     used[cols] = True
     ids = np.flatnonzero(used)
     order, starts, label = group_rows(weight[ids])

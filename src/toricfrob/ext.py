@@ -8,13 +8,12 @@ dimensionwise; :func:`adjunction_crosscheck` verifies that identity.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cohomology import CohomologyVector, Overflow, cohomology_of_class
-from .fan import DivisorClass, Fan, is_ample
+from .fan import DivisorClass, Fan
 from .frobenius import Decomposition, FrobeniusOrder, frobenius_decompose
 from .linalg import _INT64_GUARD, group_rows
 
@@ -154,26 +153,6 @@ def tilting_verdict(
         quiver=quiver,
         dims=dims,
         certified=dec.certified,
-    )
-
-
-def fano_sufficient_check(fan: Fan, order: FrobeniusOrder) -> bool:
-    """True iff every summand class twisted by omega^(-1) is ample.
-
-    Ampleness of all twists forces the vanishing of all higher self-Ext of
-    the pushforward; the check warns when run on a non-Fano fan.
-    """
-    anti_k = tuple(-a for a in fan.canonical_divisor())
-    if not is_ample(fan, anti_k):
-        warnings.warn(
-            f"fan {fan.name or ''} is not Fano; the sufficient criterion is "
-            "intended for Fano varieties",
-            stacklevel=2,
-        )
-    k = fan.canonical_class()
-    dec = frobenius_decompose(fan, fan.zero_divisor(), order)
-    return all(
-        is_ample(fan, fan.divisor_of_class(cls - k)) for cls in dec.entries
     )
 
 

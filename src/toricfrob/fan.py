@@ -377,11 +377,6 @@ def product_fan(f1: Fan, f2: Fan, name: str = "") -> Fan:
     return build_fan(rays, cones, name=name or f"{f1.name}x{f2.name}")
 
 
-def external_sum(f1: Fan, d1, f2: Fan, d2) -> Divisor:
-    """Divisor D1 (+) D2 on the product fan built by :func:`product_fan`."""
-    return tuple(d1) + tuple(d2)
-
-
 @dataclass(frozen=True)
 class Blowup:
     """Star subdivision of a fan at a smooth cone, with pullback bookkeeping."""

@@ -98,19 +98,13 @@ class BlowupReport:
     det_discrepancy: DivisorClass
 
 
-def divided_power_split(bundle: SplitBundle, m: int) -> Counter:
-    """Class multiset of the m-th divided power of a split bundle.
+def _divided_multiset(bundle: SplitBundle, m: int) -> Counter:
+    """Class multiset of the m-th divided power of a split bundle, empty for m < 0.
 
     For a direct sum of line bundles the divided and symmetric powers have the
     same class decomposition: one summand O(sum_i a_i E_i) per exponent vector
     with |a| = m.  The multiset has size C(m + r, r) for r + 1 summands.
     """
-    if m < 0:
-        raise ValueError("divided powers need m >= 0")
-    return _divided_multiset(bundle, m)
-
-
-def _divided_multiset(bundle: SplitBundle, m: int) -> Counter:
     out: Counter = Counter()
     if m < 0:
         return out
@@ -130,8 +124,8 @@ def _normalised(degrees) -> tuple:
 
 def _bundle(base_fan: Fan, norm) -> ProjBundle:
     """P(E) over ``base_fan`` with the normalised degrees ``norm``: on the
-    registered fan when the registry holds this bundle, else a new
-    :func:`projectivization_fan`.
+    registered fan when the registry holds this bundle, else on the fan of
+    :func:`_unregistered`.
 
     A registered bundle is matched by its base fan and degrees, so a check
     on a catalog bundle builds no fan and reads the decompositions its
@@ -144,6 +138,15 @@ def _bundle(base_fan: Fan, norm) -> ProjBundle:
         if base == base_fan and _normalised(degrees) == norm:
             u_index0 = len(base.rays) + len(norm) - 1
             return ProjBundle(named_variety(key), base, norm, u_index0)
+    return _unregistered(base_fan, norm)
+
+
+@lru_cache(maxsize=64)
+def _unregistered(base_fan: Fan, norm) -> ProjBundle:
+    """The :func:`projectivization_fan` of a bundle the registry does not
+    hold, built once per (base fan, normalised degrees) and kept, up to 64
+    of them, so that a repeat check reads the decompositions its fan
+    already holds instead of decomposing and certifying again."""
     return projectivization_fan(base_fan, norm)
 
 

@@ -2,7 +2,6 @@
 blocks of the map; the nested-tuple monomials and the dense assembly survive
 here as the reference."""
 
-import tracemalloc
 from itertools import chain, combinations, combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb
@@ -16,22 +15,20 @@ from toricfrob import LaurentComplex, MultiProjSpace, incidence_cohomology
 from toricfrob import cech as cech_mod
 from toricfrob.cech import (
     Poly,
-    _basis_index,
     _binomials,
     _canonical_rows,
     _factor_degrees,
     _factor_index,
     _factor_parts,
+    _factor_rank,
     _map_rank_mod_p,
     _orbits,
     _product_index,
     _summands,
     _symmetry,
-    _term_basis,
     _weights,
     hypercohomology_fp,
     incidence_form,
-    line_bundle_basis,
 )
 from toricfrob.cohomology import Overflow
 from toricfrob.linalg import _INT64_GUARD, rank_mod_p, rank_rational, ranks_mod_p
@@ -109,6 +106,22 @@ def _flat(mono):
     return tuple(chain.from_iterable(mono))
 
 
+def _flat_basis(space, multidegree):
+    """(degree, exponent rows as one flat tuple each), or None if acyclic."""
+    info = _tuple_basis(space, multidegree)
+    return None if info is None else (info[0], [_flat(m) for m in info[1]])
+
+
+def _grid_rows(summands):
+    """(j, *exponents) of every point of the summands' grids, read through
+    their factor tables, the first factor slowest."""
+    return [
+        (j, *chain.from_iterable(rows))
+        for j, _, tables in summands
+        for rows in iproduct(*(t.tolist() for t in tables))
+    ]
+
+
 @pytest.mark.parametrize("a, b", [(4, -5), (6, -8), (10, -12)])
 def test_incidence_block_ranks_match_dense_elimination(a, b):
     space = MultiProjSpace((2, 2))
@@ -118,7 +131,7 @@ def test_incidence_block_ranks_match_dense_elimination(a, b):
     for degree in range(space.dim + 1):
         for term in (src, dst):
             rows = [(j, *_flat(m)) for j, m in _tuple_term_basis(space, term, degree)]
-            assert _term_basis(space, term, degree).tolist() == [list(r) for r in rows]
+            assert _grid_rows(_summands(space, term, degree)) == rows
         dense = _dense_map_matrix(space, src, dst, maps, degree)
         for p in (2, 3, 5):
             rank = _map_rank_mod_p(space, src, dst, maps, degree, p)
@@ -373,7 +386,7 @@ def test_incidence_weights_commute_with_s3():
     maps = ((incidence_form(3),),)
     K = np.array(_weights(maps, 6))
     assert _symmetry(space, maps) == 3
-    m = _term_basis(space, ((3, -5),), 2)[:, 1:]
+    m = np.array(_flat_basis(space, (3, -5))[1])
     for perm in permutations(range(3)):
         sigma = np.concatenate((perm, [3 + i for i in perm]))
         assert np.array_equal(m[:, sigma] @ K.T, (m @ K.T)[:, sigma]), perm
@@ -438,37 +451,46 @@ def test_symmetric_map_rank_matches_dense_elimination(drawn):
         assert _map_rank_mod_p(space, src, dst, maps, degree, p) == expected, degree
 
 
+def _grid(sizes):
+    """Every grid position of the given axis lengths, the first axis slowest."""
+    return np.indices(sizes).reshape(len(sizes), -1).T
+
+
+def _sizes(space, info):
+    return [comb(total + n, n) for n, (_, total) in zip(space.factor_dims, info)]
+
+
 @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 2), (2, 2), (1, 1, 1)])
 def test_basis_index_is_the_position_in_the_enumerated_basis(dims):
+    # each factor's rows are ranked by _factor_rank, and a basis row, read
+    # at its grid position, is found where the enumerated basis has it
     space = MultiProjSpace(dims)
     rng = np.random.default_rng(len(dims) * 10 + dims[-1])
     for _ in range(25):
         multidegree = tuple(int(d) for d in rng.integers(-6, 5, size=len(dims)))
-        info = line_bundle_basis(space, multidegree)
-        if info is None:
+        flat = _flat_basis(space, multidegree)
+        if flat is None:
             continue
-        basis = info[1]
-        assert _basis_index(space, multidegree, basis).tolist() == list(range(len(basis)))
-        # rows a step away from the basis are found where they are in it, else -1
-        moved = basis + rng.integers(-1, 2, size=basis.shape)
-        position = {tuple(row): i for i, row in enumerate(basis.tolist())}
-        want = [position.get(tuple(row), -1) for row in moved.tolist()]
-        assert _basis_index(space, multidegree, moved).tolist() == want
-
-
-def test_a_basis_is_written_in_place():
-    # the factor tables are broadcast into the one array returned: no index
-    # arrays and no gathered copies, so the peak is the basis and its tables
-    space = MultiProjSpace((2, 2))
-    line_bundle_basis(space, (20, -23))  # the factor tables, kept once built
-    tracemalloc.start()
-    try:
-        degree, basis = line_bundle_basis(space, (20, -23))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert degree == 2 and basis.shape == (231 * 231, 6)
-    assert peak < 1.25 * basis.base.nbytes
+        info = _factor_degrees(space, multidegree)
+        for n, d, (degree, total) in zip(dims, multidegree, info):
+            rows = _flat_basis(MultiProjSpace((n,)), (d,))[1]
+            assert _factor_rank(n, degree, total, np.array(rows)).tolist() == list(range(len(rows)))
+            # rows a step away from the basis are found where they are in it, else -1
+            moved = np.array(rows) + rng.integers(-1, 2, size=(len(rows), n + 1))
+            position = {row: i for i, row in enumerate(rows)}
+            want = [position.get(tuple(row), -1) for row in moved.tolist()]
+            assert _factor_rank(n, degree, total, moved).tolist() == want
+        # the factors combine in the basis's mixed radix, first factor slowest;
+        # products a step away are found where the basis has them, else -1
+        steps = rng.integers(-1, 2, size=(3, len(flat[1][0])))
+        shifts = ((0,) * steps.shape[1], *map(tuple, steps.tolist()))
+        position = {row: i for i, row in enumerate(flat[1])}
+        want = [
+            [position.get(tuple(x + y for x, y in zip(row, t)), -1) for row in flat[1]]
+            for t in shifts
+        ]
+        index = _product_index(dims, info, info, shifts, _grid(_sizes(space, info)))
+        assert index.tolist() == want
 
 
 def test_binomial_table_is_math_comb():
@@ -544,8 +566,8 @@ def test_factor_parts_are_the_bars_of_combinations(n):
         bars = np.array(list(combinations(range(total + n), n)), dtype=np.int64)
         bars = bars.reshape(-1, n)
         parts = np.diff(bars, axis=1, prepend=-1, append=total + n) - 1
-        assert np.array_equal(cech_mod._kept_parts.__wrapped__(n, 0, total), parts)
-        assert np.array_equal(cech_mod._kept_parts.__wrapped__(n, n, total), -1 - parts)
+        assert np.array_equal(_factor_parts.__wrapped__(n, 0, total), parts)
+        assert np.array_equal(_factor_parts.__wrapped__(n, n, total), -1 - parts)
 
 
 def test_a_factor_table_past_the_kept_size_is_not_kept():
@@ -564,8 +586,9 @@ def test_canonical_rows_are_the_enumerated_basis_under_the_orbit_mask(drawn):
     # the factor grids against the nested-tuple basis and its full weight
     # product; the source and target summands together make a term of two
     # to four summands, so the order of concatenation is checked too.  A
-    # kept row is [summand j | its row in each factor table]: read through
-    # the tables, it is the exponent row of the enumerated basis
+    # kept row is its row in each factor table, the k-th summand's rows
+    # pos[bounds[k]:bounds[k + 1]]: read through the summand's tables, they
+    # are the exponent rows of the enumerated basis, in order
     _, space, src, dst, maps = drawn
     weights = _weights(maps, sum(n + 1 for n in space.factor_dims))
     groups = [1]
@@ -575,19 +598,24 @@ def test_canonical_rows_are_the_enumerated_basis_under_the_orbit_mask(drawn):
     for degree in range(space.dim + 1):
         full = [(j, *_flat(m)) for j, m in _tuple_term_basis(space, term, degree)]
         summands = _summands(space, term, degree)
-        assert [j for j, _ in summands] == sorted({row[0] for row in full})
+        assert [j for j, _, _ in summands] == sorted({row[0] for row in full})
+        assert [info for _, info, _ in summands] == [
+            _factor_degrees(space, term[j]) for j, _, _ in summands
+        ]
         if not summands:
             continue
         full = np.array(full, dtype=np.int64)
         weight = full[:, 1:] @ np.array(weights, dtype=np.int64).T
-        tables = dict(summands)
         for g in groups:
             keep, orbit = _orbits(weight, g)
-            rows, grid_weight, size = _canonical_rows(summands, weights, g)
-            assert rows.shape[1] == 1 + len(space.factor_dims)
+            pos, grid_weight, size, bounds = _canonical_rows(summands, weights, g)
+            assert pos.shape[1] == len(space.factor_dims)
+            assert len(bounds) == len(summands) + 1 and bounds[0] == 0
+            assert bounds[-1] == len(pos)
             exponents = [
-                [j] + [x for t, i in zip(tables[j], at) for x in t[i].tolist()]
-                for j, *at in rows.tolist()
+                [j] + [x for t, i in zip(tables, at) for x in t[i].tolist()]
+                for (j, _, tables), lo, hi in zip(summands, bounds, bounds[1:])
+                for at in pos[lo:hi].tolist()
             ]
             assert exponents == full[keep].tolist(), (degree, g)
             assert grid_weight.tolist() == weight[keep].tolist(), (degree, g)
@@ -604,12 +632,13 @@ def test_canonical_rows_do_not_depend_on_the_slab(monkeypatch, slab):
     whole = {}
     for a, b in twists:
         summands = _summands(space, ((a - 1, b - 1), (a, b)), 2)
-        whole[a, b] = [x.tolist() for x in _canonical_rows(summands, weights, 3)]
+        whole[a, b] = [np.asarray(x).tolist() for x in _canonical_rows(summands, weights, 3)]
     dims = [incidence_cohomology(a, b, 3).dims for a, b in twists]
     monkeypatch.setattr(cech_mod, "_GRID_SLAB", slab)
     for a, b in twists:
         summands = _summands(space, ((a - 1, b - 1), (a, b)), 2)
-        assert [x.tolist() for x in _canonical_rows(summands, weights, 3)] == whole[a, b]
+        rows = _canonical_rows(summands, weights, 3)
+        assert [np.asarray(x).tolist() for x in rows] == whole[a, b]
     assert [incidence_cohomology(a, b, 3).dims for a, b in twists] == dims
 
 
@@ -639,28 +668,32 @@ def shifted_products(draw):
 @given(shifted_products())
 def test_product_index_is_basis_index_on_the_product_rows(drawn):
     space, src, dst, shifts = drawn
-    source, target = line_bundle_basis(space, src), line_bundle_basis(space, dst)
+    source, target = _flat_basis(space, src), _flat_basis(space, dst)
     if source is None or target is None or source[0] != target[0]:
         return
     # every source row, named by its grid position, first factor slowest
-    sizes = [len(t) for t in _summands(space, (src,), source[0])[0][1]]
-    pos = np.indices(sizes).reshape(len(sizes), -1).T
-    want = [_basis_index(space, dst, source[1] + np.array(t)).tolist() for t in shifts]
     info = (_factor_degrees(space, src), _factor_degrees(space, dst))
+    position = {row: i for i, row in enumerate(target[1])}
+    want = [
+        [position.get(tuple(x + y for x, y in zip(row, t)), -1) for row in source[1]]
+        for t in shifts
+    ]
+    pos = _grid(_sizes(space, info[0]))
     assert _product_index(space.factor_dims, *info, shifts, pos).tolist() == want
 
 
 def test_factor_index_tables_are_shared_and_read_only():
     shifts = ((1, 0, -1), (0, 0, 0))
-    first = _factor_index(2, (0, 5), shifts, (0, 5))
-    assert _factor_index(2, (0, 5), shifts, (0, 5)) is first
+    first = _factor_index(2, 0, 5, shifts, (0, 5))
+    assert _factor_index(2, 0, 5, shifts, (0, 5)) is first
     assert not first.flags.writeable and first.shape == (2, 21)
     assert first[1].tolist() == list(range(21))
     # a table past the kept size is built afresh, as its factor table is
-    big = _factor_index(3, (0, 60), ((0, 0, 0, 1),), (0, 61))
-    assert _factor_index(3, (0, 60), ((0, 0, 0, 1),), (0, 61)) is not big
+    big = _factor_index(3, 0, 60, ((0, 0, 0, 1),), (0, 61))
+    assert _factor_index(3, 0, 60, ((0, 0, 0, 1),), (0, 61)) is not big
     moved = _factor_parts(3, 0, 60) + np.array([0, 0, 0, 1])
-    assert big[0].tolist() == _basis_index(MultiProjSpace((3,)), (61,), moved).tolist()
+    position = {row: i for i, row in enumerate(_compositions(61, 4))}
+    assert big[0].tolist() == [position.get(tuple(row), -1) for row in moved.tolist()]
     assert (np.diff(big[0]) > 0).all()  # every row lands, in lex order
 
 
@@ -681,15 +714,22 @@ def _bad_parts(n, total):
 def test_basis_index_gives_minus_one_outside_the_basis(dims):
     space = MultiProjSpace(dims)
     for multidegree in ((3,) * len(dims), (-5,) * len(dims), (2, -6)[: len(dims)]):
-        degree, basis = line_bundle_basis(space, multidegree)
-        bad, start = [], 0
-        for n, d in zip(dims, multidegree):
-            total = d if d >= 0 else -d - (n + 1)
-            for parts in _bad_parts(n, total):
-                row = basis[len(basis) // 2].copy()
-                row[start : start + n + 1] = parts if d >= 0 else [-1 - x for x in parts]
-                bad.append(row)
+        _, basis = _flat_basis(space, multidegree)
+        info = _factor_degrees(space, multidegree)
+        middle = basis[len(basis) // 2]
+        shifts, start = [], 0
+        for n, d, (degree, total) in zip(dims, multidegree, info):
+            rows = _flat_basis(MultiProjSpace((n,)), (d,))[1]
+            bad = [p if d >= 0 else tuple(-1 - x for x in p) for p in _bad_parts(n, total)]
+            index = _factor_rank(n, degree, total, np.array(rows + bad))
+            assert index.tolist() == list(range(len(rows))) + [-1] * len(bad), multidegree
+            # the middle basis row moved onto each bad part of this factor
+            for parts in bad:
+                row = list(middle)
+                row[start : start + n + 1] = parts
+                shifts.append(tuple(x - y for x, y in zip(row, middle)))
             start += n + 1
-        rows = np.concatenate((basis, bad))
-        index = _basis_index(space, multidegree, rows)
-        assert index.tolist() == list(range(len(basis))) + [-1] * len(bad), multidegree
+        shifts = ((0,) * len(middle), *shifts)
+        index = _product_index(dims, info, info, shifts, _grid(_sizes(space, info)))
+        assert index[0].tolist() == list(range(len(basis))), multidegree
+        assert index[1:, len(basis) // 2].tolist() == [-1] * (len(shifts) - 1), multidegree

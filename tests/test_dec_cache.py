@@ -12,7 +12,6 @@ from toricfrob import (
     adjunction_crosscheck,
     catalog_run,
     ext_table,
-    fano_sufficient_check,
     frobenius_decompose,
     iterate_check,
     named_variety,
@@ -60,7 +59,7 @@ def test_four_questions_on_one_fan_share_one_certificate(engine_calls):
     verdict = tilting_verdict(fan, order)
     assert ext_table(fan, order).dims == verdict.dims
     assert adjunction_crosscheck(fan, order)
-    assert fano_sufficient_check(fan, order)
+    assert frobenius_decompose(fan, fan.zero_divisor(), order).certified
     assert engine_calls == {"raw": 1, "certify": 1}
 
 
@@ -180,6 +179,18 @@ def test_pbundle_check_compares_certified_multisets(one_summand_too_many):
     # the corruption must stop at the certificate, not reach the comparison
     with pytest.raises(OracleMismatch):
         pbundle_check(projective_line(), ((0, 0), (1, 0)), FrobeniusOrder(2))
+
+
+def test_repeat_check_on_an_unregistered_bundle_decomposes_nothing(engine_calls):
+    # P(O + O(1)) over P1 is not in the registry: its fan is built once per
+    # (base fan, degrees) and kept, so a repeat check reads the decompositions
+    # the first one left on it
+    base, order = projective_line(), FrobeniusOrder(2)
+    assert pbundle_check(base, ((0, 0), (1, 0)), order)
+    assert engine_calls["raw"]
+    engine_calls.update(raw=0, certify=0)
+    assert pbundle_check(base, [[5, 5], [6, 5]], order)  # the same, normalised
+    assert engine_calls == {"raw": 0, "certify": 0}
 
 
 def test_iterate_check_compares_certified_multisets(one_summand_too_many):

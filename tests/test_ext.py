@@ -1,5 +1,3 @@
-import warnings
-
 import pytest
 
 from toricfrob import (
@@ -10,12 +8,9 @@ from toricfrob import (
     build_fan,
     del_pezzo,
     ext_table,
-    fano_sufficient_check,
     kunneth_ext,
     named_variety,
     product,
-    projective_line,
-    projective_space,
     tilting_verdict,
 )
 from toricfrob.catalog import catalog_entries, catalog_run
@@ -82,38 +77,6 @@ def test_unknown_collection():
     bare = build_fan([(1,), (-1,)], [(0,), (1,)])
     with pytest.raises(UnknownCollection):
         tilting_verdict(bare, FrobeniusOrder(2))
-
-
-def test_fano_sufficient_check_on_projective_spaces():
-    for m in (1, 2, 3):
-        fan = projective_space(m)
-        for p in (2, 3, 5, 7):
-            assert fano_sufficient_check(fan, FrobeniusOrder(p))
-
-
-def test_fano_sufficient_implies_vanishing():
-    for key in ("P3", "P(O+O(1))/P2", "P1xP1xP1", "X1xP1"):
-        fan = named_variety(key)
-        for p in (2, 3):
-            order = FrobeniusOrder(p)
-            if fano_sufficient_check(fan, order):
-                assert ext_table(fan, order).vanishing_above_zero
-
-
-def test_fano_sufficient_fails_for_mixed_degree_bundle():
-    fan = named_variety("P(O+O(1,-1))/P1xP1")
-    assert not fano_sufficient_check(fan, FrobeniusOrder(2))
-
-
-def test_fano_sufficient_warns_off_fano():
-    base = projective_line()
-    from toricfrob import projective_bundle
-
-    f3 = projective_bundle(base, [base.zero_divisor(), (3, 0)], name="F3")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fano_sufficient_check(f3, FrobeniusOrder(2))
-    assert any("Fano" in str(w.message) for w in caught)
 
 
 def test_kunneth_matches_direct_product(P1, P2):

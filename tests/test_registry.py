@@ -140,11 +140,13 @@ def test_a_warm_registered_bundle_check_builds_no_fan(fans_built):
 
 
 def test_an_unregistered_bundle_is_built_and_checked_as_before(fans_built):
+    # its fan is built once, for the first check, and kept for the next
+    structure_mod._unregistered.cache_clear()
     plane, line = named_variety("P2"), named_variety("P1")
     for base, degrees in ((line, [(0, 0), (1, 0)]), (plane, [(0, 0, 0), (3, 0, 0)]),
                           (line, [(0, 0), (0, 0), (2, 0)])):
         fans_built.clear()
         for p in (2, 3):
             assert pbundle_check(base, degrees, FrobeniusOrder(p)), (degrees, p)
-        assert fans_built.count("projectivization_fan") == 2
+        assert fans_built.count("projectivization_fan") == 1
         assert "build_fan" in fans_built
