@@ -20,10 +20,13 @@ the seven-q survey in one fresh interpreter: ``import toricfrob`` and then
 times ``incidence_cohomology`` at each of the large twists (30, -32),
 (40, -42) and (50, -52) with p = 3, and the jet ranks ``delpezzo_jet_check(p,
 n, compute_rank=True)`` at q = 25 (p = 5), q = 29 (p = 29) and q = 32
-(p = 2), N alternating runs per side, each in a fresh interpreter, and
-records that interpreter's peak RSS (``ru_maxrss``).
-A question a side refuses with ``Overflow`` records the number of refused
-runs in place of its times.
+(p = 2), and ``scripts/reproduce.py --primes 2,3,5`` (its ``main``, whose
+last step asks the incidence concentration checks), N alternating runs per
+side, each in a fresh interpreter after ``import toricfrob``.  Each run
+records its wall time, its CPU time (``ru_utime + ru_stime`` over the same
+span), so that a loaded host can be told from a slower change, and the
+interpreter's peak RSS (``ru_maxrss``).  A question a side refuses with
+``Overflow`` records the number of refused runs in place of its times.
 
 For each tree it also records the size of the library, the lines of the
 ``.py`` files under ``src/toricfrob``, and the ``tracemalloc`` peak of
@@ -71,28 +74,37 @@ for p, n in SURVEY_ORDERS:
 print(time.perf_counter() - start)
 """
 
-# Questions too large for the benchmark, keyed by their record's name, each
-# asked once in a fresh interpreter: seconds and peak RSS (MB).
+# Questions outside the benchmark, keyed by their record's name, each asked
+# once in a fresh interpreter: wall seconds, CPU seconds and peak RSS (MB).
 COLD_CALLS = {
-    "incidence_cohomology_30_-32_p3": "incidence_cohomology(30, -32, 3)",
-    "incidence_cohomology_40_-42_p3": "incidence_cohomology(40, -42, 3)",
-    "incidence_cohomology_50_-52_p3": "incidence_cohomology(50, -52, 3)",
-    "delpezzo_jet_check_q25_p5": "delpezzo_jet_check(5, 2, compute_rank=True)",
-    "delpezzo_jet_check_q29_p29": "delpezzo_jet_check(29, 1, compute_rank=True)",
-    "delpezzo_jet_check_q32_p2": "delpezzo_jet_check(2, 5, compute_rank=True)",
+    "incidence_cohomology_30_-32_p3": "toricfrob.incidence_cohomology(30, -32, 3)",
+    "incidence_cohomology_40_-42_p3": "toricfrob.incidence_cohomology(40, -42, 3)",
+    "incidence_cohomology_50_-52_p3": "toricfrob.incidence_cohomology(50, -52, 3)",
+    "delpezzo_jet_check_q25_p5": "toricfrob.delpezzo_jet_check(5, 2, compute_rank=True)",
+    "delpezzo_jet_check_q29_p29": "toricfrob.delpezzo_jet_check(29, 1, compute_rank=True)",
+    "delpezzo_jet_check_q32_p2": "toricfrob.delpezzo_jet_check(2, 5, compute_rank=True)",
+    "reproduce_primes_2_3_5": "import reproduce; reproduce.main(['--primes', '2,3,5'])",
 }
-# A question the tree refuses with Overflow prints "refused" for its time.
+# The last line printed is the measurement; a question the tree refuses with
+# Overflow prints "refused" for its times.
 COLD_CALL = """
 import resource, sys, time
-sys.path[:0] = ["src"]
+sys.path[:0] = ["src", "scripts"]
 import toricfrob
-start = time.perf_counter()
+
+
+def cpu():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
+start, cpu_start = time.perf_counter(), cpu()
 try:
-    toricfrob.{}
-    seconds = time.perf_counter() - start
+    {}
+    seconds, cpu_s = time.perf_counter() - start, cpu() - cpu_start
 except toricfrob.Overflow:
-    seconds = "refused"
-print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+    seconds = cpu_s = "refused"
+print(seconds, cpu_s, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 # The tracemalloc peak (MB) of compiling cech.py, in a fresh interpreter.
@@ -130,10 +142,12 @@ def cold_pass(tree: Path) -> float:
 
 
 def cold_call(tree: Path, call: str) -> tuple:
+    """(wall seconds, CPU seconds, peak RSS in MB) of one cold call."""
     proc = subprocess.run([sys.executable, "-c", COLD_CALL.format(call)],
                           cwd=tree, capture_output=True, text=True, check=True)
-    seconds, rss = proc.stdout.split()
-    return (seconds if seconds == "refused" else round(float(seconds), 4)), round(float(rss), 1)
+    seconds, cpu_s, rss = proc.stdout.splitlines()[-1].split()
+    return (*(x if x == "refused" else round(float(x), 4) for x in (seconds, cpu_s)),
+            round(float(rss), 1))
 
 
 def summary(runs: list) -> dict:
@@ -240,10 +254,29 @@ def interleaved_record(parent: Path, change: Path, workload: str, seed: int,
     return record
 
 
-def git_head(tree: Path):
-    proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tree,
+def git_rev(tree: Path, rev: str):
+    """The short commit of ``rev`` in ``tree``, or None if it is no checkout."""
+    if not (tree / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "rev-parse", "--short", rev], cwd=tree,
                           capture_output=True, text=True)
     return proc.stdout.strip() or None
+
+
+def parent_commit(parent: Path, change: Path) -> tuple:
+    """(commit, where it was read) of the parent tree.
+
+    A parent checkout names its own HEAD.  A parent exported without .git is
+    the change checkout's HEAD~1 once the change is committed there, and its
+    HEAD while tracked files still differ from it."""
+    commit = git_rev(parent, "HEAD")
+    if commit:
+        return commit, "parent tree: git rev-parse HEAD"
+    dirty = git_rev(change, "HEAD") and subprocess.run(
+        ["git", "diff", "--quiet", "HEAD"], cwd=change).returncode == 1
+    rev = "HEAD" if dirty else "HEAD~1"
+    commit = git_rev(change, rev)
+    return commit, f"change tree: git rev-parse {rev}" if commit else None
 
 
 def main(argv=None) -> int:
@@ -264,9 +297,11 @@ def main(argv=None) -> int:
 
     config = json.loads((args.parent / "BENCHMARK.json").read_text())
     seconds = config["run_seconds"]
+    commit, source = parent_commit(args.parent, args.change)
     out = {
         "change": args.note,
-        "parent_commit": git_head(args.parent),
+        "parent_commit": commit,
+        "parent_commit_source": source,
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
                    f"--seconds {seconds:g} --trace 0",
         "method": "parent and change each run from its own copy of the tracked "
@@ -315,13 +350,17 @@ def main(argv=None) -> int:
                                  lambda i: cold_call(args.change, call))
             out["outside_benchmark"][name] = {
                 "command": f"python -c: import toricfrob, then time {call}; "
+                           "CPU time is ru_utime + ru_stime over the same span; "
                            "peak RSS is the interpreter's ru_maxrss",
                 "wall_s": {"unit": "s",
-                           "parent": timings([t for t, _ in old]),
-                           "change": timings([t for t, _ in new])},
+                           "parent": timings([t for t, _, _ in old]),
+                           "change": timings([t for t, _, _ in new])},
+                "cpu_s": {"unit": "s",
+                          "parent": timings([c for _, c, _ in old]),
+                          "change": timings([c for _, c, _ in new])},
                 "peak_rss_mb": {"unit": "MB",
-                                "parent": summary([m for _, m in old]),
-                                "change": summary([m for _, m in new])},
+                                "parent": summary([m for _, _, m in old]),
+                                "change": summary([m for _, _, m in new])},
             }
     # last: a child's ru_maxrss counts this process's resident size when it
     # was spawned, and the interleaved runs grow it by two imported trees

@@ -7,7 +7,6 @@ All arithmetic is exact integer or exact finite-field arithmetic.
 
 from .catalog import CatalogEntry, catalog_entries, catalog_run
 from .cech import (
-    LaurentComplex,
     MultiProjSpace,
     concentration_check,
     incidence_cohomology,

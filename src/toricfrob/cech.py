@@ -1,31 +1,32 @@
-"""Exact F_p cohomology of line bundles and line-bundle complexes on products
-of projective spaces, with the incidence threefold in P2 x P2 as the main
-client.
+"""Exact F_p cohomology of line bundles on products of projective spaces,
+and of a line bundle restricted to a hypersurface, with the incidence
+threefold in P2 x P2 as the one client.
 
 Cohomology of a multidegree line bundle is concentrated in a single degree:
 each factor contributes its monomial basis either in degree 0 (all exponents
 nonnegative) or in top degree (all exponents <= -1, the local cohomology
 model).  A bundle's basis is the grid of its factors' bases, and a basis
 row is named by its grid position, one row index per factor, never by its
-exponents.  Maps between such bundles act on these bases by polynomial
-multiplication followed by truncation to the target basis; that is the
-induced map on the standard-cover Cech model.  Every map is
-torus-equivariant, so it is block diagonal over torus weights, and its rank
-is the sum of the F_p ranks of its weight blocks; no map is ever assembled
-as one dense matrix.  Only a map's source basis is walked, one summand at a
-time, through small per-factor exponent tables (:func:`_factor_parts`).  A
-product is found in the target basis one factor at a time: for each factor
-table, map entry and target factor, one small read-only table
-(:func:`_factor_index`) gives, term by term, each shifted row's position
-in the target factor's basis (:func:`_factor_rank`), and the factors
-combine in the target's mixed radix.  No product row is formed, and the
-target basis is only counted.
+exponents.  On the hypersurface X = {f = 0}, h^i(O_X(d)) is read from the
+restriction sequence 0 -> O(d - deg f) -> O(d) -> O_X(d) -> 0: its one map,
+multiplication by f, acts on the bases by polynomial multiplication
+followed by truncation to the target basis, the induced map on the
+standard-cover Cech model.  The map is torus-equivariant, so it is block
+diagonal over torus weights, and its rank is the sum of the F_p ranks of its
+weight blocks; it is never assembled as one dense matrix.  Only the source
+basis is walked, through small per-factor exponent tables
+(:func:`_factor_parts`).  A product is found in the target basis one factor
+at a time: for each factor table, the terms of f and the target factor, one
+small read-only table (:func:`_factor_index`) gives, term by term, each
+shifted row's position in the target factor's basis (:func:`_factor_rank`),
+and the factors combine in the target's mixed radix.  No product row is
+formed, and the target basis is only counted.
 
-When every factor is one P^n and every entry of a map is fixed by S_(n+1)
-permuting the coordinates of all factors at once (as S_3 fixes the pairing
-form on P2 x P2), that group maps the bases, the Cech cover and the weight
-blocks to themselves, so blocks of one orbit have one rank.  The symmetry is
-proved on the terms of each map before it is used; only one block per orbit
+When every factor is one P^n and f is fixed by S_(n+1) permuting the
+coordinates of all factors at once (as S_3 fixes the pairing form on
+P2 x P2), that group maps the bases, the Cech cover and the weight blocks to
+themselves, so blocks of one orbit have one rank.  The symmetry is proved on
+the terms of f before it is used; only one block per orbit
 is then eliminated, and its rank counts once per block of the orbit.  The
 weights of a source grid are sums of per-factor products, so the orbits are
 read off the grid, walked in slabs, and only the source rows of canonical
@@ -34,15 +35,15 @@ weight, about one in (n + 1)!, are kept.
 A product keeps the torus weight of the monomial it came from, so the
 weight blocks are labelled on the source rows alone, and each target row
 falls in exactly one block: no product is grouped entry by entry.  The
-weights and the symmetry are derived once per distinct map, not once per
+weights and the symmetry are derived once per distinct form, not once per
 twist.  The blocks are sorted by width and cut into a few stacks of bounded
 size, built in the residue dtype of p and eliminated in place by
 :func:`linalg.ranks_mod_p`.  A stack holds only the target rows that meet
 an entry, block after block, with the blocks' row offsets, so no block is
 padded to another's height; its columns are right-aligned to the stack's
 width, the width of its widest block.  The bound
-MAX_CECH_BASIS applies to the source rows a map keeps.  A term too large
-for any map to keep fewer, counted from binomials, is refused with
+MAX_CECH_BASIS applies to the source rows a map keeps.  A bundle too
+large for any map to keep fewer, counted from binomials, is refused with
 Overflow before any monomial is enumerated; any other map is refused as
 soon as the rows it keeps pass the bound.
 """
@@ -91,14 +92,10 @@ MAX_CECH_BASIS = 1_000_000
 # and 2^21 and 2^22 no faster.
 _STACK_CELLS = 2**20
 
-# Grid points of one source summand whose weights are formed at once, so
+# Grid points of one source bundle whose weights are formed at once, so
 # that a large grid is never held whole: 1.5 MB of int64 for the six
 # weights of P2 x P2.  The 6,084 points of (12, -13) are one slab.
 _GRID_SLAB = 2**15
-
-
-class UnsupportedComplex(ValueError):
-    """Hypercohomology would need spectral differentials beyond the first."""
 
 
 @dataclass(frozen=True)
@@ -206,83 +203,18 @@ def line_bundle_cohomology_fp(space: MultiProjSpace, multidegree) -> CohomologyV
     return CohomologyVector(tuple(dims))
 
 
-class Poly:
-    """A multihomogeneous polynomial: monomial (tuple per factor) -> coefficient."""
-
-    def __init__(self, terms: dict):
-        self.terms = {m: c for m, c in terms.items() if c}
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(
-                    tuple(a + b for a, b in zip(f1, f2)) for f1, f2 in zip(m1, m2)
-                )
-                out[key] = out.get(key, 0) + c1 * c2
-        return Poly(out)
-
-
-def incidence_form(n: int = 3) -> Poly:
-    """The pairing form sum_i x_i y_i on P(V) x P(V*), with dim V = n."""
+def incidence_form(n: int = 3) -> dict:
+    """The pairing form sum_i x_i y_i on P(V) x P(V*), with dim V = n, as
+    monomial (one exponent tuple per factor) -> coefficient."""
     terms = {}
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
         terms[(e, e)] = 1
-    return Poly(terms)
+    return terms
 
 
-@dataclass(frozen=True)
-class LaurentComplex:
-    """A bounded complex of direct sums of multidegree line bundles.
-
-    ``terms[s]`` lists the multidegrees of the s-th term and ``maps[s]`` is the
-    matrix of Poly entries from terms[s] to terms[s+1], indexed
-    maps[s][row][col] with rows over target summands.  ``shift`` is the
-    cohomological position of terms[0].  A map of the wrong shape, or a
-    monomial without one exponent tuple of length n_i + 1 per factor P^(n_i),
-    raises ValueError.
-    """
-
-    space: MultiProjSpace
-    terms: tuple
-    maps: tuple
-    shift: int = 0
-
-    def __post_init__(self):
-        if len(self.maps) != max(len(self.terms) - 1, 0):
-            raise ValueError("need exactly one map per consecutive pair of terms")
-        widths = tuple(n + 1 for n in self.space.factor_dims)
-        for s, matrix in enumerate(self.maps):
-            rows, cols = len(self.terms[s + 1]), len(self.terms[s])
-            if len(matrix) != rows or any(len(row) != cols for row in matrix):
-                raise ValueError(f"map {s} is not a {rows} x {cols} matrix")
-            for poly in chain.from_iterable(matrix):
-                for mono in poly.terms:
-                    if tuple(len(f) for f in mono) != widths:
-                        raise ValueError(
-                            f"monomial {mono} of map {s} needs one exponent "
-                            f"tuple per factor, of lengths {widths}"
-                        )
-
-    def check_composition(self) -> bool:
-        """Symbolic d()d = 0, entrywise on the polynomial matrices."""
-        for s in range(len(self.maps) - 1):
-            first, second = self.maps[s], self.maps[s + 1]
-            for row in range(len(self.terms[s + 2])):
-                for col in range(len(self.terms[s])):
-                    acc: dict = {}
-                    for mid in range(len(self.terms[s + 1])):
-                        composite = second[row][mid] * first[mid][col]
-                        for mono, coeff in composite.terms.items():
-                            acc[mono] = acc.get(mono, 0) + coeff
-                    if any(acc.values()):
-                        return False
-        return True
-
-
-def _weights(poly_matrix, width: int):
-    """Integer rows K with K . t = 0 for every term exponent t of the map.
+def _weights(form: dict, width: int):
+    """Integer rows K with K . t = 0 for every term exponent t of ``form``.
 
     T is a maximal independent set of the terms, picked greedily by a nonzero
     Gram determinant; with G = T T^t, K = det(G) I - T^t adj(G) T is det(G)
@@ -290,12 +222,10 @@ def _weights(poly_matrix, width: int):
     With no terms, K = I.
     """
     basis = np.zeros((0, width), dtype=object)
-    for row in poly_matrix:
-        for poly in row:
-            for mono in poly.terms:
-                grown = np.vstack((basis, [list(chain.from_iterable(mono))]))
-                if det_int(grown @ grown.T):
-                    basis = grown
+    for mono in form:
+        grown = np.vstack((basis, [list(chain.from_iterable(mono))]))
+        if det_int(grown @ grown.T):
+            basis = grown
     det, adj = adjugate_int(basis @ basis.T)
     adj = np.array(adj, dtype=object).reshape(len(basis), len(basis))
     weights = det * np.identity(width, dtype=object) - basis.T @ adj @ basis
@@ -353,26 +283,21 @@ def _largest_group(factor_dims) -> int:
     return factor_dims[0] + 1 if len(set(factor_dims)) == 1 else 1
 
 
-def _symmetry(space, poly_matrix) -> int:
-    """The g of the coordinate permutation group S_g that fixes the map.
+def _symmetry(factor_dims, form: dict) -> int:
+    """The g of the coordinate permutation group S_g that fixes ``form``.
 
     S_g permutes the coordinates of every factor at once, so it needs every
     factor to be one P^n, and then g = n + 1.  It is taken only when the
     transposition (0 1) and the cycle (0 1 ... n), which generate S_(n+1),
-    both fix every entry of ``poly_matrix`` term for term; otherwise g = 1,
-    the trivial group.
+    both fix ``form`` term for term; otherwise g = 1, the trivial group.
     """
-    g = _largest_group(space.factor_dims)
+    g = _largest_group(factor_dims)
     if g == 1:
         return 1
     for perm in ((1, 0, *range(2, g)), (*range(1, g), 0)):
-        for poly in chain.from_iterable(poly_matrix):
-            image = {
-                tuple(tuple(f[i] for i in perm) for f in mono): c
-                for mono, c in poly.terms.items()
-            }
-            if image != poly.terms:
-                return 1
+        image = {tuple(tuple(f[i] for i in perm) for f in mono): c for mono, c in form.items()}
+        if image != form:
+            return 1
     return g
 
 
@@ -415,38 +340,25 @@ def _orbits(weights, g: int):
 
 
 @lru_cache(maxsize=64)
-def _invariants(factor_dims, entries):
-    """(K, spread, g) of the map whose entries hold the given term sets.
+def _invariants(factor_dims, terms):
+    """(K, spread, g) of the form whose terms are the given frozenset of
+    (monomial, coefficient) pairs, so equal forms share one key however they
+    were built.
 
-    ``entries[row][col]`` is the frozenset of (monomial, coefficient) pairs
-    of one Poly entry, so equal maps share one key however they were built.
     K is :func:`_weights` as a tuple of rows, spread the largest sum |K_ij|
     of a row, and g :func:`_symmetry`; each is computed once per distinct
-    map and space, not once per twist and degree, and shared read-only.
+    form and space, not once per twist and degree, and shared read-only.
     """
-    poly_matrix = tuple(tuple(Poly(dict(terms)) for terms in row) for row in entries)
-    weights = tuple(map(tuple, _weights(poly_matrix, sum(n + 1 for n in factor_dims))))
+    form = dict(terms)
+    weights = tuple(map(tuple, _weights(form, sum(n + 1 for n in factor_dims))))
     spread = max(sum(map(abs, row)) for row in weights)
-    return weights, spread, _symmetry(MultiProjSpace(factor_dims), poly_matrix)
+    return weights, spread, _symmetry(factor_dims, form)
 
 
-def _summands(space, term, degree):
-    """[(j, factor degrees, factor tables)] of the summands of ``term`` with
-    cohomology in degree ``degree``: the :func:`_factor_degrees` of summand
-    j and the :func:`_factor_parts` of each of its factors."""
-    out = []
-    for j, md in enumerate(term):
-        info = _factor_degrees(space, md)
-        if info is not None and sum(d for d, _ in info) == degree:
-            tables = [_factor_parts(n, *deg) for n, deg in zip(space.factor_dims, info)]
-            out.append((j, info, tables))
-    return out
+def _canonical_rows(tables, weights, g: int):
+    """(pos, weight, orbit) of the source rows of canonical weight under S_g.
 
-
-def _canonical_rows(summands, weights, g: int):
-    """(pos, weight, orbit, bounds) of the source rows of canonical weight under S_g.
-
-    Each summand is the grid of its factor tables, the first factor
+    The source basis is the grid of its factor ``tables``, the first factor
     slowest, and a row is named by its place in that grid: ``pos`` holds
     its row in each factor table, so no exponent row is built.  As K . m is
     the sum over the factors f of K_f . m_f, a grid point's weight is the
@@ -457,44 +369,40 @@ def _canonical_rows(summands, weights, g: int):
     canonical ones, and only those rows and weights are kept, so the peak
     follows the kept rows, not the grid.  ``orbit`` is each row's orbit
     size; under the trivial group every row is kept.  Once more than
-    MAX_CECH_BASIS rows are kept, Overflow is raised.  The summands follow
-    one another in the order given, the k-th holding the rows
-    ``bounds[k]:bounds[k + 1]``.
+    MAX_CECH_BASIS rows are kept, Overflow is raised.
     """
     K = np.array(weights, dtype=np.int64)
-    pos, weight, orbit, bounds, kept = [], [], [], [0], 0
-    for _, _, tables in summands:
-        # the weights stand in columns, one per grid point, so that each
-        # weight coordinate is read contiguously
-        steps, start = [], 0
-        for parts in tables:
-            steps.append(K[:, start : start + parts.shape[1]] @ parts.T)
-            start += parts.shape[1]
-        rest = np.zeros((len(K), 1), dtype=np.int64)  # the later factors' grid
-        for step in steps[1:]:
-            rest = (rest[:, :, None] + step[:, None]).reshape(len(K), -1)
-        shape = [len(parts) for parts in tables]
-        slab = max(1, _GRID_SLAB // rest.shape[1])
-        for top in range(0, shape[0], slab):
-            grid = (steps[0][:, top : top + slab, None] + rest[:, None]).reshape(len(K), -1)
-            if g == 1:
-                at, size = np.arange(grid.shape[1]), np.ones(grid.shape[1], dtype=np.int64)
-            else:
-                keep, size = _orbits(grid.T, g)
-                at = np.flatnonzero(keep)
-                grid = grid[:, at]
-            kept += len(at)
-            if kept > MAX_CECH_BASIS:
-                raise Overflow(
-                    f"more than {MAX_CECH_BASIS} basis monomials of canonical weight to build"
-                )
-            pos.append(np.column_stack(np.unravel_index(at + top * rest.shape[1], shape)))
-            weight.append(grid)
-            orbit.append(size)
-        bounds.append(kept)
+    # the weights stand in columns, one per grid point, so that each
+    # weight coordinate is read contiguously
+    steps, start = [], 0
+    for parts in tables:
+        steps.append(K[:, start : start + parts.shape[1]] @ parts.T)
+        start += parts.shape[1]
+    rest = np.zeros((len(K), 1), dtype=np.int64)  # the later factors' grid
+    for step in steps[1:]:
+        rest = (rest[:, :, None] + step[:, None]).reshape(len(K), -1)
+    shape = [len(parts) for parts in tables]
+    slab = max(1, _GRID_SLAB // rest.shape[1])
+    pos, weight, orbit, kept = [], [], [], 0
+    for top in range(0, shape[0], slab):
+        grid = (steps[0][:, top : top + slab, None] + rest[:, None]).reshape(len(K), -1)
+        if g == 1:
+            at, size = np.arange(grid.shape[1]), np.ones(grid.shape[1], dtype=np.int64)
+        else:
+            keep, size = _orbits(grid.T, g)
+            at = np.flatnonzero(keep)
+            grid = grid[:, at]
+        kept += len(at)
+        if kept > MAX_CECH_BASIS:
+            raise Overflow(
+                f"more than {MAX_CECH_BASIS} basis monomials of canonical weight to build"
+            )
+        pos.append(np.column_stack(np.unravel_index(at + top * rest.shape[1], shape)))
+        weight.append(grid)
+        orbit.append(size)
     weight = weight[0] if len(weight) == 1 else np.concatenate(weight, axis=1)
     pos, orbit = (x[0] if len(x) == 1 else np.concatenate(x) for x in (pos, orbit))
-    return pos, weight.T, orbit, bounds
+    return pos, weight.T, orbit
 
 
 @_kept_if_small
@@ -540,23 +448,24 @@ def _product_index(factor_dims, src, dst, shifts, pos):
     return index
 
 
-def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
-    """Rank over F_p of the induced map on degree-`degree` cohomology.
+def _map_rank_mod_p(space, src_md, dst_md, form, degree, p) -> int:
+    """Rank over F_p of multiplication by ``form``, O(src_md) -> O(dst_md),
+    on degree-`degree` cohomology.
 
-    Each term t of entry (dst_j, src_j) sends the source monomial (src_j, m)
-    to (dst_j, m + t); products outside the target basis are discarded, and
-    the others are found in it by :func:`_product_index`, one factor at a
-    time, so neither the target basis nor a product row is ever built.  The
-    terms of an entry are distinct, so no two contributions share a matrix
-    entry, and dropping the terms that vanish mod p drops every zero entry.
-    As K . (m + t) = K . m for K = :func:`_weights`, the map is block
-    diagonal over the weights K . m of its columns, and a product keeps its
-    source row's weight.  So the blocks are labelled once, on the source
-    rows that meet an entry, and each target row lies in exactly one block:
-    a row's place in its block is the rank of its (block, target id) pair.
+    Each term t of the form sends the source monomial m to m + t; products
+    outside the target basis are discarded, and the others are found in it
+    by :func:`_product_index`, one factor at a time, so neither the target
+    basis nor a product row is ever built.  The terms are distinct, so no
+    two contributions share a matrix entry, and dropping the terms that
+    vanish mod p drops every zero entry.  As K . (m + t) = K . m for K =
+    :func:`_weights`, the map is block diagonal over the weights K . m of
+    its columns, and a product keeps its source row's weight.  So the
+    blocks are labelled once, on the source rows that meet an entry, and
+    each target row lies in exactly one block: a row's place in its block
+    is the rank of its (block, target row) pair.
 
     When S_g = :func:`_symmetry` is not trivial, a permutation s in it maps
-    the bases, and the term set of every entry, to themselves, and K s = s K
+    the bases, and the term set of the form, to themselves, and K s = s K
     because s keeps the span of the terms.  So s maps the weight-w block
     entry for entry onto the weight-s(w) block, in the degree-0 and the
     local-cohomology model alike, and the blocks of one orbit have one rank.
@@ -564,7 +473,7 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     grid positions (:func:`_canonical_rows`), and each block's rank counts
     orbit-size times.  With the trivial group every row is kept and every
     block, once.  K, its spread and g come from :func:`_invariants`, once
-    per distinct map.  More than MAX_CECH_BASIS rows kept raise Overflow.
+    per distinct form.  More than MAX_CECH_BASIS rows kept raise Overflow.
 
     The blocks are sorted by width and cut greedily into stacks of at most
     _STACK_CELLS cells, a stack's rows times the width of its last, widest
@@ -577,44 +486,26 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     before any exponent, product or weight could reach _INT64_GUARD; the
     exponents' reach is read from the factor degrees.
     """
-    summands = _summands(space, src_term, degree)
-    offsets, count = [], 0
-    for md in dst_term:
-        size = _basis_size(space, md)
-        offsets.append(count if size is not None and size[0] == degree else None)
-        count += size[1] if offsets[-1] is not None else 0
-    terms = {}  # (dst_j, src_j) -> [(exponents, coefficient mod p)]
-    for dst_j, row in enumerate(poly_matrix):
-        for src_j, poly in enumerate(row):
-            mine = [(tuple(chain.from_iterable(m)), c % p) for m, c in poly.terms.items() if c % p]
-            if mine:
-                terms[dst_j, src_j] = mine
-    if not summands or not count or not terms:
+    sizes = [_basis_size(space, md) for md in (src_md, dst_md)]
+    terms = [(tuple(chain.from_iterable(m)), c % p) for m, c in form.items() if c % p]
+    if not terms or any(size is None or size[0] != degree for size in sizes):
         return 0
-    entries = tuple(tuple(frozenset(poly.terms.items()) for poly in row) for row in poly_matrix)
-    weights, spread, g = _invariants(tuple(space.factor_dims), entries)
+    src, dst = (_factor_degrees(space, md) for md in (src_md, dst_md))
+    count = sizes[1][1]  # the target rows
+    weights, spread, g = _invariants(tuple(space.factor_dims), frozenset(form.items()))
     # a factor table's exponents reach total in degree 0, -1 - total in top degree
-    reach = max(total + (degree > 0) for _, info, _ in summands for degree, total in info)
-    reach += max(abs(x) for mine in terms.values() for t, _ in mine for x in t)
+    reach = max(total + (d > 0) for d, total in src)
+    reach += max(abs(x) for t, _ in terms for x in t)
     if max(spread, 1) * reach >= _INT64_GUARD:
         raise Overflow(f"Cech weights need {spread} * {reach}, past int64")
-    pos, weight, orbit, bounds = _canonical_rows(summands, weights, g)
-    # each summand's factor degrees and the bounds of its kept rows in pos
-    rows_of = {j: (info, lo, hi) for (j, info, _), lo, hi in zip(summands, bounds, bounds[1:])}
-    found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=_residue_dtype(p)),)]
-    for (dst_j, src_j), mine in terms.items():
-        if offsets[dst_j] is None or src_j not in rows_of:
-            continue
-        info, lo, hi = rows_of[src_j]
-        shifts = tuple(t for t, _ in mine)
-        dst = _factor_degrees(space, dst_term[dst_j])
-        index = _product_index(space.factor_dims, info, dst, shifts, pos[lo:hi])
-        index = index.reshape(-1)  # term by term
-        hit = index >= 0
-        at = np.tile(np.arange(lo, hi), len(mine))
-        values = np.repeat(np.array([c for _, c in mine], dtype=_residue_dtype(p)), hi - lo)
-        found.append((offsets[dst_j] + index[hit], at[hit], values[hit]))
-    rows, cols, values = map(np.concatenate, zip(*found))
+    tables = [_factor_parts(n, *deg) for n, deg in zip(space.factor_dims, src)]
+    pos, weight, orbit = _canonical_rows(tables, weights, g)
+    shifts = tuple(t for t, _ in terms)
+    index = _product_index(space.factor_dims, src, dst, shifts, pos).reshape(-1)  # term by term
+    hit = index >= 0
+    rows = index[hit]
+    cols = np.tile(np.arange(len(pos)), len(terms))[hit]
+    values = np.repeat(np.array([c for _, c in terms], dtype=_residue_dtype(p)), len(pos))[hit]
     if not len(rows):
         return 0
     # blocks labelled on the source rows that meet an entry, and sorted by
@@ -658,87 +549,66 @@ def _map_rank_mod_p(space, src_term, dst_term, poly_matrix, degree, p) -> int:
     return rank
 
 
-def hypercohomology_fp(cx: LaurentComplex, p: int) -> dict:
-    """Hypercohomology dimensions over F_p, as a map degree -> dimension.
+def _restriction_cohomology(space, src, dst, form, p) -> CohomologyVector:
+    """h^i of O_X(dst) on the hypersurface X = {form = 0}, for i = 0 .. dim X.
 
-    Requires every term to have single-degree cohomology and the first page to
-    degenerate after its first differential; anything else raises
-    UnsupportedComplex rather than being approximated.  The rank of each
-    first-page differential is :func:`_map_rank_mod_p`: the sum of the F_p
-    ranks of its torus-weight blocks.  A p that is not an integer, not
-    prime (Z/p is then no field and ranks mean nothing), or too large for
-    the int64 elimination, raises ValueError before any work is done, as
-    does a multidegree entry that is not an integer.  A map keeps at least
-    one in g! rows of its source (an orbit of S_g has at most g! rows), so
-    a term of more than g! * MAX_CECH_BASIS monomials in one degree, with g
+    ``form`` has degree dst - src and maps monomial (one exponent tuple per
+    factor) to coefficient.  The answer is read from the restriction
+    sequence 0 -> O(src) -> O(dst) -> O_X(dst) -> 0, whose first map is
+    multiplication by the form.  Each bundle has cohomology in one degree, so
+    H^t(O_X(dst)) is the cokernel of the map on H^t plus the kernel of the
+    map on H^(t+1), and only a source and a target in one degree need a
+    rank, :func:`_map_rank_mod_p`.  A p that is not an integer, not prime
+    (Z/p is then no field and ranks mean nothing), or too large for the
+    int64 elimination, raises ValueError before any work is done, as does
+    a multidegree entry that is not an integer.  The map keeps at least one
+    in g! rows of its source (an orbit of S_g has at most g! rows), so a
+    bundle of more than g! * MAX_CECH_BASIS monomials in one degree, with g
     from :func:`_largest_group`, is refused with Overflow before any
-    monomial is enumerated; below that, a map raises Overflow once it keeps
-    more than MAX_CECH_BASIS source rows.  No target basis is enumerated.
+    monomial is enumerated; below that, the map raises Overflow once it
+    keeps more than MAX_CECH_BASIS source rows.  No target basis is
+    enumerated.  A class outside degrees 0 .. dim X, which exactness of the
+    sequence forbids when the form is nonzero mod p, raises
+    InvariantViolation.
     """
     check_prime_field(p)
-    space = cx.space
-    if not cx.check_composition():
-        raise UnsupportedComplex("composition of consecutive maps is nonzero")
-    nterms = len(cx.terms)
-    e1: dict = {}
-    for s, term in enumerate(cx.terms):
-        for md in term:
-            info = _basis_size(space, md)
-            if info is not None:
-                e1[(s, info[0])] = e1.get((s, info[0]), 0) + info[1]
-    # a map keeps at least one in g! rows of its source, g <= _largest_group
+    sizes = [_basis_size(space, md) for md in (src, dst)]
+    # the map keeps at least one in g! rows of its source, g <= _largest_group
     most = factorial(_largest_group(space.factor_dims)) * MAX_CECH_BASIS
-    for (s, t), dim in e1.items():
-        if dim > most:
+    for s, size in enumerate(sizes):
+        if size is not None and size[1] > most:
             raise Overflow(
-                f"term {s} has {dim} basis monomials in degree {t}, "
+                f"term {s} has {size[1]} basis monomials in degree {size[0]}, "
                 f"more than {most}"
             )
-    for (s, t), dim in e1.items():
-        if dim:
-            for r in range(2, nterms):
-                if e1.get((s + r, t - r + 1), 0):
-                    raise UnsupportedComplex(
-                        "a higher spectral differential could be nonzero"
-                    )
-    ranks: dict = {}
-    for s in range(nterms - 1):
-        degrees = {t for (s_, t) in e1 if s_ in (s, s + 1)}
-        for t in degrees:
-            ranks[s, t] = _map_rank_mod_p(space, *cx.terms[s : s + 2], cx.maps[s], t, p)
-    result: dict = {}
-    for (s, t), dim in e1.items():
-        e2 = dim - ranks.get((s, t), 0) - ranks.get((s - 1, t), 0)
-        if e2:
-            pos = s + t + cx.shift
-            result[pos] = result.get(pos, 0) + e2
-    return result
+    rank = 0
+    if None not in sizes and sizes[0][0] == sizes[1][0]:
+        rank = _map_rank_mod_p(space, src, dst, form, sizes[0][0], p)
+    dims = {}
+    # the kernel on the source's H^s lands in H^(s - 1), the cokernel in H^s
+    for shift, size in zip((-1, 0), sizes):
+        if size is not None:
+            dims[size[0] + shift] = dims.get(size[0] + shift, 0) + size[1] - rank
+    stray = {pos: dim for pos, dim in dims.items() if dim and not 0 <= pos < space.dim}
+    if stray:
+        # exactness of the restriction sequence forbids anything here
+        raise InvariantViolation(
+            f"restriction cohomology found classes outside degrees 0..{space.dim - 1}: {stray}"
+        )
+    return CohomologyVector(tuple(dims.get(i, 0) for i in range(space.dim)))
 
 
 def incidence_cohomology(a: int, b: int, p: int) -> CohomologyVector:
     """h^i of O(a, b) on the incidence threefold {sum x_i y_i = 0} in P2 x P2.
 
-    Uses the two-term restriction complex O(a-1, b-1) -> O(a, b) with the
-    pairing form as the map; the canonical class of the threefold is
-    O(-2, -2), which the test suite exercises through Serre duality.  An a,
-    b or p that is not an integer raises ValueError.
+    Reads the restriction sequence of O(a-1, b-1) -> O(a, b), multiplication
+    by the pairing form; the canonical class of the threefold is O(-2, -2),
+    which the test suite exercises through Serre duality.  An a, b or p
+    that is not an integer raises ValueError.
     """
     a, b = (_integer(x, "incidence multidegree") for x in (a, b))
-    space = MultiProjSpace((2, 2))
-    cx = LaurentComplex(
-        space=space,
-        terms=(((a - 1, b - 1),), ((a, b),)),
-        maps=((((incidence_form(3)),),),),
-        shift=-1,
-    )
-    hyper = hypercohomology_fp(cx, p)
-    stray = {pos: dim for pos, dim in hyper.items() if not 0 <= pos <= 3}
-    if stray:
-        # exactness of the restriction sequence forbids anything here
-        raise InvariantViolation(
-            f"incidence cohomology found classes outside degrees 0..3: {stray}"
-        )
-    return CohomologyVector(tuple(hyper.get(i, 0) for i in range(4)))
+    return _restriction_cohomology(MultiProjSpace((2, 2)), (a - 1, b - 1), (a, b),
+                                   incidence_form(3), p)
 
 
 def concentration_check(a: int, b: int, p: int, m: int) -> bool:

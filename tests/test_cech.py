@@ -1,3 +1,4 @@
+import re
 from itertools import product as iproduct
 from math import comb
 
@@ -6,20 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfrob import (
-    LaurentComplex,
     MultiProjSpace,
     cohomology,
     concentration_check,
     incidence_cohomology,
     line_bundle_cohomology_fp,
 )
-from toricfrob.cech import (
-    MAX_CECH_BASIS,
-    UnsupportedComplex,
-    _basis_size,
-    hypercohomology_fp,
-    incidence_form,
-)
+from toricfrob import cech as cech_mod
+from toricfrob.cech import MAX_CECH_BASIS, _basis_size
+from toricfrob.fan import InvariantViolation
 
 
 def test_line_bundle_single_factor():
@@ -137,37 +133,16 @@ def test_cross_validation_against_toric_engine(P2, Q11):
             )
 
 
-def test_composition_check_rejects_nonzero_d_squared():
-    sp = MultiProjSpace((2, 2))
-    w = incidence_form(3)
-    cx = LaurentComplex(
-        space=sp,
-        terms=(((-2, -2),), ((-1, -1),), ((0, 0),)),
-        maps=((((w,),),) * 2),
-    )
-    assert not cx.check_composition()
-    with pytest.raises(UnsupportedComplex):
-        hypercohomology_fp(cx, 3)
-
-
-def test_higher_differential_configurations_rejected():
-    sp = MultiProjSpace((1,))
-    from toricfrob.cech import Poly
-
-    zero = Poly({})
-    cx = LaurentComplex(
-        space=sp,
-        terms=(((-2,),), ((-1,),), ((0,),)),
-        maps=((((zero,),),) * 2),
-    )
-    with pytest.raises(UnsupportedComplex):
-        hypercohomology_fp(cx, 2)
-
-
-def test_map_count_validated():
-    sp = MultiProjSpace((1,))
-    with pytest.raises(ValueError):
-        LaurentComplex(space=sp, terms=(((0,),), ((1,),)), maps=())
+@pytest.mark.parametrize("a, b, stray", [(2, 2, "{-1: 1}"), (-3, -3, "{4: 1}")],
+                         ids=["h0-kernel", "top-cokernel"])
+def test_a_rank_one_short_breaks_exactness(monkeypatch, a, b, stray):
+    # the map on H^0 of O(1, 1) -> O(2, 2) is injective, and the map on H^4
+    # of O(-4, -4) -> O(-3, -3) onto; a rank one short leaves a kernel class
+    # in degree -1, or a cokernel class in degree 4, which X cannot have
+    real = cech_mod._map_rank_mod_p
+    monkeypatch.setattr(cech_mod, "_map_rank_mod_p", lambda *args: real(*args) - 1)
+    with pytest.raises(InvariantViolation, match=re.escape(f"outside degrees 0..3: {stray}")):
+        incidence_cohomology(a, b, 3)
 
 
 def test_incidence_large_twist_pinned():

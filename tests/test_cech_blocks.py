@@ -2,6 +2,7 @@
 blocks of the map; the nested-tuple monomials and the dense assembly survive
 here as the reference."""
 
+import re
 from itertools import chain, combinations, combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb
@@ -11,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfrob import LaurentComplex, MultiProjSpace, incidence_cohomology
+from toricfrob import MultiProjSpace, incidence_cohomology
 from toricfrob import cech as cech_mod
 from toricfrob.cech import (
-    Poly,
     _binomials,
     _canonical_rows,
     _factor_degrees,
@@ -24,13 +24,13 @@ from toricfrob.cech import (
     _map_rank_mod_p,
     _orbits,
     _product_index,
-    _summands,
+    _restriction_cohomology,
     _symmetry,
     _weights,
-    hypercohomology_fp,
     incidence_form,
 )
 from toricfrob.cohomology import Overflow
+from toricfrob.fan import InvariantViolation
 from toricfrob.linalg import _INT64_GUARD, rank_mod_p, rank_rational, ranks_mod_p
 
 
@@ -68,37 +68,34 @@ def _tuple_basis(space, multidegree):
     return degree, list(iproduct(*factors))
 
 
-def _apply(poly, monomial):
+def _apply(form, monomial):
     """Multiply a basis monomial; yields (product monomial, coefficient)."""
-    for m, c in poly.terms.items():
+    for m, c in form.items():
         yield tuple(
             tuple(a + b for a, b in zip(f1, f2)) for f1, f2 in zip(monomial, m)
         ), c
 
 
-def _tuple_term_basis(space, term, degree):
-    out = []
-    for j, md in enumerate(term):
-        info = _tuple_basis(space, md)
-        if info is not None and info[0] == degree:
-            out.extend((j, mono) for mono in info[1])
-    return out
+def _degree_basis(space, multidegree, degree):
+    """The monomials of O(multidegree) in cohomological degree ``degree``."""
+    info = _tuple_basis(space, multidegree)
+    return info[1] if info is not None and info[0] == degree else []
 
 
-def _dense_map_matrix(space, src_term, dst_term, poly_matrix, degree):
-    """Induced map on degree-`degree` cohomology, as one dense integer matrix."""
-    src = _tuple_term_basis(space, src_term, degree)
-    dst = _tuple_term_basis(space, dst_term, degree)
+def _dense_map_matrix(space, src_md, dst_md, form, degree):
+    """Multiplication by ``form`` on degree-`degree` cohomology, O(src_md) ->
+    O(dst_md), as one dense integer matrix, or None if a side is empty."""
+    src = _degree_basis(space, src_md, degree)
+    dst = _degree_basis(space, dst_md, degree)
     if not src or not dst:
         return None
-    dst_index = {key: i for i, key in enumerate(dst)}
+    dst_index = {mono: i for i, mono in enumerate(dst)}
     mat = np.zeros((len(dst), len(src)), dtype=np.int64)
-    for col, (src_j, mono) in enumerate(src):
-        for dst_j in range(len(dst_term)):
-            for prod, coeff in _apply(poly_matrix[dst_j][src_j], mono):
-                idx = dst_index.get((dst_j, prod))
-                if idx is not None:
-                    mat[idx, col] += coeff
+    for col, mono in enumerate(src):
+        for prod, coeff in _apply(form, mono):
+            idx = dst_index.get(prod)
+            if idx is not None:
+                mat[idx, col] += coeff
     return mat
 
 
@@ -112,29 +109,33 @@ def _flat_basis(space, multidegree):
     return None if info is None else (info[0], [_flat(m) for m in info[1]])
 
 
-def _grid_rows(summands):
-    """(j, *exponents) of every point of the summands' grids, read through
-    their factor tables, the first factor slowest."""
-    return [
-        (j, *chain.from_iterable(rows))
-        for j, _, tables in summands
-        for rows in iproduct(*(t.tolist() for t in tables))
-    ]
+def _tables(space, multidegree):
+    """The factor tables of O(multidegree), or None if it is acyclic."""
+    info = _factor_degrees(space, multidegree)
+    if info is None:
+        return None
+    return [_factor_parts(n, *deg) for n, deg in zip(space.factor_dims, info)]
+
+
+def _grid_rows(space, multidegree):
+    """The exponents of every point of the bundle's grid, read through its
+    factor tables, the first factor slowest."""
+    tables = (t.tolist() for t in _tables(space, multidegree))
+    return [tuple(chain.from_iterable(rows)) for rows in iproduct(*tables)]
 
 
 @pytest.mark.parametrize("a, b", [(4, -5), (6, -8), (10, -12)])
 def test_incidence_block_ranks_match_dense_elimination(a, b):
     space = MultiProjSpace((2, 2))
-    src, dst = ((a - 1, b - 1),), ((a, b),)
-    maps = ((incidence_form(3),),)
+    src, dst = (a - 1, b - 1), (a, b)
+    form = incidence_form(3)
+    for md in (src, dst):
+        assert _grid_rows(space, md) == _flat_basis(space, md)[1]
     checked = 0
     for degree in range(space.dim + 1):
-        for term in (src, dst):
-            rows = [(j, *_flat(m)) for j, m in _tuple_term_basis(space, term, degree)]
-            assert _grid_rows(_summands(space, term, degree)) == rows
-        dense = _dense_map_matrix(space, src, dst, maps, degree)
+        dense = _dense_map_matrix(space, src, dst, form, degree)
         for p in (2, 3, 5):
-            rank = _map_rank_mod_p(space, src, dst, maps, degree, p)
+            rank = _map_rank_mod_p(space, src, dst, form, degree, p)
             if dense is None:
                 assert rank == 0
                 continue
@@ -147,7 +148,7 @@ def test_incidence_weight_is_the_difference_of_exponents():
     # K . (alpha, beta) = (alpha - beta, beta - alpha) for sum x_i y_i
     eye = np.identity(3, dtype=int)
     expected = np.block([[eye, -eye], [-eye, eye]])
-    assert np.array_equal(_weights(((incidence_form(3),),), 6), expected)
+    assert np.array_equal(_weights(incidence_form(3), 6), expected)
 
 
 def test_incidence_blocks_at_12_minus_13(monkeypatch):
@@ -176,8 +177,8 @@ def test_incidence_blocks_at_12_minus_13(monkeypatch):
     monkeypatch.setattr(
         cech_mod, "ranks_mod_p", lambda rows, offsets, p: np.ones(len(offsets) - 1, int)
     )
-    space, maps = MultiProjSpace((2, 2)), ((incidence_form(3),),)
-    assert _map_rank_mod_p(space, ((11, -14),), ((12, -13),), maps, 2, 3) == 276
+    space = MultiProjSpace((2, 2))
+    assert _map_rank_mod_p(space, (11, -14), (12, -13), incidence_form(3), 2, 3) == 276
 
 
 SPACES = ((1,), (2,), (1, 1), (1, 2))
@@ -185,58 +186,53 @@ SPACES = ((1,), (2,), (1, 1), (1, 2))
 
 @st.composite
 def random_maps(draw):
-    """(p, space, src_term, dst_term, poly_matrix) for a random map of sums.
+    """(p, space, src, dst, form) for multiplication by a random form,
+    O(src) -> O(dst).
 
-    Terms have one or two summands, the targets often just above the source;
-    an entry has zero to three terms, usually of the degree that joins its
-    summands and sometimes of any degree; coefficients include +-p and 2p.
+    The target is often just above the source; the form has zero to three
+    terms, usually of the degree that joins the two bundles and sometimes of
+    any degree; coefficients include +-p and 2p.
     """
     p = draw(st.sampled_from((2, 3, 5)))
     dims = draw(st.sampled_from(SPACES))
     space = MultiProjSpace(dims)
     multidegree = st.tuples(*(st.integers(-5, 3) for _ in dims))
-    src = tuple(draw(st.lists(multidegree, min_size=1, max_size=2)))
-    # targets a little above the first source summand, so that maps hit
+    src = draw(multidegree)
+    # a target a little above the source, so that the map hits
     step = st.tuples(*(st.integers(0, 2) for _ in dims))
-    near = step.map(lambda e: tuple(s + x for s, x in zip(src[0], e)))
-    dst = tuple(draw(st.lists(st.one_of(near, multidegree), min_size=1, max_size=2)))
+    near = step.map(lambda e: tuple(s + x for s, x in zip(src, e)))
+    dst = draw(st.one_of(near, multidegree))
     units = [c for c in range(-3, 4) if c % p]
     coeff = st.sampled_from([p, -p, 2 * p] + units * 3)  # about 1 in 5 is 0 mod p
-    maps = []
-    for dst_md in dst:
-        row = []
-        for src_md in src:
-            terms = {}
-            for _ in range(draw(st.integers(0, 3))):
-                homogeneous = draw(st.booleans()) or draw(st.booleans())
-                mono = []
-                for n, s, d in zip(dims, src_md, dst_md):
-                    head = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
-                    total = d - s if homogeneous else draw(st.integers(-3, 3))
-                    mono.append((*head, total - sum(head)))
-                terms[tuple(mono)] = draw(coeff)
-            row.append(Poly(terms))
-        maps.append(tuple(row))
-    return p, space, src, dst, tuple(maps)
+    form = {}
+    for _ in range(draw(st.integers(0, 3))):
+        homogeneous = draw(st.booleans()) or draw(st.booleans())
+        mono = []
+        for n, s, d in zip(dims, src, dst):
+            head = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+            total = d - s if homogeneous else draw(st.integers(-3, 3))
+            mono.append((*head, total - sum(head)))
+        form[tuple(mono)] = draw(coeff)
+    return p, space, src, dst, form
 
 
 @settings(max_examples=300, deadline=None)
 @given(random_maps())
 def test_map_rank_matches_dense_elimination(drawn):
-    p, space, src, dst, maps = drawn
+    p, space, src, dst, form = drawn
     for degree in range(space.dim + 1):
-        dense = _dense_map_matrix(space, src, dst, maps, degree)
+        dense = _dense_map_matrix(space, src, dst, form, degree)
         expected = 0 if dense is None else rank_mod_p(dense, p)
-        assert _map_rank_mod_p(space, src, dst, maps, degree, p) == expected, degree
+        assert _map_rank_mod_p(space, src, dst, form, degree, p) == expected, degree
 
 
 @settings(max_examples=150, deadline=None)
 @given(random_maps())
 def test_weights_kill_exactly_the_span_of_the_terms(drawn):
-    _, space, _, _, maps = drawn
+    _, space, _, _, form = drawn
     width = sum(n + 1 for n in space.factor_dims)
-    weights = _weights(maps, width)
-    terms = [_flat(mono) for row in maps for poly in row for mono in poly.terms]
+    weights = _weights(form, width)
+    terms = [_flat(mono) for mono in form]
     for t in terms:
         assert all(sum(k * x for k, x in zip(row, t)) == 0 for row in weights), t
     # K is the whole annihilator: its rank and the rank of the terms add up
@@ -248,14 +244,14 @@ def test_weight_overflow_guard(big, refused):
     # O(0) -> O(0) on P1 by 1 + x0^big x1^-big: K = [[1, 1], [1, 1]], so the
     # guard needs max|K row sum| * (max|m| + max|t|) = 2 * big below 2^62
     space = MultiProjSpace((1,))
-    maps = ((Poly({((0, 0),): 1, ((big, -big),): 1}),),)
-    assert _weights(maps, 2) == [[1, 1], [1, 1]]
+    form = {((0, 0),): 1, ((big, -big),): 1}
+    assert _weights(form, 2) == [[1, 1], [1, 1]]
     assert (2 * big >= _INT64_GUARD) == refused
     if refused:
         with pytest.raises(Overflow):
-            _map_rank_mod_p(space, ((0,),), ((0,),), maps, 0, 3)
+            _map_rank_mod_p(space, (0,), (0,), form, 0, 3)
     else:
-        assert _map_rank_mod_p(space, ((0,),), ((0,),), maps, 0, 3) == 1
+        assert _map_rank_mod_p(space, (0,), (0,), form, 0, 3) == 1
 
 
 def test_the_basis_bound_counts_the_rows_kept(monkeypatch):
@@ -276,7 +272,7 @@ def test_the_basis_bound_counts_the_rows_kept(monkeypatch):
 
 def test_the_basis_bound_counts_every_row_without_symmetry(monkeypatch):
     # under the trivial group every source row is kept
-    monkeypatch.setattr(cech_mod, "_symmetry", lambda space, poly_matrix: 1)
+    monkeypatch.setattr(cech_mod, "_symmetry", lambda factor_dims, form: 1)
     monkeypatch.setattr(cech_mod, "MAX_CECH_BASIS", 6_084)
     assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
     monkeypatch.setattr(cech_mod, "MAX_CECH_BASIS", 6_083)
@@ -286,14 +282,18 @@ def test_the_basis_bound_counts_every_row_without_symmetry(monkeypatch):
 
 
 def test_composite_p_refused_without_nonzero_entries():
-    # O(0) -> O(1) on P1 by 0 and by 4 x_0: no entry is nonzero mod 2 or mod 4
+    # O(0) -> O(1) on P1 by 0 and by 4 x_0: no term is nonzero mod 2 or mod
+    # 4.  A form that vanishes mod p cuts out no hypersurface, so the kernel
+    # on H^0 of O(0) is a class in degree -1, which exactness forbids
     space = MultiProjSpace((1,))
-    for poly, at_3 in ((Poly({}), {0: 1, 1: 2}), (Poly({((1, 0),): 4}), {1: 1})):
-        cx = LaurentComplex(space=space, terms=(((0,),), ((1,),)), maps=(((poly,),),))
-        assert hypercohomology_fp(cx, 2) == {0: 1, 1: 2}
-        assert hypercohomology_fp(cx, 3) == at_3
+    zero, four_x0 = {}, {((1, 0),): 4}
+    for form, p in ((zero, 2), (zero, 3), (four_x0, 2)):
+        with pytest.raises(InvariantViolation, match=re.escape("0..0: {-1: 1}")):
+            _restriction_cohomology(space, (0,), (1,), form, p)
+    assert _restriction_cohomology(space, (0,), (1,), four_x0, 3).dims == (1,)
+    for form in (zero, four_x0):
         with pytest.raises(ValueError, match="not prime"):
-            hypercohomology_fp(cx, 4)
+            _restriction_cohomology(space, (0,), (1,), form, 4)
 
 
 def test_orbit_sum_matches_full_sum_on_a_twist_grid(monkeypatch):
@@ -302,7 +302,7 @@ def test_orbit_sum_matches_full_sum_on_a_twist_grid(monkeypatch):
     questions += [(a, b, p) for a, b in ((5, -7), (12, -13)) for p in (2, 5, 7)]
     orbit = [incidence_cohomology(a, b, p).dims for a, b, p in questions]
     # the full sum: every block eliminated, as for a complex without symmetry
-    monkeypatch.setattr(cech_mod, "_symmetry", lambda space, poly_matrix: 1)
+    monkeypatch.setattr(cech_mod, "_symmetry", lambda factor_dims, form: 1)
     full = [incidence_cohomology(a, b, p).dims for a, b, p in questions]
     assert orbit == full
 
@@ -383,9 +383,9 @@ def test_canonical_weights_and_orbit_sizes_by_brute_force(factors, g):
 
 def test_incidence_weights_commute_with_s3():
     space = MultiProjSpace((2, 2))
-    maps = ((incidence_form(3),),)
-    K = np.array(_weights(maps, 6))
-    assert _symmetry(space, maps) == 3
+    form = incidence_form(3)
+    K = np.array(_weights(form, 6))
+    assert _symmetry(space.factor_dims, form) == 3
     m = np.array(_flat_basis(space, (3, -5))[1])
     for perm in permutations(range(3)):
         sigma = np.concatenate((perm, [3 + i for i in perm]))
@@ -401,54 +401,46 @@ def test_incidence_weights_commute_with_s3():
 )
 def test_forms_without_the_full_symmetry_take_the_trivial_group(terms):
     space = MultiProjSpace((2, 2))
-    maps = ((Poly(terms),),)
-    assert _symmetry(space, maps) == 1
+    assert _symmetry(space.factor_dims, terms) == 1
     for a, b in ((2, -3), (3, -5), (4, -4)):
-        src, dst = ((a - 1, b - 1),), ((a, b),)
+        src, dst = (a - 1, b - 1), (a, b)
         for degree in range(space.dim + 1):
-            dense = _dense_map_matrix(space, src, dst, maps, degree)
+            dense = _dense_map_matrix(space, src, dst, terms, degree)
             for p in (2, 3, 5):
                 expected = 0 if dense is None else rank_mod_p(dense, p)
-                assert _map_rank_mod_p(space, src, dst, maps, degree, p) == expected
+                assert _map_rank_mod_p(space, src, dst, terms, degree, p) == expected
 
 
 @st.composite
 def symmetric_maps(draw):
-    """A random map of sums on P^n or (P^n)^2, every entry made S_(n+1)-invariant
-    by adding the images of its terms."""
+    """A random form on P^n or (P^n)^2, made S_(n+1)-invariant by adding the
+    images of its terms, as a map between two random bundles."""
     p = draw(st.sampled_from((2, 3, 5)))
     space = draw(st.sampled_from((MultiProjSpace((1,)), MultiProjSpace((2,)),
                                   MultiProjSpace((1, 1)), MultiProjSpace((2, 2)))))
     k, g = len(space.factor_dims), space.factor_dims[0] + 1
     degrees = st.tuples(*(st.integers(-4, 3) for _ in range(k)))
-    src = tuple(draw(st.lists(degrees, min_size=1, max_size=2)))
-    dst = tuple(draw(st.lists(degrees, min_size=1, max_size=2)))
+    src, dst = draw(degrees), draw(degrees)
     exps = st.lists(st.integers(-1, 2), min_size=g, max_size=g).map(tuple)
-    maps = []
-    for _ in dst:
-        row = []
-        for _ in src:
-            terms = {}
-            for _ in range(draw(st.integers(0, 2))):
-                mono = tuple(draw(exps) for _ in range(k))
-                coeff = draw(st.sampled_from((1, -1, 2, p)))
-                for perm in permutations(range(g)):
-                    image = tuple(tuple(f[i] for i in perm) for f in mono)
-                    terms[image] = coeff
-            row.append(Poly(terms))
-        maps.append(tuple(row))
-    return p, space, src, dst, tuple(maps)
+    form = {}
+    for _ in range(draw(st.integers(0, 2))):
+        mono = tuple(draw(exps) for _ in range(k))
+        coeff = draw(st.sampled_from((1, -1, 2, p)))
+        for perm in permutations(range(g)):
+            image = tuple(tuple(f[i] for i in perm) for f in mono)
+            form[image] = coeff
+    return p, space, src, dst, form
 
 
 @settings(max_examples=200, deadline=None)
 @given(symmetric_maps())
 def test_symmetric_map_rank_matches_dense_elimination(drawn):
-    p, space, src, dst, maps = drawn
-    assert _symmetry(space, maps) == space.factor_dims[0] + 1
+    p, space, src, dst, form = drawn
+    assert _symmetry(space.factor_dims, form) == space.factor_dims[0] + 1
     for degree in range(space.dim + 1):
-        dense = _dense_map_matrix(space, src, dst, maps, degree)
+        dense = _dense_map_matrix(space, src, dst, form, degree)
         expected = 0 if dense is None else rank_mod_p(dense, p)
-        assert _map_rank_mod_p(space, src, dst, maps, degree, p) == expected, degree
+        assert _map_rank_mod_p(space, src, dst, form, degree, p) == expected, degree
 
 
 def _grid(sizes):
@@ -508,14 +500,14 @@ def test_binomial_table_is_math_comb():
 def test_each_target_row_lies_in_one_weight_block(drawn):
     # a product keeps its source row's weight, so the entries of a target row
     # all sit in the columns of one weight block, the row's own
-    p, space, src, dst, maps = drawn
-    K = np.array(_weights(maps, sum(n + 1 for n in space.factor_dims)), dtype=object)
+    p, space, src, dst, form = drawn
+    K = np.array(_weights(form, sum(n + 1 for n in space.factor_dims)), dtype=object)
     for degree in range(space.dim + 1):
-        dense = _dense_map_matrix(space, src, dst, maps, degree)
+        dense = _dense_map_matrix(space, src, dst, form, degree)
         if dense is None:
             continue
-        cols = [_flat(m) for _, m in _tuple_term_basis(space, src, degree)]
-        rows = [_flat(m) for _, m in _tuple_term_basis(space, dst, degree)]
+        cols = [_flat(m) for m in _degree_basis(space, src, degree)]
+        rows = [_flat(m) for m in _degree_basis(space, dst, degree)]
         for r, entries in enumerate(dense % p):
             blocks = {tuple(K.dot(cols[c])) for c in np.flatnonzero(entries)}
             assert blocks <= {tuple(K.dot(rows[r]))}, (degree, r)
@@ -531,13 +523,12 @@ def test_two_twists_of_one_map_compute_its_invariants_once(monkeypatch):
         monkeypatch.setattr(cech_mod, name, counting)
     assert incidence_cohomology(4, -5, 3).dims == (0, 11, 1, 0)
     assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
-    # every degree of both twists, and a new Poly per twist, share one key
+    # every degree of both twists, and a new form per twist, share one key
     assert calls == {"_weights": 1, "_symmetry": 1}
-    # a map with other terms is a new key
+    # a form with other terms is a new key
     space = MultiProjSpace((2, 2))
-    cx = LaurentComplex(space=space, terms=(((0, 0),), ((1, 1),)),
-                        maps=(((Poly({((1, 0, 0), (0, 1, 0)): 1}),),),))
-    hypercohomology_fp(cx, 3)
+    x0y1 = {((1, 0, 0), (0, 1, 0)): 1}
+    assert _restriction_cohomology(space, (0, 0), (1, 1), x0y1, 3).dims == (8, 0, 0, 0)
     assert calls == {"_weights": 2, "_symmetry": 2}
 
 
@@ -583,62 +574,53 @@ def test_a_factor_table_past_the_kept_size_is_not_kept():
 @settings(max_examples=150, deadline=None)
 @given(random_maps())
 def test_canonical_rows_are_the_enumerated_basis_under_the_orbit_mask(drawn):
-    # the factor grids against the nested-tuple basis and its full weight
-    # product; the source and target summands together make a term of two
-    # to four summands, so the order of concatenation is checked too.  A
-    # kept row is its row in each factor table, the k-th summand's rows
-    # pos[bounds[k]:bounds[k + 1]]: read through the summand's tables, they
-    # are the exponent rows of the enumerated basis, in order
-    _, space, src, dst, maps = drawn
-    weights = _weights(maps, sum(n + 1 for n in space.factor_dims))
+    # the factor grids of the source and the target against the
+    # nested-tuple basis and its full weight product.  A kept row is its
+    # row in each factor table: read through the tables, the kept rows are
+    # the exponent rows of the enumerated basis, in order
+    _, space, src, dst, form = drawn
+    weights = _weights(form, sum(n + 1 for n in space.factor_dims))
     groups = [1]
     if len(set(space.factor_dims)) == 1:
         groups.append(space.factor_dims[0] + 1)
-    term = src + dst
-    for degree in range(space.dim + 1):
-        full = [(j, *_flat(m)) for j, m in _tuple_term_basis(space, term, degree)]
-        summands = _summands(space, term, degree)
-        assert [j for j, _, _ in summands] == sorted({row[0] for row in full})
-        assert [info for _, info, _ in summands] == [
-            _factor_degrees(space, term[j]) for j, _, _ in summands
-        ]
-        if not summands:
+    for md in (src, dst):
+        flat = _flat_basis(space, md)
+        if flat is None:
             continue
-        full = np.array(full, dtype=np.int64)
-        weight = full[:, 1:] @ np.array(weights, dtype=np.int64).T
+        full = np.array(flat[1], dtype=np.int64)
+        weight = full @ np.array(weights, dtype=np.int64).T
+        tables = _tables(space, md)
         for g in groups:
             keep, orbit = _orbits(weight, g)
-            pos, grid_weight, size, bounds = _canonical_rows(summands, weights, g)
-            assert pos.shape[1] == len(space.factor_dims)
-            assert len(bounds) == len(summands) + 1 and bounds[0] == 0
-            assert bounds[-1] == len(pos)
+            pos, grid_weight, size = _canonical_rows(tables, weights, g)
+            assert pos.shape == (len(size), len(space.factor_dims))
             exponents = [
-                [j] + [x for t, i in zip(tables, at) for x in t[i].tolist()]
-                for (j, _, tables), lo, hi in zip(summands, bounds, bounds[1:])
-                for at in pos[lo:hi].tolist()
+                [x for t, i in zip(tables, at) for x in t[i].tolist()] for at in pos.tolist()
             ]
-            assert exponents == full[keep].tolist(), (degree, g)
-            assert grid_weight.tolist() == weight[keep].tolist(), (degree, g)
-            assert size.tolist() == orbit.tolist(), (degree, g)
+            assert exponents == full[keep].tolist(), (md, g)
+            assert grid_weight.tolist() == weight[keep].tolist(), (md, g)
+            assert size.tolist() == orbit.tolist(), (md, g)
 
 
 @pytest.mark.parametrize("slab", [1, 7, 100])
 def test_canonical_rows_do_not_depend_on_the_slab(monkeypatch, slab):
-    # slabs of one first-factor row, of a few rows, and of part of the grid
+    # slabs of one first-factor row, of a few rows, and of part of the grid,
+    # on both bundles of each twist's restriction sequence
     space = MultiProjSpace((2, 2))
-    maps = ((incidence_form(3),),)
-    weights = _weights(maps, 6)
+    weights = _weights(incidence_form(3), 6)
     twists = [(12, -13), (-14, 11), (5, -7)]
-    whole = {}
-    for a, b in twists:
-        summands = _summands(space, ((a - 1, b - 1), (a, b)), 2)
-        whole[a, b] = [np.asarray(x).tolist() for x in _canonical_rows(summands, weights, 3)]
+
+    def rows(a, b):
+        return [
+            [np.asarray(x).tolist() for x in _canonical_rows(_tables(space, md), weights, 3)]
+            for md in ((a - 1, b - 1), (a, b))
+        ]
+
+    whole = {(a, b): rows(a, b) for a, b in twists}
     dims = [incidence_cohomology(a, b, 3).dims for a, b in twists]
     monkeypatch.setattr(cech_mod, "_GRID_SLAB", slab)
     for a, b in twists:
-        summands = _summands(space, ((a - 1, b - 1), (a, b)), 2)
-        rows = _canonical_rows(summands, weights, 3)
-        assert [np.asarray(x).tolist() for x in rows] == whole[a, b]
+        assert rows(a, b) == whole[a, b]
     assert [incidence_cohomology(a, b, 3).dims for a, b in twists] == dims
 
 

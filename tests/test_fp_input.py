@@ -6,12 +6,11 @@ import pytest
 
 from toricfrob import (
     FrobeniusOrder,
-    LaurentComplex,
     MultiProjSpace,
     incidence_cohomology,
     line_bundle_cohomology_fp,
 )
-from toricfrob.cech import Poly, hypercohomology_fp
+from toricfrob.cech import _restriction_cohomology
 from toricfrob.cli import main
 from toricfrob import linalg
 from toricfrob.linalg import check_prime_field, is_prime, rank_mod_p
@@ -123,20 +122,12 @@ def test_cli_incidence_huge_twist_checks_p_first(capsys):
     assert "not prime" in captured.err
 
 
-def test_malformed_cech_monomial_refused():
-    # on P2 x P2 a monomial needs two exponent tuples of length 3; this one,
-    # as a map O(0,0) -> O(1,0), was read as x_0 through its flattened row
+def test_a_monomial_is_one_exponent_tuple_per_factor():
+    # x_0 on P2 x P2 is one exponent tuple of length 3 per factor; its zero
+    # set is P1 x P2, where O(1, 0) has h^0 = 2
     space = MultiProjSpace((2, 2))
-    terms = (((0, 0),), ((1, 0),))
-    with pytest.raises(ValueError, match="exponent tuple"):
-        LaurentComplex(
-            space=space, terms=terms, maps=(((Poly({((1, 0, 0, 0), (0, 0)): 1}),),),)
-        )
-    with pytest.raises(ValueError, match="1 x 1 matrix"):
-        LaurentComplex(space=space, terms=terms, maps=(((Poly({}), Poly({})),),))
-    x0 = Poly({((1, 0, 0), (0, 0, 0)): 1})
-    cx = LaurentComplex(space=space, terms=terms, maps=(((x0,),),))
-    assert hypercohomology_fp(cx, 3) == {1: 2}
+    x0 = {((1, 0, 0), (0, 0, 0)): 1}
+    assert _restriction_cohomology(space, (0, 0), (1, 0), x0, 3).dims == (2, 0, 0, 0)
 
 
 @pytest.mark.parametrize("args", [(4, -5, 3.0), (True, -5, 3), (4.0, -5, 3), (4, -5.0, 3),
@@ -164,8 +155,6 @@ def test_multidegree_entries_must_be_integers():
     for bad in ((1.0, 0), (True, 0), (0, "1")):
         with pytest.raises(ValueError, match="multidegree entry"):
             line_bundle_cohomology_fp(space, bad)
-        cx = LaurentComplex(space=space, terms=((bad,), ((2, 1),)),
-                            maps=(((Poly({}),),),))
         with pytest.raises(ValueError, match="multidegree entry"):
-            hypercohomology_fp(cx, 3)
+            _restriction_cohomology(space, bad, (2, 1), {}, 3)
     assert line_bundle_cohomology_fp(space, (1, 0)).dims == (2, 0, 0)
