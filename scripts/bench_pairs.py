@@ -28,6 +28,12 @@ span), so that a loaded host can be told from a slower change, and the
 interpreter's peak RSS (``ru_maxrss``).  A question a side refuses with
 ``Overflow`` records the number of refused runs in place of its times.
 
+Each benchmark run, each seven-q pass and each cold call also records the
+host's steal time over it (``steal_s``): the 8th value on the ``cpu`` line of
+``/proc/stat``, summed over the host's CPUs, read before and after the run
+and taken in seconds.  Time a hypervisor gave to other guests shows there,
+not in the run's own CPU time; where ``/proc/stat`` is absent it reads 0.
+
 For each tree it also records the size of the library, the lines of the
 ``.py`` files under ``src/toricfrob``, and the ``tracemalloc`` peak of
 ``compile()`` on ``src/toricfrob/cech.py`` in a fresh interpreter, the
@@ -117,6 +123,25 @@ print(tracemalloc.get_traced_memory()[1] / 2**20)
 """
 
 
+def steal_s() -> float:
+    """The host's steal time so far, in seconds, from ``/proc/stat``."""
+    try:
+        with open("/proc/stat") as stat:
+            fields = stat.readline().split()
+    except OSError:
+        return 0.0
+    if fields[:1] != ["cpu"] or len(fields) < 9:
+        return 0.0
+    return int(fields[8]) / os.sysconf("SC_CLK_TCK")
+
+
+def stolen(run):
+    """(what ``run()`` returns, the host's steal seconds over it)."""
+    before = steal_s()
+    result = run()
+    return result, round(steal_s() - before, 4)
+
+
 def tree_size(tree: Path) -> dict:
     """Lines of the library's source, and the peak of compiling cech.py."""
     lines = sum(len(path.read_text().splitlines())
@@ -128,26 +153,32 @@ def tree_size(tree: Path) -> dict:
 
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``; the JSON object of its last line."""
+    """One benchmark run in ``tree``: the JSON object of its last line, with
+    the host's steal seconds over the run added as ``steal_s``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    proc, steal = stolen(lambda: subprocess.run(
+        cmd, cwd=tree, capture_output=True, text=True, check=True))
+    return {**json.loads(proc.stdout.splitlines()[-1]), "steal_s": steal}
 
 
-def cold_pass(tree: Path) -> float:
-    proc = subprocess.run([sys.executable, "-c", COLD_PASS], cwd=tree,
-                          capture_output=True, text=True, check=True)
-    return round(float(proc.stdout), 4)
+def cold_pass(tree: Path) -> tuple:
+    """(wall seconds, steal seconds) of one seven-q pass."""
+    proc, steal = stolen(lambda: subprocess.run(
+        [sys.executable, "-c", COLD_PASS], cwd=tree, capture_output=True,
+        text=True, check=True))
+    return round(float(proc.stdout), 4), steal
 
 
 def cold_call(tree: Path, call: str) -> tuple:
-    """(wall seconds, CPU seconds, peak RSS in MB) of one cold call."""
-    proc = subprocess.run([sys.executable, "-c", COLD_CALL.format(call)],
-                          cwd=tree, capture_output=True, text=True, check=True)
+    """(wall seconds, CPU seconds, peak RSS in MB, steal seconds) of one cold
+    call."""
+    proc, steal = stolen(lambda: subprocess.run(
+        [sys.executable, "-c", COLD_CALL.format(call)], cwd=tree,
+        capture_output=True, text=True, check=True))
     seconds, cpu_s, rss = proc.stdout.splitlines()[-1].split()
     return (*(x if x == "refused" else round(float(x), 4) for x in (seconds, cpu_s)),
-            round(float(rss), 1))
+            round(float(rss), 1), steal)
 
 
 def summary(runs: list) -> dict:
@@ -197,6 +228,9 @@ def workload_record(parent: Path, change: Path, workload: str, pairs: int,
             "change_vs_parent_median": round(after["median"] / before["median"] - 1, 4),
             "pairs_change_lower": sum(y < x for x, y in zip(a, b)),
         }
+    record["steal_s"] = {"unit": "s",
+                         "parent": summary([r["steal_s"] for r in old]),
+                         "change": summary([r["steal_s"] for r in new])}
     record["all_correct"] = all(r["correct"] for r in old + new)
     for key in ("attempted", "failed"):
         record[key] = {"parent": sum(r[key] for r in old),
@@ -340,7 +374,11 @@ def main(argv=None) -> int:
             "seven_q_cold_pass": {
                 "command": "python -c: import toricfrob, then catalog_run at "
                            "q = 2, 3, 4, 5, 7, 8, 9 in turn (import included)",
-                "unit": "s", "parent": summary(old), "change": summary(new),
+                "unit": "s",
+                "parent": summary([t for t, _ in old]),
+                "change": summary([t for t, _ in new]),
+                "steal_s": {"parent": summary([s for _, s in old]),
+                            "change": summary([s for _, s in new])},
             },
         }
         for name, call in COLD_CALLS.items():
@@ -353,14 +391,17 @@ def main(argv=None) -> int:
                            "CPU time is ru_utime + ru_stime over the same span; "
                            "peak RSS is the interpreter's ru_maxrss",
                 "wall_s": {"unit": "s",
-                           "parent": timings([t for t, _, _ in old]),
-                           "change": timings([t for t, _, _ in new])},
+                           "parent": timings([t for t, _, _, _ in old]),
+                           "change": timings([t for t, _, _, _ in new])},
                 "cpu_s": {"unit": "s",
-                          "parent": timings([c for _, c, _ in old]),
-                          "change": timings([c for _, c, _ in new])},
+                          "parent": timings([c for _, c, _, _ in old]),
+                          "change": timings([c for _, c, _, _ in new])},
                 "peak_rss_mb": {"unit": "MB",
-                                "parent": summary([m for _, _, m in old]),
-                                "change": summary([m for _, _, m in new])},
+                                "parent": summary([m for _, _, m, _ in old]),
+                                "change": summary([m for _, _, m, _ in new])},
+                "steal_s": {"unit": "s",
+                            "parent": summary([s for _, _, _, s in old]),
+                            "change": summary([s for _, _, _, s in new])},
             }
     # last: a child's ru_maxrss counts this process's resident size when it
     # was spawned, and the interleaved runs grow it by two imported trees

@@ -66,7 +66,6 @@ from .structure import (
     BlowupReport,
     JetCheckReport,
     MultisetDifferenceNegative,
-    SplitBundle,
     blowup_bookkeeping_check,
     corank_oracle,
     delpezzo_jet_check,

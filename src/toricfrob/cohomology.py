@@ -13,7 +13,9 @@ Higher dimensions are rejected rather than silently risking torsion.
 The characters that can contribute lie in a box spanned by the vertices of
 the arrangement {<m, v_rho> = -a_rho}; each vertex is adj . (-a) / det for an
 invertible d-subset of rays, with the integer adjugates cached per fan, so
-the whole engine runs on integers.
+the whole engine runs on integers.  Each class's cohomology, each support's
+Betti numbers and each axis's ray data are computed once per fan and kept by
+``fan.per_fan``.
 
 The box is counted line by line, never point by point.  Along a line parallel
 to a coordinate axis each condition <m, v_rho> < -a_rho is linear in the free
@@ -37,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fan import DivisorClass, Fan, class_of
+from .fan import DivisorClass, Fan, class_of, per_fan
 from .linalg import _INT64_GUARD, _residue_dtype, group_rows, ranks_mod_p
 
 MAX_DIM = 4
@@ -122,23 +124,21 @@ def _char_grid(fan: Fan, coeffs):
     return grids + np.array([a for a, _ in box], dtype=np.int64)
 
 
+@per_fan
 def _line_rays(fan: Fan, axis: int):
-    """Ray data for lines parallel to ``axis`` (cached per fan).
+    """Ray data for lines parallel to ``axis``, kept per fan.
 
     Returns (order, rays, slopes): ``order`` lists the ray indices with the
     rays of nonzero component c along the axis first, ``rays`` the rays in
     that order, and ``slopes`` their nonzero c.
     """
-    hit = fan._line_cache.get(axis)
-    if hit is None:
-        slope = [ray[axis] for ray in fan.rays]
-        order = sorted(range(len(slope)), key=lambda i: not slope[i])
-        hit = fan._line_cache[axis] = (
-            np.array(order, dtype=np.int64),
-            np.array([fan.rays[i] for i in order], dtype=np.int64),
-            np.array([slope[i] for i in order if slope[i]], dtype=np.int64),
-        )
-    return hit
+    slope = [ray[axis] for ray in fan.rays]
+    order = sorted(range(len(slope)), key=lambda i: not slope[i])
+    return (
+        np.array(order, dtype=np.int64),
+        np.array([fan.rays[i] for i in order], dtype=np.int64),
+        np.array([slope[i] for i in order if slope[i]], dtype=np.int64),
+    )
 
 
 def _line_starts(start, rays, axes):
@@ -222,17 +222,15 @@ def _mask_counts(fan: Fan, coeffs):
     return _line_counts(base, cuts, steps, width)
 
 
+@per_fan
 def _support_contrib(fan: Fan, mask: int):
     """h^i contributions of one ray support set S (bitmask over ray indices).
 
     Returns a tuple c with c[i] = dim of reduced cohomology in degree i-1 of
     the induced subcomplex on S, i.e. the contribution of one character with
     this support to (h^0, ..., h^dim).  The empty support contributes to h^0.
+    Kept per fan.
     """
-    cache = fan._betti_cache
-    hit = cache.get(mask)
-    if hit is not None:
-        return hit
     support = [i for i in range(len(fan.rays)) if mask >> i & 1]
     d = fan.dim
     faces = [[()]]
@@ -262,23 +260,18 @@ def _support_contrib(fan: Fan, mask: int):
         for card, rank in zip(cards, ranks_mod_p(rows, offsets, _BETTI_P).tolist()):
             ranks[card] = rank
 
-    contrib = tuple(
-        len(faces[c]) - ranks[c] - ranks[c + 1] for c in range(d + 1)
-    )
-    cache[mask] = contrib
-    return contrib
+    return tuple(len(faces[c]) - ranks[c] - ranks[c + 1] for c in range(d + 1))
 
 
+@per_fan
 def cohomology_of_class(fan: Fan, cls: DivisorClass) -> CohomologyVector:
-    """Cohomology of the line bundle with the given Picard class (cached).
+    """Cohomology of the line bundle with the given Picard class, kept per fan.
 
     h^i is the sum over the supports S met in the candidate box of
     (number of characters with support S) * (contribution of S), the numbers
-    counted exactly line by line by :func:`_mask_counts`.
+    counted exactly line by line by :func:`_mask_counts`.  A class refused
+    with Overflow or DimensionUnsupported keeps nothing.
     """
-    cached = fan._coh_cache.get(cls)
-    if cached is not None:
-        return cached
     if fan.dim > MAX_DIM:
         raise DimensionUnsupported(f"dimension {fan.dim} > {MAX_DIM}")
     vals, counts = _mask_counts(fan, fan.divisor_of_class(cls))
@@ -288,9 +281,7 @@ def cohomology_of_class(fan: Fan, cls: DivisorClass) -> CohomologyVector:
         if any(contrib):
             for i, c in enumerate(contrib):
                 h[i] += count * c
-    result = CohomologyVector(tuple(h))
-    fan._coh_cache[cls] = result
-    return result
+    return CohomologyVector(tuple(h))
 
 
 def cohomology(fan: Fan, divisor) -> CohomologyVector:

@@ -129,17 +129,15 @@ def adjunction_crosscheck(fan: Fan, order: FrobeniusOrder) -> bool:
     return lhs == tuple(rhs)
 
 
-def tilting_verdict(
-    fan: Fan, order: FrobeniusOrder, collection=None
-) -> TiltingVerdict:
+def tilting_verdict(fan: Fan, order: FrobeniusOrder) -> TiltingVerdict:
     """Strong exceptionality plus containment of a full exceptional collection.
 
     Containment of every class of a known full exceptional collection of line
     bundles among the summands is the generator surrogate: it is sufficient
-    for the pushforward to generate the derived category.  The collection must
-    be supplied or attached to the fan by its constructor.
+    for the pushforward to generate the derived category.  The collection is
+    the one attached to the fan by its constructor.
     """
-    coll = tuple(collection) if collection is not None else fan.collection
+    coll = fan.collection
     if coll is None:
         raise UnknownCollection(
             f"no built-in collection for {fan.name or 'this fan'}"

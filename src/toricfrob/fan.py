@@ -10,14 +10,19 @@ fixed Picard coordinates: the rays of the first maximal cone are eliminated by
 a unimodular change of character, so a class is the coefficient vector on the
 remaining rays.  Two divisors differing by a principal divisor get identical
 coordinates.
+
+Answers that depend only on a fan and one key (a class's cohomology, a
+support's Betti numbers, a certified decomposition, a bundle's record) are
+kept on the fan by :func:`per_fan`, for as long as the fan lives.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import combinations
 from math import gcd
 
@@ -176,27 +181,11 @@ class Fan:
         weights = [sum(map(abs, col)) for col in zip(*self.class_matrix)]
         return max(sum(map(abs, ray)) for ray in self.rays), max(weights)
 
-    # Per-fan memo dictionaries, shared by the cohomology engine and, in
-    # ``_dec_cache``, by the Frobenius decompositions: (divisor, order) -> the
-    # certified, read-only Decomposition.  Values are deterministic functions
-    # of the key, so concurrent insertion is benign.  They live as long as the
-    # fan: for a registered variety, whose one fan ``named_variety`` shares,
-    # that is the whole process.
     @cached_property
-    def _coh_cache(self):
-        return {}
-
-    @cached_property
-    def _betti_cache(self):
-        return {}
-
-    @cached_property
-    def _line_cache(self):
-        return {}
-
-    @cached_property
-    def _dec_cache(self):
-        return {}
+    def _memo(self):
+        """The answers :func:`per_fan` keeps for this fan: one table per
+        kept function, mapping its key to its answer."""
+        return defaultdict(dict)
 
     @property
     def pic_rank(self) -> int:
@@ -222,6 +211,30 @@ class Fan:
         for value, idx in zip(cls.coords, free):
             coeffs[idx] = value
         return tuple(coeffs)
+
+
+_MISSING = object()
+
+
+def per_fan(fn):
+    """Keep ``fn(fan, key)`` in ``fan._memo`` for the life of the fan.
+
+    A repeat call is answered by one ``dict.get`` on the fan's table for
+    ``fn``; a call that raises keeps nothing, so it is asked again next time.
+    The answers are deterministic functions of (fan, key), so concurrent
+    insertion is benign.  For a registered variety, whose one fan
+    ``named_variety`` shares, they live as long as the process.
+    """
+
+    @wraps(fn)
+    def kept(fan, key):
+        table = fan._memo[kept]
+        value = table.get(key, _MISSING)
+        if value is _MISSING:
+            value = table[key] = fn(fan, key)
+        return value
+
+    return kept
 
 
 def _dot(u, v) -> int:
@@ -379,12 +392,15 @@ def product_fan(f1: Fan, f2: Fan, name: str = "") -> Fan:
 
 @dataclass(frozen=True)
 class Blowup:
-    """Star subdivision of a fan at a smooth cone, with pullback bookkeeping."""
+    """Star subdivision of a fan at a smooth cone, with pullback bookkeeping.
+
+    The new ray, whose divisor is the exceptional one, is the last ray of
+    ``fan``, as :func:`blowup_fan` builds it.
+    """
 
     fan: Fan
     base: Fan
     cone: tuple
-    new_ray_index: int
 
     def pullback_divisor(self, divisor) -> Divisor:
         # The support function is linear on the subdivided cone, so the new
@@ -396,9 +412,7 @@ class Blowup:
         return class_of(self.fan, self.pullback_divisor(self.base.divisor_of_class(cls)))
 
     def exceptional_class(self) -> DivisorClass:
-        coeffs = [0] * len(self.fan.rays)
-        coeffs[self.new_ray_index] = 1
-        return class_of(self.fan, tuple(coeffs))
+        return class_of(self.fan, (0,) * (len(self.fan.rays) - 1) + (1,))
 
 
 def blowup_fan(fan: Fan, cone, name: str = "") -> Blowup:
@@ -424,7 +438,7 @@ def blowup_fan(fan: Fan, cone, name: str = "") -> Blowup:
         else:
             cones.append(c)
     new_fan = build_fan(rays, cones, name=name or f"Bl{fan.name}")
-    return Blowup(fan=new_fan, base=fan, cone=cone, new_ray_index=new_idx)
+    return Blowup(fan=new_fan, base=fan, cone=cone)
 
 
 @dataclass(frozen=True)
@@ -436,13 +450,14 @@ class ProjBundle:
     O(-1) is the universal line inside the pulled-back bundle, so the
     pushforward of the relative O(1) is the direct sum of O(-E_i + E_0).
     Degrees are normalised so that E_0 = 0.  Class coordinates on the total
-    fan are (base coordinates, t) where t is the O_pi(1)-multiplicity.
+    fan are (base coordinates, t) where t is the O_pi(1)-multiplicity, and
+    the divisor of the last ray of ``fan`` is O_pi(1), as
+    :func:`projectivization_fan` builds it.
     """
 
     fan: Fan
     base: Fan
     degrees: tuple  # normalised: degrees[0] is the zero divisor
-    u_index0: int   # index of the ray whose divisor is O_pi(1)
 
     @property
     def rank(self) -> int:
@@ -455,9 +470,7 @@ class ProjBundle:
         return class_of(self.fan, self.pullback_divisor(self.base.divisor_of_class(cls)))
 
     def o_pi_divisor(self, k: int = 1) -> Divisor:
-        coeffs = [0] * len(self.fan.rays)
-        coeffs[self.u_index0] = k
-        return tuple(coeffs)
+        return (0,) * (len(self.fan.rays) - 1) + (k,)
 
     def o_pi_class(self, k: int = 1) -> DivisorClass:
         return class_of(self.fan, self.o_pi_divisor(k))
@@ -467,17 +480,14 @@ def projectivization_fan(base: Fan, degrees, name: str = "") -> ProjBundle:
     """Fan of the projectivized split bundle P(O(E_0) + ... + O(E_r)).
 
     ``degrees`` lists r+1 torus-invariant divisors on the base (E_0 may be
-    nonzero; it is normalised away).  Base ray i lifts to ray i; the relative
-    rays follow, the last one carrying the class of O_pi(1).
+    nonzero; it is normalised away by :func:`normalised_degrees`).  Base ray
+    i lifts to ray i; the relative rays follow, the last one carrying the
+    class of O_pi(1).
     """
-    degrees = [tuple(d) for d in degrees]
-    if len(degrees) < 2:
+    norm = normalised_degrees(base, degrees)
+    if len(norm) < 2:
         raise FanError("need at least two degrees for a projectivization")
-    if any(len(d) != len(base.rays) for d in degrees):
-        raise FanError("degree divisors must align with the base rays")
-    d0 = degrees[0]
-    norm = [tuple(a - b for a, b in zip(d, d0)) for d in degrees]
-    r = len(degrees) - 1
+    r = len(norm) - 1
     dim = base.dim
 
     lifts = [
@@ -505,7 +515,20 @@ def projectivization_fan(base: Fan, degrees, name: str = "") -> ProjBundle:
             keep = tuple(fiber_idx[j] for j in range(r + 1) if j != omit)
             cones.append(tuple(sorted(lifted + keep)))
     fan = build_fan(rays, cones, name=name or f"P(E)/{base.name}")
-    return ProjBundle(fan=fan, base=base, degrees=tuple(norm), u_index0=n + r)
+    return ProjBundle(fan=fan, base=base, degrees=norm)
+
+
+def normalised_degrees(base: Fan, degrees) -> tuple:
+    """The degrees E_0, ..., E_r of a split bundle on ``base``, less E_0.
+
+    Each degree must have one entry per base ray, and each entry is read by
+    :func:`_integer`, so a degree of the wrong length, a bool or a float
+    entry raises FanError instead of being truncated or answered.
+    """
+    degrees = [tuple(_integer(x, "degree") for x in d) for d in degrees]
+    if any(len(d) != len(base.rays) for d in degrees):
+        raise FanError("degree divisors must align with the base rays")
+    return tuple(tuple(a - b for a, b in zip(d, degrees[0])) for d in degrees)
 
 
 def fan_from_json(text: str) -> Fan:

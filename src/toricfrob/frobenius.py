@@ -11,9 +11,9 @@ every result against the projection formula, which determines the class
 multiset through the exact cohomology of twists.
 
 A decomposition is computed and certified once per (fan, divisor, order):
-the fan keeps it in ``Fan._dec_cache`` and every later question, the
-structural checks included, shares the same read-only :class:`Decomposition`.
-Only certified results are kept.
+the fan keeps it (``fan.per_fan``) and every later question, the structural
+checks included, shares the same read-only :class:`Decomposition`.  Only
+certified results are kept.
 """
 
 from __future__ import annotations
@@ -33,7 +33,15 @@ from .cohomology import (
     cohomology,
     cohomology_of_class,
 )
-from .fan import Divisor, DivisorClass, Fan, InvariantViolation, _integer, class_of
+from .fan import (
+    Divisor,
+    DivisorClass,
+    Fan,
+    InvariantViolation,
+    _integer,
+    class_of,
+    per_fan,
+)
 from .linalg import _INT64_GUARD, is_prime
 
 
@@ -183,15 +191,20 @@ def frobenius_decompose(fan: Fan, divisor, order: FrobeniusOrder) -> Decompositi
     The class multiset is checked against the projection formula over the
     default test twists; a failure raises OracleMismatch and indicates an
     implementation bug, never bad user input.  Each decomposition is
-    computed and certified once per (fan, divisor, order) and then shared
-    read-only from ``fan._dec_cache``; a failed certificate stores nothing.
+    computed and certified once per (fan, divisor, order) by
+    :func:`_certified` and then shared read-only; a failed certificate keeps
+    nothing.
     """
     divisor = tuple(divisor)
     if len(divisor) != len(fan.rays):
         raise ValueError("divisor length does not match number of rays")
-    key = (divisor, order)
-    if key in fan._dec_cache:
-        return fan._dec_cache[key]
+    return _certified(fan, (divisor, order))
+
+
+@per_fan
+def _certified(fan: Fan, key) -> Decomposition:
+    """The certified decomposition of F_* O(D) for key = (D, order)."""
+    divisor, order = key
     dec = Decomposition(fan, divisor, order, _raw_decompose(fan, divisor, order))
     if not verify_projection_formula(dec):
         failure = projection_formula_failure(dec)
@@ -202,8 +215,7 @@ def frobenius_decompose(fan: Fan, divisor, order: FrobeniusOrder) -> Decompositi
             f"sum of h^{i}(D_u + E) = {lhs} but h^{i}(D + qE) = {rhs}",
             failure,
         )
-    dec = fan._dec_cache[key] = replace(dec, certified=True)
-    return dec
+    return replace(dec, certified=True)
 
 
 def projection_formula_failure(dec: Decomposition):

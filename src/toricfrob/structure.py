@@ -28,6 +28,8 @@ from .fan import (
     ProjBundle,
     _integer,
     class_of,
+    normalised_degrees,
+    per_fan,
     projectivization_fan,
 )
 from .frobenius import (
@@ -59,29 +61,6 @@ class MultisetDifferenceNegative(InvariantViolation):
 
 
 @dataclass(frozen=True)
-class SplitBundle:
-    """A direct sum of line bundles O(E_0) + ... + O(E_r) on a toric base."""
-
-    base: Fan
-    degrees: tuple
-
-    def __post_init__(self):
-        if not self.degrees:
-            raise ValueError("a split bundle needs at least one summand")
-        if any(len(d) != len(self.base.rays) for d in self.degrees):
-            raise ValueError("summand degrees must align with the base rays")
-
-    def classes(self):
-        return [class_of(self.base, d) for d in self.degrees]
-
-    def det_class(self) -> DivisorClass:
-        total = self.base.zero_class()
-        for c in self.classes():
-            total = total + c
-        return total
-
-
-@dataclass(frozen=True)
 class JetCheckReport:
     q: int
     p1: int
@@ -98,8 +77,9 @@ class BlowupReport:
     det_discrepancy: DivisorClass
 
 
-def _divided_multiset(bundle: SplitBundle, m: int) -> Counter:
-    """Class multiset of the m-th divided power of a split bundle, empty for m < 0.
+def _divided_multiset(classes, m: int) -> Counter:
+    """Class multiset of the m-th divided power of the direct sum of the
+    line bundles of ``classes``, empty for m < 0.
 
     For a direct sum of line bundles the divided and symmetric powers have the
     same class decomposition: one summand O(sum_i a_i E_i) per exponent vector
@@ -108,45 +88,27 @@ def _divided_multiset(bundle: SplitBundle, m: int) -> Counter:
     out: Counter = Counter()
     if m < 0:
         return out
-    classes = bundle.classes()
-    for pick in combinations_with_replacement(range(len(classes)), m):
-        total = bundle.base.zero_class()
-        for i in pick:
-            total = total + classes[i]
-        out[total] += 1
+    zero = DivisorClass((0,) * len(classes[0].coords))
+    for pick in combinations_with_replacement(classes, m):
+        out[sum(pick, zero)] += 1
     return out
 
 
-def _normalised(degrees) -> tuple:
-    """The degrees of a split bundle less the first, so that E_0 = 0."""
-    return tuple(tuple(x - y for x, y in zip(d, degrees[0])) for d in degrees)
-
-
+@per_fan
 def _bundle(base_fan: Fan, norm) -> ProjBundle:
-    """P(E) over ``base_fan`` with the normalised degrees ``norm``: on the
-    registered fan when the registry holds this bundle, else on the fan of
-    :func:`_unregistered`.
+    """P(E) over ``base_fan`` with the normalised degrees ``norm``, found or
+    built once and kept by the base fan.
 
-    A registered bundle is matched by its base fan and degrees, so a check
-    on a catalog bundle builds no fan and reads the decompositions its
-    registered fan already holds.  Its record is laid out as
-    :func:`projectivization_fan` lays it out: the base rays, then the
-    relative rays, the last of which carries O_pi(1).
+    A bundle the registry holds is matched by its base fan and degrees and
+    recorded on its registered fan, so a check on a catalog bundle builds no
+    fan and reads the decompositions that fan already holds.  Any other
+    bundle's fan is built by :func:`projectivization_fan`, so that a repeat
+    check reads the decompositions it already holds.
     """
     for key, build in BUNDLE_SPECS.items():
         base, degrees = build()
-        if base == base_fan and _normalised(degrees) == norm:
-            u_index0 = len(base.rays) + len(norm) - 1
-            return ProjBundle(named_variety(key), base, norm, u_index0)
-    return _unregistered(base_fan, norm)
-
-
-@lru_cache(maxsize=64)
-def _unregistered(base_fan: Fan, norm) -> ProjBundle:
-    """The :func:`projectivization_fan` of a bundle the registry does not
-    hold, built once per (base fan, normalised degrees) and kept, up to 64
-    of them, so that a repeat check reads the decompositions its fan
-    already holds instead of decomposing and certifying again."""
+        if base == base_fan and normalised_degrees(base, degrees) == norm:
+            return ProjBundle(named_variety(key), base, norm)
     return projectivization_fan(base_fan, norm)
 
 
@@ -166,11 +128,11 @@ def pbundle_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> bool:
     if rank not in (2, 3):
         raise ValueError("the projective-bundle check needs a rank 2 or 3 bundle")
     q = order.q
-    norm = _normalised(degrees)
-    bundle = SplitBundle(base=base_fan, degrees=norm)
+    norm = normalised_degrees(base_fan, degrees)
+    classes = [class_of(base_fan, d) for d in norm]
     pb = _bundle(base_fan, norm)
     xi = pb.o_pi_class(1)
-    det = bundle.det_class()
+    det = sum(classes, base_fan.zero_class())
 
     direct = _pushforward_classes(pb.fan, {pb.fan.zero_class(): 1}, order)
     base_dec = _pushforward_classes(base_fan, {base_fan.zero_class(): 1}, order)
@@ -178,15 +140,15 @@ def pbundle_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> bool:
     for cls, mult in base_dec.items():
         predicted[pb.pullback_class(cls)] += mult
     # the top piece: summands of D^(q-r)E (x) det E, pushed forward on the base
-    twists = {tw + det: m for tw, m in _divided_multiset(bundle, q - rank).items()}
+    twists = {tw + det: m for tw, m in _divided_multiset(classes, q - rank).items()}
     for cls, mult in _pushforward_classes(base_fan, twists, order).items():
         predicted[pb.pullback_class(cls - det) - (rank - 1) * xi] += mult
     if rank == 3:
         # E_1 = coker(F_*O (x) E* -> F_* S^q E*), as a class multiset difference
-        dual = SplitBundle(base=base_fan, degrees=tuple(tuple(-x for x in d) for d in norm))
+        dual = [-c for c in classes]
         e1 = _pushforward_classes(base_fan, _divided_multiset(dual, q), order)
         for cls, mult in base_dec.items():
-            for ci in bundle.classes():
+            for ci in classes:
                 e1[cls - ci] -= mult
         if any(v < 0 for v in e1.values()):
             raise MultisetDifferenceNegative(
@@ -207,25 +169,28 @@ def s2d2_identity_check(base_fan: Fan, a, order: FrobeniusOrder) -> bool:
     divided-power multisets that the bundle checks rely on.
     """
     q = order.q
-    dual = SplitBundle(
-        base=base_fan,
-        degrees=(base_fan.zero_divisor(), tuple(-x for x in a)),
-    )
+    norm = normalised_degrees(base_fan, (base_fan.zero_divisor(), a))
+    dual = [-class_of(base_fan, d) for d in norm]
     sym_q = _divided_multiset(dual, q)
     lhs: Counter = Counter()
-    for frob in dual.classes():
+    for frob in dual:
         for cls, mult in sym_q.items():
             lhs[q * frob + cls] += mult
     rhs = _divided_multiset(dual, 2 * q)
-    rhs[q * dual.det_class()] += 1
+    rhs[q * sum(dual, base_fan.zero_class())] += 1
     return lhs == rhs
 
 
 def corank_oracle(p: int) -> int:
-    """Independent count: monomials x^a y^b with 0 <= a < b < p."""
+    """Independent count: monomials x^a y^b with 0 <= a < b < p, C(p, 2) of them.
+
+    p is read by ``fan._integer``, so a bool or a float raises ValueError, as
+    does a p that is not prime.
+    """
+    p = _integer(p, "p")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    return sum(1 for a_ in range(p) for b_ in range(p) if a_ < b_)
+    return comb(p, 2)
 
 
 def _blown_up_plane() -> Blowup:
@@ -234,9 +199,7 @@ def _blown_up_plane() -> Blowup:
     The record adds pull-back and exceptional class to the registry's fans.
     """
     plane = named_variety("P2")
-    return Blowup(
-        fan=named_variety("X1"), base=plane, cone=plane.max_cones[0], new_ray_index=3
-    )
+    return Blowup(fan=named_variety("X1"), base=plane, cone=plane.max_cones[0])
 
 
 def blowup_bookkeeping_check(p: int) -> BlowupReport:

@@ -236,9 +236,9 @@ def named_variety(name: str) -> Fan:
     """The registered variety ``name`` (one of VARIETY_NAMES), built once.
 
     Every call with the same name returns the same validated fan, shared
-    across the process, so the fan's cohomology caches serve every question
-    asked of it.  Those caches live as long as the process and grow with the
-    questions asked.
+    across the process, so the answers the fan keeps (``fan.per_fan``) serve
+    every question asked of it.  They live as long as the process and grow
+    with the questions asked.
     """
     if name in _BUILDERS:
         return _BUILDERS[name]()

@@ -12,6 +12,7 @@ from toricfrob import (
     projective_plane,
     projective_space,
 )
+from toricfrob import frobenius as frobenius_mod
 from toricfrob.linalg import inverse_unimodular
 
 
@@ -42,16 +43,17 @@ def F1():
 
 @pytest.fixture
 def cold_decompositions(monkeypatch):
-    """Give the fans passed to it empty decomposition caches for one test.
+    """Give the fans passed to it no kept decompositions for one test.
 
     A fault-injection test corrupts ``_raw_decompose``; a certified
     decomposition already held by the fan would be returned without reaching
-    it, and the corruption would pass unseen.
+    it, and the corruption would pass unseen.  Only the decomposition entry
+    of the fan's memo is reset; what else the fan keeps stays.
     """
 
     def cold(*fans):
         for fan in fans:
-            monkeypatch.setitem(fan.__dict__, "_dec_cache", {})
+            monkeypatch.setitem(fan._memo, frobenius_mod._certified, {})
 
     return cold
 

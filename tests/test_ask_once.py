@@ -94,8 +94,8 @@ def test_s2d2_identity_consults_divided_powers(monkeypatch, P2):
     assert s2d2_identity_check(P2, (1, 0, 0), order)
     real = structure_mod._divided_multiset
 
-    def lossy(bundle, m):
-        out = Counter(real(bundle, m))
+    def lossy(classes, m):
+        out = Counter(real(classes, m))
         out[next(iter(out))] -= 1
         return +out
 

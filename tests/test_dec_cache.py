@@ -1,6 +1,8 @@
 """Each (fan, divisor, order) is decomposed and certified once per process,
-and only certified decompositions are shared, read-only."""
+and only certified decompositions are shared, read-only.  The fan's memo
+keeps only what was answered: a refusal keeps nothing."""
 
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -9,8 +11,10 @@ from toricfrob import (
     DivisorClass,
     FrobeniusOrder,
     OracleMismatch,
+    Overflow,
     adjunction_crosscheck,
     catalog_run,
+    cohomology_of_class,
     ext_table,
     frobenius_decompose,
     iterate_check,
@@ -22,6 +26,9 @@ from toricfrob import (
 )
 from toricfrob import frobenius as frobenius_mod
 from toricfrob.varieties import BUNDLE_SPECS
+
+# The package's ``cohomology`` attribute is the function; the module is here.
+cohomology_mod = sys.modules["toricfrob.cohomology"]
 
 
 @pytest.fixture
@@ -68,7 +75,7 @@ def test_repeat_returns_the_shared_decomposition():
     order = FrobeniusOrder(2)
     dec = frobenius_decompose(fan, fan.zero_divisor(), order)
     assert frobenius_decompose(fan, [0, 0, 0], order) is dec
-    assert fan._dec_cache == {((0, 0, 0), order): dec}
+    assert fan._memo[frobenius_mod._certified] == {((0, 0, 0), order): dec}
 
 
 def test_failed_certificate_caches_nothing(monkeypatch):
@@ -81,11 +88,28 @@ def test_failed_certificate_caches_nothing(monkeypatch):
     monkeypatch.setattr(frobenius_mod, "_raw_decompose", corrupt)
     with pytest.raises(OracleMismatch):
         frobenius_decompose(fan, fan.zero_divisor(), order)
-    assert fan._dec_cache == {}
+    assert fan._memo[frobenius_mod._certified] == {}
     monkeypatch.undo()
     dec = frobenius_decompose(fan, fan.zero_divisor(), order)
     assert dec.certified
     assert dec.entries == {DivisorClass((0,)): 1, DivisorClass((-1,)): 3}
+
+
+def test_a_class_refused_with_overflow_keeps_nothing(monkeypatch):
+    fan, cls = projective_plane(), DivisorClass((10**7,))
+    counted = []
+    real = cohomology_mod._mask_counts
+
+    def mask_counts(*args):
+        counted.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cohomology_mod, "_mask_counts", mask_counts)
+    for calls in (1, 2):
+        with pytest.raises(Overflow):
+            cohomology_of_class(fan, cls)
+        assert len(counted) == calls  # refused again, not answered from the memo
+        assert cls not in fan._memo[cohomology_of_class]
 
 
 def test_orders_with_the_same_q_keep_their_own_order():
@@ -96,7 +120,7 @@ def test_orders_with_the_same_q_keep_their_own_order():
     dec_three = frobenius_decompose(fan, (1, 0, 0), three)
     assert dec_two.order == two and dec_three.order == three
     assert dec_two.entries == dec_three.entries == {DivisorClass((1,)): 1}
-    assert len(fan._dec_cache) == 2
+    assert len(fan._memo[frobenius_mod._certified]) == 2
 
 
 def test_shared_decomposition_is_read_only():
@@ -182,9 +206,9 @@ def test_pbundle_check_compares_certified_multisets(one_summand_too_many):
 
 
 def test_repeat_check_on_an_unregistered_bundle_decomposes_nothing(engine_calls):
-    # P(O + O(1)) over P1 is not in the registry: its fan is built once per
-    # (base fan, degrees) and kept, so a repeat check reads the decompositions
-    # the first one left on it
+    # P(O + O(1)) over P1 is not in the registry: its record is built once per
+    # (base fan, normalised degrees) and kept by the base fan, so a repeat
+    # check reads the decompositions the first one left on it
     base, order = projective_line(), FrobeniusOrder(2)
     assert pbundle_check(base, ((0, 0), (1, 0)), order)
     assert engine_calls["raw"]

@@ -15,6 +15,8 @@ from toricfrob import (
     delpezzo_jet_check,
     named_variety,
     pbundle_check,
+    projective_line,
+    projective_plane,
 )
 from toricfrob import fan as fan_mod
 from toricfrob import structure as structure_mod
@@ -39,7 +41,7 @@ def test_blowup_check_uses_the_registered_x1():
     blown = _blown_up_plane()
     assert blown.fan is named_variety("X1")
     assert blown.base is named_variety("P2")
-    assert blown.fan.rays[blown.new_ray_index] == (1, 1)
+    assert blown.fan.rays[-1] == (1, 1)
 
 
 def test_unknown_name_is_refused_every_time():
@@ -102,11 +104,11 @@ def test_repeat_blowup_check_reuses_the_blown_up_plane(engine_calls):
 def test_each_registered_bundle_record_matches_its_projectivization():
     for key, build in BUNDLE_SPECS.items():
         base, degrees = build()
-        record = structure_mod._bundle(base, structure_mod._normalised(degrees))
+        record = structure_mod._bundle(base, fan_mod.normalised_degrees(base, degrees))
         assert record.fan is named_variety(key) and record.base is base
         built = fan_mod.projectivization_fan(base, degrees)
         assert record.fan == built.fan and record.degrees == built.degrees
-        assert record.u_index0 == built.u_index0
+        assert record.o_pi_class(1) == built.o_pi_class(1)
         for cls in (base.zero_class(), *base.collection):
             assert record.pullback_class(cls) == built.pullback_class(cls)
 
@@ -140,9 +142,9 @@ def test_a_warm_registered_bundle_check_builds_no_fan(fans_built):
 
 
 def test_an_unregistered_bundle_is_built_and_checked_as_before(fans_built):
-    # its fan is built once, for the first check, and kept for the next
-    structure_mod._unregistered.cache_clear()
-    plane, line = named_variety("P2"), named_variety("P1")
+    # its fan is built once, for the first check, and kept by the base fan
+    # for the next; fresh base fans keep nothing from earlier tests
+    plane, line = projective_plane(), projective_line()
     for base, degrees in ((line, [(0, 0), (1, 0)]), (plane, [(0, 0, 0), (3, 0, 0)]),
                           (line, [(0, 0), (0, 0), (2, 0)])):
         fans_built.clear()

@@ -9,8 +9,8 @@ from toricfrob import (
     FrobeniusOrder,
     InvariantViolation,
     MultisetDifferenceNegative,
-    SplitBundle,
     blowup_bookkeeping_check,
+    class_of,
     corank_oracle,
     delpezzo_jet_check,
     pbundle_check,
@@ -18,6 +18,7 @@ from toricfrob import (
 )
 from toricfrob import frobenius as frobenius_mod
 from toricfrob import structure as structure_mod
+from toricfrob.fan import normalised_degrees
 from toricfrob.linalg import _residue_dtype
 from toricfrob.structure import (
     _divided_multiset,
@@ -30,35 +31,51 @@ from toricfrob.varieties import BUNDLE_SPECS
 PRIMES_THROUGH_13 = (2, 3, 5, 7, 11, 13)
 
 
+def _summands(base, degrees):
+    return [class_of(base, d) for d in degrees]
+
+
 def test_divided_power_split_rank_two(P1):
-    bundle = SplitBundle(base=P1, degrees=((0, 0), (1, 0)))
-    got = _divided_multiset(bundle, 2)
+    classes = _summands(P1, ((0, 0), (1, 0)))
+    got = _divided_multiset(classes, 2)
     assert got == Counter(
         {DivisorClass((0,)): 1, DivisorClass((1,)): 1, DivisorClass((2,)): 1}
     )
-    assert _divided_multiset(bundle, 0) == Counter({DivisorClass((0,)): 1})
+    assert _divided_multiset(classes, 0) == Counter({DivisorClass((0,)): 1})
 
 
 def test_divided_power_split_mixed_degrees(Q11):
-    bundle = SplitBundle(base=Q11, degrees=((0, 0, 0, 0), (1, 0, -1, 0)))
-    got = _divided_multiset(bundle, 3)
+    classes = _summands(Q11, ((0, 0, 0, 0), (1, 0, -1, 0)))
+    got = _divided_multiset(classes, 3)
     assert got == Counter(
         {DivisorClass((k, -k)): 1 for k in range(4)}
     )
 
 
 def test_divided_power_split_size(P1):
-    bundle = SplitBundle(base=P1, degrees=((0, 0), (0, 0), (1, 0)))
-    assert sum(_divided_multiset(bundle, 4).values()) == 15  # C(4 + 2, 2)
+    classes = _summands(P1, ((0, 0), (0, 0), (1, 0)))
+    assert sum(_divided_multiset(classes, 4).values()) == 15  # C(4 + 2, 2)
     # a negative power is empty: pbundle_check reads D^(q - 3) at q = 2
-    assert _divided_multiset(bundle, -1) == Counter()
+    assert _divided_multiset(classes, -1) == Counter()
 
 
 def test_split_bundle_validation(P1):
     with pytest.raises(ValueError):
-        SplitBundle(base=P1, degrees=())
+        pbundle_check(P1, (), FrobeniusOrder(2))
     with pytest.raises(ValueError):
-        SplitBundle(base=P1, degrees=((0, 0, 0),))
+        normalised_degrees(P1, ((0, 0), (0, 0, 0)))
+    assert normalised_degrees(P1, ((1, 2), (3, 2))) == ((0, 0), (2, 0))
+
+
+def test_bundle_degrees_are_read_once_and_exactly(P2):
+    # an extra entry is not zipped away, and a float or a bool entry is not
+    # taken at its value, on the registered path P(O + O(2)) over P2 too
+    order = FrobeniusOrder(2)
+    for bad in ((2, 0, 0, 9), (2.0, 0, 0), (True, 0, 0)):
+        with pytest.raises(ValueError):
+            pbundle_check(P2, [(0, 0, 0), bad], order)
+    with pytest.raises(ValueError):
+        s2d2_identity_check(P2, (1.5, 0, 0), order)
 
 
 def test_p1bundle_check_catalog_rank_two():
@@ -147,6 +164,18 @@ def test_corank_formula_and_oracle():
         assert counted == corank_oracle(p) == p * (p - 1) // 2
     with pytest.raises(ValueError):
         corank_oracle(6)
+
+
+def test_corank_oracle_reads_p_as_an_integer():
+    for bad in (3.0, True):
+        with pytest.raises(ValueError):
+            corank_oracle(bad)
+    assert corank_oracle(np.int64(5)) == 10
+
+
+def test_corank_oracle_is_closed_form_at_a_large_prime():
+    p = 2**61 - 1
+    assert corank_oracle(p) == comb(p, 2)
 
 
 def test_blowup_check_rejects_a_summand_not_moved_by_e(
