@@ -33,6 +33,9 @@ host's steal time over it (``steal_s``): the 8th value on the ``cpu`` line of
 ``/proc/stat``, summed over the host's CPUs, read before and after the run
 and taken in seconds.  Time a hypervisor gave to other guests shows there,
 not in the run's own CPU time; where ``/proc/stat`` is absent it reads 0.
+Each benchmark run and each seven-q pass records its child process's CPU
+time (``cpu_s``), the ``RUSAGE_CHILDREN`` user and system time gained over
+the run, so a run slowed by CPU work can be told from one that waited.
 
 For each tree it also records the size of the library, the lines of the
 ``.py`` files under ``src/toricfrob``, and the ``tracemalloc`` peak of
@@ -59,6 +62,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -135,11 +139,18 @@ def steal_s() -> float:
     return int(fields[8]) / os.sysconf("SC_CLK_TCK")
 
 
-def stolen(run):
-    """(what ``run()`` returns, the host's steal seconds over it)."""
-    before = steal_s()
+def children_cpu_s() -> float:
+    """User and system seconds of every child this process has waited for."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def measured(run):
+    """(what ``run()`` returns, the CPU seconds of the children it waited
+    for, the host's steal seconds over it)."""
+    steal, cpu = steal_s(), children_cpu_s()
     result = run()
-    return result, round(steal_s() - before, 4)
+    return result, round(children_cpu_s() - cpu, 4), round(steal_s() - steal, 4)
 
 
 def tree_size(tree: Path) -> dict:
@@ -154,26 +165,28 @@ def tree_size(tree: Path) -> dict:
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``tree``: the JSON object of its last line, with
-    the host's steal seconds over the run added as ``steal_s``."""
+    the run's CPU seconds added as ``cpu_s`` and the host's steal seconds
+    over it as ``steal_s``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc, steal = stolen(lambda: subprocess.run(
+    proc, cpu, steal = measured(lambda: subprocess.run(
         cmd, cwd=tree, capture_output=True, text=True, check=True))
-    return {**json.loads(proc.stdout.splitlines()[-1]), "steal_s": steal}
+    return {**json.loads(proc.stdout.splitlines()[-1]), "cpu_s": cpu, "steal_s": steal}
 
 
 def cold_pass(tree: Path) -> tuple:
-    """(wall seconds, steal seconds) of one seven-q pass."""
-    proc, steal = stolen(lambda: subprocess.run(
+    """(wall seconds, CPU seconds, steal seconds) of one seven-q pass."""
+    proc, cpu, steal = measured(lambda: subprocess.run(
         [sys.executable, "-c", COLD_PASS], cwd=tree, capture_output=True,
         text=True, check=True))
-    return round(float(proc.stdout), 4), steal
+    return round(float(proc.stdout), 4), cpu, steal
 
 
 def cold_call(tree: Path, call: str) -> tuple:
     """(wall seconds, CPU seconds, peak RSS in MB, steal seconds) of one cold
     call."""
-    proc, steal = stolen(lambda: subprocess.run(
+    # the child times its call alone, so its interpreter start-up is left out
+    proc, _, steal = measured(lambda: subprocess.run(
         [sys.executable, "-c", COLD_CALL.format(call)], cwd=tree,
         capture_output=True, text=True, check=True))
     seconds, cpu_s, rss = proc.stdout.splitlines()[-1].split()
@@ -228,9 +241,10 @@ def workload_record(parent: Path, change: Path, workload: str, pairs: int,
             "change_vs_parent_median": round(after["median"] / before["median"] - 1, 4),
             "pairs_change_lower": sum(y < x for x, y in zip(a, b)),
         }
-    record["steal_s"] = {"unit": "s",
-                         "parent": summary([r["steal_s"] for r in old]),
-                         "change": summary([r["steal_s"] for r in new])}
+    for name in ("cpu_s", "steal_s"):
+        record[name] = {"unit": "s",
+                        "parent": summary([r[name] for r in old]),
+                        "change": summary([r[name] for r in new])}
     record["all_correct"] = all(r["correct"] for r in old + new)
     for key in ("attempted", "failed"):
         record[key] = {"parent": sum(r[key] for r in old),
@@ -375,10 +389,12 @@ def main(argv=None) -> int:
                 "command": "python -c: import toricfrob, then catalog_run at "
                            "q = 2, 3, 4, 5, 7, 8, 9 in turn (import included)",
                 "unit": "s",
-                "parent": summary([t for t, _ in old]),
-                "change": summary([t for t, _ in new]),
-                "steal_s": {"parent": summary([s for _, s in old]),
-                            "change": summary([s for _, s in new])},
+                "parent": summary([t for t, _, _ in old]),
+                "change": summary([t for t, _, _ in new]),
+                "cpu_s": {"parent": summary([c for _, c, _ in old]),
+                          "change": summary([c for _, c, _ in new])},
+                "steal_s": {"parent": summary([s for _, _, s in old]),
+                            "change": summary([s for _, _, s in new])},
             },
         }
         for name, call in COLD_CALLS.items():

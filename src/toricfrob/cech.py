@@ -1,74 +1,63 @@
 """Exact F_p cohomology of line bundles on products of projective spaces,
-and of a line bundle restricted to a hypersurface, with the incidence
-threefold in P2 x P2 as the one client.
+and of a line bundle on the incidence threefold X = {sum x_i y_i = 0} in
+P2 x P2.
 
 Cohomology of a multidegree line bundle is concentrated in a single degree:
 each factor contributes its monomial basis either in degree 0 (all exponents
 nonnegative) or in top degree (all exponents <= -1, the local cohomology
 model).  A bundle's basis is the grid of its factors' bases, and a basis
 row is named by its grid position, one row index per factor, never by its
-exponents.  On the hypersurface X = {f = 0}, h^i(O_X(d)) is read from the
-restriction sequence 0 -> O(d - deg f) -> O(d) -> O_X(d) -> 0: its one map,
-multiplication by f, acts on the bases by polynomial multiplication
-followed by truncation to the target basis, the induced map on the
-standard-cover Cech model.  The map is torus-equivariant, so it is block
-diagonal over torus weights, and its rank is the sum of the F_p ranks of its
-weight blocks; it is never assembled as one dense matrix.  Only the source
-basis is walked, through small per-factor exponent tables
-(:func:`_factor_parts`).  A product is found in the target basis one factor
-at a time: for each factor table, the terms of f and the target factor, one
-small read-only table (:func:`_factor_index`) gives, term by term, each
-shifted row's position in the target factor's basis (:func:`_factor_rank`),
-and the factors combine in the target's mixed radix.  No product row is
-formed, and the target basis is only counted.
+exponents.  On X, h^i(O_X(a, b)) is read from the restriction sequence
+0 -> O(a - 1, b - 1) -> O(a, b) -> O_X(a, b) -> 0: its one map,
+multiplication by the pairing form, acts on the bases by polynomial
+multiplication followed by truncation to the target basis, the induced map
+on the standard-cover Cech model.  Only the source basis is walked, through
+small per-factor exponent tables (:func:`_factor_parts`).  A product is
+found in the target basis one factor at a time: for each factor table, the
+three terms x_i y_i and the target factor, one small read-only table
+(:func:`_factor_index`) gives, term by term, each shifted row's position in
+the target factor's basis (:func:`_factor_rank`), and the factors combine
+in the target's mixed radix.  No product row is formed, and the target
+basis is only counted.
 
-When every factor is one P^n and f is fixed by S_(n+1) permuting the
-coordinates of all factors at once (as S_3 fixes the pairing form on
-P2 x P2), that group maps the bases, the Cech cover and the weight blocks to
-themselves, so blocks of one orbit have one rank.  The symmetry is proved on
-the terms of f before it is used; only one block per orbit
-is then eliminated, and its rank counts once per block of the orbit.  The
-weights of a source grid are sums of per-factor products, so the orbits are
-read off the grid, walked in slabs, and only the source rows of canonical
-weight, about one in (n + 1)!, are kept.
+The map is torus-equivariant.  A term x_i y_i raises alpha_i and beta_i of
+a monomial x^alpha y^beta together, so a product keeps its source's weight
+alpha - beta, a vector of three integers, and the map is block diagonal over
+these weights; its rank is the sum of the F_p ranks of its weight blocks,
+and it is never assembled as one dense matrix.  S_3, permuting the
+coordinates of both factors at once, maps the bases, the Cech cover and the
+three terms to themselves, so it fixes sum x_i y_i and maps the weight-w
+block entry for entry onto the weight-s(w) block: blocks of one orbit have
+one rank.  Only the source rows of canonical weight, w_0 <= w_1 <= w_2,
+about one in 6, are kept, and each block's rank counts once per weight of
+its orbit.  The grid is walked in slabs, so only the kept rows are held.
 
-A product keeps the torus weight of the monomial it came from, so the
-weight blocks are labelled on the source rows alone, and each target row
+The weight blocks are labelled on the source rows alone, and each target row
 falls in exactly one block: no product is grouped entry by entry.  The
-weights and the symmetry are derived once per distinct form, not once per
-twist.  The blocks are sorted by width and cut into a few stacks of bounded
-size, built in the residue dtype of p and eliminated in place by
+blocks are sorted by width and cut into a few stacks of bounded size, built
+in the residue dtype of p and eliminated in place by
 :func:`linalg.ranks_mod_p`.  A stack holds only the target rows that meet
 an entry, block after block, with the blocks' row offsets, so no block is
 padded to another's height; its columns are right-aligned to the stack's
-width, the width of its widest block.  The bound
-MAX_CECH_BASIS applies to the source rows a map keeps.  A bundle too
-large for any map to keep fewer, counted from binomials, is refused with
-Overflow before any monomial is enumerated; any other map is refused as
-soon as the rows it keeps pass the bound.
+width, the width of its widest block.  The bound MAX_CECH_BASIS applies to
+the source rows a map keeps.  A bundle too large for any map to keep fewer,
+counted from binomials, is refused with Overflow before any monomial is
+enumerated; any other map is refused as soon as the rows it keeps pass the
+bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import chain
-from math import comb, factorial, gcd, prod
+from math import comb, prod
 
 import numpy as np
 
 from .cohomology import CohomologyVector, Overflow
 from .fan import InvariantViolation, _integer
 from .frobenius import FrobeniusOrder
-from .linalg import (
-    _INT64_GUARD,
-    _residue_dtype,
-    adjugate_int,
-    check_prime_field,
-    det_int,
-    group_rows,
-    ranks_mod_p,
-)
+from .linalg import _residue_dtype, check_prime_field, group_rows, ranks_mod_p
 
 # Most source rows one map keeps in one degree: the rows of canonical weight,
 # about one in 6 of the term on P2 x P2.  The incidence twist (50, -52) has
@@ -93,8 +82,8 @@ MAX_CECH_BASIS = 1_000_000
 _STACK_CELLS = 2**20
 
 # Grid points of one source bundle whose weights are formed at once, so
-# that a large grid is never held whole: 1.5 MB of int64 for the six
-# weights of P2 x P2.  The 6,084 points of (12, -13) are one slab.
+# that a large grid is never held whole: 0.75 MB of int64 for the three
+# weights alpha - beta.  The 6,084 points of (12, -13) are one slab.
 _GRID_SLAB = 2**15
 
 
@@ -105,12 +94,21 @@ class MultiProjSpace:
     factor_dims: tuple
 
     def __post_init__(self):
-        if not self.factor_dims or any(n < 1 for n in self.factor_dims):
+        dims = tuple(_integer(n, "factor dimension") for n in self.factor_dims)
+        if not dims or any(n < 1 for n in dims):
             raise ValueError("factor dimensions must be positive")
+        object.__setattr__(self, "factor_dims", dims)
 
     @property
     def dim(self) -> int:
         return sum(self.factor_dims)
+
+
+# The ambient space of the incidence threefold, and the three terms x_i y_i
+# of the pairing form, each with coefficient 1, as one exponent row each:
+# the exponents of the first factor, then of the second.
+_P2xP2 = MultiProjSpace((2, 2))
+_PAIRING = ((1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1))
 
 
 def _factor_degree(n: int, d: int):
@@ -203,35 +201,6 @@ def line_bundle_cohomology_fp(space: MultiProjSpace, multidegree) -> CohomologyV
     return CohomologyVector(tuple(dims))
 
 
-def incidence_form(n: int = 3) -> dict:
-    """The pairing form sum_i x_i y_i on P(V) x P(V*), with dim V = n, as
-    monomial (one exponent tuple per factor) -> coefficient."""
-    terms = {}
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        terms[(e, e)] = 1
-    return terms
-
-
-def _weights(form: dict, width: int):
-    """Integer rows K with K . t = 0 for every term exponent t of ``form``.
-
-    T is a maximal independent set of the terms, picked greedily by a nonzero
-    Gram determinant; with G = T T^t, K = det(G) I - T^t adj(G) T is det(G)
-    times the projection away from their span, each row divided by its gcd.
-    With no terms, K = I.
-    """
-    basis = np.zeros((0, width), dtype=object)
-    for mono in form:
-        grown = np.vstack((basis, [list(chain.from_iterable(mono))]))
-        if det_int(grown @ grown.T):
-            basis = grown
-    det, adj = adjugate_int(basis @ basis.T)
-    adj = np.array(adj, dtype=object).reshape(len(basis), len(basis))
-    weights = det * np.identity(width, dtype=object) - basis.T @ adj @ basis
-    return [[x // (gcd(*row) or 1) for x in row] for row in weights.tolist()]
-
-
 @lru_cache(maxsize=64)
 def _binomials(total: int, n: int) -> np.ndarray:
     """The read-only table binom[y, k] = C(y + k, k), for y <= total and k <= n.
@@ -277,128 +246,55 @@ def _factor_rank(n: int, degree: int, total: int, rows) -> np.ndarray:
     return np.where(valid, index, -1)
 
 
-def _largest_group(factor_dims) -> int:
-    """The g of the largest coordinate permutation group S_g that
-    :func:`_symmetry` can find: n + 1 when every factor is one P^n, else 1."""
-    return factor_dims[0] + 1 if len(set(factor_dims)) == 1 else 1
+def _orbits(weights):
+    """Which weights alpha - beta are canonical under S_3, and the orbit size
+    of each canonical one.
 
-
-def _symmetry(factor_dims, form: dict) -> int:
-    """The g of the coordinate permutation group S_g that fixes ``form``.
-
-    S_g permutes the coordinates of every factor at once, so it needs every
-    factor to be one P^n, and then g = n + 1.  It is taken only when the
-    transposition (0 1) and the cycle (0 1 ... n), which generate S_(n+1),
-    both fix ``form`` term for term; otherwise g = 1, the trivial group.
+    S_3 permutes the three coordinates of a weight w, so a weight is
+    canonical when w_0 <= w_1 <= w_2, and each orbit holds exactly one
+    canonical weight.  Its orbit has 6, 3 or 1 weights as it has 3, 2 or 1
+    distinct coordinates.  ``weights`` holds one weight per column; returns
+    the boolean mask of the canonical columns and the orbit sizes of those
+    columns alone.
     """
-    g = _largest_group(factor_dims)
-    if g == 1:
-        return 1
-    for perm in ((1, 0, *range(2, g)), (*range(1, g), 0)):
-        image = {tuple(tuple(f[i] for i in perm) for f in mono): c for mono, c in form.items()}
-        if image != form:
-            return 1
-    return g
+    low, mid, high = weights
+    canonical = (low <= mid) & (mid <= high)
+    ties = (low[canonical] == mid[canonical]).astype(np.int64)
+    ties += mid[canonical] == high[canonical]
+    return canonical, np.array([6, 3, 1], dtype=np.int64)[ties]
 
 
-def _orbits(weights, g: int):
-    """Which weight rows are canonical under S_g, and the orbit size of each.
+def _canonical_rows(tables):
+    """(pos, weight, orbit) of the source rows of canonical weight under S_3.
 
-    A row holds g coordinates per factor, and S_g permutes the coordinates of
-    every factor at once, so it permutes the g tuples (w_f,i over factors f)
-    indexed by the coordinate i.  A row is canonical when these tuples are in
-    non-decreasing lex order; each orbit holds exactly one canonical row.
-    Equal tuples of a canonical row stand in runs, and its orbit has
-    g! / prod(L!) rows, L running over the run lengths.  Returns the boolean
-    mask of the canonical rows and the orbit sizes of those rows alone.
-
-    Tuples are compared column by column, from the last factor to the
-    first, so every temporary is one boolean per row; a column is read
-    contiguously when ``weights`` is the transpose of a C-ordered array.
+    The source basis is the grid of its two factor ``tables``, the first
+    factor slowest, and a row is named by its place in that grid: ``pos``
+    holds its row in each factor table, so no exponent row is built.  The
+    weight of a grid point (alpha, beta) is alpha - beta, the first table's
+    row less the second's.  The grid is walked in slabs of rows of the first
+    table, about _GRID_SLAB points each: a slab's weights are its rows
+    broadcast against the second table, :func:`_orbits` marks the canonical
+    ones, and only those rows and weights are kept, so the peak follows the
+    kept rows, not the grid.  ``orbit`` is each row's orbit size.  Once more
+    than MAX_CECH_BASIS rows are kept, Overflow is raised.
     """
-    w = weights.reshape(len(weights), weights.shape[1] // g, g)
-    canonical, ties = np.ones(len(w), dtype=bool), []
-    for i in range(g - 1):
-        left, right = w[:, -1, i], w[:, -1, i + 1]
-        below, tie = left < right, left == right
-        for f in reversed(range(w.shape[1] - 1)):
-            left, right = w[:, f, i], w[:, f, i + 1]
-            same = left == right
-            below &= same
-            below |= left < right
-            tie &= same
-        canonical &= tie | below
-        ties.append(tie)
-    # the runs of equal tuples, counted on the canonical rows alone
-    run = np.ones(np.count_nonzero(canonical), dtype=np.int64)
-    stabiliser = np.ones(len(run), dtype=np.int64)
-    for tie in ties:
-        run += 1
-        run[~tie[canonical]] = 1
-        stabiliser *= run
-    return canonical, factorial(g) // stabiliser
-
-
-@lru_cache(maxsize=64)
-def _invariants(factor_dims, terms):
-    """(K, spread, g) of the form whose terms are the given frozenset of
-    (monomial, coefficient) pairs, so equal forms share one key however they
-    were built.
-
-    K is :func:`_weights` as a tuple of rows, spread the largest sum |K_ij|
-    of a row, and g :func:`_symmetry`; each is computed once per distinct
-    form and space, not once per twist and degree, and shared read-only.
-    """
-    form = dict(terms)
-    weights = tuple(map(tuple, _weights(form, sum(n + 1 for n in factor_dims))))
-    spread = max(sum(map(abs, row)) for row in weights)
-    return weights, spread, _symmetry(factor_dims, form)
-
-
-def _canonical_rows(tables, weights, g: int):
-    """(pos, weight, orbit) of the source rows of canonical weight under S_g.
-
-    The source basis is the grid of its factor ``tables``, the first factor
-    slowest, and a row is named by its place in that grid: ``pos`` holds
-    its row in each factor table, so no exponent row is built.  As K . m is
-    the sum over the factors f of K_f . m_f, a grid point's weight is the
-    sum of its factors' rows of the per-factor products.  The grid is
-    walked in slabs of rows of the first factor's table, about _GRID_SLAB
-    points each: a slab's weights are its rows' products broadcast against
-    the grid of the later factors' products, :func:`_orbits` marks the
-    canonical ones, and only those rows and weights are kept, so the peak
-    follows the kept rows, not the grid.  ``orbit`` is each row's orbit
-    size; under the trivial group every row is kept.  Once more than
-    MAX_CECH_BASIS rows are kept, Overflow is raised.
-    """
-    K = np.array(weights, dtype=np.int64)
     # the weights stand in columns, one per grid point, so that each
     # weight coordinate is read contiguously
-    steps, start = [], 0
-    for parts in tables:
-        steps.append(K[:, start : start + parts.shape[1]] @ parts.T)
-        start += parts.shape[1]
-    rest = np.zeros((len(K), 1), dtype=np.int64)  # the later factors' grid
-    for step in steps[1:]:
-        rest = (rest[:, :, None] + step[:, None]).reshape(len(K), -1)
+    first, second = tables[0].T, tables[1].T
     shape = [len(parts) for parts in tables]
-    slab = max(1, _GRID_SLAB // rest.shape[1])
+    slab = max(1, _GRID_SLAB // shape[1])
     pos, weight, orbit, kept = [], [], [], 0
     for top in range(0, shape[0], slab):
-        grid = (steps[0][:, top : top + slab, None] + rest[:, None]).reshape(len(K), -1)
-        if g == 1:
-            at, size = np.arange(grid.shape[1]), np.ones(grid.shape[1], dtype=np.int64)
-        else:
-            keep, size = _orbits(grid.T, g)
-            at = np.flatnonzero(keep)
-            grid = grid[:, at]
+        grid = (first[:, top : top + slab, None] - second[:, None]).reshape(3, -1)
+        keep, size = _orbits(grid)
+        at = np.flatnonzero(keep)
         kept += len(at)
         if kept > MAX_CECH_BASIS:
             raise Overflow(
                 f"more than {MAX_CECH_BASIS} basis monomials of canonical weight to build"
             )
-        pos.append(np.column_stack(np.unravel_index(at + top * rest.shape[1], shape)))
-        weight.append(grid)
+        pos.append(np.column_stack(np.unravel_index(at + top * shape[1], shape)))
+        weight.append(grid[:, at])
         orbit.append(size)
     weight = weight[0] if len(weight) == 1 else np.concatenate(weight, axis=1)
     pos, orbit = (x[0] if len(x) == 1 else np.concatenate(x) for x in (pos, orbit))
@@ -448,32 +344,23 @@ def _product_index(factor_dims, src, dst, shifts, pos):
     return index
 
 
-def _map_rank_mod_p(space, src_md, dst_md, form, degree, p) -> int:
-    """Rank over F_p of multiplication by ``form``, O(src_md) -> O(dst_md),
-    on degree-`degree` cohomology.
+def _map_rank_mod_p(src_md, dst_md, degree, p) -> int:
+    """Rank over F_p of multiplication by the pairing form, O(src_md) ->
+    O(dst_md) on P2 x P2, on degree-`degree` cohomology.
 
-    Each term t of the form sends the source monomial m to m + t; products
+    Each term t = x_i y_i sends the source monomial m to m + t; products
     outside the target basis are discarded, and the others are found in it
     by :func:`_product_index`, one factor at a time, so neither the target
     basis nor a product row is ever built.  The terms are distinct, so no
-    two contributions share a matrix entry, and dropping the terms that
-    vanish mod p drops every zero entry.  As K . (m + t) = K . m for K =
-    :func:`_weights`, the map is block diagonal over the weights K . m of
-    its columns, and a product keeps its source row's weight.  So the
-    blocks are labelled once, on the source rows that meet an entry, and
-    each target row lies in exactly one block: a row's place in its block
-    is the rank of its (block, target row) pair.
-
-    When S_g = :func:`_symmetry` is not trivial, a permutation s in it maps
-    the bases, and the term set of the form, to themselves, and K s = s K
-    because s keeps the span of the terms.  So s maps the weight-w block
-    entry for entry onto the weight-s(w) block, in the degree-0 and the
-    local-cohomology model alike, and the blocks of one orbit have one rank.
-    Only the source rows of canonical weight (:func:`_orbits`) are kept, as
-    grid positions (:func:`_canonical_rows`), and each block's rank counts
-    orbit-size times.  With the trivial group every row is kept and every
-    block, once.  K, its spread and g come from :func:`_invariants`, once
-    per distinct form.  More than MAX_CECH_BASIS rows kept raise Overflow.
+    two contributions share a matrix entry, and every entry is 1.  A product
+    keeps its source row's weight alpha - beta, so the map is block diagonal
+    over the weights of its columns: the blocks are labelled once, on the
+    source rows that meet an entry, and each target row lies in exactly one
+    block; a row's place in its block is the rank of its (block, target
+    row) pair.  Only the source rows of canonical weight are kept, as grid
+    positions (:func:`_canonical_rows`), and each block's rank counts
+    orbit-size times, in the degree-0 and the local-cohomology model
+    alike.  More than MAX_CECH_BASIS rows kept raise Overflow.
 
     The blocks are sorted by width and cut greedily into stacks of at most
     _STACK_CELLS cells, a stack's rows times the width of its last, widest
@@ -482,30 +369,22 @@ def _map_rank_mod_p(space, src_md, dst_md, form, degree, p) -> int:
     the target rows of its blocks, numbered block by block by one
     ``np.unique`` of the (block, target row) pairs, so every row holds an
     entry and the blocks' row offsets are read off the counts; a block's
-    columns are right-aligned to the stack's width.  Overflow is raised
-    before any exponent, product or weight could reach _INT64_GUARD; the
-    exponents' reach is read from the factor degrees.
+    columns are right-aligned to the stack's width.
     """
-    sizes = [_basis_size(space, md) for md in (src_md, dst_md)]
-    terms = [(tuple(chain.from_iterable(m)), c % p) for m, c in form.items() if c % p]
-    if not terms or any(size is None or size[0] != degree for size in sizes):
+    sizes = [_basis_size(_P2xP2, md) for md in (src_md, dst_md)]
+    if any(size is None or size[0] != degree for size in sizes):
         return 0
-    src, dst = (_factor_degrees(space, md) for md in (src_md, dst_md))
+    src, dst = (_factor_degrees(_P2xP2, md) for md in (src_md, dst_md))
     count = sizes[1][1]  # the target rows
-    weights, spread, g = _invariants(tuple(space.factor_dims), frozenset(form.items()))
-    # a factor table's exponents reach total in degree 0, -1 - total in top degree
-    reach = max(total + (d > 0) for d, total in src)
-    reach += max(abs(x) for t, _ in terms for x in t)
-    if max(spread, 1) * reach >= _INT64_GUARD:
-        raise Overflow(f"Cech weights need {spread} * {reach}, past int64")
-    tables = [_factor_parts(n, *deg) for n, deg in zip(space.factor_dims, src)]
-    pos, weight, orbit = _canonical_rows(tables, weights, g)
-    shifts = tuple(t for t, _ in terms)
-    index = _product_index(space.factor_dims, src, dst, shifts, pos).reshape(-1)  # term by term
-    hit = index >= 0
+    # no int64 guard: incidence_cohomology refuses a bundle of more than
+    # 6 * MAX_CECH_BASIS monomials first, so every factor total, exponent and
+    # weight is below 7,000, and every (block, target row) key below 10^13
+    tables = [_factor_parts(n, *deg) for n, deg in zip(_P2xP2.factor_dims, src)]
+    pos, weight, orbit = _canonical_rows(tables)
+    index = _product_index(_P2xP2.factor_dims, src, dst, _PAIRING, pos).reshape(-1)
+    hit = index >= 0  # term by term
     rows = index[hit]
-    cols = np.tile(np.arange(len(pos)), len(terms))[hit]
-    values = np.repeat(np.array([c for _, c in terms], dtype=_residue_dtype(p)), len(pos))[hit]
+    cols = np.tile(np.arange(len(pos)), len(_PAIRING))[hit]
     if not len(rows):
         return 0
     # blocks labelled on the source rows that meet an entry, and sorted by
@@ -542,39 +421,39 @@ def _map_rank_mod_p(space, src_md, dst_md, form, degree, p) -> int:
         lo, hi, width = top[start], top[stop], widths[stop - 1]
         at = np.flatnonzero((i >= lo) & (i < hi))
         stack = np.zeros((hi - lo, width), dtype=_residue_dtype(p))
-        stack[i[at] - lo, width - 1 - j[at]] = values[at]
+        stack[i[at] - lo, width - 1 - j[at]] = 1
         ranks = ranks_mod_p(stack, tops[start : stop + 1] - lo, p)
         rank += int(ranks @ size[by_width[start:stop]])
         del stack
     return rank
 
 
-def _restriction_cohomology(space, src, dst, form, p) -> CohomologyVector:
-    """h^i of O_X(dst) on the hypersurface X = {form = 0}, for i = 0 .. dim X.
+def incidence_cohomology(a: int, b: int, p: int) -> CohomologyVector:
+    """h^i of O(a, b) on the incidence threefold X = {sum x_i y_i = 0} in
+    P2 x P2, for i = 0 .. 3.
 
-    ``form`` has degree dst - src and maps monomial (one exponent tuple per
-    factor) to coefficient.  The answer is read from the restriction
-    sequence 0 -> O(src) -> O(dst) -> O_X(dst) -> 0, whose first map is
-    multiplication by the form.  Each bundle has cohomology in one degree, so
-    H^t(O_X(dst)) is the cokernel of the map on H^t plus the kernel of the
-    map on H^(t+1), and only a source and a target in one degree need a
-    rank, :func:`_map_rank_mod_p`.  A p that is not an integer, not prime
-    (Z/p is then no field and ranks mean nothing), or too large for the
-    int64 elimination, raises ValueError before any work is done, as does
-    a multidegree entry that is not an integer.  The map keeps at least one
-    in g! rows of its source (an orbit of S_g has at most g! rows), so a
-    bundle of more than g! * MAX_CECH_BASIS monomials in one degree, with g
-    from :func:`_largest_group`, is refused with Overflow before any
-    monomial is enumerated; below that, the map raises Overflow once it
-    keeps more than MAX_CECH_BASIS source rows.  No target basis is
-    enumerated.  A class outside degrees 0 .. dim X, which exactness of the
-    sequence forbids when the form is nonzero mod p, raises
-    InvariantViolation.
+    The answer is read from the restriction sequence 0 -> O(a-1, b-1) ->
+    O(a, b) -> O_X(a, b) -> 0, whose first map is multiplication by the
+    pairing form; the canonical class of X is O(-2, -2), which the test
+    suite exercises through Serre duality.  Each bundle has cohomology in
+    one degree, so H^t(O_X(a, b)) is the cokernel of the map on H^t plus
+    the kernel of the map on H^(t+1), and only a source and a target in one
+    degree need a rank, :func:`_map_rank_mod_p`.  An a, b or p that is not
+    an integer raises ValueError, as does a p that is not prime (Z/p is
+    then no field and ranks mean nothing) or too large for the int64
+    elimination, before any work is done.  The map keeps at least one in 6
+    rows of its source (an orbit of S_3 has at most 6 weights), so a bundle
+    of more than 6 * MAX_CECH_BASIS monomials in one degree is refused with
+    Overflow before any monomial is enumerated; below that, the map raises
+    Overflow once it keeps more than MAX_CECH_BASIS source rows.  No target
+    basis is enumerated.  A class outside degrees 0 .. 3, which exactness of
+    the sequence forbids, raises InvariantViolation.
     """
+    a, b = (_integer(x, "incidence multidegree") for x in (a, b))
     check_prime_field(p)
-    sizes = [_basis_size(space, md) for md in (src, dst)]
-    # the map keeps at least one in g! rows of its source, g <= _largest_group
-    most = factorial(_largest_group(space.factor_dims)) * MAX_CECH_BASIS
+    src, dst = (a - 1, b - 1), (a, b)
+    sizes = [_basis_size(_P2xP2, md) for md in (src, dst)]
+    most = 6 * MAX_CECH_BASIS
     for s, size in enumerate(sizes):
         if size is not None and size[1] > most:
             raise Overflow(
@@ -583,32 +462,19 @@ def _restriction_cohomology(space, src, dst, form, p) -> CohomologyVector:
             )
     rank = 0
     if None not in sizes and sizes[0][0] == sizes[1][0]:
-        rank = _map_rank_mod_p(space, src, dst, form, sizes[0][0], p)
+        rank = _map_rank_mod_p(src, dst, sizes[0][0], p)
     dims = {}
     # the kernel on the source's H^s lands in H^(s - 1), the cokernel in H^s
     for shift, size in zip((-1, 0), sizes):
         if size is not None:
             dims[size[0] + shift] = dims.get(size[0] + shift, 0) + size[1] - rank
-    stray = {pos: dim for pos, dim in dims.items() if dim and not 0 <= pos < space.dim}
+    stray = {pos: dim for pos, dim in dims.items() if dim and not 0 <= pos <= 3}
     if stray:
         # exactness of the restriction sequence forbids anything here
         raise InvariantViolation(
-            f"restriction cohomology found classes outside degrees 0..{space.dim - 1}: {stray}"
+            f"restriction cohomology found classes outside degrees 0..3: {stray}"
         )
-    return CohomologyVector(tuple(dims.get(i, 0) for i in range(space.dim)))
-
-
-def incidence_cohomology(a: int, b: int, p: int) -> CohomologyVector:
-    """h^i of O(a, b) on the incidence threefold {sum x_i y_i = 0} in P2 x P2.
-
-    Reads the restriction sequence of O(a-1, b-1) -> O(a, b), multiplication
-    by the pairing form; the canonical class of the threefold is O(-2, -2),
-    which the test suite exercises through Serre duality.  An a, b or p
-    that is not an integer raises ValueError.
-    """
-    a, b = (_integer(x, "incidence multidegree") for x in (a, b))
-    return _restriction_cohomology(MultiProjSpace((2, 2)), (a - 1, b - 1), (a, b),
-                                   incidence_form(3), p)
+    return CohomologyVector(tuple(dims.get(i, 0) for i in range(4)))
 
 
 def concentration_check(a: int, b: int, p: int, m: int) -> bool:

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input or validation error, 2 internal invariant
-violation (an oracle caught an inconsistency; this is a bug, not bad input).
-All reported numbers are exact integers and output bytes are deterministic
+Exit codes: 0 success, 1 input or validation error (malformed arguments
+included), 2 internal invariant violation (an oracle caught an
+inconsistency; this is a bug, not bad input).  All reported numbers are exact integers and output bytes are deterministic
 for fixed inputs.
 """
 
@@ -248,8 +248,18 @@ def _cmd_cech(args) -> int:
     return EXIT_OK if (agree and conc) else EXIT_INVARIANT
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose malformed arguments exit EXIT_INPUT, not
+    argparse's 2, which this CLI keeps for invariant violations; its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricfrob",
         description="Frobenius pushforwards of line bundles on smooth toric varieties",
     )

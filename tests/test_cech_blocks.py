@@ -2,7 +2,6 @@
 blocks of the map; the nested-tuple monomials and the dense assembly survive
 here as the reference."""
 
-import re
 from itertools import chain, combinations, combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb
@@ -24,24 +23,18 @@ from toricfrob.cech import (
     _map_rank_mod_p,
     _orbits,
     _product_index,
-    _restriction_cohomology,
-    _symmetry,
-    _weights,
-    incidence_form,
 )
 from toricfrob.cohomology import Overflow
-from toricfrob.fan import InvariantViolation
-from toricfrob.linalg import _INT64_GUARD, rank_mod_p, rank_rational, ranks_mod_p
+from toricfrob.linalg import rank_mod_p, ranks_mod_p
 
-
-@pytest.fixture(autouse=True)
-def _cold_invariants():
-    """Each test starts, and leaves, with no map's K and g cached, so that a
-    test which patches _weights or _symmetry sees its patch take effect and
-    leaves no value computed under it behind."""
-    cech_mod._invariants.cache_clear()
-    yield
-    cech_mod._invariants.cache_clear()
+# The incidence threefold's ambient space and its form, sum x_i y_i, as
+# monomial (one exponent tuple per factor) -> coefficient.
+SPACE = MultiProjSpace((2, 2))
+PAIRING = {
+    ((1, 0, 0), (1, 0, 0)): 1,
+    ((0, 1, 0), (0, 1, 0)): 1,
+    ((0, 0, 1), (0, 0, 1)): 1,
+}
 
 
 def _compositions(total, parts):
@@ -124,18 +117,36 @@ def _grid_rows(space, multidegree):
     return [tuple(chain.from_iterable(rows)) for rows in iproduct(*tables)]
 
 
+def _weight(row):
+    """The torus weight alpha - beta of a flat exponent row (alpha, beta)."""
+    return tuple(x - y for x, y in zip(row[:3], row[3:]))
+
+
+def _block_ranks(src, dst, degree, p):
+    """{w: F_p rank} of the blocks of the dense map, the rows and columns of
+    weight alpha - beta = w, for every w of a source row."""
+    dense = _dense_map_matrix(SPACE, src, dst, PAIRING, degree)
+    if dense is None:
+        return {}
+    cols = [_weight(_flat(m)) for m in _degree_basis(SPACE, src, degree)]
+    rows = [_weight(_flat(m)) for m in _degree_basis(SPACE, dst, degree)]
+    ranks = {}
+    for w in set(cols):
+        block = dense[[r == w for r in rows]][:, [c == w for c in cols]]
+        ranks[w] = rank_mod_p(block, p) if block.size else 0
+    return ranks
+
+
 @pytest.mark.parametrize("a, b", [(4, -5), (6, -8), (10, -12)])
 def test_incidence_block_ranks_match_dense_elimination(a, b):
-    space = MultiProjSpace((2, 2))
     src, dst = (a - 1, b - 1), (a, b)
-    form = incidence_form(3)
     for md in (src, dst):
-        assert _grid_rows(space, md) == _flat_basis(space, md)[1]
+        assert _grid_rows(SPACE, md) == _flat_basis(SPACE, md)[1]
     checked = 0
-    for degree in range(space.dim + 1):
-        dense = _dense_map_matrix(space, src, dst, form, degree)
+    for degree in range(SPACE.dim + 1):
+        dense = _dense_map_matrix(SPACE, src, dst, PAIRING, degree)
         for p in (2, 3, 5):
-            rank = _map_rank_mod_p(space, src, dst, form, degree, p)
+            rank = _map_rank_mod_p(src, dst, degree, p)
             if dense is None:
                 assert rank == 0
                 continue
@@ -145,10 +156,12 @@ def test_incidence_block_ranks_match_dense_elimination(a, b):
 
 
 def test_incidence_weight_is_the_difference_of_exponents():
-    # K . (alpha, beta) = (alpha - beta, beta - alpha) for sum x_i y_i
-    eye = np.identity(3, dtype=int)
-    expected = np.block([[eye, -eye], [-eye, eye]])
-    assert np.array_equal(_weights(incidence_form(3), 6), expected)
+    # the engine's terms are the form's, and each raises alpha_i and beta_i
+    # together, so a product keeps the weight alpha - beta of its source
+    assert set(cech_mod._PAIRING) == {_flat(mono) for mono in PAIRING}
+    for row in _flat_basis(SPACE, (3, -5))[1]:
+        for t in cech_mod._PAIRING:
+            assert _weight([x + y for x, y in zip(row, t)]) == _weight(row)
 
 
 def test_incidence_blocks_at_12_minus_13(monkeypatch):
@@ -177,81 +190,26 @@ def test_incidence_blocks_at_12_minus_13(monkeypatch):
     monkeypatch.setattr(
         cech_mod, "ranks_mod_p", lambda rows, offsets, p: np.ones(len(offsets) - 1, int)
     )
-    space = MultiProjSpace((2, 2))
-    assert _map_rank_mod_p(space, (11, -14), (12, -13), incidence_form(3), 2, 3) == 276
-
-
-SPACES = ((1,), (2,), (1, 1), (1, 2))
+    assert _map_rank_mod_p((11, -14), (12, -13), 2, 3) == 276
 
 
 @st.composite
-def random_maps(draw):
-    """(p, space, src, dst, form) for multiplication by a random form,
-    O(src) -> O(dst).
-
-    The target is often just above the source; the form has zero to three
-    terms, usually of the degree that joins the two bundles and sometimes of
-    any degree; coefficients include +-p and 2p.
-    """
-    p = draw(st.sampled_from((2, 3, 5)))
-    dims = draw(st.sampled_from(SPACES))
-    space = MultiProjSpace(dims)
-    multidegree = st.tuples(*(st.integers(-5, 3) for _ in dims))
-    src = draw(multidegree)
-    # a target a little above the source, so that the map hits
-    step = st.tuples(*(st.integers(0, 2) for _ in dims))
-    near = step.map(lambda e: tuple(s + x for s, x in zip(src, e)))
-    dst = draw(st.one_of(near, multidegree))
-    units = [c for c in range(-3, 4) if c % p]
-    coeff = st.sampled_from([p, -p, 2 * p] + units * 3)  # about 1 in 5 is 0 mod p
-    form = {}
-    for _ in range(draw(st.integers(0, 3))):
-        homogeneous = draw(st.booleans()) or draw(st.booleans())
-        mono = []
-        for n, s, d in zip(dims, src, dst):
-            head = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
-            total = d - s if homogeneous else draw(st.integers(-3, 3))
-            mono.append((*head, total - sum(head)))
-        form[tuple(mono)] = draw(coeff)
-    return p, space, src, dst, form
+def random_twists(draw):
+    """(p, src, dst): the restriction map O(a - 1, b - 1) -> O(a, b) of a
+    random twist (a, b), multiplication by the pairing form."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    a, b = draw(st.integers(-7, 6)), draw(st.integers(-7, 6))
+    return p, (a - 1, b - 1), (a, b)
 
 
-@settings(max_examples=300, deadline=None)
-@given(random_maps())
+@settings(max_examples=200, deadline=None)
+@given(random_twists())
 def test_map_rank_matches_dense_elimination(drawn):
-    p, space, src, dst, form = drawn
-    for degree in range(space.dim + 1):
-        dense = _dense_map_matrix(space, src, dst, form, degree)
+    p, src, dst = drawn
+    for degree in range(SPACE.dim + 1):
+        dense = _dense_map_matrix(SPACE, src, dst, PAIRING, degree)
         expected = 0 if dense is None else rank_mod_p(dense, p)
-        assert _map_rank_mod_p(space, src, dst, form, degree, p) == expected, degree
-
-
-@settings(max_examples=150, deadline=None)
-@given(random_maps())
-def test_weights_kill_exactly_the_span_of_the_terms(drawn):
-    _, space, _, _, form = drawn
-    width = sum(n + 1 for n in space.factor_dims)
-    weights = _weights(form, width)
-    terms = [_flat(mono) for mono in form]
-    for t in terms:
-        assert all(sum(k * x for k, x in zip(row, t)) == 0 for row in weights), t
-    # K is the whole annihilator: its rank and the rank of the terms add up
-    assert rank_rational(weights) + rank_rational(terms) == width
-
-
-@pytest.mark.parametrize("big, refused", [(2**61 - 1, False), (2**61, True)])
-def test_weight_overflow_guard(big, refused):
-    # O(0) -> O(0) on P1 by 1 + x0^big x1^-big: K = [[1, 1], [1, 1]], so the
-    # guard needs max|K row sum| * (max|m| + max|t|) = 2 * big below 2^62
-    space = MultiProjSpace((1,))
-    form = {((0, 0),): 1, ((big, -big),): 1}
-    assert _weights(form, 2) == [[1, 1], [1, 1]]
-    assert (2 * big >= _INT64_GUARD) == refused
-    if refused:
-        with pytest.raises(Overflow):
-            _map_rank_mod_p(space, (0,), (0,), form, 0, 3)
-    else:
-        assert _map_rank_mod_p(space, (0,), (0,), form, 0, 3) == 1
+        assert _map_rank_mod_p(src, dst, degree, p) == expected, degree
 
 
 def test_the_basis_bound_counts_the_rows_kept(monkeypatch):
@@ -270,41 +228,20 @@ def test_the_basis_bound_counts_the_rows_kept(monkeypatch):
         incidence_cohomology(12, -13, 3)
 
 
-def test_the_basis_bound_counts_every_row_without_symmetry(monkeypatch):
-    # under the trivial group every source row is kept
-    monkeypatch.setattr(cech_mod, "_symmetry", lambda factor_dims, form: 1)
-    monkeypatch.setattr(cech_mod, "MAX_CECH_BASIS", 6_084)
-    assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
-    monkeypatch.setattr(cech_mod, "MAX_CECH_BASIS", 6_083)
-    monkeypatch.setattr(cech_mod, "_GRID_SLAB", 78)  # one row of the first factor
-    with pytest.raises(Overflow, match="canonical weight"):
-        incidence_cohomology(12, -13, 3)
-
-
-def test_composite_p_refused_without_nonzero_entries():
-    # O(0) -> O(1) on P1 by 0 and by 4 x_0: no term is nonzero mod 2 or mod
-    # 4.  A form that vanishes mod p cuts out no hypersurface, so the kernel
-    # on H^0 of O(0) is a class in degree -1, which exactness forbids
-    space = MultiProjSpace((1,))
-    zero, four_x0 = {}, {((1, 0),): 4}
-    for form, p in ((zero, 2), (zero, 3), (four_x0, 2)):
-        with pytest.raises(InvariantViolation, match=re.escape("0..0: {-1: 1}")):
-            _restriction_cohomology(space, (0,), (1,), form, p)
-    assert _restriction_cohomology(space, (0,), (1,), four_x0, 3).dims == (1,)
-    for form in (zero, four_x0):
-        with pytest.raises(ValueError, match="not prime"):
-            _restriction_cohomology(space, (0,), (1,), form, 4)
-
-
-def test_orbit_sum_matches_full_sum_on_a_twist_grid(monkeypatch):
-    grid = [(a, b) for a in range(-8, 16) for b in range(-16, 8)]
-    questions = [(a, b, 3) for a, b in grid + [(20, -22)]]
-    questions += [(a, b, p) for a, b in ((5, -7), (12, -13)) for p in (2, 5, 7)]
-    orbit = [incidence_cohomology(a, b, p).dims for a, b, p in questions]
-    # the full sum: every block eliminated, as for a complex without symmetry
-    monkeypatch.setattr(cech_mod, "_symmetry", lambda factor_dims, form: 1)
-    full = [incidence_cohomology(a, b, p).dims for a, b, p in questions]
-    assert orbit == full
+def test_orbit_sum_matches_full_sum_on_a_twist_grid():
+    # the engine eliminates one block per S3-orbit; the full sum eliminates
+    # every block of the dense map, blocked by the test's own alpha - beta
+    questions = [(a, b, 3) for a in range(-9, 8) for b in range(-9, 8)]
+    questions += [(a, b, p) for a, b in ((5, -7), (-7, 5), (3, 3)) for p in (2, 5, 7)]
+    checked = set()
+    for a, b, p in questions:
+        src, dst = (a - 1, b - 1), (a, b)
+        for degree in (0, 2, 4):
+            full = sum(_block_ranks(src, dst, degree, p).values())
+            assert _map_rank_mod_p(src, dst, degree, p) == full, (a, b, p, degree)
+            if full:
+                checked.add(degree)
+    assert checked == {0, 2, 4}
 
 
 def _recording_stacks(monkeypatch):
@@ -359,88 +296,51 @@ def test_a_smaller_stack_bound_gives_the_same_dims(monkeypatch):
     _assert_aligned(stacks)
 
 
-def _images(row, g):
-    """The S_g images of a weight row, g coordinates per factor."""
-    blocks = np.reshape(row, (-1, g))
-    return [tuple(blocks[:, perm].ravel()) for perm in permutations(range(g))]
+def _orbit(weight):
+    """The S3 images of a weight, as a set."""
+    return set(permutations(weight))
 
 
-@pytest.mark.parametrize("factors, g", [(2, 3), (1, 2), (3, 2), (1, 4)])
-def test_canonical_weights_and_orbit_sizes_by_brute_force(factors, g):
-    rng = np.random.default_rng(factors * 10 + g)
-    rows = rng.integers(-1, 2, size=(400, factors * g))
-    canonical, size = _orbits(rows, g)
-    for row, is_canonical in zip(rows, canonical):
-        images = _images(row, g)
-        # the sorted arrangement of the g per-coordinate tuples is the least
-        key = [tuple(np.reshape(image, (-1, g)).T.ravel()) for image in images]
-        assert is_canonical == (key[0] == min(key)), row
-    assert size.tolist() == [len(set(_images(row, g))) for row in rows[canonical]]
-    # each orbit holds exactly one canonical row
-    for row in rows[:50]:
-        assert _orbits(np.array(sorted(set(_images(row, g)))), g)[0].sum() == 1, row
+@pytest.mark.parametrize("reach, seed", [(2, 3), (1, 2), (3, 2), (1, 4)])
+def test_canonical_weights_and_orbit_sizes_by_brute_force(reach, seed):
+    # every weight in [-reach, reach]^3, then 400 drawn from a wider cube
+    rng = np.random.default_rng(seed)
+    cube = list(iproduct(range(-reach, reach + 1), repeat=3))
+    drawn = rng.integers(-3 * reach, 3 * reach + 1, size=(400, 3))
+    weights = np.concatenate((cube, drawn))
+    canonical, size = _orbits(weights.T)
+    for w, is_canonical in zip(weights.tolist(), canonical):
+        # the sorted arrangement is the least of its orbit
+        assert is_canonical == (w == min(map(list, _orbit(w)))), w
+    assert size.tolist() == [len(_orbit(w)) for w in weights[canonical].tolist()]
+    # each orbit holds exactly one canonical weight
+    for w in weights[:50].tolist():
+        assert _orbits(np.array(sorted(_orbit(w))).T)[0].sum() == 1, w
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_twists())
+def test_symmetric_map_rank_matches_dense_elimination(drawn):
+    # S3 fixes the form, so each weight block of the dense map has the F_p
+    # rank of every block of its orbit: the engine's one block per orbit,
+    # counted orbit-size times, is the dense rank
+    p, src, dst = drawn
+    for degree in range(SPACE.dim + 1):
+        ranks = _block_ranks(src, dst, degree, p)
+        for w, rank in ranks.items():
+            assert {ranks[v] for v in _orbit(w)} == {rank}, (degree, w)
+        assert _map_rank_mod_p(src, dst, degree, p) == sum(ranks.values()), degree
 
 
 def test_incidence_weights_commute_with_s3():
-    space = MultiProjSpace((2, 2))
-    form = incidence_form(3)
-    K = np.array(_weights(form, 6))
-    assert _symmetry(space.factor_dims, form) == 3
-    m = np.array(_flat_basis(space, (3, -5))[1])
+    # s in S3, acting on the coordinates of both factors at once, maps the
+    # form's terms to themselves and the weight of m to s of its weight
     for perm in permutations(range(3)):
-        sigma = np.concatenate((perm, [3 + i for i in perm]))
-        assert np.array_equal(m[:, sigma] @ K.T, (m @ K.T)[:, sigma]), perm
-
-
-@pytest.mark.parametrize(
-    "terms",
-    [
-        {((1, 0, 0), (1, 0, 0)): 1, ((0, 1, 0), (0, 1, 0)): 2, ((0, 0, 1), (0, 0, 1)): 1},
-        {((1, 0, 0), (1, 0, 0)): 1, ((0, 1, 0), (0, 1, 0)): 1},
-    ],
-)
-def test_forms_without_the_full_symmetry_take_the_trivial_group(terms):
-    space = MultiProjSpace((2, 2))
-    assert _symmetry(space.factor_dims, terms) == 1
-    for a, b in ((2, -3), (3, -5), (4, -4)):
-        src, dst = (a - 1, b - 1), (a, b)
-        for degree in range(space.dim + 1):
-            dense = _dense_map_matrix(space, src, dst, terms, degree)
-            for p in (2, 3, 5):
-                expected = 0 if dense is None else rank_mod_p(dense, p)
-                assert _map_rank_mod_p(space, src, dst, terms, degree, p) == expected
-
-
-@st.composite
-def symmetric_maps(draw):
-    """A random form on P^n or (P^n)^2, made S_(n+1)-invariant by adding the
-    images of its terms, as a map between two random bundles."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    space = draw(st.sampled_from((MultiProjSpace((1,)), MultiProjSpace((2,)),
-                                  MultiProjSpace((1, 1)), MultiProjSpace((2, 2)))))
-    k, g = len(space.factor_dims), space.factor_dims[0] + 1
-    degrees = st.tuples(*(st.integers(-4, 3) for _ in range(k)))
-    src, dst = draw(degrees), draw(degrees)
-    exps = st.lists(st.integers(-1, 2), min_size=g, max_size=g).map(tuple)
-    form = {}
-    for _ in range(draw(st.integers(0, 2))):
-        mono = tuple(draw(exps) for _ in range(k))
-        coeff = draw(st.sampled_from((1, -1, 2, p)))
-        for perm in permutations(range(g)):
-            image = tuple(tuple(f[i] for i in perm) for f in mono)
-            form[image] = coeff
-    return p, space, src, dst, form
-
-
-@settings(max_examples=200, deadline=None)
-@given(symmetric_maps())
-def test_symmetric_map_rank_matches_dense_elimination(drawn):
-    p, space, src, dst, form = drawn
-    assert _symmetry(space.factor_dims, form) == space.factor_dims[0] + 1
-    for degree in range(space.dim + 1):
-        dense = _dense_map_matrix(space, src, dst, form, degree)
-        expected = 0 if dense is None else rank_mod_p(dense, p)
-        assert _map_rank_mod_p(space, src, dst, form, degree, p) == expected, degree
+        image = {tuple(tuple(f[i] for i in perm) for f in mono) for mono in PAIRING}
+        assert image == set(PAIRING), perm
+        for row in _flat_basis(SPACE, (3, -5))[1]:
+            moved = [row[i] for i in perm] + [row[3 + i] for i in perm]
+            assert _weight(moved) == tuple(_weight(row)[i] for i in perm)
 
 
 def _grid(sizes):
@@ -496,40 +396,20 @@ def test_binomial_table_is_math_comb():
 
 
 @settings(max_examples=150, deadline=None)
-@given(random_maps())
+@given(random_twists())
 def test_each_target_row_lies_in_one_weight_block(drawn):
     # a product keeps its source row's weight, so the entries of a target row
     # all sit in the columns of one weight block, the row's own
-    p, space, src, dst, form = drawn
-    K = np.array(_weights(form, sum(n + 1 for n in space.factor_dims)), dtype=object)
-    for degree in range(space.dim + 1):
-        dense = _dense_map_matrix(space, src, dst, form, degree)
+    p, src, dst = drawn
+    for degree in range(SPACE.dim + 1):
+        dense = _dense_map_matrix(SPACE, src, dst, PAIRING, degree)
         if dense is None:
             continue
-        cols = [_flat(m) for m in _degree_basis(space, src, degree)]
-        rows = [_flat(m) for m in _degree_basis(space, dst, degree)]
+        cols = [_flat(m) for m in _degree_basis(SPACE, src, degree)]
+        rows = [_flat(m) for m in _degree_basis(SPACE, dst, degree)]
         for r, entries in enumerate(dense % p):
-            blocks = {tuple(K.dot(cols[c])) for c in np.flatnonzero(entries)}
-            assert blocks <= {tuple(K.dot(rows[r]))}, (degree, r)
-
-
-def test_two_twists_of_one_map_compute_its_invariants_once(monkeypatch):
-    calls = {"_weights": 0, "_symmetry": 0}
-    for name in calls:
-        def counting(*args, name=name, real=getattr(cech_mod, name)):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(cech_mod, name, counting)
-    assert incidence_cohomology(4, -5, 3).dims == (0, 11, 1, 0)
-    assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
-    # every degree of both twists, and a new form per twist, share one key
-    assert calls == {"_weights": 1, "_symmetry": 1}
-    # a form with other terms is a new key
-    space = MultiProjSpace((2, 2))
-    x0y1 = {((1, 0, 0), (0, 1, 0)): 1}
-    assert _restriction_cohomology(space, (0, 0), (1, 1), x0y1, 3).dims == (8, 0, 0, 0)
-    assert calls == {"_weights": 2, "_symmetry": 2}
+            blocks = {_weight(cols[c]) for c in np.flatnonzero(entries)}
+            assert blocks <= {_weight(rows[r])}, (degree, r)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -572,47 +452,41 @@ def test_a_factor_table_past_the_kept_size_is_not_kept():
 
 
 @settings(max_examples=150, deadline=None)
-@given(random_maps())
+@given(random_twists())
 def test_canonical_rows_are_the_enumerated_basis_under_the_orbit_mask(drawn):
     # the factor grids of the source and the target against the
-    # nested-tuple basis and its full weight product.  A kept row is its
-    # row in each factor table: read through the tables, the kept rows are
-    # the exponent rows of the enumerated basis, in order
-    _, space, src, dst, form = drawn
-    weights = _weights(form, sum(n + 1 for n in space.factor_dims))
-    groups = [1]
-    if len(set(space.factor_dims)) == 1:
-        groups.append(space.factor_dims[0] + 1)
+    # nested-tuple basis, its weights alpha - beta and their S3-orbits.  A
+    # kept row is its row in each factor table: read through the tables,
+    # the kept rows are the exponent rows of the enumerated basis of sorted
+    # weight, in order
+    _, src, dst = drawn
     for md in (src, dst):
-        flat = _flat_basis(space, md)
+        flat = _flat_basis(SPACE, md)
         if flat is None:
             continue
-        full = np.array(flat[1], dtype=np.int64)
-        weight = full @ np.array(weights, dtype=np.int64).T
-        tables = _tables(space, md)
-        for g in groups:
-            keep, orbit = _orbits(weight, g)
-            pos, grid_weight, size = _canonical_rows(tables, weights, g)
-            assert pos.shape == (len(size), len(space.factor_dims))
-            exponents = [
-                [x for t, i in zip(tables, at) for x in t[i].tolist()] for at in pos.tolist()
-            ]
-            assert exponents == full[keep].tolist(), (md, g)
-            assert grid_weight.tolist() == weight[keep].tolist(), (md, g)
-            assert size.tolist() == orbit.tolist(), (md, g)
+        weight = [_weight(row) for row in flat[1]]
+        keep = [w == tuple(sorted(w)) for w in weight]
+        tables = _tables(SPACE, md)
+        pos, grid_weight, size = _canonical_rows(tables)
+        assert pos.shape == (len(size), 2)
+        exponents = [
+            [x for t, i in zip(tables, at) for x in t[i].tolist()] for at in pos.tolist()
+        ]
+        assert exponents == [list(row) for row, k in zip(flat[1], keep) if k], md
+        kept = [w for w, k in zip(weight, keep) if k]
+        assert grid_weight.tolist() == [list(w) for w in kept], md
+        assert size.tolist() == [len(_orbit(w)) for w in kept], md
 
 
 @pytest.mark.parametrize("slab", [1, 7, 100])
 def test_canonical_rows_do_not_depend_on_the_slab(monkeypatch, slab):
     # slabs of one first-factor row, of a few rows, and of part of the grid,
     # on both bundles of each twist's restriction sequence
-    space = MultiProjSpace((2, 2))
-    weights = _weights(incidence_form(3), 6)
     twists = [(12, -13), (-14, 11), (5, -7)]
 
     def rows(a, b):
         return [
-            [np.asarray(x).tolist() for x in _canonical_rows(_tables(space, md), weights, 3)]
+            [np.asarray(x).tolist() for x in _canonical_rows(_tables(SPACE, md))]
             for md in ((a - 1, b - 1), (a, b))
         ]
 

@@ -205,6 +205,30 @@ def test_cech_commands(capsys):
     assert json.loads(out)["agree"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("push", "--variety", "P2", "--p", "2.0"),
+    ("push", "--variety", "P2"),
+    ("cech", "incidence", "--a", "1", "--b", "x", "--p", "3"),
+    ("bogus",),
+])
+def test_malformed_arguments_exit_1(capsys, argv):
+    # argparse's own exit code is 2, which is kept for invariant violations
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: toricfrob") and "error: " in captured.err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["cech", "incidence", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: toricfrob")
+
+
 def test_internal_invariant_exit_code(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise OracleMismatch("deliberately corrupted decomposition")

@@ -10,7 +10,7 @@ from toricfrob import (
     incidence_cohomology,
     line_bundle_cohomology_fp,
 )
-from toricfrob.cech import _restriction_cohomology
+from toricfrob.cech import _map_rank_mod_p
 from toricfrob.cli import main
 from toricfrob import linalg
 from toricfrob.linalg import check_prime_field, is_prime, rank_mod_p
@@ -122,14 +122,6 @@ def test_cli_incidence_huge_twist_checks_p_first(capsys):
     assert "not prime" in captured.err
 
 
-def test_a_monomial_is_one_exponent_tuple_per_factor():
-    # x_0 on P2 x P2 is one exponent tuple of length 3 per factor; its zero
-    # set is P1 x P2, where O(1, 0) has h^0 = 2
-    space = MultiProjSpace((2, 2))
-    x0 = {((1, 0, 0), (0, 0, 0)): 1}
-    assert _restriction_cohomology(space, (0, 0), (1, 0), x0, 3).dims == (2, 0, 0, 0)
-
-
 @pytest.mark.parametrize("args", [(4, -5, 3.0), (True, -5, 3), (4.0, -5, 3), (4, -5.0, 3),
                                   (4, -5, True), (4, -5, "3")])
 def test_incidence_rejects_non_integer_input(args):
@@ -150,11 +142,22 @@ def test_prime_field_check_reads_p_as_an_integer():
     assert rank_mod_p([[1, 0], [0, 1]], 3) == 2
 
 
+@pytest.mark.parametrize("dims", [(1.5,), (2.0,), (True, True), ("2",), (2, 2.0)])
+def test_factor_dimensions_must_be_integers(dims):
+    # 1.5 and 2.0 were once accepted and failed later in numpy, (True, True)
+    # was answered as P1 x P1, and "2" raised TypeError; each is now refused
+    with pytest.raises(ValueError, match="factor dimension entry"):
+        MultiProjSpace(dims)
+    space = MultiProjSpace([2, 1])
+    assert space.factor_dims == (2, 1) and all(type(n) is int for n in space.factor_dims)
+    assert line_bundle_cohomology_fp(space, (1, 0)).dims == (3, 0, 0, 0)
+
+
 def test_multidegree_entries_must_be_integers():
     space = MultiProjSpace((1, 1))
     for bad in ((1.0, 0), (True, 0), (0, "1")):
         with pytest.raises(ValueError, match="multidegree entry"):
             line_bundle_cohomology_fp(space, bad)
         with pytest.raises(ValueError, match="multidegree entry"):
-            _restriction_cohomology(space, bad, (2, 1), {}, 3)
+            _map_rank_mod_p(bad, (2, 1), 0, 3)
     assert line_bundle_cohomology_fp(space, (1, 0)).dims == (2, 0, 0)
