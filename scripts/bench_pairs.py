@@ -38,9 +38,11 @@ time (``cpu_s``), the ``RUSAGE_CHILDREN`` user and system time gained over
 the run, so a run slowed by CPU work can be told from one that waited.
 
 For each tree it also records the size of the library, the lines of the
-``.py`` files under ``src/toricfrob``, and the ``tracemalloc`` peak of
-``compile()`` on ``src/toricfrob/cech.py`` in a fresh interpreter, the
-cost that module's bytecode compilation adds to a cold process's peak RSS.
+``.py`` files under ``src/toricfrob``; the lines of the ``.py`` files under
+``tests``, so that lines moved from the library into the tests show; and the
+``tracemalloc`` peak of ``compile()`` on ``src/toricfrob/cech.py`` in a
+fresh interpreter, the cost that module's bytecode compilation adds to a
+cold process's peak RSS.
 
 ``--interleave SECONDS`` adds, for each workload of ``--pairs``, a run in this
 one process: both checkouts' ``toricfrob`` are imported under the distinct
@@ -154,12 +156,16 @@ def measured(run):
 
 
 def tree_size(tree: Path) -> dict:
-    """Lines of the library's source, and the peak of compiling cech.py."""
-    lines = sum(len(path.read_text().splitlines())
-                for path in (tree / "src" / "toricfrob").rglob("*.py"))
+    """Lines of the library's source and of its tests, and the peak of
+    compiling cech.py.  The test lines show whether lines that left the
+    library moved into the tests."""
+    def lines(folder: Path) -> int:
+        return sum(len(path.read_text().splitlines()) for path in folder.rglob("*.py"))
+
     proc = subprocess.run([sys.executable, "-c", COMPILE_PEAK], cwd=tree,
                           capture_output=True, text=True, check=True)
-    return {"src_toricfrob_lines": lines,
+    return {"src_toricfrob_lines": lines(tree / "src" / "toricfrob"),
+            "tests_lines": lines(tree / "tests"),
             "cech_compile_peak_mb": round(float(proc.stdout), 3)}
 
 

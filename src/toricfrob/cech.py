@@ -12,11 +12,12 @@ exponents.  On X, h^i(O_X(a, b)) is read from the restriction sequence
 multiplication by the pairing form, acts on the bases by polynomial
 multiplication followed by truncation to the target basis, the induced map
 on the standard-cover Cech model.  Only the source basis is walked, through
-small per-factor exponent tables (:func:`_factor_parts`).  A product is
-found in the target basis one factor at a time: for each factor table, the
-three terms x_i y_i and the target factor, one small read-only table
-(:func:`_factor_index`) gives, term by term, each shifted row's position in
-the target factor's basis (:func:`_factor_rank`), and the factors combine
+one small exponent table per P2 factor (:func:`_factor_parts`).  The term
+x_i y_i moves a monomial by the unit vector e_i on both factors, so a
+product is found in the target basis one factor at a time: for each factor
+table and target factor, one small read-only table (:func:`_factor_index`)
+gives, term by term, each moved row's lex position in the target factor's
+basis, in closed form (:func:`_factor_rank`), and the two factors combine
 in the target's mixed radix.  No product row is formed, and the target
 basis is only counted.
 
@@ -55,7 +56,7 @@ from math import comb, prod
 import numpy as np
 
 from .cohomology import CohomologyVector, Overflow
-from .fan import InvariantViolation, _integer
+from .fan import InvariantViolation, _integer, _integers
 from .frobenius import FrobeniusOrder
 from .linalg import _residue_dtype, check_prime_field, group_rows, ranks_mod_p
 
@@ -94,7 +95,7 @@ class MultiProjSpace:
     factor_dims: tuple
 
     def __post_init__(self):
-        dims = tuple(_integer(n, "factor dimension") for n in self.factor_dims)
+        dims = _integers(self.factor_dims, "factor dimension")
         if not dims or any(n < 1 for n in dims):
             raise ValueError("factor dimensions must be positive")
         object.__setattr__(self, "factor_dims", dims)
@@ -104,11 +105,8 @@ class MultiProjSpace:
         return sum(self.factor_dims)
 
 
-# The ambient space of the incidence threefold, and the three terms x_i y_i
-# of the pairing form, each with coefficient 1, as one exponent row each:
-# the exponents of the first factor, then of the second.
+# The ambient space of the incidence threefold.
 _P2xP2 = MultiProjSpace((2, 2))
-_PAIRING = ((1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1))
 
 
 def _factor_degree(n: int, d: int):
@@ -126,7 +124,7 @@ def _factor_degree(n: int, d: int):
 
 def _factor_degrees(space: MultiProjSpace, multidegree):
     """[(degree, total)] of each factor of O(multidegree), or None if acyclic."""
-    multidegree = tuple(_integer(d, "multidegree") for d in multidegree)
+    multidegree = _integers(multidegree, "multidegree")
     if len(multidegree) != len(space.factor_dims):
         raise ValueError("multidegree length does not match the factors")
     out = [_factor_degree(n, d) for n, d in zip(space.factor_dims, multidegree)]
@@ -134,45 +132,38 @@ def _factor_degrees(space: MultiProjSpace, multidegree):
 
 
 # Cells of the largest factor table kept for the life of the process
-# (512 KB of int64): every P^2 table up to total 207.
+# (512 KB of int64): every P2 table up to total 207.
 _KEPT_PARTS_CELLS = 2**16
 
 
 def _kept_if_small(build):
-    """``build(n, degree, total, ...)``, kept for the process, up to 64
-    results, when the factor table of exponent total ``total`` on P^n has at
-    most _KEPT_PARTS_CELLS cells; what is derived from a larger table, the
-    size of a whole basis, is built afresh on each call."""
+    """``build(degree, total, ...)``, kept for the process, up to 64 results,
+    when the P2 factor table of exponent total ``total`` has at most
+    _KEPT_PARTS_CELLS cells; what is derived from a larger table, the size of
+    a whole basis, is built afresh on each call."""
     kept = lru_cache(maxsize=64)(build)
 
     @wraps(build)
-    def gated(n, degree, total, *rest):
-        small = comb(total + n, n) * (n + 1) <= _KEPT_PARTS_CELLS
-        return (kept if small else build)(n, degree, total, *rest)
+    def gated(degree, total, *rest):
+        small = comb(total + 2, 2) * 3 <= _KEPT_PARTS_CELLS
+        return (kept if small else build)(degree, total, *rest)
 
     return gated
 
 
 @_kept_if_small
-def _factor_parts(n: int, degree: int, total: int) -> np.ndarray:
-    """The read-only basis of one factor: exponent rows on P^n, in basis order.
+def _factor_parts(degree: int, total: int) -> np.ndarray:
+    """The read-only basis of one P2 factor: exponent rows, in basis order.
 
-    The rows are the parts e >= 0 of sum ``total`` (stars and bars),
-    C(total + n, n) of them in lex order of e, as e in degree 0 and as
-    -1 - e in degree n.
+    The rows are the parts e = (e_0, e_1, e_2) >= 0 of sum ``total``,
+    C(total + 2, 2) of them in lex order of e, as e in degree 0 and as
+    -1 - e in degree 2.
     """
-    # one coordinate at a time: each prefix e_0 .. e_(i-1), with remainder r,
-    # is followed by e_i = 0, 1, ..., r, and the prefix e_0 .. e_i heads the
-    # C(r - e_i + n - i - 1, n - i - 1) rows that share it; e_n is the rest
-    binom = _binomials(total, n)
-    parts = np.empty((binom[total, n], n + 1), dtype=np.int64)
-    left = np.array([total], dtype=np.int64)
-    for i in range(n):
-        counts = left + 1
-        part = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        left = np.repeat(left, counts) - part
-        parts[:, i] = np.repeat(part, binom[left, n - i - 1])
-    parts[:, n] = left
+    # e_0 = k heads the total + 1 - k rows e_1 = 0, 1, ..., total - k
+    counts = np.arange(total + 1, 0, -1)
+    first = np.repeat(np.arange(total + 1), counts)
+    second = np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    parts = np.column_stack((first, second, total - first - second))
     if degree:
         np.subtract(-1, parts, out=parts)
     parts.flags.writeable = False
@@ -201,49 +192,21 @@ def line_bundle_cohomology_fp(space: MultiProjSpace, multidegree) -> CohomologyV
     return CohomologyVector(tuple(dims))
 
 
-@lru_cache(maxsize=64)
-def _binomials(total: int, n: int) -> np.ndarray:
-    """The read-only table binom[y, k] = C(y + k, k), for y <= total and k <= n.
+def _factor_rank(degree: int, total: int, rows) -> np.ndarray:
+    """Position of each P2 exponent row in the factor basis of (``degree``,
+    ``total``), the rows of :func:`_factor_parts`; -1 outside it.
 
-    Built by C(y + k, k) = sum_(x <= y) C(x + k - 1, k - 1), once per
-    (total, n); a map's products read one table per target factor.
+    The part e (the exponents, or -1 - exponents in degree 2) is in the
+    basis when every e_i >= 0 and e_0 + e_1 + e_2 = t.  Its lex position is
+    e_0 (2t + 3 - e_0) / 2 + e_1: before it come the t + 1 - k parts of
+    first entry k, for each k < e_0, and then the e_1 parts of first entry
+    e_0 and a smaller second.
     """
-    binom = np.ones((total + 1, n + 1), dtype=np.int64)
-    for k in range(1, n + 1):
-        binom[:, k] = np.cumsum(binom[:, k - 1])
-    binom.flags.writeable = False
-    return binom
-
-
-def _factor_rank(n: int, degree: int, total: int, rows) -> np.ndarray:
-    """Position of each exponent row on P^n in the factor basis of
-    (``degree``, ``total``), the rows of :func:`_factor_parts`; -1 outside it.
-
-    The parts e (the exponents, or -1 - exponents in top degree) are ranked
-    in the lex order of the stars-and-bars enumeration, which is the lex
-    order of e: with R_i = t - e_0 - ... - e_(i-1), the compositions below e
-    number sum_i C(R_i + n - i, n - i) - C(R_(i+1) + n - i, n - i).  The
-    row is in the basis when no R_i is negative and R_n = e_n.  Each
-    coordinate column is read once, and every step works on 1-D arrays;
-    R is clipped to [0, t], so every binomial read, from :func:`_binomials`,
-    is at most C(t + n, n), the factor's basis size.
-    """
-    binom = _binomials(total, n).T  # binom[k] is the column C(y + k, k)
-    index = np.zeros(len(rows), dtype=np.int64)
-    valid = np.ones(len(rows), dtype=bool)
-    left = total  # R_i
-    for i in range(n + 1):
-        part = -1 - rows[:, i] if degree else rows[:, i]
-        if i == n:
-            valid &= part == left
-            break
-        rest = left - part
-        valid &= (part >= 0) & (rest >= 0)
-        np.clip(rest, 0, total, out=rest)
-        index += binom[n - i].take(left)
-        index -= binom[n - i].take(rest)
-        left = rest
-    return np.where(valid, index, -1)
+    parts = -1 - rows if degree else rows
+    first, second, third = parts.T
+    valid = (first >= 0) & (second >= 0) & (third >= 0)
+    valid &= first + second + third == total
+    return np.where(valid, first * (2 * total + 3 - first) // 2 + second, -1)
 
 
 def _orbits(weights):
@@ -302,45 +265,39 @@ def _canonical_rows(tables):
 
 
 @_kept_if_small
-def _factor_index(n: int, degree: int, total: int, shifts: tuple, dst: tuple) -> np.ndarray:
-    """Where each row of the factor table (``degree``, ``total``) on P^n,
-    moved by each of ``shifts``, lies in the factor basis ``dst`` =
-    (degree, total): one row per shift, -1 outside, read-only.
+def _factor_index(degree: int, total: int, dst: tuple) -> np.ndarray:
+    """Where each row of the P2 factor table (``degree``, ``total``), moved
+    by each unit vector e_i, lies in the factor basis ``dst`` = (degree,
+    total): row i for e_i, -1 outside, read-only.
 
     It is :func:`_factor_rank` run once on the shifted :func:`_factor_parts`,
-    computed once per (table, shifts, target) and kept as the table is.
+    computed once per (table, target) and kept as the table is.
     """
-    parts = _factor_parts(n, degree, total)
-    rows = (parts + np.array(shifts, dtype=np.int64)[:, None]).reshape(-1, n + 1)
-    index = _factor_rank(n, *dst, rows).reshape(len(shifts), len(parts))
+    parts = _factor_parts(degree, total)
+    rows = (parts + np.eye(3, dtype=np.int64)[:, None]).reshape(-1, 3)
+    index = _factor_rank(*dst, rows).reshape(3, len(parts))
     index.flags.writeable = False
     return index
 
 
-def _product_index(factor_dims, src, dst, shifts, pos):
-    """Position in the target basis of each product m + t, for each t in
-    ``shifts`` (one row each) and each source row m at grid positions
-    ``pos`` (one column per factor table); -1 where the product is outside
-    the target basis.
+def _product_index(src, dst, pos):
+    """Position in the target basis of each product x_i y_i m, for each term
+    i (one row each) and each source row m at grid positions ``pos`` (one
+    column per factor table); -1 where the product is outside the target
+    basis.
 
     ``src`` and ``dst`` are the :func:`_factor_degrees` of the source and
-    target bundles.  The product is m_f + t_f on each factor f, so its
-    place in the target's factor basis is read from the
-    :func:`_factor_index` table of the source factor; the factors combine in
+    target bundles.  The term x_i y_i moves m by e_i on both factors, so
+    its place in each target factor basis is row i of the
+    :func:`_factor_index` table of the source factor; the two combine in
     the target's mixed radix, the first factor slowest, and a product that
-    falls outside the target on any factor gets -1.
+    falls outside the target on either factor gets -1.
     """
-    index = np.zeros((len(shifts), len(pos)), dtype=np.int64)
-    low = np.zeros_like(index)
-    start = 0
-    for f, n in enumerate(factor_dims):
-        moved = tuple(t[start : start + n + 1] for t in shifts)
-        part = _factor_index(n, *src[f], moved, dst[f]).take(pos[:, f], axis=1)
-        index *= comb(dst[f][1] + n, n)
-        index += part
-        np.minimum(low, part, out=low)
-        start += n + 1
-    index[low < 0] = -1
+    first, second = (
+        _factor_index(*src[f], dst[f]).take(pos[:, f], axis=1) for f in (0, 1)
+    )
+    index = first * comb(dst[1][1] + 2, 2) + second
+    index[(first < 0) | (second < 0)] = -1
     return index
 
 
@@ -379,12 +336,12 @@ def _map_rank_mod_p(src_md, dst_md, degree, p) -> int:
     # no int64 guard: incidence_cohomology refuses a bundle of more than
     # 6 * MAX_CECH_BASIS monomials first, so every factor total, exponent and
     # weight is below 7,000, and every (block, target row) key below 10^13
-    tables = [_factor_parts(n, *deg) for n, deg in zip(_P2xP2.factor_dims, src)]
+    tables = [_factor_parts(*deg) for deg in src]
     pos, weight, orbit = _canonical_rows(tables)
-    index = _product_index(_P2xP2.factor_dims, src, dst, _PAIRING, pos).reshape(-1)
+    index = _product_index(src, dst, pos).reshape(-1)
     hit = index >= 0  # term by term
     rows = index[hit]
-    cols = np.tile(np.arange(len(pos)), len(_PAIRING))[hit]
+    cols = np.tile(np.arange(len(pos)), 3)[hit]
     if not len(rows):
         return 0
     # blocks labelled on the source rows that meet an entry, and sorted by

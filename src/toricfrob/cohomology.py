@@ -39,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fan import DivisorClass, Fan, class_of, per_fan
+from .fan import DivisorClass, Fan, _read_divisor, class_of, per_fan
 from .linalg import _INT64_GUARD, _residue_dtype, group_rows, ranks_mod_p
 
 MAX_DIM = 4
@@ -295,7 +295,7 @@ def h0_points(fan: Fan, divisor) -> int:
     Counts {m : <m, v_rho> >= -a_rho for all rho} directly; equals h^0 and is
     independent of the simplicial machinery above.
     """
-    coeffs = tuple(divisor)
+    coeffs = _read_divisor(fan, divisor)
     pts = _char_grid(fan, coeffs)
     rays_t = np.array(fan.rays, dtype=np.int64).T
     inside = (pts @ rays_t >= -np.array(coeffs, dtype=np.int64)).all(axis=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import CohomologyVector, Overflow, cohomology_of_class
-from .fan import DivisorClass, Fan
+from .fan import DivisorClass, Fan, _read_divisor
 from .frobenius import Decomposition, FrobeniusOrder, frobenius_decompose
 from .linalg import _INT64_GUARD, group_rows
 
@@ -95,8 +95,8 @@ def ext_table(fan: Fan, order: FrobeniusOrder, L=None, M=None) -> ExtReport:
 
     Defaults compute the self-Ext of the pushforward of the structure sheaf.
     """
-    l_div = tuple(L) if L is not None else fan.zero_divisor()
-    m_div = tuple(M) if M is not None else fan.zero_divisor()
+    l_div = fan.zero_divisor() if L is None else _read_divisor(fan, L)
+    m_div = fan.zero_divisor() if M is None else _read_divisor(fan, M)
     dec_l = frobenius_decompose(fan, l_div, order)
     dec_m = dec_l if m_div == l_div else frobenius_decompose(fan, m_div, order)
     dims, table = _pair_table(fan, dec_l, dec_m)

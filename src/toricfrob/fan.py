@@ -248,9 +248,7 @@ def class_of(fan: Fan, divisor) -> DivisorClass:
     the map is surjective onto Z^(#rays - dim).  It is linear, and reads the
     classes of the prime divisors off ``Fan.class_matrix``.
     """
-    divisor = tuple(divisor)
-    if len(divisor) != len(fan.rays):
-        raise ValueError("divisor length does not match number of rays")
+    divisor = _read_divisor(fan, divisor)
     return DivisorClass(tuple(_dot(divisor, col) for col in zip(*fan.class_matrix)))
 
 
@@ -265,7 +263,7 @@ def _cone_characters(fan: Fan, divisor):
 
 def is_nef(fan: Fan, divisor) -> bool:
     """Nef test via weak convexity of the support function."""
-    divisor = tuple(divisor)
+    divisor = _read_divisor(fan, divisor)
     for cone, m in zip(fan.cone_sets, _cone_characters(fan, divisor)):
         for j, ray in enumerate(fan.rays):
             if j not in cone and _dot(m, ray) < -divisor[j]:
@@ -275,7 +273,7 @@ def is_nef(fan: Fan, divisor) -> bool:
 
 def is_ample(fan: Fan, divisor) -> bool:
     """Ampleness test via strict convexity of the support function."""
-    divisor = tuple(divisor)
+    divisor = _read_divisor(fan, divisor)
     for cone, m in zip(fan.cone_sets, _cone_characters(fan, divisor)):
         for j, ray in enumerate(fan.rays):
             if j not in cone and _dot(m, ray) <= -divisor[j]:
@@ -303,6 +301,27 @@ def _integer(x, where: str) -> int:
     raise FanError(f"{where} entry {x!r} is not an integer")
 
 
+def _integers(xs, where: str) -> tuple:
+    """xs as a tuple of ints, each read by :func:`_integer`; a scalar or any
+    other object that is not iterable raises FanError."""
+    try:
+        entries = iter(xs)
+    except TypeError:
+        raise FanError(f"{where} {xs!r} is not a sequence of integers") from None
+    return tuple(_integer(x, where) for x in entries)
+
+
+def _read_divisor(fan: Fan, divisor) -> Divisor:
+    """``divisor`` as one int per ray of ``fan``; a scalar, a bool or float
+    entry, or a wrong length raises FanError."""
+    divisor = _integers(divisor, "divisor")
+    if len(divisor) != len(fan.rays):
+        raise FanError(
+            f"divisor has {len(divisor)} coefficients, fan has {len(fan.rays)} rays"
+        )
+    return divisor
+
+
 def build_fan(rays, max_cones, name: str = "", collection=None) -> Fan:
     """Validate and build a smooth complete fan.
 
@@ -317,7 +336,7 @@ def build_fan(rays, max_cones, name: str = "", collection=None) -> Fan:
     cone indices must be integers: a bool, a float or anything else that
     ``operator.index`` refuses raises FanError instead of being truncated.
     """
-    rays = tuple(tuple(_integer(x, "ray") for x in r) for r in rays)
+    rays = tuple(_integers(r, "ray") for r in rays)
     if not rays:
         raise FanError("no rays given")
     dim = len(rays[0])
@@ -333,7 +352,7 @@ def build_fan(rays, max_cones, name: str = "", collection=None) -> Fan:
 
     cones = []
     for c in max_cones:
-        c = tuple(sorted(_integer(i, "cone") for i in c))
+        c = tuple(sorted(_integers(c, "cone")))
         if len(set(c)) != dim:
             raise FanError(f"maximal cone {c} must have {dim} distinct rays")
         if any(i < 0 or i >= len(rays) for i in c):
@@ -405,7 +424,7 @@ class Blowup:
     def pullback_divisor(self, divisor) -> Divisor:
         # The support function is linear on the subdivided cone, so the new
         # ray (= sum of the cone's rays) gets the sum of their coefficients.
-        divisor = tuple(divisor)
+        divisor = _read_divisor(self.base, divisor)
         return divisor + (sum(divisor[i] for i in self.cone),)
 
     def pullback_class(self, cls: DivisorClass) -> DivisorClass:
@@ -421,7 +440,7 @@ def blowup_fan(fan: Fan, cone, name: str = "") -> Blowup:
     The indices must be integers: a bool, a float or anything else that
     ``operator.index`` refuses raises FanError instead of being truncated.
     """
-    cone = tuple(sorted(_integer(i, "cone") for i in cone))
+    cone = tuple(sorted(_integers(cone, "cone")))
     if cone not in fan.faces:
         raise FanError(f"{cone} does not span a cone of the fan")
     new_ray = tuple(sum(fan.rays[i][j] for i in cone) for j in range(fan.dim))
@@ -464,7 +483,7 @@ class ProjBundle:
         return len(self.degrees)
 
     def pullback_divisor(self, divisor) -> Divisor:
-        return tuple(divisor) + (0,) * self.rank
+        return _read_divisor(self.base, divisor) + (0,) * self.rank
 
     def pullback_class(self, cls: DivisorClass) -> DivisorClass:
         return class_of(self.fan, self.pullback_divisor(self.base.divisor_of_class(cls)))
@@ -525,7 +544,7 @@ def normalised_degrees(base: Fan, degrees) -> tuple:
     :func:`_integer`, so a degree of the wrong length, a bool or a float
     entry raises FanError instead of being truncated or answered.
     """
-    degrees = [tuple(_integer(x, "degree") for x in d) for d in degrees]
+    degrees = [_integers(d, "degree") for d in degrees]
     if any(len(d) != len(base.rays) for d in degrees):
         raise FanError("degree divisors must align with the base rays")
     return tuple(tuple(a - b for a, b in zip(d, degrees[0])) for d in degrees)
@@ -559,11 +578,7 @@ def parse_divisor(fan: Fan, text: str) -> Divisor:
         coeffs = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise FanError(f"cannot parse divisor {text!r}") from exc
-    if len(coeffs) != len(fan.rays):
-        raise FanError(
-            f"divisor has {len(coeffs)} coefficients, fan has {len(fan.rays)} rays"
-        )
-    return coeffs
+    return _read_divisor(fan, coeffs)
 
 
 def with_collection(fan: Fan, collection) -> Fan:

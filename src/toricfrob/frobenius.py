@@ -39,6 +39,7 @@ from .fan import (
     Fan,
     InvariantViolation,
     _integer,
+    _read_divisor,
     class_of,
     per_fan,
 )
@@ -195,10 +196,7 @@ def frobenius_decompose(fan: Fan, divisor, order: FrobeniusOrder) -> Decompositi
     :func:`_certified` and then shared read-only; a failed certificate keeps
     nothing.
     """
-    divisor = tuple(divisor)
-    if len(divisor) != len(fan.rays):
-        raise ValueError("divisor length does not match number of rays")
-    return _certified(fan, (divisor, order))
+    return _certified(fan, (_read_divisor(fan, divisor), order))
 
 
 @per_fan
@@ -283,7 +281,7 @@ def iterate_check(fan: Fan, divisor, p: int, n: int) -> bool:
     p-power Frobenius with :func:`_pushforward_classes`.
     """
     single = frobenius_decompose(fan, divisor, FrobeniusOrder(p, n))
-    current = Counter({class_of(fan, tuple(divisor)): 1})
+    current = Counter({class_of(fan, divisor): 1})
     for _ in range(n):
         current = _pushforward_classes(fan, current, FrobeniusOrder(p, 1))
     return current == Counter(single.entries)

@@ -27,6 +27,7 @@ from .fan import (
     InvariantViolation,
     ProjBundle,
     _integer,
+    _integers,
     class_of,
     normalised_degrees,
     per_fan,
@@ -345,7 +346,7 @@ def delpezzo_jet_check(
     jet_conditions = q * (q - 1) // 2 * (1 + p1 + p2)
     rank = None
     if compute_rank:
-        point = tuple(_integer(c, "jet evaluation point") for c in point)
+        point = _integers(point, "jet evaluation point")
         if len(point) != 3 or any(c % p == 0 for c in point):
             raise ValueError(
                 f"jet evaluation point {point} needs three coordinates, none 0 mod {p}"

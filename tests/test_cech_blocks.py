@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from toricfrob import MultiProjSpace, incidence_cohomology
 from toricfrob import cech as cech_mod
 from toricfrob.cech import (
-    _binomials,
     _canonical_rows,
     _factor_degrees,
     _factor_index,
@@ -102,18 +101,16 @@ def _flat_basis(space, multidegree):
     return None if info is None else (info[0], [_flat(m) for m in info[1]])
 
 
-def _tables(space, multidegree):
-    """The factor tables of O(multidegree), or None if it is acyclic."""
-    info = _factor_degrees(space, multidegree)
-    if info is None:
-        return None
-    return [_factor_parts(n, *deg) for n, deg in zip(space.factor_dims, info)]
+def _tables(multidegree):
+    """The factor tables of O(multidegree) on P2 x P2, or None if acyclic."""
+    info = _factor_degrees(SPACE, multidegree)
+    return None if info is None else [_factor_parts(*deg) for deg in info]
 
 
-def _grid_rows(space, multidegree):
-    """The exponents of every point of the bundle's grid, read through its
-    factor tables, the first factor slowest."""
-    tables = (t.tolist() for t in _tables(space, multidegree))
+def _grid_rows(multidegree):
+    """The exponents of every point of the bundle's grid on P2 x P2, read
+    through its factor tables, the first factor slowest."""
+    tables = (t.tolist() for t in _tables(multidegree))
     return [tuple(chain.from_iterable(rows)) for rows in iproduct(*tables)]
 
 
@@ -141,7 +138,7 @@ def _block_ranks(src, dst, degree, p):
 def test_incidence_block_ranks_match_dense_elimination(a, b):
     src, dst = (a - 1, b - 1), (a, b)
     for md in (src, dst):
-        assert _grid_rows(SPACE, md) == _flat_basis(SPACE, md)[1]
+        assert _grid_rows(md) == _flat_basis(SPACE, md)[1]
     checked = 0
     for degree in range(SPACE.dim + 1):
         dense = _dense_map_matrix(SPACE, src, dst, PAIRING, degree)
@@ -156,12 +153,16 @@ def test_incidence_block_ranks_match_dense_elimination(a, b):
 
 
 def test_incidence_weight_is_the_difference_of_exponents():
-    # the engine's terms are the form's, and each raises alpha_i and beta_i
-    # together, so a product keeps the weight alpha - beta of its source
-    assert set(cech_mod._PAIRING) == {_flat(mono) for mono in PAIRING}
-    for row in _flat_basis(SPACE, (3, -5))[1]:
-        for t in cech_mod._PAIRING:
-            assert _weight([x + y for x, y in zip(row, t)]) == _weight(row)
+    # the engine's term i, the unit shift e_i on both factors, is the form's
+    # x_i y_i, and each raises alpha_i and beta_i together, so a product
+    # keeps the weight alpha - beta of its source
+    src, dst = (3, -5), (4, -4)
+    info = [_factor_degrees(SPACE, md) for md in (src, dst)]
+    index = _product_index(*info, _grid(_sizes(info[0])))
+    assert index.tolist() == _product_positions(src, dst)
+    for row in _flat_basis(SPACE, src)[1]:
+        for term in PAIRING:
+            assert _weight([x + y for x, y in zip(row, _flat(term))]) == _weight(row)
 
 
 def test_incidence_blocks_at_12_minus_13(monkeypatch):
@@ -348,51 +349,83 @@ def _grid(sizes):
     return np.indices(sizes).reshape(len(sizes), -1).T
 
 
-def _sizes(space, info):
-    return [comb(total + n, n) for n, (_, total) in zip(space.factor_dims, info)]
+def _sizes(info):
+    """The factor basis sizes C(total + 2, 2) of a bundle on P2 x P2."""
+    return [comb(total + 2, 2) for _, total in info]
 
 
-@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 2), (2, 2), (1, 1, 1)])
+def _lex_parts(total):
+    """The parts of ``total`` into three entries >= 0 in lex order, from
+    itertools: a multiset of ``total`` coordinates of P2 is one monomial."""
+    return sorted(
+        tuple(pick.count(i) for i in range(3))
+        for pick in combinations_with_replacement(range(3), total)
+    )
+
+
+def _product_positions(src, dst):
+    """For each term x_i y_i (one row each) and each enumerated source row of
+    O(src) on P2 x P2, the product's position among the enumerated rows of
+    O(dst), or -1."""
+    position = {row: i for i, row in enumerate(_flat_basis(SPACE, dst)[1])}
+    return [
+        [
+            position.get(tuple(x + y for x, y in zip(row, _flat(term))), -1)
+            for row in _flat_basis(SPACE, src)[1]
+        ]
+        for term in PAIRING
+    ]
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_factor_rank_is_the_lex_position_of_the_compositions(degree):
+    # every basis row at its place, and rows off the basis, of a wrong sum or
+    # with a negative entry, at -1
+    for total in range(41):
+        parts = _lex_parts(total)
+        off = [
+            (total + 1, 0, 0),
+            (0, total, 1),
+            (0, 0, total - 1),
+            (-1, total + 1, 0),
+            (1, -1, total),
+            (total, 1, -1),
+            (-1, -1, total + 2),
+        ]
+        rows = np.array(parts + off, dtype=np.int64)
+        if degree:
+            rows = -1 - rows
+        want = list(range(len(parts))) + [-1] * len(off)
+        assert _factor_rank(degree, total, rows).tolist() == want, total
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2)])
 def test_basis_index_is_the_position_in_the_enumerated_basis(dims):
-    # each factor's rows are ranked by _factor_rank, and a basis row, read
-    # at its grid position, is found where the enumerated basis has it
+    # on P2, rows a step away from the basis of a random O(d) are found where
+    # the basis has them, else -1; on P2 x P2, each product x_i y_i m of the
+    # restriction map into a random O(a, b) is found where the enumerated
+    # target basis has it, the factors combined first factor slowest
     space = MultiProjSpace(dims)
-    rng = np.random.default_rng(len(dims) * 10 + dims[-1])
+    rng = np.random.default_rng(len(dims))
     for _ in range(25):
-        multidegree = tuple(int(d) for d in rng.integers(-6, 5, size=len(dims)))
-        flat = _flat_basis(space, multidegree)
+        dst = tuple(int(d) for d in rng.integers(-6, 5, size=len(dims)))
+        flat = _flat_basis(space, dst)
         if flat is None:
             continue
-        info = _factor_degrees(space, multidegree)
-        for n, d, (degree, total) in zip(dims, multidegree, info):
-            rows = _flat_basis(MultiProjSpace((n,)), (d,))[1]
-            assert _factor_rank(n, degree, total, np.array(rows)).tolist() == list(range(len(rows)))
-            # rows a step away from the basis are found where they are in it, else -1
-            moved = np.array(rows) + rng.integers(-1, 2, size=(len(rows), n + 1))
-            position = {row: i for i, row in enumerate(rows)}
+        if dims == (2,):
+            degree, total = _factor_degrees(space, dst)[0]
+            rows = np.array(flat[1])
+            moved = rows + rng.integers(-1, 2, size=rows.shape)
+            position = {row: i for i, row in enumerate(flat[1])}
             want = [position.get(tuple(row), -1) for row in moved.tolist()]
-            assert _factor_rank(n, degree, total, moved).tolist() == want
-        # the factors combine in the basis's mixed radix, first factor slowest;
-        # products a step away are found where the basis has them, else -1
-        steps = rng.integers(-1, 2, size=(3, len(flat[1][0])))
-        shifts = ((0,) * steps.shape[1], *map(tuple, steps.tolist()))
-        position = {row: i for i, row in enumerate(flat[1])}
-        want = [
-            [position.get(tuple(x + y for x, y in zip(row, t)), -1) for row in flat[1]]
-            for t in shifts
-        ]
-        index = _product_index(dims, info, info, shifts, _grid(_sizes(space, info)))
-        assert index.tolist() == want
-
-
-def test_binomial_table_is_math_comb():
-    for total, n in ((0, 1), (5, 1), (7, 2), (12, 3), (40, 2)):
-        table = _binomials(total, n)
-        assert table.tolist() == [
-            [comb(y + k, k) for k in range(n + 1)] for y in range(total + 1)
-        ]
-        # one shared table per (total, n), which no reader can change
-        assert _binomials(total, n) is table and not table.flags.writeable
+            assert _factor_rank(degree, total, moved).tolist() == want
+            continue
+        src = tuple(d - 1 for d in dst)
+        info = [_factor_degrees(space, md) for md in (src, dst)]
+        if info[0] is None or _flat_basis(space, src)[0] != flat[0]:
+            continue
+        index = _product_index(*info, _grid(_sizes(info[0])))
+        assert index.tolist() == _product_positions(src, dst), dst
 
 
 @settings(max_examples=150, deadline=None)
@@ -412,43 +445,40 @@ def test_each_target_row_lies_in_one_weight_block(drawn):
             assert blocks <= {_weight(rows[r])}, (degree, r)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_factor_parts_are_the_compositions_in_lex_order(n):
+@pytest.mark.parametrize("degree", [0, 2])
+def test_factor_parts_are_the_compositions_in_lex_order(degree):
     for total in range(7):
-        # a multiset of `total` coordinates of P^n is one monomial
-        parts = sorted(
-            tuple(pick.count(i) for i in range(n + 1))
-            for pick in combinations_with_replacement(range(n + 1), total)
-        )
-        table = _factor_parts(n, 0, total)
-        assert table.tolist() == [list(e) for e in parts]
-        assert _factor_parts(n, n, total).tolist() == [[-1 - x for x in e] for e in parts]
-        # one shared table per (n, degree, total), which no reader can change
-        assert _factor_parts(n, 0, total) is table and not table.flags.writeable
+        parts = _lex_parts(total)
+        table = _factor_parts(degree, total)
+        assert table.tolist() == [[-1 - x for x in e] if degree else list(e) for e in parts]
+        # one shared table per (degree, total), which no reader can change
+        assert _factor_parts(degree, total) is table and not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 1
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_factor_parts_are_the_bars_of_combinations(n):
-    # the stars-and-bars enumeration the tables were once built from: the
-    # gaps between n bars placed in total + n slots, in lex order of bars
+@pytest.mark.parametrize("degree", [0, 2])
+def test_factor_parts_are_the_bars_of_combinations(degree):
+    # stars and bars: the gaps between two bars placed in total + 2 slots,
+    # in lex order of bars
     for total in range(12):
-        bars = np.array(list(combinations(range(total + n), n)), dtype=np.int64)
-        bars = bars.reshape(-1, n)
-        parts = np.diff(bars, axis=1, prepend=-1, append=total + n) - 1
-        assert np.array_equal(_factor_parts.__wrapped__(n, 0, total), parts)
-        assert np.array_equal(_factor_parts.__wrapped__(n, n, total), -1 - parts)
+        bars = np.array(list(combinations(range(total + 2), 2)), dtype=np.int64)
+        parts = np.diff(bars, axis=1, prepend=-1, append=total + 2) - 1
+        want = -1 - parts if degree else parts
+        assert np.array_equal(_factor_parts.__wrapped__(degree, total), want)
 
 
 def test_a_factor_table_past_the_kept_size_is_not_kept():
-    # C(63, 3) rows of 4 on P^3: larger than any table the process keeps
-    table = _factor_parts(3, 0, 60)
+    # C(252, 2) rows of 3: larger than any table the process keeps, the
+    # largest kept being that of total 207
+    table = _factor_parts(0, 250)
     assert table.size > cech_mod._KEPT_PARTS_CELLS and not table.flags.writeable
-    again = _factor_parts(3, 0, 60)
+    again = _factor_parts(0, 250)
     assert again is not table and np.array_equal(again, table)
-    assert table.tolist() == sorted(table.tolist()) and (table.sum(axis=1) == 60).all()
-    assert np.array_equal(_factor_parts(3, 3, 60), -1 - table)
+    assert table.tolist() == sorted(table.tolist()) and (table.sum(axis=1) == 250).all()
+    assert np.array_equal(_factor_parts(2, 250), -1 - table)
+    assert _factor_parts(0, 207) is _factor_parts(0, 207)
+    assert _factor_parts(0, 208) is not _factor_parts(0, 208)
 
 
 @settings(max_examples=150, deadline=None)
@@ -466,7 +496,7 @@ def test_canonical_rows_are_the_enumerated_basis_under_the_orbit_mask(drawn):
             continue
         weight = [_weight(row) for row in flat[1]]
         keep = [w == tuple(sorted(w)) for w in weight]
-        tables = _tables(SPACE, md)
+        tables = _tables(md)
         pos, grid_weight, size = _canonical_rows(tables)
         assert pos.shape == (len(size), 2)
         exponents = [
@@ -486,7 +516,7 @@ def test_canonical_rows_do_not_depend_on_the_slab(monkeypatch, slab):
 
     def rows(a, b):
         return [
-            [np.asarray(x).tolist() for x in _canonical_rows(_tables(SPACE, md))]
+            [np.asarray(x).tolist() for x in _canonical_rows(_tables(md))]
             for md in ((a - 1, b - 1), (a, b))
         ]
 
@@ -499,93 +529,71 @@ def test_canonical_rows_do_not_depend_on_the_slab(monkeypatch, slab):
 
 
 @st.composite
-def shifted_products(draw):
-    """(space, src multidegree, dst multidegree, shifts) on a product of P1s
-    and P2s: one to three shifts, the target the source moved by the first
-    shift's factor totals or, about one time in three, by other totals, so
-    that many products fall outside the target basis; shift entries reach
-    past the basis."""
-    dims = draw(st.sampled_from(((1,), (2,), (1, 1), (1, 2), (2, 2), (2, 1, 1))))
-    src = tuple(draw(st.integers(-7, 4)) for _ in dims)
-    width = sum(n + 1 for n in dims)
-    entry = st.lists(st.integers(-3, 3), min_size=width, max_size=width).map(tuple)
-    shifts = tuple(draw(st.lists(entry, min_size=1, max_size=3, unique=True)))
-    dst, start = [], 0
-    for n, d in zip(dims, src):
-        total = sum(shifts[0][start : start + n + 1])
-        if not draw(st.integers(0, 2)):
-            total = draw(st.integers(-3, 3))
-        dst.append(d + total)
-        start += n + 1
-    return MultiProjSpace(dims), src, tuple(dst), shifts
+def p2_products(draw):
+    """(src, dst) multidegrees on P2 x P2: the target the source moved by
+    one on each factor, as the restriction map has it, or, about one time in
+    three per factor, by another step, so that many products fall outside
+    the target basis."""
+    src = tuple(draw(st.integers(-7, 4)) for _ in range(2))
+    steps = tuple(
+        1 if draw(st.integers(0, 2)) else draw(st.integers(-3, 3)) for _ in src
+    )
+    return src, tuple(d + s for d, s in zip(src, steps))
 
 
 @settings(max_examples=300, deadline=None)
-@given(shifted_products())
+@given(p2_products())
 def test_product_index_is_basis_index_on_the_product_rows(drawn):
-    space, src, dst, shifts = drawn
-    source, target = _flat_basis(space, src), _flat_basis(space, dst)
+    src, dst = drawn
+    source, target = _flat_basis(SPACE, src), _flat_basis(SPACE, dst)
     if source is None or target is None or source[0] != target[0]:
         return
     # every source row, named by its grid position, first factor slowest
-    info = (_factor_degrees(space, src), _factor_degrees(space, dst))
-    position = {row: i for i, row in enumerate(target[1])}
-    want = [
-        [position.get(tuple(x + y for x, y in zip(row, t)), -1) for row in source[1]]
-        for t in shifts
-    ]
-    pos = _grid(_sizes(space, info[0]))
-    assert _product_index(space.factor_dims, *info, shifts, pos).tolist() == want
+    info = [_factor_degrees(SPACE, md) for md in drawn]
+    index = _product_index(*info, _grid(_sizes(info[0])))
+    assert index.tolist() == _product_positions(src, dst)
 
 
 def test_factor_index_tables_are_shared_and_read_only():
-    shifts = ((1, 0, -1), (0, 0, 0))
-    first = _factor_index(2, 0, 5, shifts, (0, 5))
-    assert _factor_index(2, 0, 5, shifts, (0, 5)) is first
-    assert not first.flags.writeable and first.shape == (2, 21)
-    assert first[1].tolist() == list(range(21))
+    first = _factor_index(0, 5, (0, 6))
+    assert _factor_index(0, 5, (0, 6)) is first
+    assert not first.flags.writeable and first.shape == (3, 21)
+    # row i is each part moved by e_i, at its place in the target basis
+    position = {row: i for i, row in enumerate(_lex_parts(6))}
+    moved = _factor_parts(0, 5) + np.eye(3, dtype=np.int64)[:, None]
+    assert first.tolist() == [[position[tuple(r)] for r in rows] for rows in moved.tolist()]
     # a table past the kept size is built afresh, as its factor table is
-    big = _factor_index(3, 0, 60, ((0, 0, 0, 1),), (0, 61))
-    assert _factor_index(3, 0, 60, ((0, 0, 0, 1),), (0, 61)) is not big
-    moved = _factor_parts(3, 0, 60) + np.array([0, 0, 0, 1])
-    position = {row: i for i, row in enumerate(_compositions(61, 4))}
-    assert big[0].tolist() == [position.get(tuple(row), -1) for row in moved.tolist()]
-    assert (np.diff(big[0]) > 0).all()  # every row lands, in lex order
+    big = _factor_index(0, 250, (0, 251))
+    assert _factor_index(0, 250, (0, 251)) is not big
+    moved = _factor_parts(0, 250) + np.array([0, 0, 1])
+    position = {row: i for i, row in enumerate(_compositions(251, 3))}
+    assert big[2].tolist() == [position[tuple(row)] for row in moved.tolist()]
+    assert (np.diff(big) > 0).all()  # every row lands, in lex order
 
 
-def _bad_parts(n, total):
-    """Part vectors of P^n outside the basis of exponent total ``total`` >= 1:
-    a negative part with the right sum, first and in the middle; a last part
-    past the total; a sum one short; and two parts of the whole total, so
-    that the running remainder goes negative."""
-    zeros = (0,) * (n - 1)
-    yield (-1, total + 1) + zeros
-    yield (1, -1, total) + zeros[1:] if n > 1 else (total + 1, -1)
-    yield zeros + (0, total + 1)
-    yield zeros + (0, total - 1)
-    yield (total, total) + zeros
-
-
-@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 2), (2, 2)])
+@pytest.mark.parametrize("dims", [(2,), (2, 2)])
 def test_basis_index_gives_minus_one_outside_the_basis(dims):
-    space = MultiProjSpace(dims)
-    for multidegree in ((3,) * len(dims), (-5,) * len(dims), (2, -6)[: len(dims)]):
-        _, basis = _flat_basis(space, multidegree)
-        info = _factor_degrees(space, multidegree)
-        middle = basis[len(basis) // 2]
-        shifts, start = [], 0
-        for n, d, (degree, total) in zip(dims, multidegree, info):
-            rows = _flat_basis(MultiProjSpace((n,)), (d,))[1]
-            bad = [p if d >= 0 else tuple(-1 - x for x in p) for p in _bad_parts(n, total)]
-            index = _factor_rank(n, degree, total, np.array(rows + bad))
-            assert index.tolist() == list(range(len(rows))) + [-1] * len(bad), multidegree
-            # the middle basis row moved onto each bad part of this factor
-            for parts in bad:
-                row = list(middle)
-                row[start : start + n + 1] = parts
-                shifts.append(tuple(x - y for x, y in zip(row, middle)))
-            start += n + 1
-        shifts = ((0,) * len(middle), *shifts)
-        index = _product_index(dims, info, info, shifts, _grid(_sizes(space, info)))
-        assert index[0].tolist() == list(range(len(basis))), multidegree
-        assert index[1:, len(basis) // 2].tolist() == [-1] * (len(shifts) - 1), multidegree
+    if dims == (2,):
+        # in degree 2 a basis row is -1 - e, and the term x_i moves it to
+        # -1 - (e - e_i): outside the basis of total t - 1 exactly where
+        # e_i = 0.  A target of another total takes no row
+        for total in range(1, 8):
+            position = {row: i for i, row in enumerate(_lex_parts(total - 1))}
+            want = [
+                [
+                    position[tuple(x - (j == i) for j, x in enumerate(e))] if e[i] else -1
+                    for e in _lex_parts(total)
+                ]
+                for i in range(3)
+            ]
+            assert _factor_index(2, total, (2, total - 1)).tolist() == want
+            assert (_factor_index(2, total, (2, total + 1)) == -1).all()
+            assert (_factor_index(0, total, (0, total)) == -1).all()
+        return
+    # a product outside the target on either factor is outside the target
+    for src, dst in (((-5, -6), (-4, -5)), ((2, -6), (3, -5)), ((2, -6), (4, -5))):
+        info = [_factor_degrees(SPACE, md) for md in (src, dst)]
+        index = _product_index(*info, _grid(_sizes(info[0])))
+        assert index.tolist() == _product_positions(src, dst), src
+        assert (index == -1).any()
+    assert (index == -1).all()  # the first factor's target has another total

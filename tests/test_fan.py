@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,8 @@ from toricfrob import (
     BadWall,
     DivisorClass,
     FanError,
+    FrobeniusOrder,
+    MultiProjSpace,
     NonPrimitiveRay,
     NotComplete,
     NotSmooth,
@@ -16,15 +19,21 @@ from toricfrob import (
     build_fan,
     catalog_entries,
     class_of,
+    cohomology,
+    ext_table,
     fan_from_json,
+    frobenius_decompose,
+    h0_points,
     is_ample,
     is_nef,
+    line_bundle_cohomology_fp,
     named_variety,
     parse_divisor,
     product_fan,
     projectivization_fan,
 )
 from toricfrob.fan import _containing_cones
+from toricfrob.structure import delpezzo_jet_check, pbundle_check, s2d2_identity_check
 
 from conftest import fans_isomorphic
 
@@ -225,3 +234,46 @@ def test_parse_divisor(P2):
         parse_divisor(P2, "1,2")
     with pytest.raises(FanError):
         parse_divisor(P2, "a,b,c")
+
+
+@pytest.mark.parametrize("divisor", [(2.5, 0, 0), (1.5, 0, 0), (1.0, 0, 0), (True, 0, 0), (1, 0)])
+def test_a_divisor_is_read_as_one_integer_per_ray(P2, divisor):
+    # 2.5 was answered as a class of P2, 1.5 failed the projection-formula
+    # certificate, True was answered as 1, 1.0 was kept in the per-fan memo
+    # under a key equal to (1, 0, 0), and a pullback took (1, 0) for a
+    # divisor of P2; each is now refused by the reader
+    order = FrobeniusOrder(3, 1)
+    for ask in (
+        lambda: cohomology(P2, divisor),
+        lambda: h0_points(P2, divisor),
+        lambda: frobenius_decompose(P2, divisor, order),
+        lambda: is_nef(P2, divisor),
+        lambda: is_ample(P2, divisor),
+        lambda: ext_table(P2, order, L=divisor),
+        lambda: blowup_fan(P2, (0, 1)).pullback_divisor(divisor),
+        lambda: projectivization_fan(P2, [(0, 0, 0), (1, 0, 0)]).pullback_divisor(divisor),
+    ):
+        with pytest.raises(FanError):
+            ask()
+    dec = frobenius_decompose(P2, (1, 0, 0), order)
+    assert dec.divisor == (1, 0, 0) and all(type(a) is int for a in dec.divisor)
+    assert class_of(P2, [np.int64(1), 0, 0]) == class_of(P2, (1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda P2, order: MultiProjSpace(2),
+        lambda P2, order: line_bundle_cohomology_fp(MultiProjSpace((2,)), 3),
+        lambda P2, order: delpezzo_jet_check(3, 1, compute_rank=True, point=5),
+        lambda P2, order: pbundle_check(P2, [(0, 0, 0), 5], order),
+        lambda P2, order: s2d2_identity_check(P2, 5, order),
+        lambda P2, order: blowup_fan(P2, 5),
+        lambda P2, order: cohomology(P2, 5),
+    ],
+    ids=["space", "multidegree", "jet-point", "pbundle", "s2d2", "blowup", "cohomology"],
+)
+def test_a_scalar_where_integers_are_due_is_refused(P2, ask):
+    # each raised TypeError: 'int' object is not iterable
+    with pytest.raises(FanError, match="is not a sequence of integers"):
+        ask(P2, FrobeniusOrder(3, 1))
