@@ -13,6 +13,9 @@ runs first, with T the ``run_seconds`` of the parent's ``BENCHMARK.json``.
 Seeds count up from ``--seed``, one per pair.  Each end-to-end metric gets
 each side's median and inclusive quartiles, the change's relative median, and
 the number of pairs the change won (ties count for neither side).
+``peak_rss_mb`` also carries each side's questions asked per run
+(``attempted``, as a summary), so that a rise in RSS that comes with more
+attempts can be told from one in the library's own memory.
 
 ``--cold-runs N`` adds, outside the benchmark, N alternating runs per side of
 the seven-q survey in one fresh interpreter: ``import toricfrob`` and then
@@ -247,6 +250,11 @@ def workload_record(parent: Path, change: Path, workload: str, pairs: int,
             "change_vs_parent_median": round(after["median"] / before["median"] - 1, 4),
             "pairs_change_lower": sum(y < x for x, y in zip(a, b)),
         }
+    # a run that asks more questions holds more of perfbench's own per-attempt
+    # records, so its RSS rises without any library memory behind it
+    record["peak_rss_mb"]["attempted"] = {
+        "parent": summary([r["attempted"] for r in old]),
+        "change": summary([r["attempted"] for r in new])}
     for name in ("cpu_s", "steal_s"):
         record[name] = {"unit": "s",
                         "parent": summary([r[name] for r in old]),

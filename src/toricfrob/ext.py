@@ -9,6 +9,7 @@ dimensionwise; :func:`adjunction_crosscheck` verifies that identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -24,7 +25,13 @@ class UnknownCollection(ValueError):
 
 @dataclass(frozen=True)
 class ExtReport:
-    """Per-degree Ext dimensions plus the per-pair cohomology table."""
+    """Per-degree Ext dimensions plus the cohomology of each summand pair.
+
+    ``per_pair`` maps (cu, cv) to the cohomology of cv - cu.  From
+    :func:`ext_table` its values are the shared, frozen
+    :class:`CohomologyVector` answers the per-fan memo keeps, one object per
+    distinct difference; no per-pair copy is made.
+    """
 
     dims: tuple
     per_pair: dict
@@ -55,39 +62,40 @@ def _stacked(dec: Decomposition):
 
 
 def _pair_table(fan: Fan, dec_l: Decomposition, dec_m: Decomposition):
-    """Ext dims and per-pair cohomology of two split pushforwards, in one step.
+    """Ext dims of two split pushforwards, and which answer each pair reads.
 
     The summand classes of each side, in the descending order that
-    :class:`Decomposition` keeps, are stacked as int64 rows and all
-    differences cv - cu formed at once.  One :func:`group_rows` call groups
-    equal differences (np.unique over rows costs ~4x more at these sizes);
-    each distinct difference gets one :func:`cohomology_of_class` lookup
-    and the weight sum of mu * mv over the pairs that meet it.
+    :class:`Decomposition` keeps, are stacked as int64 rows (once, when
+    ``dec_m is dec_l``) and all differences cv - cu formed at once.  One
+    :func:`group_rows` call groups equal differences (np.unique over rows
+    costs ~4x more at these sizes); each distinct difference gets one
+    :func:`cohomology_of_class` lookup and the weight sum of mu * mv over the
+    pairs that meet it.
 
-    Returns (dims, table): dims[i] = sum over pairs of mu * mv * h^i(cv - cu),
-    and table[a, b] the cohomology of right[b] - left[a] as an (n, m, d + 1)
-    int64 array, left and right the classes of dec_l and dec_m in their
-    ``entries`` order.
+    Returns (dims, distinct, index): dims[i] = sum over pairs of
+    mu * mv * h^i(cv - cu); ``distinct`` the list of the frozen
+    :class:`CohomologyVector` answers the per-fan memo keeps, one per
+    distinct difference; and ``index[a, b]`` the position in ``distinct`` of
+    right[b] - left[a], an (n, m) int array, left and right the classes of
+    dec_l and dec_m in their ``entries`` order.  No per-pair table of
+    cohomology is built.
     The class keys of a decomposition lie inside the residue range guard, so
     their differences are exact; Overflow is raised when a dims sum, at most
     rank_l * rank_m * max h, could leave the exact int64 range.
     """
     mult_l, rows_l = _stacked(dec_l)
-    mult_m, rows_m = _stacked(dec_m)
+    mult_m, rows_m = (mult_l, rows_l) if dec_m is dec_l else _stacked(dec_m)
     diffs = (rows_m[None, :, :] - rows_l[:, None, :]).reshape(-1, fan.pic_rank)
     by_row, starts, inverse = group_rows(diffs)
-    distinct = diffs[by_row[starts]]
-    coh = np.array(
-        [cohomology_of_class(fan, DivisorClass(tuple(row))).dims
-         for row in distinct.tolist()],
-        dtype=np.int64,
-    )
+    distinct = [cohomology_of_class(fan, DivisorClass(tuple(row)))
+                for row in diffs[by_row[starts]].tolist()]
+    coh = np.array([h.dims for h in distinct], dtype=np.int64)
     if dec_l.rank * dec_m.rank * int(coh.max()) >= _INT64_GUARD:
         raise Overflow("Ext dimensions exceed the exact int64 range")
     weights = np.zeros(len(distinct), dtype=np.int64)
     np.add.at(weights, inverse, np.outer(mult_l, mult_m).ravel())
-    table = coh[inverse.reshape(len(mult_l), len(mult_m))]
-    return tuple((weights @ coh).tolist()), table
+    index = inverse.reshape(len(mult_l), len(mult_m))
+    return tuple((weights @ coh).tolist()), distinct, index
 
 
 def ext_table(fan: Fan, order: FrobeniusOrder, L=None, M=None) -> ExtReport:
@@ -99,12 +107,9 @@ def ext_table(fan: Fan, order: FrobeniusOrder, L=None, M=None) -> ExtReport:
     m_div = fan.zero_divisor() if M is None else _read_divisor(fan, M)
     dec_l = frobenius_decompose(fan, l_div, order)
     dec_m = dec_l if m_div == l_div else frobenius_decompose(fan, m_div, order)
-    dims, table = _pair_table(fan, dec_l, dec_m)
-    per_pair = {
-        (cu, cv): CohomologyVector(tuple(h))
-        for cu, row in zip(dec_l.entries, table.tolist())
-        for cv, h in zip(dec_m.entries, row)
-    }
+    dims, distinct, index = _pair_table(fan, dec_l, dec_m)
+    per_pair = dict(zip(product(dec_l.entries, dec_m.entries),
+                        map(distinct.__getitem__, index.ravel().tolist())))
     return ExtReport(
         dims=dims, per_pair=per_pair, vanishing_above_zero=not any(dims[1:])
     )
@@ -119,7 +124,7 @@ def adjunction_crosscheck(fan: Fan, order: FrobeniusOrder) -> bool:
     """
     q = order.q
     dec = frobenius_decompose(fan, fan.zero_divisor(), order)
-    lhs, _ = _pair_table(fan, dec, dec)
+    lhs = _pair_table(fan, dec, dec)[0]
     k = fan.canonical_class()
     rhs = [0] * (fan.dim + 1)
     for cls, mult in dec.entries.items():
@@ -143,8 +148,9 @@ def tilting_verdict(fan: Fan, order: FrobeniusOrder) -> TiltingVerdict:
             f"no built-in collection for {fan.name or 'this fan'}"
         )
     dec = frobenius_decompose(fan, fan.zero_divisor(), order)
-    dims, table = _pair_table(fan, dec, dec)
-    quiver = tuple(map(tuple, table[:, :, 0].tolist()))
+    dims, distinct, index = _pair_table(fan, dec, dec)
+    h0 = np.array([h.dims[0] for h in distinct], dtype=np.int64)
+    quiver = tuple(map(tuple, h0.take(index).tolist()))
     return TiltingVerdict(
         strong_exceptional=not any(dims[1:]),
         contains_collection=all(c in dec.entries for c in coll),

@@ -301,14 +301,19 @@ def _integer(x, where: str) -> int:
     raise FanError(f"{where} entry {x!r} is not an integer")
 
 
+def _sequence(xs, where: str, of: str):
+    """An iterator over the entries of xs; a scalar or any other object that
+    is not iterable raises FanError, naming ``where`` and what ``of``."""
+    try:
+        return iter(xs)
+    except TypeError:
+        raise FanError(f"{where} {xs!r} is not a sequence of {of}") from None
+
+
 def _integers(xs, where: str) -> tuple:
     """xs as a tuple of ints, each read by :func:`_integer`; a scalar or any
     other object that is not iterable raises FanError."""
-    try:
-        entries = iter(xs)
-    except TypeError:
-        raise FanError(f"{where} {xs!r} is not a sequence of integers") from None
-    return tuple(_integer(x, where) for x in entries)
+    return tuple(_integer(x, where) for x in _sequence(xs, where, "integers"))
 
 
 def _read_divisor(fan: Fan, divisor) -> Divisor:
@@ -334,9 +339,10 @@ def build_fan(rays, max_cones, name: str = "", collection=None) -> Fan:
     unchanged, so that number is the same for every point off those faces;
     (c) makes it 1, so the cones cover R^d exactly once.  Ray entries and
     cone indices must be integers: a bool, a float or anything else that
-    ``operator.index`` refuses raises FanError instead of being truncated.
+    ``operator.index`` refuses raises FanError instead of being truncated,
+    and so does a scalar in place of the list of rays or of cones.
     """
-    rays = tuple(_integers(r, "ray") for r in rays)
+    rays = tuple(_integers(r, "ray") for r in _sequence(rays, "rays", "rays"))
     if not rays:
         raise FanError("no rays given")
     dim = len(rays[0])
@@ -351,7 +357,7 @@ def build_fan(rays, max_cones, name: str = "", collection=None) -> Fan:
         raise FanError("duplicate rays")
 
     cones = []
-    for c in max_cones:
+    for c in _sequence(max_cones, "max_cones", "cones"):
         c = tuple(sorted(_integers(c, "cone")))
         if len(set(c)) != dim:
             raise FanError(f"maximal cone {c} must have {dim} distinct rays")
@@ -542,9 +548,11 @@ def normalised_degrees(base: Fan, degrees) -> tuple:
 
     Each degree must have one entry per base ray, and each entry is read by
     :func:`_integer`, so a degree of the wrong length, a bool or a float
-    entry raises FanError instead of being truncated or answered.
+    entry, or a scalar in place of the list of degrees raises FanError
+    instead of being truncated or answered.
     """
-    degrees = [_integers(d, "degree") for d in degrees]
+    degrees = [_integers(d, "degree")
+               for d in _sequence(degrees, "degrees", "divisors")]
     if any(len(d) != len(base.rays) for d in degrees):
         raise FanError("degree divisors must align with the base rays")
     return tuple(tuple(a - b for a, b in zip(d, degrees[0])) for d in degrees)

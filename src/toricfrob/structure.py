@@ -125,11 +125,11 @@ def pbundle_check(base_fan: Fan, degrees, order: FrobeniusOrder) -> bool:
     the registered fan when the registry holds this bundle.  E_1 is a
     multiset difference, which must stay non-negative.
     """
-    rank = len(degrees)
+    norm = normalised_degrees(base_fan, degrees)
+    rank = len(norm)
     if rank not in (2, 3):
         raise ValueError("the projective-bundle check needs a rank 2 or 3 bundle")
     q = order.q
-    norm = normalised_degrees(base_fan, degrees)
     classes = [class_of(base_fan, d) for d in norm]
     pb = _bundle(base_fan, norm)
     xi = pb.o_pi_class(1)

@@ -78,6 +78,20 @@ def test_non_integer_fan_entries_are_refused(tmp_path, capsys, rays, cones):
         assert "is not an integer" in err
 
 
+@pytest.mark.parametrize("fan", [
+    {"rays": 5, "max_cones": [[0, 1]]},
+    {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": 5},
+], ids=["rays", "max-cones"])
+def test_a_scalar_list_in_a_fan_file_is_an_input_error(tmp_path, capsys, fan):
+    # each died with a TypeError traceback: 'int' object is not iterable
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan))
+    code, out, err = run(capsys, "fan", "check", "--fan", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "is not a sequence of" in err
+    assert "Traceback" not in err
+
+
 def test_cohom_past_sixty_four_rays_exits_1(tmp_path, capsys):
     fan = plane_blown_up_to(65)
     path = tmp_path / "fan.json"

@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from toricfrob import (
+    CohomologyVector,
     DivisorClass,
     FrobeniusOrder,
     OracleMismatch,
@@ -184,6 +185,33 @@ def test_warm_questions_make_no_class_comparison(class_comparisons):
     tilting_verdict(fan, order)
     ext_table(fan, order)
     assert class_comparisons[0] == 0
+
+
+@pytest.fixture
+def vectors_made(monkeypatch):
+    """Count the CohomologyVector objects constructed."""
+    count = [0]
+    real = CohomologyVector.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CohomologyVector, "__init__", counted)
+    return count
+
+
+def test_warm_ext_questions_make_no_cohomology_vector(vectors_made):
+    # each pair reads the answer the per-fan memo keeps for its difference;
+    # none is copied into a new vector
+    fan, order = named_variety("P(O+O(2))/P2"), FrobeniusOrder(2, 4)
+    canonical = fan.canonical_divisor()
+    for ask in (lambda: tilting_verdict(fan, order), lambda: ext_table(fan, order),
+                lambda: ext_table(fan, order, M=canonical)):
+        ask()
+        vectors_made[0] = 0
+        ask()
+        assert vectors_made[0] == 0
 
 
 @pytest.fixture

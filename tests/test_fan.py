@@ -30,9 +30,10 @@ from toricfrob import (
     named_variety,
     parse_divisor,
     product_fan,
+    projective_bundle,
     projectivization_fan,
 )
-from toricfrob.fan import _containing_cones
+from toricfrob.fan import _containing_cones, normalised_degrees
 from toricfrob.structure import delpezzo_jet_check, pbundle_check, s2d2_identity_check
 
 from conftest import fans_isomorphic
@@ -277,3 +278,30 @@ def test_a_scalar_where_integers_are_due_is_refused(P2, ask):
     # each raised TypeError: 'int' object is not iterable
     with pytest.raises(FanError, match="is not a sequence of integers"):
         ask(P2, FrobeniusOrder(3, 1))
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda P2: pbundle_check(P2, 5, FrobeniusOrder(3, 1)),
+        lambda P2: normalised_degrees(P2, 5),
+        lambda P2: projectivization_fan(P2, 5),
+        lambda P2: projective_bundle(P2, 5),
+    ],
+    ids=["pbundle", "normalised", "projectivization", "projective-bundle"],
+)
+def test_a_scalar_in_place_of_the_degrees_is_refused(P2, ask):
+    # pbundle_check raised TypeError: object of type 'int' has no len(), the
+    # other three TypeError: 'int' object is not iterable
+    with pytest.raises(FanError, match="degrees 5 is not a sequence of divisors"):
+        ask(P2)
+
+
+@pytest.mark.parametrize(
+    "rays, cones, what",
+    [(5, [[0, 1]], "rays 5"), ([[1, 0], [0, 1], [-1, -1]], 5, "max_cones 5")],
+    ids=["rays", "max-cones"],
+)
+def test_a_scalar_in_place_of_the_rays_or_cones_is_refused(rays, cones, what):
+    with pytest.raises(FanError, match=f"{what} is not a sequence of"):
+        build_fan(rays, cones)

@@ -1,5 +1,7 @@
 """The one pair-sum kernel of the Ext layer against a double loop over pairs."""
 
+from itertools import product
+
 import pytest
 
 from toricfrob import (
@@ -64,6 +66,32 @@ def test_kernel_matches_the_double_loop_between_two_pushforwards(entry):
     report = ext_table(fan, order, M=canonical)
     assert report.dims == dims
     assert report.per_pair == per_pair
+
+
+@pytest.mark.parametrize("entry", catalog_entries()[:4], ids=lambda entry: entry.key)
+def test_pairs_share_the_kept_answer_of_their_difference(entry):
+    fan = entry.build()
+    order = FrobeniusOrder(3)
+    canonical = fan.canonical_divisor()
+    dec_l = frobenius_decompose(fan, fan.zero_divisor(), order)
+    dec_m = frobenius_decompose(fan, canonical, order)
+    for report, left, right in (
+        (ext_table(fan, order), dec_l, dec_l),
+        (ext_table(fan, order, M=canonical), dec_l, dec_m),
+    ):
+        assert list(report.per_pair) == list(product(left.entries, right.entries))
+        for (cu, cv), h in report.per_pair.items():
+            assert h is cohomology_of_class(fan, cv - cu)
+    # the quiver reads h^0 of the same answers, rows and columns in the
+    # order of the summands
+    classes = list(dec_l.entries)
+    per_pair = ext_table(fan, order).per_pair
+    quiver = tilting_verdict(fan, order).quiver
+    assert len(quiver) == len(classes)
+    for a, cu in enumerate(classes):
+        assert len(quiver[a]) == len(classes)
+        for b, cv in enumerate(classes):
+            assert quiver[a][b] == per_pair[(cu, cv)].dims[0]
 
 
 def test_sums_past_the_int64_range_raise_overflow():
