@@ -23,9 +23,11 @@ the seven-q survey in one fresh interpreter: ``import toricfrob`` and then
 times ``incidence_cohomology`` at each of the large twists (30, -32),
 (40, -42) and (50, -52) with p = 3, and the jet ranks ``delpezzo_jet_check(p,
 n, compute_rank=True)`` at q = 25 (p = 5), q = 29 (p = 29) and q = 32
-(p = 2), and ``scripts/reproduce.py --primes 2,3,5`` (its ``main``, whose
-last step asks the incidence concentration checks), N alternating runs per
-side, each in a fresh interpreter after ``import toricfrob``.  Each run
+(p = 2), ``scripts/reproduce.py --primes 2,3,5`` (its ``main``, whose
+last step asks the incidence concentration checks) and ``toricfrob cech
+validate`` (``cli.main(["cech", "validate"])``, the import of ``cli``
+included), N alternating runs per side, each in a fresh interpreter after
+``import toricfrob``.  Each run
 records its wall time, its CPU time (``ru_utime + ru_stime`` over the same
 span), so that a loaded host can be told from a slower change, and the
 interpreter's peak RSS (``ru_maxrss``).  A question a side refuses with
@@ -99,6 +101,7 @@ COLD_CALLS = {
     "delpezzo_jet_check_q29_p29": "toricfrob.delpezzo_jet_check(29, 1, compute_rank=True)",
     "delpezzo_jet_check_q32_p2": "toricfrob.delpezzo_jet_check(2, 5, compute_rank=True)",
     "reproduce_primes_2_3_5": "import reproduce; reproduce.main(['--primes', '2,3,5'])",
+    "cech_validate": "import toricfrob.cli; toricfrob.cli.main(['cech', 'validate'])",
 }
 # The last line printed is the measurement; a question the tree refuses with
 # Overflow prints "refused" for its times.

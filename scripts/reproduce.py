@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the full survey: catalog Ext tables, surface verdicts, structural
-checks, blow-up bookkeeping, jet counts and the F_p cross-validation.
+checks, blow-up bookkeeping, jet counts and the incidence threefold's
+concentration checks.
 
 Usage: python3 scripts/reproduce.py [--primes 2,3,5]
 """

@@ -6,12 +6,7 @@ All arithmetic is exact integer or exact finite-field arithmetic.
 """
 
 from .catalog import CatalogEntry, catalog_entries, catalog_run
-from .cech import (
-    MultiProjSpace,
-    concentration_check,
-    incidence_cohomology,
-    line_bundle_cohomology_fp,
-)
+from .cech import concentration_check, incidence_cohomology
 from .cohomology import (
     CohomologyVector,
     DimensionUnsupported,

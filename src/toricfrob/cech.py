@@ -1,14 +1,13 @@
-"""Exact F_p cohomology of line bundles on products of projective spaces,
-and of a line bundle on the incidence threefold X = {sum x_i y_i = 0} in
-P2 x P2.
+"""Exact F_p cohomology of line bundles on the incidence threefold
+X = {sum x_i y_i = 0} in P2 x P2.
 
-Cohomology of a multidegree line bundle is concentrated in a single degree:
-each factor contributes its monomial basis either in degree 0 (all exponents
-nonnegative) or in top degree (all exponents <= -1, the local cohomology
-model).  A bundle's basis is the grid of its factors' bases, and a basis
-row is named by its grid position, one row index per factor, never by its
-exponents.  On X, h^i(O_X(a, b)) is read from the restriction sequence
-0 -> O(a - 1, b - 1) -> O(a, b) -> O_X(a, b) -> 0: its one map,
+Cohomology of a line bundle O(a, b) on P2 x P2 is concentrated in a single
+degree: each P2 factor contributes its monomial basis either in degree 0
+(all exponents nonnegative) or in degree 2 (all exponents <= -1, the local
+cohomology model).  A bundle's basis is the grid of its factors' bases,
+and a basis row is named by its grid position, one row index per factor,
+never by its exponents.  On X, h^i(O_X(a, b)) is read from the restriction
+sequence 0 -> O(a - 1, b - 1) -> O(a, b) -> O_X(a, b) -> 0: its one map,
 multiplication by the pairing form, acts on the bases by polynomial
 multiplication followed by truncation to the target basis, the induced map
 on the standard-cover Cech model.  Only the source basis is walked, through
@@ -49,9 +48,8 @@ bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, wraps
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -88,47 +86,23 @@ _STACK_CELLS = 2**20
 _GRID_SLAB = 2**15
 
 
-@dataclass(frozen=True)
-class MultiProjSpace:
-    """A product of projective spaces P^(n_1) x ... x P^(n_k)."""
+def _factor_degrees(multidegree):
+    """[(degree, total)] of each P2 factor of O(a, b) on P2 x P2, or None if
+    acyclic.
 
-    factor_dims: tuple
-
-    def __post_init__(self):
-        dims = _integers(self.factor_dims, "factor dimension")
-        if not dims or any(n < 1 for n in dims):
-            raise ValueError("factor dimensions must be positive")
-        object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return sum(self.factor_dims)
-
-
-# The ambient space of the incidence threefold.
-_P2xP2 = MultiProjSpace((2, 2))
-
-
-def _factor_degree(n: int, d: int):
-    """(cohomological degree, exponent total) of O(d) on P^n, or None if acyclic.
-
-    The basis is the C(total + n, n) vectors e >= 0 of sum ``total``, as the
-    exponents e in degree 0 and as -1 - e in degree n.
+    O(d) on P2 has the C(total + 2, 2) parts e >= 0 of sum ``total`` as its
+    basis: as the exponents e in degree 0 when d >= 0 (total d), as -1 - e
+    in degree 2 when d <= -3 (total -d - 3), and none when d is -1 or -2.
     """
-    if d >= 0:
-        return 0, d
-    if d <= -(n + 1):
-        return n, -d - (n + 1)
-    return None
-
-
-def _factor_degrees(space: MultiProjSpace, multidegree):
-    """[(degree, total)] of each factor of O(multidegree), or None if acyclic."""
     multidegree = _integers(multidegree, "multidegree")
-    if len(multidegree) != len(space.factor_dims):
+    if len(multidegree) != 2:
         raise ValueError("multidegree length does not match the factors")
-    out = [_factor_degree(n, d) for n, d in zip(space.factor_dims, multidegree)]
-    return None if None in out else out
+    out = []
+    for d in multidegree:
+        if -3 < d < 0:
+            return None
+        out.append((0, d) if d >= 0 else (2, -d - 3))
+    return out
 
 
 # Cells of the largest factor table kept for the life of the process
@@ -170,26 +144,18 @@ def _factor_parts(degree: int, total: int) -> np.ndarray:
     return parts
 
 
-def _basis_size(space: MultiProjSpace, multidegree):
-    """(degree, basis size) of O(multidegree) from binomials, or None if acyclic.
+def _basis_size(multidegree):
+    """(degree, basis size) of O(multidegree) on P2 x P2 from binomials, or
+    None if acyclic.
 
-    Counts the grid of the factors' bases, the product of their
-    C(total + n, n), without enumerating it.
+    Counts the grid of the two factors' bases, C(t_0 + 2, 2) C(t_1 + 2, 2),
+    without enumerating it.
     """
-    info = _factor_degrees(space, multidegree)
+    info = _factor_degrees(multidegree)
     if info is None:
         return None
-    size = prod(comb(total + n, n) for n, (_, total) in zip(space.factor_dims, info))
-    return sum(degree for degree, _ in info), size
-
-
-def line_bundle_cohomology_fp(space: MultiProjSpace, multidegree) -> CohomologyVector:
-    """h^i(O(d_1, ..., d_k)); concentrated in one degree, independent of p."""
-    dims = [0] * (space.dim + 1)
-    info = _basis_size(space, multidegree)
-    if info is not None:
-        dims[info[0]] = info[1]
-    return CohomologyVector(tuple(dims))
+    (d0, t0), (d1, t1) = info
+    return d0 + d1, comb(t0 + 2, 2) * comb(t1 + 2, 2)
 
 
 def _factor_rank(degree: int, total: int, rows) -> np.ndarray:
@@ -328,10 +294,10 @@ def _map_rank_mod_p(src_md, dst_md, degree, p) -> int:
     entry and the blocks' row offsets are read off the counts; a block's
     columns are right-aligned to the stack's width.
     """
-    sizes = [_basis_size(_P2xP2, md) for md in (src_md, dst_md)]
+    sizes = [_basis_size(md) for md in (src_md, dst_md)]
     if any(size is None or size[0] != degree for size in sizes):
         return 0
-    src, dst = (_factor_degrees(_P2xP2, md) for md in (src_md, dst_md))
+    src, dst = (_factor_degrees(md) for md in (src_md, dst_md))
     count = sizes[1][1]  # the target rows
     # no int64 guard: incidence_cohomology refuses a bundle of more than
     # 6 * MAX_CECH_BASIS monomials first, so every factor total, exponent and
@@ -409,7 +375,7 @@ def incidence_cohomology(a: int, b: int, p: int) -> CohomologyVector:
     a, b = (_integer(x, "incidence multidegree") for x in (a, b))
     check_prime_field(p)
     src, dst = (a - 1, b - 1), (a, b)
-    sizes = [_basis_size(_P2xP2, md) for md in (src, dst)]
+    sizes = [_basis_size(md) for md in (src, dst)]
     most = 6 * MAX_CECH_BASIS
     for s, size in enumerate(sizes):
         if size is not None and size[1] > most:

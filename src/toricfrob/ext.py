@@ -40,17 +40,13 @@ class ExtReport:
 
 @dataclass(frozen=True)
 class TiltingVerdict:
-    """Verdict on F^n_* O, with the self-Ext dims it rests on.
-
-    ``certified`` is the flag of the one decomposition the verdict was read
-    from.
-    """
+    """Verdict on F^n_* O, with the self-Ext dims it rests on, read from its
+    one certified decomposition."""
 
     strong_exceptional: bool
     contains_collection: bool
     quiver: tuple
     dims: tuple
-    certified: bool
 
 
 def _stacked(dec: Decomposition):
@@ -156,7 +152,6 @@ def tilting_verdict(fan: Fan, order: FrobeniusOrder) -> TiltingVerdict:
         contains_collection=all(c in dec.entries for c in coll),
         quiver=quiver,
         dims=dims,
-        certified=dec.certified,
     )
 
 

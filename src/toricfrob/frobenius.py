@@ -19,7 +19,7 @@ certified results are kept.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -98,7 +98,6 @@ class Decomposition:
     divisor: Divisor
     order: FrobeniusOrder
     entries: MappingProxyType
-    certified: bool = False
 
     def __post_init__(self):
         ordered = sorted(
@@ -190,11 +189,11 @@ def frobenius_decompose(fan: Fan, divisor, order: FrobeniusOrder) -> Decompositi
     """Split the q-power Frobenius pushforward of O(D) into line bundles.
 
     The class multiset is checked against the projection formula over the
-    default test twists; a failure raises OracleMismatch and indicates an
-    implementation bug, never bad user input.  Each decomposition is
-    computed and certified once per (fan, divisor, order) by
-    :func:`_certified` and then shared read-only; a failed certificate keeps
-    nothing.
+    default test twists and the negated summand classes; a failure raises
+    OracleMismatch and indicates an implementation bug, never bad user
+    input.  Each decomposition is computed and certified once per (fan,
+    divisor, order) by :func:`_certified` and then shared read-only; a
+    failed certificate keeps nothing.
     """
     return _certified(fan, (_read_divisor(fan, divisor), order))
 
@@ -213,22 +212,31 @@ def _certified(fan: Fan, key) -> Decomposition:
             f"sum of h^{i}(D_u + E) = {lhs} but h^{i}(D + qE) = {rhs}",
             failure,
         )
-    return replace(dec, certified=True)
+    return dec
 
 
 def projection_formula_failure(dec: Decomposition):
     """First broken identity sum_u mult(u) h^i(D_u + E) == h^i(D + qE).
 
-    Returns (E, i, lhs, rhs) for the first twist E of
-    :func:`default_test_divisors` and degree i where the two sides differ,
-    or None when the identity holds for all of them.
+    The twists E are those of :func:`default_test_divisors`, then -c' for
+    each summand class c'.  Returns (E, i, lhs, rhs) for the first twist E
+    and degree i where the two sides differ, or None when the identity holds
+    for all of them.
     It holds in every cohomological degree because pushing forward along a
     finite map preserves cohomology and twisting by O(E) passes through the
     pushforward as O(qE).
+
+    The default twists alone do not fix the multiplicities on every fan (on
+    P1xP1xP1 at q = 3, one summand moved from (0, -1, -1) to (-1, 0, -1)
+    passes them).  At E = -c' the degree-0 identity is sum_c mult(c)
+    h^0(c - c') = h^0(D - q c'), whose matrix h^0(c - c') is unitriangular,
+    so no other multiset on the same classes satisfies them.
     """
     fan = dec.fan
     q = dec.order.q
-    for e in default_test_divisors(fan):
+    twists = default_test_divisors(fan)
+    twists += [fan.divisor_of_class(-cls) for cls in dec.entries]
+    for e in twists:
         cls_e = class_of(fan, e)
         lhs = [0] * (fan.dim + 1)
         for cls, mult in dec.entries.items():
@@ -246,8 +254,8 @@ def projection_formula_failure(dec: Decomposition):
 def verify_projection_formula(dec: Decomposition) -> bool:
     """True when the projection formula holds for every test twist.
 
-    The twists are {0, +-H_j, K, -K}; :func:`projection_formula_failure`
-    names the first identity that breaks.
+    The twists are {0, +-H_j, K, -K} and -c' for each summand class c';
+    :func:`projection_formula_failure` names the first identity that breaks.
     """
     return projection_formula_failure(dec) is None
 

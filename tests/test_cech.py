@@ -1,4 +1,5 @@
 import re
+from functools import cache
 from itertools import product as iproduct
 from math import comb
 
@@ -7,43 +8,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfrob import (
-    MultiProjSpace,
     cohomology,
     concentration_check,
     incidence_cohomology,
-    line_bundle_cohomology_fp,
+    product,
+    projective_plane,
 )
 from toricfrob import cech as cech_mod
 from toricfrob.cech import MAX_CECH_BASIS, _basis_size
 from toricfrob.fan import InvariantViolation
 
 
+@cache
+def _p2xp2():
+    return product(projective_plane(), projective_plane(), name="P2xP2")
+
+
+def _ambient(a, b):
+    """h^i of O(a, b) on P2 x P2 from the toric engine, an oracle that shares
+    nothing with the F_p engine's binomial counts."""
+    return cohomology(_p2xp2(), (a, 0, 0, b, 0, 0))
+
+
 def test_line_bundle_single_factor():
-    sp = MultiProjSpace((2,))
-    assert line_bundle_cohomology_fp(sp, (-4,)).dims == (0, 0, 3)
-    assert line_bundle_cohomology_fp(sp, (2,)).dims == (6, 0, 0)
-    assert line_bundle_cohomology_fp(sp, (-1,)).dims == (0, 0, 0)
+    # O(d) on one P2 factor, the other factor O(0)
+    assert _basis_size((-4, 0)) == (2, 3)
+    assert _basis_size((2, 0)) == (0, 6)
+    assert _basis_size((-1, 0)) is None
 
 
 def test_line_bundle_product_factors():
-    sp = MultiProjSpace((2, 2))
-    assert line_bundle_cohomology_fp(sp, (-3, 0)).dims == (0, 0, 1, 0, 0)
-    assert line_bundle_cohomology_fp(sp, (-1, 5)).dims == (0,) * 5
-    assert line_bundle_cohomology_fp(sp, (-3, -3)).dims == (0, 0, 0, 0, 1)
+    assert _basis_size((-3, 0)) == (2, 1)
+    assert _basis_size((-1, 5)) is None
+    assert _basis_size((-3, -3)) == (4, 1)
 
 
 def test_line_bundle_counts_without_enumerating():
     # 5,000,050,000 monomials: counted from binomials, never listed
-    dims = line_bundle_cohomology_fp(MultiProjSpace((2, 2)), (99999, 0)).dims
-    assert dims == (comb(100001, 2), 0, 0, 0, 0)
+    assert _basis_size((99999, 0)) == (0, comb(100001, 2))
 
 
 def test_space_validation():
-    with pytest.raises(ValueError):
-        MultiProjSpace((0,))
-    sp = MultiProjSpace((1, 1))
-    with pytest.raises(ValueError):
-        line_bundle_cohomology_fp(sp, (1,))
+    # a multidegree is one entry per P2 factor, two in all
+    for bad in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="length"):
+            _basis_size(bad)
 
 
 def test_incidence_structure_sheaf():
@@ -72,13 +81,8 @@ def test_incidence_serre_duality(a, b, p):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-5, 3), st.integers(-5, 3), st.sampled_from([2, 3]))
 def test_incidence_euler_from_ambient(a, b, p):
-    sp = MultiProjSpace((2, 2))
     chi = incidence_cohomology(a, b, p).euler()
-    ambient = (
-        line_bundle_cohomology_fp(sp, (a, b)).euler()
-        - line_bundle_cohomology_fp(sp, (a - 1, b - 1)).euler()
-    )
-    assert chi == ambient
+    assert chi == _ambient(a, b).euler() - _ambient(a - 1, b - 1).euler()
 
 
 def test_concentration_checks():
@@ -98,17 +102,14 @@ def test_concentration_check_refuses_bad_orders(p, m):
 def test_concentration_at_p3_m2_over_a_twist_grid():
     # q = 9: the pullbacks of O(a, b) are O(9a, 9b); concentration holds on
     # the 3 x 3 grid and fails at (1, -2) and (-2, 1), where H^1 and H^2 meet
-    sp = MultiProjSpace((2, 2))
     split = {(1, -2): (0, 1, 596, 0), (-2, 1): (0, 1, 596, 0)}
     for a, b in [*iproduct((-1, 0, 1), repeat=2), *split]:
         dims = incidence_cohomology(9 * a, 9 * b, 3)
         assert concentration_check(a, b, 3, 2) == ((a, b) not in split), (a, b)
         if (a, b) in split:
             assert dims.dims == split[a, b]
-        ambient = (
-            line_bundle_cohomology_fp(sp, (9 * a, 9 * b)).euler()
-            - line_bundle_cohomology_fp(sp, (9 * a - 1, 9 * b - 1)).euler()
-        )
+        ambient = _ambient(9 * a, 9 * b).euler()
+        ambient -= _ambient(9 * a - 1, 9 * b - 1).euler()
         assert dims.euler() == ambient, (a, b)
 
 
@@ -120,17 +121,15 @@ def test_rank_depends_on_p():
     assert dims2 == dims3 == (8, 0, 0, 0)
 
 
-def test_cross_validation_against_toric_engine(P2, Q11):
-    sp2 = MultiProjSpace((2,))
-    for d in range(-4, 5):
-        assert line_bundle_cohomology_fp(sp2, (d,)).dims == cohomology(P2, (d, 0, 0)).dims
-    sp11 = MultiProjSpace((1, 1))
-    for d1 in range(-3, 4):
-        for d2 in range(-3, 4):
-            assert (
-                line_bundle_cohomology_fp(sp11, (d1, d2)).dims
-                == cohomology(Q11, (d1, 0, d2, 0)).dims
-            )
+def test_cross_validation_against_toric_engine():
+    # the binomial counts of the F_p engine's bases on P2 x P2, against the
+    # toric engine's h^i of the same bundles
+    for md in iproduct(range(-6, 5), repeat=2):
+        dims = [0] * 5
+        size = _basis_size(md)
+        if size is not None:
+            dims[size[0]] = size[1]
+        assert tuple(dims) == _ambient(*md).dims, md
 
 
 @pytest.mark.parametrize("a, b, stray", [(2, 2, "{-1: 1}"), (-3, -3, "{4: 1}")],
@@ -156,20 +155,16 @@ def test_incidence_large_twist_serre_duality():
 
 @pytest.mark.parametrize("a, b", [(10, -12), (12, -13), (20, -22)])
 def test_incidence_large_twist_euler_from_ambient(a, b):
-    sp = MultiProjSpace((2, 2))
-    ambient = (
-        line_bundle_cohomology_fp(sp, (a, b)).euler()
-        - line_bundle_cohomology_fp(sp, (a - 1, b - 1)).euler()
-    )
+    ambient = _ambient(a, b).euler() - _ambient(a - 1, b - 1).euler()
     assert incidence_cohomology(a, b, 3).euler() == ambient
 
 
-def _enumerated_basis(dims, md):
-    """(degree, basis size) of O(md) by listing each factor's exponent
-    vectors, or None if acyclic: e >= 0 of sum d in degree 0, and e <= -1 of
-    sum d in top degree."""
+def _enumerated_basis(md):
+    """(degree, basis size) of O(md) on P2 x P2 by listing each factor's
+    exponent vectors, or None if acyclic: e >= 0 of sum d in degree 0, and
+    e <= -1 of sum d in degree 2."""
     degree, size = 0, 1
-    for n, d in zip(dims, md):
+    for n, d in zip((2, 2), md):
         if d < 0:
             degree += n
         exps = range(d, 0) if d < 0 else range(d + 1)
@@ -178,18 +173,15 @@ def _enumerated_basis(dims, md):
 
 
 def test_basis_size_counts_the_enumerated_basis():
-    for dims in ((1,), (2,), (1, 1), (2, 2), (1, 3)):
-        sp = MultiProjSpace(dims)
-        for md in iproduct(range(-7, 5), repeat=len(dims)):
-            assert _basis_size(sp, md) == _enumerated_basis(dims, md), (dims, md)
+    for md in iproduct(range(-7, 5), repeat=2):
+        assert _basis_size(md) == _enumerated_basis(md), md
 
 
 def test_work_bound_admits_the_large_incidence_twists():
     # both terms of the restriction complex O(a-1, b-1) -> O(a, b), for every
     # twist the tests and the benchmark ask, and (40, -42)
-    sp = MultiProjSpace((2, 2))
     for a, b in ((4, -5), (6, -8), (10, -12), (12, -13), (-14, 11), (20, -22), (40, -42)):
         for md in ((a - 1, b - 1), (a, b)):
-            assert _basis_size(sp, md)[1] <= MAX_CECH_BASIS
-    assert _basis_size(sp, (40, -42)) == (2, 706_020)
-    assert _basis_size(sp, (50, -52))[1] > MAX_CECH_BASIS
+            assert _basis_size(md)[1] <= MAX_CECH_BASIS
+    assert _basis_size((40, -42)) == (2, 706_020)
+    assert _basis_size((50, -52))[1] > MAX_CECH_BASIS

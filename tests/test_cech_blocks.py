@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfrob import MultiProjSpace, incidence_cohomology
+from toricfrob import incidence_cohomology
 from toricfrob import cech as cech_mod
 from toricfrob.cech import (
     _canonical_rows,
@@ -26,9 +26,10 @@ from toricfrob.cech import (
 from toricfrob.cohomology import Overflow
 from toricfrob.linalg import rank_mod_p, ranks_mod_p
 
-# The incidence threefold's ambient space and its form, sum x_i y_i, as
-# monomial (one exponent tuple per factor) -> coefficient.
-SPACE = MultiProjSpace((2, 2))
+# The factor dimensions of the incidence threefold's ambient space P2 x P2,
+# and its form, sum x_i y_i, as monomial (one exponent tuple per factor) ->
+# coefficient.
+SPACE = (2, 2)
 PAIRING = {
     ((1, 0, 0), (1, 0, 0)): 1,
     ((0, 1, 0), (0, 1, 0)): 1,
@@ -45,10 +46,10 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _tuple_basis(space, multidegree):
+def _tuple_basis(dims, multidegree):
     """(degree, list of monomials as one exponent tuple per factor), or None."""
     degree, factors = 0, []
-    for n, d in zip(space.factor_dims, multidegree):
+    for n, d in zip(dims, multidegree):
         if d >= 0:
             factors.append(list(_compositions(d, n + 1)))
         elif d <= -(n + 1):
@@ -68,17 +69,17 @@ def _apply(form, monomial):
         ), c
 
 
-def _degree_basis(space, multidegree, degree):
+def _degree_basis(dims, multidegree, degree):
     """The monomials of O(multidegree) in cohomological degree ``degree``."""
-    info = _tuple_basis(space, multidegree)
+    info = _tuple_basis(dims, multidegree)
     return info[1] if info is not None and info[0] == degree else []
 
 
-def _dense_map_matrix(space, src_md, dst_md, form, degree):
+def _dense_map_matrix(dims, src_md, dst_md, form, degree):
     """Multiplication by ``form`` on degree-`degree` cohomology, O(src_md) ->
     O(dst_md), as one dense integer matrix, or None if a side is empty."""
-    src = _degree_basis(space, src_md, degree)
-    dst = _degree_basis(space, dst_md, degree)
+    src = _degree_basis(dims, src_md, degree)
+    dst = _degree_basis(dims, dst_md, degree)
     if not src or not dst:
         return None
     dst_index = {mono: i for i, mono in enumerate(dst)}
@@ -95,15 +96,15 @@ def _flat(mono):
     return tuple(chain.from_iterable(mono))
 
 
-def _flat_basis(space, multidegree):
+def _flat_basis(dims, multidegree):
     """(degree, exponent rows as one flat tuple each), or None if acyclic."""
-    info = _tuple_basis(space, multidegree)
+    info = _tuple_basis(dims, multidegree)
     return None if info is None else (info[0], [_flat(m) for m in info[1]])
 
 
 def _tables(multidegree):
     """The factor tables of O(multidegree) on P2 x P2, or None if acyclic."""
-    info = _factor_degrees(SPACE, multidegree)
+    info = _factor_degrees(multidegree)
     return None if info is None else [_factor_parts(*deg) for deg in info]
 
 
@@ -140,7 +141,7 @@ def test_incidence_block_ranks_match_dense_elimination(a, b):
     for md in (src, dst):
         assert _grid_rows(md) == _flat_basis(SPACE, md)[1]
     checked = 0
-    for degree in range(SPACE.dim + 1):
+    for degree in range(sum(SPACE) + 1):
         dense = _dense_map_matrix(SPACE, src, dst, PAIRING, degree)
         for p in (2, 3, 5):
             rank = _map_rank_mod_p(src, dst, degree, p)
@@ -157,7 +158,7 @@ def test_incidence_weight_is_the_difference_of_exponents():
     # x_i y_i, and each raises alpha_i and beta_i together, so a product
     # keeps the weight alpha - beta of its source
     src, dst = (3, -5), (4, -4)
-    info = [_factor_degrees(SPACE, md) for md in (src, dst)]
+    info = [_factor_degrees(md) for md in (src, dst)]
     index = _product_index(*info, _grid(_sizes(info[0])))
     assert index.tolist() == _product_positions(src, dst)
     for row in _flat_basis(SPACE, src)[1]:
@@ -207,7 +208,7 @@ def random_twists(draw):
 @given(random_twists())
 def test_map_rank_matches_dense_elimination(drawn):
     p, src, dst = drawn
-    for degree in range(SPACE.dim + 1):
+    for degree in range(sum(SPACE) + 1):
         dense = _dense_map_matrix(SPACE, src, dst, PAIRING, degree)
         expected = 0 if dense is None else rank_mod_p(dense, p)
         assert _map_rank_mod_p(src, dst, degree, p) == expected, degree
@@ -326,7 +327,7 @@ def test_symmetric_map_rank_matches_dense_elimination(drawn):
     # rank of every block of its orbit: the engine's one block per orbit,
     # counted orbit-size times, is the dense rank
     p, src, dst = drawn
-    for degree in range(SPACE.dim + 1):
+    for degree in range(sum(SPACE) + 1):
         ranks = _block_ranks(src, dst, degree, p)
         for w, rank in ranks.items():
             assert {ranks[v] for v in _orbit(w)} == {rank}, (degree, w)
@@ -405,15 +406,14 @@ def test_basis_index_is_the_position_in_the_enumerated_basis(dims):
     # the basis has them, else -1; on P2 x P2, each product x_i y_i m of the
     # restriction map into a random O(a, b) is found where the enumerated
     # target basis has it, the factors combined first factor slowest
-    space = MultiProjSpace(dims)
     rng = np.random.default_rng(len(dims))
     for _ in range(25):
         dst = tuple(int(d) for d in rng.integers(-6, 5, size=len(dims)))
-        flat = _flat_basis(space, dst)
+        flat = _flat_basis(dims, dst)
         if flat is None:
             continue
         if dims == (2,):
-            degree, total = _factor_degrees(space, dst)[0]
+            degree, total = _factor_degrees((*dst, 0))[0]
             rows = np.array(flat[1])
             moved = rows + rng.integers(-1, 2, size=rows.shape)
             position = {row: i for i, row in enumerate(flat[1])}
@@ -421,8 +421,8 @@ def test_basis_index_is_the_position_in_the_enumerated_basis(dims):
             assert _factor_rank(degree, total, moved).tolist() == want
             continue
         src = tuple(d - 1 for d in dst)
-        info = [_factor_degrees(space, md) for md in (src, dst)]
-        if info[0] is None or _flat_basis(space, src)[0] != flat[0]:
+        info = [_factor_degrees(md) for md in (src, dst)]
+        if info[0] is None or _flat_basis(dims, src)[0] != flat[0]:
             continue
         index = _product_index(*info, _grid(_sizes(info[0])))
         assert index.tolist() == _product_positions(src, dst), dst
@@ -434,7 +434,7 @@ def test_each_target_row_lies_in_one_weight_block(drawn):
     # a product keeps its source row's weight, so the entries of a target row
     # all sit in the columns of one weight block, the row's own
     p, src, dst = drawn
-    for degree in range(SPACE.dim + 1):
+    for degree in range(sum(SPACE) + 1):
         dense = _dense_map_matrix(SPACE, src, dst, PAIRING, degree)
         if dense is None:
             continue
@@ -549,7 +549,7 @@ def test_product_index_is_basis_index_on_the_product_rows(drawn):
     if source is None or target is None or source[0] != target[0]:
         return
     # every source row, named by its grid position, first factor slowest
-    info = [_factor_degrees(SPACE, md) for md in drawn]
+    info = [_factor_degrees(md) for md in drawn]
     index = _product_index(*info, _grid(_sizes(info[0])))
     assert index.tolist() == _product_positions(src, dst)
 
@@ -592,7 +592,7 @@ def test_basis_index_gives_minus_one_outside_the_basis(dims):
         return
     # a product outside the target on either factor is outside the target
     for src, dst in (((-5, -6), (-4, -5)), ((2, -6), (3, -5)), ((2, -6), (4, -5))):
-        info = [_factor_degrees(SPACE, md) for md in (src, dst)]
+        info = [_factor_degrees(md) for md in (src, dst)]
         index = _product_index(*info, _grid(_sizes(info[0])))
         assert index.tolist() == _product_positions(src, dst), src
         assert (index == -1).any()

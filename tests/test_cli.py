@@ -3,6 +3,7 @@ import json
 import pytest
 
 from toricfrob import OracleMismatch, catalog_entries
+from toricfrob import cech as cech_mod
 from toricfrob import cli as cli_mod
 from toricfrob import frobenius as frobenius_mod
 from toricfrob import structure as structure_mod
@@ -216,7 +217,26 @@ def test_cech_commands(capsys):
     assert json.loads(out)["dims"] == [0, 0, 1, 0]
     code, out, _ = run(capsys, "cech", "validate", "--json")
     assert code == 0
-    assert json.loads(out)["agree"] is True
+    assert json.loads(out) == {"checked": 462, "agree": True, "concentration": True}
+
+
+def test_cech_validate_reaches_the_fp_ranks(capsys, monkeypatch):
+    # every identity validate checks on the incidence threefold is read
+    # through the F_p ranks of the restriction map
+    real, calls = cech_mod._map_rank_mod_p, []
+    monkeypatch.setattr(
+        cech_mod, "_map_rank_mod_p", lambda *args: calls.append(args) or real(*args)
+    )
+    code, _, _ = run(capsys, "cech", "validate")
+    assert code == 0 and len(calls) > 0
+
+
+def test_cech_validate_fails_on_wrong_ranks(capsys, monkeypatch):
+    # with every rank 0 the restriction sequence is not exact, and the Kempf
+    # dims are wrong: validate must not pass
+    monkeypatch.setattr(cech_mod, "_map_rank_mod_p", lambda *args: 0)
+    code, _, _ = run(capsys, "cech", "validate")
+    assert code == 2
 
 
 @pytest.mark.parametrize("argv", [

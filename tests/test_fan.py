@@ -11,7 +11,6 @@ from toricfrob import (
     DivisorClass,
     FanError,
     FrobeniusOrder,
-    MultiProjSpace,
     NonPrimitiveRay,
     NotComplete,
     NotSmooth,
@@ -26,13 +25,13 @@ from toricfrob import (
     h0_points,
     is_ample,
     is_nef,
-    line_bundle_cohomology_fp,
     named_variety,
     parse_divisor,
     product_fan,
     projective_bundle,
     projectivization_fan,
 )
+from toricfrob.cech import _basis_size
 from toricfrob.fan import _containing_cones, normalised_degrees
 from toricfrob.structure import delpezzo_jet_check, pbundle_check, s2d2_identity_check
 
@@ -264,15 +263,14 @@ def test_a_divisor_is_read_as_one_integer_per_ray(P2, divisor):
 @pytest.mark.parametrize(
     "ask",
     [
-        lambda P2, order: MultiProjSpace(2),
-        lambda P2, order: line_bundle_cohomology_fp(MultiProjSpace((2,)), 3),
+        lambda P2, order: _basis_size(3),
         lambda P2, order: delpezzo_jet_check(3, 1, compute_rank=True, point=5),
         lambda P2, order: pbundle_check(P2, [(0, 0, 0), 5], order),
         lambda P2, order: s2d2_identity_check(P2, 5, order),
         lambda P2, order: blowup_fan(P2, 5),
         lambda P2, order: cohomology(P2, 5),
     ],
-    ids=["space", "multidegree", "jet-point", "pbundle", "s2d2", "blowup", "cohomology"],
+    ids=["multidegree", "jet-point", "pbundle", "s2d2", "blowup", "cohomology"],
 )
 def test_a_scalar_where_integers_are_due_is_refused(P2, ask):
     # each raised TypeError: 'int' object is not iterable

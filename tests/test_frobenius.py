@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product as iproduct
 
 import numpy as np
@@ -12,9 +13,11 @@ from toricfrob import (
     OracleMismatch,
     class_of,
     cohomology,
+    default_test_divisors,
     det_class,
     frobenius_decompose,
     iterate_check,
+    named_variety,
     product_fan,
     projection_formula_failure,
     verify_projection_formula,
@@ -48,7 +51,7 @@ def test_order_reads_numpy_integers_as_ints(P2):
     assert order == FrobeniusOrder(3, 2) and hash(order) == hash(FrobeniusOrder(3, 2))
     assert order.q == 9 and type(order.q) is int
     dec = frobenius_decompose(P2, (0, 0, 0), order)
-    assert dec.certified
+    assert dec.rank == 81
     assert all(type(x) is int for cls in dec.entries for x in cls.coords)
     assert dec.entries == frobenius_decompose(P2, (0, 0, 0), FrobeniusOrder(3, 2)).entries
 
@@ -151,9 +154,16 @@ def test_projection_formula_hand_sums(P1, P2):
     assert cohomology(P2, (-6, 0, 0)).dims[2] == 10
 
 
-def test_certification_runs_by_default(P2):
+def test_certification_runs_by_default(P2, cold_decompositions, monkeypatch):
+    cold_decompositions(P2)
+    real, calls = frobenius_mod.projection_formula_failure, []
+    monkeypatch.setattr(
+        frobenius_mod,
+        "projection_formula_failure",
+        lambda dec: calls.append(dec) or real(dec),
+    )
     dec = frobenius_decompose(P2, (0, 0, 0), FrobeniusOrder(3))
-    assert dec.certified
+    assert len(calls) == 1 and calls[0] is dec
 
 
 def test_corrupted_decomposition_fails_oracle(P2):
@@ -189,6 +199,39 @@ def test_oracle_mismatch_names_broken_identity(monkeypatch, cold_decompositions,
     assert info.value.failure == ((0, 0, 0), 0, 4, 1)
     assert "twist E = (0, 0, 0), degree 0" in str(info.value)
     assert "= 4 but h^0(D + qE) = 1" in str(info.value)
+
+
+# The true multiset of F_* O plus an integer kernel vector of the default
+# twists' identities: each forgery has the true rank and passes every twist
+# in {0, +-H_j, K, -K}.  On P(O+O(2))/P2 at q = 5 its self-Ext would read
+# (24279, 0, 96, 0) against the true (24284, 0, 91, 0).
+FORGERIES = {
+    ("P1xP1xP1", 3): {(0, -1, -1): -1, (-1, 0, -1): 1},
+    ("X3xP1", 3): {(0, -1, 0, -1, -1): -1, (0, -1, -1, 0, -1): 1},
+    ("P(O+O(1,1))/P1xP1", 5): {(-1, -2, -1): -1, (-2, -1, -1): 1},
+    ("P(O+O(2))/P2", 5): {(-1, -1): -1, (-2, -1): 3, (-3, -1): -3, (-4, -1): 1},
+}
+
+
+@pytest.mark.parametrize("key, q", list(FORGERIES), ids=str)
+def test_forged_multiplicities_are_refused(monkeypatch, cold_decompositions, key, q):
+    fan, order = named_variety(key), FrobeniusOrder(q)
+    true = frobenius_decompose(fan, fan.zero_divisor(), order).entries
+    forged = Counter(true)
+    for coords, step in FORGERIES[key, q].items():
+        forged[DivisorClass(coords)] += step
+    assert min(forged.values()) >= 0 and forged.total() == sum(true.values())
+    cold_decompositions(fan)
+    monkeypatch.setattr(
+        frobenius_mod, "_raw_decompose", lambda *args: {c: m for c, m in forged.items() if m}
+    )
+    with pytest.raises(OracleMismatch) as info:
+        frobenius_decompose(fan, fan.zero_divisor(), order)
+    # the first broken identity is at a negated summand class: every default
+    # twist, checked first, holds
+    twist = info.value.failure[0]
+    assert twist not in default_test_divisors(fan)
+    assert twist in {fan.divisor_of_class(-c) for c in forged}
 
 
 def test_projection_failure_none_when_certified(P2):
