@@ -21,16 +21,17 @@ attempts can be told from one in the library's own memory.
 the seven-q survey in one fresh interpreter: ``import toricfrob`` and then
 ``catalog_run`` at q = 2, 3, 4, 5, 7, 8, 9 in turn, import included.  It also
 times ``incidence_cohomology`` at each of the large twists (30, -32),
-(40, -42) and (50, -52) with p = 3, and the jet ranks ``delpezzo_jet_check(p,
-n, compute_rank=True)`` at q = 25 (p = 5), q = 29 (p = 29) and q = 32
-(p = 2), ``scripts/reproduce.py --primes 2,3,5`` (its ``main``, whose
-last step asks the incidence concentration checks) and ``toricfrob cech
-validate`` (``cli.main(["cech", "validate"])``, the import of ``cli``
-included), N alternating runs per side, each in a fresh interpreter after
-``import toricfrob``.  Each run
-records its wall time, its CPU time (``ru_utime + ru_stime`` over the same
-span), so that a loaded host can be told from a slower change, and the
-interpreter's peak RSS (``ru_maxrss``).  A question a side refuses with
+(40, -42) and (50, -52) with p = 3, and at (12, -13) with p = 2, 3, 5 and
+7 in turn (one map asked at four primes), the jet ranks
+``delpezzo_jet_check(p, n, compute_rank=True)`` at q = 25 (p = 5), q = 29
+(p = 29) and q = 32 (p = 2), ``scripts/reproduce.py --primes 2,3,5`` (its
+``main``, whose last step asks the incidence concentration checks) and
+``toricfrob cech validate`` (``cli.main(["cech", "validate"])``, the import
+of ``cli`` included), N alternating runs per side, each in a fresh
+interpreter after ``import toricfrob``.  Each run records its wall time,
+its CPU time (``ru_utime + ru_stime`` over the same span), so that a loaded
+host can be told from a slower change, and the interpreter's peak RSS
+(``ru_maxrss``).  A question a side refuses with
 ``Overflow`` records the number of refused runs in place of its times.
 
 Each benchmark run, each seven-q pass and each cold call also records the
@@ -97,6 +98,8 @@ COLD_CALLS = {
     "incidence_cohomology_30_-32_p3": "toricfrob.incidence_cohomology(30, -32, 3)",
     "incidence_cohomology_40_-42_p3": "toricfrob.incidence_cohomology(40, -42, 3)",
     "incidence_cohomology_50_-52_p3": "toricfrob.incidence_cohomology(50, -52, 3)",
+    "incidence_cohomology_12_-13_p2357":
+        "[toricfrob.incidence_cohomology(12, -13, p) for p in (2, 3, 5, 7)]",
     "delpezzo_jet_check_q25_p5": "toricfrob.delpezzo_jet_check(5, 2, compute_rank=True)",
     "delpezzo_jet_check_q29_p29": "toricfrob.delpezzo_jet_check(29, 1, compute_rank=True)",
     "delpezzo_jet_check_q32_p2": "toricfrob.delpezzo_jet_check(2, 5, compute_rank=True)",

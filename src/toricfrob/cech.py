@@ -33,23 +33,29 @@ about one in 6, are kept, and each block's rank counts once per weight of
 its orbit.  The grid is walked in slabs, so only the kept rows are held.
 
 The weight blocks are labelled on the source rows alone, and each target row
-falls in exactly one block: no product is grouped entry by entry.  The
-blocks are sorted by width and cut into a few stacks of bounded size, built
+falls in exactly one block: no product is grouped entry by entry.  What of
+this does not depend on p is a map's layout (:func:`_map_layout`): the
+blocks sorted by width, each entry's row and column, each block's rows,
+width and orbit size, and the number of source rows kept.  It is kept for
+the process under the one size gate of the factor tables
+(:func:`_kept_if_small`), so a map asked again, at any p, is not laid out
+again.  Each call cuts the blocks into a few stacks of bounded size, built
 in the residue dtype of p and eliminated in place by
 :func:`linalg.ranks_mod_p`.  A stack holds only the target rows that meet
 an entry, block after block, with the blocks' row offsets, so no block is
 padded to another's height; its columns are right-aligned to the stack's
 width, the width of its widest block.  The bound MAX_CECH_BASIS applies to
-the source rows a map keeps.  A bundle too large for any map to keep fewer,
-counted from binomials, is refused with Overflow before any monomial is
-enumerated; any other map is refused as soon as the rows it keeps pass the
-bound.
+the source rows a map keeps, checked on every call.  A bundle too large for
+any map to keep fewer, counted from binomials, is refused with Overflow
+before any monomial is enumerated; any other map is refused as soon as the
+rows it keeps pass the bound.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, wraps
-from math import comb
+from math import comb, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +93,8 @@ _GRID_SLAB = 2**15
 
 
 def _factor_degrees(multidegree):
-    """[(degree, total)] of each P2 factor of O(a, b) on P2 x P2, or None if
-    acyclic.
+    """((degree, total), (degree, total)) of the two P2 factors of O(a, b)
+    on P2 x P2, or None if acyclic.
 
     O(d) on P2 has the C(total + 2, 2) parts e >= 0 of sum ``total`` as its
     basis: as the exponents e in degree 0 when d >= 0 (total d), as -1 - e
@@ -102,30 +108,48 @@ def _factor_degrees(multidegree):
         if -3 < d < 0:
             return None
         out.append((0, d) if d >= 0 else (2, -d - 3))
-    return out
+    return tuple(out)
 
 
-# Cells of the largest factor table kept for the life of the process
-# (512 KB of int64): every P2 table up to total 207.
+# Cells of the largest source grid whose tables are kept for the life of the
+# process, three per grid point (512 KB of int64): every P2 factor table up
+# to total 207, and the block layout of every map whose source has at most
+# 21,845 monomials.
 _KEPT_PARTS_CELLS = 2**16
 
 
-def _kept_if_small(build):
-    """``build(degree, total, ...)``, kept for the process, up to 64 results,
-    when the P2 factor table of exponent total ``total`` has at most
-    _KEPT_PARTS_CELLS cells; what is derived from a larger table, the size of
-    a whole basis, is built afresh on each call."""
-    kept = lru_cache(maxsize=64)(build)
+def _kept_if_small(grid):
+    """Decorator: ``build(*args)``, kept for the process, up to 64 results,
+    when the source grid it reads has at most _KEPT_PARTS_CELLS cells, and
+    built afresh on each call otherwise.
 
-    @wraps(build)
-    def gated(degree, total, *rest):
-        small = comb(total + 2, 2) * 3 <= _KEPT_PARTS_CELLS
-        return (kept if small else build)(degree, total, *rest)
+    ``grid(*args)`` lists that grid's P2 factor tables as (degree, total)
+    pairs, a factor table being a grid of one factor.  Its cells are three
+    per point, 3 * prod C(total + 2, 2): the exponents of a factor table, or
+    the weights of a map's source.  A result past the gate, the size of a
+    whole basis, is never held.
+    """
 
-    return gated
+    def gate(build):
+        kept = lru_cache(maxsize=64)(build)
+
+        @wraps(build)
+        def gated(*args):
+            cells = 3 * prod(comb(total + 2, 2) for _, total in grid(*args))
+            return (kept if cells <= _KEPT_PARTS_CELLS else build)(*args)
+
+        gated.cache_clear = kept.cache_clear
+        return gated
+
+    return gate
 
 
-@_kept_if_small
+def _one_table(degree, total, *rest):
+    """The grid of a factor-table builder: its one table (degree, total)."""
+    return [(degree, total)]
+
+
+@_kept_if_small(_one_table)
 def _factor_parts(degree: int, total: int) -> np.ndarray:
     """The read-only basis of one P2 factor: exponent rows, in basis order.
 
@@ -230,7 +254,7 @@ def _canonical_rows(tables):
     return pos, weight.T, orbit
 
 
-@_kept_if_small
+@_kept_if_small(_one_table)
 def _factor_index(degree: int, total: int, dst: tuple) -> np.ndarray:
     """Where each row of the P2 factor table (``degree``, ``total``), moved
     by each unit vector e_i, lies in the factor basis ``dst`` = (degree,
@@ -267,9 +291,34 @@ def _product_index(src, dst, pos):
     return index
 
 
-def _map_rank_mod_p(src_md, dst_md, degree, p) -> int:
-    """Rank over F_p of multiplication by the pairing form, O(src_md) ->
-    O(dst_md) on P2 x P2, on degree-`degree` cohomology.
+class _Layout(NamedTuple):
+    """The p-free block layout of one map, read-only.
+
+    The blocks are the canonical weight blocks that meet an entry, sorted by
+    width, and their rows are numbered block by block in that order.
+    ``rows`` and ``cols`` give each entry's row among all the blocks' rows,
+    in ascending order, and its column in its block, counted from the
+    block's last column.  Block k holds rows ``tops[k]:tops[k + 1]`` and
+    entries ``firsts[k]:firsts[k + 1]``, is ``widths[k]`` columns wide and
+    counts ``orbits[k]`` times.  ``kept`` is the number of source rows of
+    canonical weight.
+    """
+
+    kept: int
+    rows: np.ndarray
+    cols: np.ndarray
+    tops: np.ndarray
+    firsts: np.ndarray
+    widths: np.ndarray
+    orbits: np.ndarray
+
+
+@_kept_if_small(lambda src, dst: src)
+def _map_layout(src: tuple, dst: tuple) -> _Layout:
+    """The block layout of multiplication by the pairing form from the
+    bundle of factor degrees ``src`` to that of ``dst``, as
+    :func:`_factor_degrees` gives them: the part of the map's rank that does
+    not depend on p, kept as the factor tables are.
 
     Each term t = x_i y_i sends the source monomial m to m + t; products
     outside the target basis are discarded, and the others are found in it
@@ -279,37 +328,21 @@ def _map_rank_mod_p(src_md, dst_md, degree, p) -> int:
     keeps its source row's weight alpha - beta, so the map is block diagonal
     over the weights of its columns: the blocks are labelled once, on the
     source rows that meet an entry, and each target row lies in exactly one
-    block; a row's place in its block is the rank of its (block, target
-    row) pair.  Only the source rows of canonical weight are kept, as grid
-    positions (:func:`_canonical_rows`), and each block's rank counts
-    orbit-size times, in the degree-0 and the local-cohomology model
-    alike.  More than MAX_CECH_BASIS rows kept raise Overflow.
-
-    The blocks are sorted by width and cut greedily into stacks of at most
-    _STACK_CELLS cells, a stack's rows times the width of its last, widest
-    block.  Each stack is built in the residue dtype of p, eliminated in
-    place by one :func:`ranks_mod_p` call and freed in turn.  Its rows are
-    the target rows of its blocks, numbered block by block by one
-    ``np.unique`` of the (block, target row) pairs, so every row holds an
-    entry and the blocks' row offsets are read off the counts; a block's
-    columns are right-aligned to the stack's width.
+    block.  Only the source rows of canonical weight are kept, as grid
+    positions (:func:`_canonical_rows`, which raises Overflow once it keeps
+    more than MAX_CECH_BASIS), and each block counts orbit-size times, in
+    the degree-0 and the local-cohomology model alike.  The entries are
+    sorted by their (block, target row) pair, whose rank is the entry's row.
     """
-    sizes = [_basis_size(md) for md in (src_md, dst_md)]
-    if any(size is None or size[0] != degree for size in sizes):
-        return 0
-    src, dst = (_factor_degrees(md) for md in (src_md, dst_md))
-    count = sizes[1][1]  # the target rows
     # no int64 guard: incidence_cohomology refuses a bundle of more than
     # 6 * MAX_CECH_BASIS monomials first, so every factor total, exponent and
     # weight is below 7,000, and every (block, target row) key below 10^13
-    tables = [_factor_parts(*deg) for deg in src]
-    pos, weight, orbit = _canonical_rows(tables)
+    count = prod(comb(total + 2, 2) for _, total in dst)  # the target rows
+    pos, weight, orbit = _canonical_rows([_factor_parts(*deg) for deg in src])
     index = _product_index(src, dst, pos).reshape(-1)
     hit = index >= 0  # term by term
     rows = index[hit]
     cols = np.tile(np.arange(len(pos)), 3)[hit]
-    if not len(rows):
-        return 0
     # blocks labelled on the source rows that meet an entry, and sorted by
     # width; place is each row id's block by its place in that order
     used = np.zeros(len(pos), dtype=bool)
@@ -317,7 +350,6 @@ def _map_rank_mod_p(src_md, dst_md, degree, p) -> int:
     ids = np.flatnonzero(used)
     order, starts, label = group_rows(weight[ids])
     ncols = np.bincount(label, minlength=len(starts))
-    size = orbit[ids[order[starts]]]
     by_width = np.argsort(ncols, kind="stable")
     place = np.argsort(by_width)[label]
     # j: a column's place in its block, counted from the block's last column
@@ -325,16 +357,61 @@ def _map_rank_mod_p(src_md, dst_md, degree, p) -> int:
     j[order] = np.arange(len(ids))
     j = (starts + ncols - 1)[label] - j
     cols = np.cumsum(used)[cols] - 1  # each entry's source row, as its place in ids
-    j, place = j[cols], place[cols]
     # i: an entry's row among all the blocks' rows, numbered block by block
     # in the order of the widths, the rank of its (place, target row) pair
-    pairs, i = np.unique(place * count + rows, return_inverse=True)
+    pairs = place[cols] * count + rows
+    sort = np.argsort(pairs)
+    pairs = pairs[sort]
+    new = np.ones(len(pairs), dtype=bool)
+    new[1:] = pairs[1:] != pairs[:-1]
+    i = np.cumsum(new) - 1
     tops = np.zeros(len(starts) + 1, dtype=np.int64)  # each block's first row
-    np.cumsum(np.bincount(pairs // count, minlength=len(starts)), out=tops[1:])
+    np.cumsum(np.bincount(pairs[new] // count, minlength=len(starts)), out=tops[1:])
+    layout = _Layout(
+        kept=len(pos),
+        rows=i,
+        cols=j[cols[sort]],
+        tops=tops,
+        firsts=np.searchsorted(i, tops),
+        widths=ncols[by_width],
+        orbits=orbit[ids[order[starts]]][by_width],
+    )
+    for part in layout[1:]:
+        part.flags.writeable = False
+    return layout
+
+
+def _map_rank_mod_p(src_md, dst_md, degree, p) -> int:
+    """Rank over F_p of multiplication by the pairing form, O(src_md) ->
+    O(dst_md) on P2 x P2, on degree-`degree` cohomology.
+
+    The map's block layout, :func:`_map_layout`, depends on the
+    multidegrees alone: it is kept for the process when the source grid is
+    small, and laid out afresh otherwise.  More than MAX_CECH_BASIS source
+    rows kept raise Overflow, checked on every call, so a bound lowered
+    after a layout was kept still holds.
+
+    The blocks, sorted by width, are cut greedily into stacks of at most
+    _STACK_CELLS cells, a stack's rows times the width of its last, widest
+    block, read on every call.  Each stack is built in the residue dtype of
+    p, eliminated in place by one :func:`ranks_mod_p` call and freed in
+    turn.  Its rows are the target rows of its blocks, so every row holds an
+    entry, and a block's columns are right-aligned to the stack's width.
+    """
+    sizes = [_basis_size(md) for md in (src_md, dst_md)]
+    if any(size is None or size[0] != degree for size in sizes):
+        return 0
+    layout = _map_layout(_factor_degrees(src_md), _factor_degrees(dst_md))
+    if layout.kept > MAX_CECH_BASIS:
+        raise Overflow(
+            f"more than {MAX_CECH_BASIS} basis monomials of canonical weight to build"
+        )
     # cut greedily into stacks of at most _STACK_CELLS cells: a stack's rows
     # times its width, the width of its last block
-    widths = ncols[by_width].tolist()
-    cuts, top = [0], tops.tolist()
+    widths, top = layout.widths.tolist(), layout.tops.tolist()
+    if not widths:
+        return 0  # no block meets an entry
+    cuts = [0]
     for k, w in enumerate(widths):
         if k > cuts[-1] and (top[k + 1] - top[cuts[-1]]) * w > _STACK_CELLS:
             cuts.append(k)
@@ -342,11 +419,11 @@ def _map_rank_mod_p(src_md, dst_md, degree, p) -> int:
     rank = 0
     for start, stop in zip(cuts, cuts[1:]):
         lo, hi, width = top[start], top[stop], widths[stop - 1]
-        at = np.flatnonzero((i >= lo) & (i < hi))
+        at = slice(layout.firsts[start], layout.firsts[stop])
         stack = np.zeros((hi - lo, width), dtype=_residue_dtype(p))
-        stack[i[at] - lo, width - 1 - j[at]] = 1
-        ranks = ranks_mod_p(stack, tops[start : stop + 1] - lo, p)
-        rank += int(ranks @ size[by_width[start:stop]])
+        stack[layout.rows[at] - lo, width - 1 - layout.cols[at]] = 1
+        ranks = ranks_mod_p(stack, layout.tops[start : stop + 1] - lo, p)
+        rank += int(ranks @ layout.orbits[start:stop])
         del stack
     return rank
 
@@ -379,8 +456,13 @@ def incidence_cohomology(a: int, b: int, p: int) -> CohomologyVector:
     most = 6 * MAX_CECH_BASIS
     for s, size in enumerate(sizes):
         if size is not None and size[1] > most:
+            # a count past 64 bits is named by a power of two: Python refuses
+            # to print an int of more than 4,300 digits
+            count = size[1] if size[1].bit_length() <= 64 else (
+                f"at least 2^{size[1].bit_length() - 1}"
+            )
             raise Overflow(
-                f"term {s} has {size[1]} basis monomials in degree {size[0]}, "
+                f"term {s} has {count} basis monomials in degree {size[0]}, "
                 f"more than {most}"
             )
     rank = 0
@@ -402,8 +484,10 @@ def incidence_cohomology(a: int, b: int, p: int) -> CohomologyVector:
 
 def concentration_check(a: int, b: int, p: int, m: int) -> bool:
     """The q = p^m pullback of O(a, b) on the incidence threefold has at most
-    one nonzero cohomology group.  A p that is not prime, or an m < 0,
-    raises ValueError before any work is done."""
+    one nonzero cohomology group.  An a or b that is not an integer, a p
+    that is not prime, or an m < 0, raises ValueError before any work is
+    done."""
+    a, b = (_integer(x, "incidence multidegree") for x in (a, b))
     q = FrobeniusOrder(p, m).q
     dims = incidence_cohomology(q * a, q * b, p)
     return sum(1 for d in dims.dims if d) <= 1

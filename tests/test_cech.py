@@ -99,6 +99,15 @@ def test_concentration_check_refuses_bad_orders(p, m):
         concentration_check(1, 1, p, m)
 
 
+@pytest.mark.parametrize("a, b, bad", [(True, 0, True), (0, False, False), ("1", 0, "1"),
+                                       (1.0, 0, 1.0), (0, None, None)])
+def test_concentration_check_reads_the_twist_before_scaling_it(a, b, bad):
+    # a bool is not the 0 or 1 it would scale to, and a bad entry is named
+    # as passed, not as q times itself
+    with pytest.raises(ValueError, match=re.escape(f"entry {bad!r} is not an integer")):
+        concentration_check(a, b, 3, 1)
+
+
 def test_concentration_at_p3_m2_over_a_twist_grid():
     # q = 9: the pullbacks of O(a, b) are O(9a, 9b); concentration holds on
     # the 3 x 3 grid and fails at (1, -2) and (-2, 1), where H^1 and H^2 meet

@@ -597,3 +597,78 @@ def test_basis_index_gives_minus_one_outside_the_basis(dims):
         assert index.tolist() == _product_positions(src, dst), src
         assert (index == -1).any()
     assert (index == -1).all()  # the first factor's target has another total
+
+
+def _layout(a, b):
+    """The block layout of the restriction map of the twist (a, b)."""
+    return cech_mod._map_layout(_factor_degrees((a - 1, b - 1)), _factor_degrees((a, b)))
+
+
+def _counting_layouts(monkeypatch):
+    """Forget every kept layout and record each call of _canonical_rows, the
+    first step of laying a map out."""
+    cech_mod._map_layout.cache_clear()
+    calls, real = [], cech_mod._canonical_rows
+    monkeypatch.setattr(
+        cech_mod, "_canonical_rows", lambda tables: calls.append(1) or real(tables)
+    )
+    return calls
+
+
+def test_one_twist_asked_at_four_primes_is_laid_out_once(monkeypatch):
+    calls = _counting_layouts(monkeypatch)
+    src, dst = (4, -6), (5, -5)
+    dense = _dense_map_matrix(SPACE, src, dst, PAIRING, 2)
+    for p in (2, 3, 5, 7):
+        assert _map_rank_mod_p(src, dst, 2, p) == rank_mod_p(dense, p), p
+        incidence_cohomology(*dst, p)
+    assert len(calls) == 1
+
+
+def test_int64_and_int_multidegrees_share_one_layout(monkeypatch):
+    calls = _counting_layouts(monkeypatch)
+    rank = _map_rank_mod_p((4, -6), (5, -5), 2, 3)
+    src, dst = np.array([4, -6]), np.array([5, -5])
+    assert _map_rank_mod_p(src, dst, 2, 3) == rank
+    assert _map_rank_mod_p(tuple(src), tuple(dst), 2, 3) == rank
+    assert incidence_cohomology(np.int64(5), np.int64(-5), 3) == incidence_cohomology(5, -5, 3)
+    assert len(calls) == 1
+
+
+def test_a_layout_is_kept_up_to_the_size_gate_and_read_only():
+    # the sources of (16, -18) and (17, -19) have 20,808 and 26,163 points,
+    # three cells each, on either side of _KEPT_PARTS_CELLS
+    kept = _layout(16, -18)
+    assert _layout(16, -18) is kept
+    assert kept.kept == len(_canonical_rows(_tables((15, -19)))[0])
+    for part in (kept.rows, kept.cols, kept.tops, kept.firsts, kept.widths, kept.orbits):
+        assert not part.flags.writeable
+    fresh = _layout(17, -19)
+    assert _layout(17, -19) is not fresh
+    # a map whose products all fall outside the target has no block
+    empty = cech_mod._map_layout(_factor_degrees((2, -6)), _factor_degrees((4, -5)))
+    assert empty.kept == 15 and empty.widths.size == 0
+    assert _map_rank_mod_p((2, -6), (4, -5), 2, 3) == 0
+
+
+def test_a_kept_layout_is_cut_under_the_stack_bound_of_each_call(monkeypatch):
+    default = incidence_cohomology(12, -13, 3).dims
+    # the layout is kept: a second call never lays the map out again
+    monkeypatch.setattr(cech_mod, "_canonical_rows", None)
+    monkeypatch.setattr(cech_mod, "_STACK_CELLS", 64)
+    stacks = _recording_stacks(monkeypatch)
+    assert incidence_cohomology(12, -13, 3).dims == default
+    assert len(stacks) > 1
+    assert all(cells <= 64 or len(blocks) == 1 for cells, blocks in stacks)
+    _assert_aligned(stacks)
+
+
+def test_a_kept_layout_is_held_to_the_basis_bound_of_each_call(monkeypatch):
+    assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)
+    monkeypatch.setattr(cech_mod, "_canonical_rows", None)
+    # the 1,178 rows the kept layout holds are more than 1,100
+    monkeypatch.setattr(cech_mod, "MAX_CECH_BASIS", 1_100)
+    with pytest.raises(Overflow, match="more than 1100 basis monomials of canonical weight"):
+        incidence_cohomology(12, -13, 3)
+    monkeypatch.setattr(cech_mod, "MAX_CECH_BASIS", 1_200)
+    assert incidence_cohomology(12, -13, 3).dims == (0, 138, 60, 0)

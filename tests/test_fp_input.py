@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from toricfrob import FrobeniusOrder, incidence_cohomology
+from toricfrob import FrobeniusOrder, concentration_check, incidence_cohomology
 from toricfrob.cech import _basis_size, _map_rank_mod_p
 from toricfrob.cli import main
+from toricfrob.cohomology import Overflow
 from toricfrob import linalg
 from toricfrob.linalg import check_prime_field, is_prime, rank_mod_p
 from toricfrob.structure import _jet_stack
@@ -107,6 +108,27 @@ def test_cli_incidence_huge_twist_exits_1_promptly(capsys, b):
     assert code == 1
     assert captured.out == ""
     assert "basis monomials" in captured.err
+
+
+def test_a_twist_past_python_s_digit_limit_is_refused_with_overflow():
+    # the basis counts have about 5,000 digits, more than Python prints, so
+    # the refusal names a power of two below the count
+    with pytest.raises(Overflow, match=r"term 1 has at least 2\^16608 basis monomials "
+                                       r"in degree 0, more than 6000000$"):
+        incidence_cohomology(10**2500, 0, 3)
+    with pytest.raises(Overflow, match=r"term 1 has at least 2\^\d+ basis monomials "
+                                       r"in degree 0, more than 6000000$"):
+        concentration_check(1, 0, 3, 5000)
+
+
+def test_cli_incidence_twist_of_2501_digits_exits_1_with_one_error_line(capsys):
+    code = main(["cech", "incidence", "--a", "1" + "0" * 2500, "--b", "0", "--p", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: term 1 has at least 2^16608 basis monomials in degree 0, more than 6000000"
+    ]
 
 
 def test_cli_incidence_huge_twist_checks_p_first(capsys):
